@@ -1085,3 +1085,31 @@ impl GroupApp for MemoryServer {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use paso_types::{Template, Value};
+    use paso_wire::{decode_exact, encode_to_vec, Wire};
+
+    /// Write-group join state crosses the wire inside vsync snapshots, so
+    /// its layout is pinned like a message's.
+    #[test]
+    fn class_state_bytes_are_pinned() {
+        let state = ClassState {
+            store: vec![1, 2, 3],
+            markers: vec![MarkerEntry {
+                sc: SearchCriterion::from(Template::exact(vec![Value::Int(5)])),
+                origin: NodeId(3),
+                op_id: 300,
+                expires_micros: 1_000_000,
+            }],
+        };
+        let bytes = encode_to_vec(&state);
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, "03010203010102000a03ac02c0843d");
+        assert_eq!(state.encoded_len(), bytes.len());
+        let back: ClassState = decode_exact(&bytes).unwrap();
+        assert_eq!(encode_to_vec(&back), bytes);
+    }
+}

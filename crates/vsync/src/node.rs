@@ -1870,3 +1870,33 @@ impl<A: GroupApp> Actor for VsyncNode<A> {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use paso_wire::{decode_exact, encode_to_vec, Wire};
+
+    /// Join-time snapshots cross the wire inside `StateXfer` and sit in
+    /// WAL `Snapshot` records, so their layout is pinned like a message's.
+    #[test]
+    fn group_snapshot_bytes_are_pinned() {
+        let req = |origin, seq| ReqId {
+            origin: NodeId(origin),
+            seq,
+        };
+        let snap = GroupSnapshot {
+            processed: vec![req(2, 300), req(0, 1)],
+            resps: vec![(req(2, 300), vec![9, 8]), (req(0, 1), vec![])],
+            app: vec![1, 2, 3],
+            epoch: 5,
+            seq: 300,
+            last_req: req(2, 300),
+        };
+        let bytes = encode_to_vec(&snap);
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, "0202ac0200010202ac020209080001000301020305ac0202ac02");
+        assert_eq!(snap.encoded_len(), bytes.len());
+        let back: GroupSnapshot = decode_exact(&bytes).unwrap();
+        assert_eq!(encode_to_vec(&back), bytes);
+    }
+}
