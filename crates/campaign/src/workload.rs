@@ -29,7 +29,7 @@ use paso_simnet::{
     Actor, Context, Engine, EngineConfig, FaultScript, NodeEvent, NodeId, SimTime, WireSized,
 };
 use paso_telemetry::{ObjRef, OpKind, Outcome, TraceKind};
-use paso_wire::{Reader, Wire, WireError};
+use paso_wire::Wire;
 
 use crate::driver::Scenario;
 
@@ -58,89 +58,15 @@ pub enum TupleMsg {
     SetLambda { lambda: u32 },
 }
 
-impl Wire for TupleMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            TupleMsg::Insert { op, key, val } => {
-                out.push(0);
-                op.encode(out);
-                key.encode(out);
-                val.encode(out);
-            }
-            TupleMsg::Read { op, key } => {
-                out.push(1);
-                op.encode(out);
-                key.encode(out);
-            }
-            TupleMsg::Take { op, key } => {
-                out.push(2);
-                op.encode(out);
-                key.encode(out);
-            }
-            TupleMsg::Replicate {
-                key,
-                val,
-                version,
-                home,
-            } => {
-                out.push(3);
-                key.encode(out);
-                val.encode(out);
-                version.encode(out);
-                home.encode(out);
-            }
-            TupleMsg::Ack { key } => {
-                out.push(4);
-                key.encode(out);
-            }
-            TupleMsg::Purge { key } => {
-                out.push(5);
-                key.encode(out);
-            }
-            TupleMsg::SetLambda { lambda } => {
-                out.push(6);
-                lambda.encode(out);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(TupleMsg::Insert {
-                op: u64::decode(r)?,
-                key: u64::decode(r)?,
-                val: u64::decode(r)?,
-            }),
-            1 => Ok(TupleMsg::Read {
-                op: u64::decode(r)?,
-                key: u64::decode(r)?,
-            }),
-            2 => Ok(TupleMsg::Take {
-                op: u64::decode(r)?,
-                key: u64::decode(r)?,
-            }),
-            3 => Ok(TupleMsg::Replicate {
-                key: u64::decode(r)?,
-                val: u64::decode(r)?,
-                version: u64::decode(r)?,
-                home: NodeId::decode(r)?,
-            }),
-            4 => Ok(TupleMsg::Ack {
-                key: u64::decode(r)?,
-            }),
-            5 => Ok(TupleMsg::Purge {
-                key: u64::decode(r)?,
-            }),
-            6 => Ok(TupleMsg::SetLambda {
-                lambda: u32::decode(r)?,
-            }),
-            tag => Err(WireError::InvalidTag {
-                ty: "TupleMsg",
-                tag,
-            }),
-        }
-    }
-}
+paso_wire::wire_enum!(TupleMsg {
+    0 => Insert { op, key, val },
+    1 => Read { op, key },
+    2 => Take { op, key },
+    3 => Replicate { key, val, version, home },
+    4 => Ack { key },
+    5 => Purge { key },
+    6 => SetLambda { lambda },
+});
 
 impl WireSized for TupleMsg {
     fn wire_size(&self) -> usize {
@@ -166,6 +92,8 @@ struct PendingIns {
     left: u32,
 }
 
+paso_wire::wire_struct!(PendingIns { op, left });
+
 /// The tuple-store protocol state machine (one per node).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TupleActor {
@@ -177,6 +105,14 @@ pub struct TupleActor {
     store: BTreeMap<u64, (u64, u64)>,
     pending: BTreeMap<u64, PendingIns>,
 }
+
+paso_wire::wire_struct!(TupleActor {
+    id,
+    lambda,
+    leak_takes,
+    store,
+    pending
+});
 
 impl TupleActor {
     /// A fresh node with replication degree `lambda`. With `leak_takes`
@@ -369,55 +305,6 @@ impl Actor for TupleActor {
     }
 }
 
-impl Wire for TupleActor {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.id.encode(out);
-        self.lambda.encode(out);
-        self.leak_takes.encode(out);
-        (self.store.len() as u64).encode(out);
-        for (k, (val, version)) in &self.store {
-            k.encode(out);
-            val.encode(out);
-            version.encode(out);
-        }
-        (self.pending.len() as u64).encode(out);
-        for (k, p) in &self.pending {
-            k.encode(out);
-            p.op.encode(out);
-            p.left.encode(out);
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let id = NodeId::decode(r)?;
-        let lambda = u32::decode(r)?;
-        let leak_takes = bool::decode(r)?;
-        let ns = u64::decode(r)? as usize;
-        let mut store = BTreeMap::new();
-        for _ in 0..ns {
-            let k = u64::decode(r)?;
-            let val = u64::decode(r)?;
-            let version = u64::decode(r)?;
-            store.insert(k, (val, version));
-        }
-        let np = u64::decode(r)? as usize;
-        let mut pending = BTreeMap::new();
-        for _ in 0..np {
-            let k = u64::decode(r)?;
-            let op = u64::decode(r)?;
-            let left = u32::decode(r)?;
-            pending.insert(k, PendingIns { op, left });
-        }
-        Ok(TupleActor {
-            id,
-            lambda,
-            leak_takes,
-            store,
-            pending,
-        })
-    }
-}
-
 /// Shape of a generated tuple workload.
 #[derive(Debug, Clone)]
 pub struct TupleScenarioSpec {
@@ -537,6 +424,36 @@ mod tests {
             let bytes = encode_to_vec(m);
             assert_eq!(bytes.len(), m.wire_size());
             assert_eq!(&decode_exact::<TupleMsg>(&bytes).unwrap(), m);
+        }
+    }
+
+    /// `wire_size` is charged on every simulated send and is computed
+    /// arithmetically, so check it against real bytes at the varint width
+    /// boundaries of every variant.
+    #[test]
+    fn wire_size_is_the_encoded_length_for_every_variant() {
+        for v in [0, 127, 128, 1 << 14, u64::MAX] {
+            let home = NodeId(v as u32);
+            for m in [
+                TupleMsg::Insert {
+                    op: v,
+                    key: v,
+                    val: v,
+                },
+                TupleMsg::Read { op: v, key: v },
+                TupleMsg::Take { op: v, key: v },
+                TupleMsg::Replicate {
+                    key: v,
+                    val: v,
+                    version: v,
+                    home,
+                },
+                TupleMsg::Ack { key: v },
+                TupleMsg::Purge { key: v },
+                TupleMsg::SetLambda { lambda: v as u32 },
+            ] {
+                assert_eq!(m.wire_size(), encode_to_vec(&m).len(), "{m:?}");
+            }
         }
     }
 

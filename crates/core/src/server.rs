@@ -46,30 +46,12 @@ struct MarkerEntry {
     expires_micros: u64,
 }
 
-impl paso_wire::Wire for MarkerEntry {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.sc.encode(out);
-        self.origin.encode(out);
-        paso_wire::put_varint(out, self.op_id);
-        paso_wire::put_varint(out, self.expires_micros);
-    }
-
-    fn decode(r: &mut paso_wire::Reader<'_>) -> Result<Self, paso_wire::WireError> {
-        Ok(MarkerEntry {
-            sc: SearchCriterion::decode(r)?,
-            origin: NodeId::decode(r)?,
-            op_id: r.varint()?,
-            expires_micros: r.varint()?,
-        })
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.sc.encoded_len()
-            + self.origin.encoded_len()
-            + paso_wire::varint_len(self.op_id)
-            + paso_wire::varint_len(self.expires_micros)
-    }
-}
+paso_wire::wire_struct!(MarkerEntry {
+    sc,
+    origin,
+    op_id,
+    expires_micros
+});
 
 /// Serialized write-group state for `g-join` transfer: the class store
 /// plus the outstanding markers (a joiner must also notify waiters).
@@ -79,23 +61,7 @@ struct ClassState {
     markers: Vec<MarkerEntry>,
 }
 
-impl paso_wire::Wire for ClassState {
-    fn encode(&self, out: &mut Vec<u8>) {
-        paso_wire::put_bytes(out, &self.store);
-        self.markers.encode(out);
-    }
-
-    fn decode(r: &mut paso_wire::Reader<'_>) -> Result<Self, paso_wire::WireError> {
-        Ok(ClassState {
-            store: r.byte_string()?.to_vec(),
-            markers: Vec::<MarkerEntry>::decode(r)?,
-        })
-    }
-
-    fn encoded_len(&self) -> usize {
-        paso_wire::bytes_len(&self.store) + self.markers.encoded_len()
-    }
-}
+paso_wire::wire_struct!(ClassState { store, markers });
 
 #[derive(Debug)]
 struct PendingOp {

@@ -8,8 +8,9 @@
 
 use paso_simnet::NodeId;
 use paso_storage::{ClassSummary, Rank};
-use paso_types::{ClassId, PasoObject, SearchCriterion};
-use paso_wire::{put_varint, Reader, Wire, WireError};
+use paso_telemetry::{ObjRef, OpKind, Outcome};
+use paso_types::{ClassId, ObjectId, PasoObject, SearchCriterion};
+use paso_wire::{wire_enum, wire_struct, Wire, WireError};
 
 /// A PASO operation issued by a compute process (§2's primitives).
 #[derive(Debug, Clone, PartialEq)]
@@ -35,55 +36,11 @@ pub enum ClientOp {
     },
 }
 
-impl Wire for ClientOp {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            ClientOp::Insert { object } => {
-                out.push(0);
-                object.encode(out);
-            }
-            ClientOp::Read { sc, blocking } => {
-                out.push(1);
-                sc.encode(out);
-                blocking.encode(out);
-            }
-            ClientOp::ReadDel { sc, blocking } => {
-                out.push(2);
-                sc.encode(out);
-                blocking.encode(out);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match r.u8()? {
-            0 => ClientOp::Insert {
-                object: PasoObject::decode(r)?,
-            },
-            1 => ClientOp::Read {
-                sc: SearchCriterion::decode(r)?,
-                blocking: bool::decode(r)?,
-            },
-            2 => ClientOp::ReadDel {
-                sc: SearchCriterion::decode(r)?,
-                blocking: bool::decode(r)?,
-            },
-            tag => {
-                return Err(WireError::InvalidTag {
-                    ty: "ClientOp",
-                    tag,
-                })
-            }
-        })
-    }
-
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            ClientOp::Insert { object } => object.encoded_len(),
-            ClientOp::Read { sc, .. } | ClientOp::ReadDel { sc, .. } => sc.encoded_len() + 1,
-        }
-    }
-}
+wire_enum!(ClientOp {
+    0 => Insert { object },
+    1 => Read { sc, blocking },
+    2 => ReadDel { sc, blocking },
+});
 
 /// A request injected at a machine's memory server.
 #[derive(Debug, Clone, PartialEq)]
@@ -94,23 +51,7 @@ pub struct ClientRequest {
     pub op: ClientOp,
 }
 
-impl Wire for ClientRequest {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_varint(out, self.op_id);
-        self.op.encode(out);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(ClientRequest {
-            op_id: r.varint()?,
-            op: ClientOp::decode(r)?,
-        })
-    }
-
-    fn encoded_len(&self) -> usize {
-        paso_wire::varint_len(self.op_id) + self.op.encoded_len()
-    }
-}
+wire_struct!(ClientRequest { op_id, op });
 
 /// Result of a client operation.
 #[derive(Debug, Clone, PartialEq)]
@@ -128,6 +69,33 @@ pub enum ClientResult {
     Unavailable,
 }
 
+wire_enum!(ClientResult {
+    0 => Inserted,
+    1 => Found(object),
+    2 => Fail,
+    3 => TimedOut,
+    4 => Unavailable,
+});
+
+impl ClientOp {
+    /// Which primitive this is, in the trace vocabulary.
+    pub fn kind(&self) -> OpKind {
+        match self {
+            ClientOp::Insert { .. } => OpKind::Insert,
+            ClientOp::Read { .. } => OpKind::Read,
+            ClientOp::ReadDel { .. } => OpKind::ReadDel,
+        }
+    }
+}
+
+/// Maps a native object id onto the telemetry trace's driver-neutral pair.
+pub fn obj_ref(id: ObjectId) -> ObjRef {
+    ObjRef {
+        origin: id.creator.0,
+        seq: id.seq,
+    }
+}
+
 impl ClientResult {
     /// The returned object, if any.
     pub fn object(&self) -> Option<&PasoObject> {
@@ -141,42 +109,14 @@ impl ClientResult {
     pub fn is_success(&self) -> bool {
         matches!(self, ClientResult::Inserted | ClientResult::Found(_))
     }
-}
 
-impl Wire for ClientResult {
-    fn encode(&self, out: &mut Vec<u8>) {
+    /// The result in the trace vocabulary (`OpEnd` events).
+    pub fn outcome(&self) -> Outcome {
         match self {
-            ClientResult::Inserted => out.push(0),
-            ClientResult::Found(o) => {
-                out.push(1);
-                o.encode(out);
-            }
-            ClientResult::Fail => out.push(2),
-            ClientResult::TimedOut => out.push(3),
-            ClientResult::Unavailable => out.push(4),
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match r.u8()? {
-            0 => ClientResult::Inserted,
-            1 => ClientResult::Found(PasoObject::decode(r)?),
-            2 => ClientResult::Fail,
-            3 => ClientResult::TimedOut,
-            4 => ClientResult::Unavailable,
-            tag => {
-                return Err(WireError::InvalidTag {
-                    ty: "ClientResult",
-                    tag,
-                })
-            }
-        })
-    }
-
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            ClientResult::Found(o) => o.encoded_len(),
-            _ => 0,
+            ClientResult::Inserted => Outcome::Inserted,
+            ClientResult::Found(o) => Outcome::Found(obj_ref(o.id())),
+            ClientResult::Fail => Outcome::Fail,
+            ClientResult::TimedOut | ClientResult::Unavailable => Outcome::Error,
         }
     }
 }
@@ -191,23 +131,7 @@ pub struct ClientDone {
     pub result: ClientResult,
 }
 
-impl Wire for ClientDone {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_varint(out, self.op_id);
-        self.result.encode(out);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(ClientDone {
-            op_id: r.varint()?,
-            result: ClientResult::decode(r)?,
-        })
-    }
-
-    fn encoded_len(&self) -> usize {
-        paso_wire::varint_len(self.op_id) + self.result.encoded_len()
-    }
-}
+wire_struct!(ClientDone { op_id, result });
 
 /// Replicated operations, carried as gcast payloads to write/read groups
 /// (the `store`/`mem-read`/`remove` messages of §4.3's macro expansions).
@@ -252,98 +176,12 @@ pub enum ReplOp {
     },
 }
 
-impl Wire for ReplOp {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            ReplOp::Store {
-                class,
-                object,
-                rank,
-            } => {
-                out.push(0);
-                class.encode(out);
-                object.encode(out);
-                rank.encode(out);
-            }
-            ReplOp::MemRead { class, sc } => {
-                out.push(1);
-                class.encode(out);
-                sc.encode(out);
-            }
-            ReplOp::Remove { class, sc } => {
-                out.push(2);
-                class.encode(out);
-                sc.encode(out);
-            }
-            ReplOp::PlaceMarker {
-                class,
-                sc,
-                origin,
-                op_id,
-                expires_micros,
-            } => {
-                out.push(3);
-                class.encode(out);
-                sc.encode(out);
-                origin.encode(out);
-                put_varint(out, *op_id);
-                put_varint(out, *expires_micros);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match r.u8()? {
-            0 => ReplOp::Store {
-                class: ClassId::decode(r)?,
-                object: PasoObject::decode(r)?,
-                rank: Rank::decode(r)?,
-            },
-            1 => ReplOp::MemRead {
-                class: ClassId::decode(r)?,
-                sc: SearchCriterion::decode(r)?,
-            },
-            2 => ReplOp::Remove {
-                class: ClassId::decode(r)?,
-                sc: SearchCriterion::decode(r)?,
-            },
-            3 => ReplOp::PlaceMarker {
-                class: ClassId::decode(r)?,
-                sc: SearchCriterion::decode(r)?,
-                origin: NodeId::decode(r)?,
-                op_id: r.varint()?,
-                expires_micros: r.varint()?,
-            },
-            tag => return Err(WireError::InvalidTag { ty: "ReplOp", tag }),
-        })
-    }
-
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            ReplOp::Store {
-                class,
-                object,
-                rank,
-            } => class.encoded_len() + object.encoded_len() + rank.encoded_len(),
-            ReplOp::MemRead { class, sc } | ReplOp::Remove { class, sc } => {
-                class.encoded_len() + sc.encoded_len()
-            }
-            ReplOp::PlaceMarker {
-                class,
-                sc,
-                origin,
-                op_id,
-                expires_micros,
-            } => {
-                class.encoded_len()
-                    + sc.encoded_len()
-                    + origin.encoded_len()
-                    + paso_wire::varint_len(*op_id)
-                    + paso_wire::varint_len(*expires_micros)
-            }
-        }
-    }
-}
+wire_enum!(ReplOp {
+    0 => Store { class, object, rank },
+    1 => MemRead { class, sc },
+    2 => Remove { class, sc },
+    3 => PlaceMarker { class, sc, origin, op_id, expires_micros },
+});
 
 /// Response to a [`ReplOp::MemRead`] / [`ReplOp::Remove`]: the §2 "object
 /// or fail" result.
@@ -356,23 +194,7 @@ pub struct OpResponse {
     pub failed: u64,
 }
 
-impl Wire for OpResponse {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.object.encode(out);
-        put_varint(out, self.failed);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(OpResponse {
-            object: Option::<PasoObject>::decode(r)?,
-            failed: r.varint()?,
-        })
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.object.encoded_len() + paso_wire::varint_len(self.failed)
-    }
-}
+wire_struct!(OpResponse { object, failed });
 
 /// Application-level messages between servers (non-gcast traffic).
 #[derive(Debug, Clone, PartialEq)]
@@ -424,126 +246,15 @@ pub enum AppMsg {
     ClientBatch(Vec<ClientRequest>),
 }
 
-impl Wire for AppMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            AppMsg::Client(req) => {
-                out.push(0);
-                req.encode(out);
-            }
-            AppMsg::MarkerWake { op_id } => {
-                out.push(1);
-                put_varint(out, *op_id);
-            }
-            AppMsg::RemoteRead { op_id, class, sc } => {
-                out.push(2);
-                put_varint(out, *op_id);
-                class.encode(out);
-                sc.encode(out);
-            }
-            AppMsg::RemoteReadResp {
-                op_id,
-                served,
-                found,
-                failed,
-            } => {
-                out.push(3);
-                put_varint(out, *op_id);
-                served.encode(out);
-                found.encode(out);
-                put_varint(out, *failed);
-            }
-            AppMsg::SummaryGossip { summaries } => {
-                out.push(4);
-                put_varint(out, summaries.len() as u64);
-                for (class, summary) in summaries {
-                    class.encode(out);
-                    summary.encode(out);
-                }
-            }
-            AppMsg::Done(done) => {
-                out.push(5);
-                done.encode(out);
-            }
-            AppMsg::ClientBatch(reqs) => {
-                out.push(6);
-                put_varint(out, reqs.len() as u64);
-                for req in reqs {
-                    req.encode(out);
-                }
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match r.u8()? {
-            0 => AppMsg::Client(ClientRequest::decode(r)?),
-            1 => AppMsg::MarkerWake { op_id: r.varint()? },
-            2 => AppMsg::RemoteRead {
-                op_id: r.varint()?,
-                class: ClassId::decode(r)?,
-                sc: SearchCriterion::decode(r)?,
-            },
-            3 => AppMsg::RemoteReadResp {
-                op_id: r.varint()?,
-                served: bool::decode(r)?,
-                found: Option::<PasoObject>::decode(r)?,
-                failed: r.varint()?,
-            },
-            4 => {
-                let n = r.varint()? as usize;
-                let mut summaries = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    summaries.push((ClassId::decode(r)?, ClassSummary::decode(r)?));
-                }
-                AppMsg::SummaryGossip { summaries }
-            }
-            5 => AppMsg::Done(ClientDone::decode(r)?),
-            6 => {
-                let n = r.varint()? as usize;
-                let mut reqs = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    reqs.push(ClientRequest::decode(r)?);
-                }
-                AppMsg::ClientBatch(reqs)
-            }
-            tag => return Err(WireError::InvalidTag { ty: "AppMsg", tag }),
-        })
-    }
-
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            AppMsg::Client(req) => req.encoded_len(),
-            AppMsg::MarkerWake { op_id } => paso_wire::varint_len(*op_id),
-            AppMsg::RemoteRead { op_id, class, sc } => {
-                paso_wire::varint_len(*op_id) + class.encoded_len() + sc.encoded_len()
-            }
-            AppMsg::RemoteReadResp {
-                op_id,
-                found,
-                failed,
-                ..
-            } => {
-                paso_wire::varint_len(*op_id)
-                    + 1
-                    + found.encoded_len()
-                    + paso_wire::varint_len(*failed)
-            }
-            AppMsg::SummaryGossip { summaries } => {
-                paso_wire::varint_len(summaries.len() as u64)
-                    + summaries
-                        .iter()
-                        .map(|(c, s)| c.encoded_len() + s.encoded_len())
-                        .sum::<usize>()
-            }
-            AppMsg::Done(done) => done.encoded_len(),
-            AppMsg::ClientBatch(reqs) => {
-                paso_wire::varint_len(reqs.len() as u64)
-                    + reqs.iter().map(Wire::encoded_len).sum::<usize>()
-            }
-        }
-    }
-}
+wire_enum!(AppMsg {
+    0 => Client(request),
+    1 => MarkerWake { op_id },
+    2 => RemoteRead { op_id, class, sc },
+    3 => RemoteReadResp { op_id, served, found, failed },
+    4 => SummaryGossip { summaries },
+    5 => Done(done),
+    6 => ClientBatch(requests),
+});
 
 /// A frame from an external client to a front-end proxy. Client
 /// connections carry a varint length prefix followed by one of these —
@@ -572,50 +283,10 @@ pub enum ProxyClientFrame {
     },
 }
 
-impl Wire for ProxyClientFrame {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            ProxyClientFrame::Hello { tenant, token } => {
-                out.push(0);
-                put_varint(out, *tenant);
-                put_varint(out, *token);
-            }
-            ProxyClientFrame::Op { seq, op } => {
-                out.push(1);
-                put_varint(out, *seq);
-                op.encode(out);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match r.u8()? {
-            0 => ProxyClientFrame::Hello {
-                tenant: r.varint()?,
-                token: r.varint()?,
-            },
-            1 => ProxyClientFrame::Op {
-                seq: r.varint()?,
-                op: ClientOp::decode(r)?,
-            },
-            tag => {
-                return Err(WireError::InvalidTag {
-                    ty: "ProxyClientFrame",
-                    tag,
-                })
-            }
-        })
-    }
-
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            ProxyClientFrame::Hello { tenant, token } => {
-                paso_wire::varint_len(*tenant) + paso_wire::varint_len(*token)
-            }
-            ProxyClientFrame::Op { seq, op } => paso_wire::varint_len(*seq) + op.encoded_len(),
-        }
-    }
-}
+wire_enum!(ProxyClientFrame {
+    0 => Hello { tenant, token },
+    1 => Op { seq, op },
+});
 
 /// A frame from a proxy back to an external client.
 #[derive(Debug, Clone, PartialEq)]
@@ -640,51 +311,12 @@ pub enum ProxyServerFrame {
     },
 }
 
-impl Wire for ProxyServerFrame {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            ProxyServerFrame::Welcome => out.push(0),
-            ProxyServerFrame::Denied => out.push(1),
-            ProxyServerFrame::Busy { seq } => {
-                out.push(2);
-                put_varint(out, *seq);
-            }
-            ProxyServerFrame::Done { seq, result } => {
-                out.push(3);
-                put_varint(out, *seq);
-                result.encode(out);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match r.u8()? {
-            0 => ProxyServerFrame::Welcome,
-            1 => ProxyServerFrame::Denied,
-            2 => ProxyServerFrame::Busy { seq: r.varint()? },
-            3 => ProxyServerFrame::Done {
-                seq: r.varint()?,
-                result: ClientResult::decode(r)?,
-            },
-            tag => {
-                return Err(WireError::InvalidTag {
-                    ty: "ProxyServerFrame",
-                    tag,
-                })
-            }
-        })
-    }
-
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            ProxyServerFrame::Welcome | ProxyServerFrame::Denied => 0,
-            ProxyServerFrame::Busy { seq } => paso_wire::varint_len(*seq),
-            ProxyServerFrame::Done { seq, result } => {
-                paso_wire::varint_len(*seq) + result.encoded_len()
-            }
-        }
-    }
-}
+wire_enum!(ProxyServerFrame {
+    0 => Welcome,
+    1 => Denied,
+    2 => Busy { seq },
+    3 => Done { seq, result },
+});
 
 /// The keyed MAC a client presents in [`ProxyClientFrame::Hello`]:
 /// FNV-1a over the tenant id and the deployment's shared secret. Not

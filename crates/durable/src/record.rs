@@ -1,7 +1,5 @@
 //! Versioned WAL record types and their wire encoding.
 
-use paso_wire::{bytes_len, put_bytes, put_varint, varint_len, Reader, Wire, WireError};
-
 /// One durable record in a node's write-ahead log.
 ///
 /// `epoch` is the group's history-lineage id (regenerated when a group
@@ -41,8 +39,10 @@ pub enum WalRecord {
     },
 }
 
-const TAG_DELIVERY: u8 = 0;
-const TAG_SNAPSHOT: u8 = 1;
+paso_wire::wire_enum!(WalRecord {
+    0 => Delivery { group, epoch, seq, origin, req_seq, payload },
+    1 => Snapshot { group, epoch, seq, state },
+});
 
 impl WalRecord {
     /// The group this record belongs to.
@@ -53,95 +53,10 @@ impl WalRecord {
     }
 }
 
-impl Wire for WalRecord {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            WalRecord::Delivery {
-                group,
-                epoch,
-                seq,
-                origin,
-                req_seq,
-                payload,
-            } => {
-                out.push(TAG_DELIVERY);
-                put_varint(out, *group);
-                put_varint(out, *epoch);
-                put_varint(out, *seq);
-                put_varint(out, *origin as u64);
-                put_varint(out, *req_seq);
-                put_bytes(out, payload);
-            }
-            WalRecord::Snapshot {
-                group,
-                epoch,
-                seq,
-                state,
-            } => {
-                out.push(TAG_SNAPSHOT);
-                put_varint(out, *group);
-                put_varint(out, *epoch);
-                put_varint(out, *seq);
-                put_bytes(out, state);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            TAG_DELIVERY => Ok(WalRecord::Delivery {
-                group: r.varint()?,
-                epoch: r.varint()?,
-                seq: r.varint()?,
-                origin: u32::try_from(r.varint()?)
-                    .map_err(|_| WireError::Malformed("origin exceeds u32"))?,
-                req_seq: r.varint()?,
-                payload: r.byte_string()?.to_vec(),
-            }),
-            TAG_SNAPSHOT => Ok(WalRecord::Snapshot {
-                group: r.varint()?,
-                epoch: r.varint()?,
-                seq: r.varint()?,
-                state: r.byte_string()?.to_vec(),
-            }),
-            tag => Err(WireError::InvalidTag {
-                ty: "WalRecord",
-                tag,
-            }),
-        }
-    }
-
-    fn encoded_len(&self) -> usize {
-        match self {
-            WalRecord::Delivery {
-                group,
-                epoch,
-                seq,
-                origin,
-                req_seq,
-                payload,
-            } => {
-                1 + varint_len(*group)
-                    + varint_len(*epoch)
-                    + varint_len(*seq)
-                    + varint_len(*origin as u64)
-                    + varint_len(*req_seq)
-                    + bytes_len(payload)
-            }
-            WalRecord::Snapshot {
-                group,
-                epoch,
-                seq,
-                state,
-            } => 1 + varint_len(*group) + varint_len(*epoch) + varint_len(*seq) + bytes_len(state),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use paso_wire::{decode_exact, encode_to_vec};
+    use paso_wire::{decode_exact, encode_to_vec, Wire};
 
     #[test]
     fn round_trips_and_len_matches() {

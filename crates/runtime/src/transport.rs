@@ -59,7 +59,7 @@ use rand_chacha::ChaCha8Rng;
 use paso_simnet::{FaultPlan, LinkFate, NodeId};
 use paso_telemetry::{Histogram, Telemetry, TraceBuf, TraceKind};
 use paso_vsync::NetMsg;
-use paso_wire::{Reader as WireReader, Wire, WireError};
+use paso_wire::Wire;
 
 use crate::reactor::{Frame, HistSlot, NetHists, OutConn, Reactor};
 
@@ -91,56 +91,14 @@ pub enum Envelope {
     Shutdown,
 }
 
-impl Wire for Envelope {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Envelope::Net { from, msg } => {
-                out.push(0);
-                from.encode(out);
-                msg.encode(out);
-            }
-            Envelope::Crash => out.push(1),
-            Envelope::Recover => out.push(2),
-            Envelope::PeerCrashed(n) => {
-                out.push(3);
-                n.encode(out);
-            }
-            Envelope::PeerRecovered(n) => {
-                out.push(4);
-                n.encode(out);
-            }
-            Envelope::Shutdown => out.push(5),
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(match r.u8()? {
-            0 => Envelope::Net {
-                from: NodeId::decode(r)?,
-                msg: NetMsg::decode(r)?,
-            },
-            1 => Envelope::Crash,
-            2 => Envelope::Recover,
-            3 => Envelope::PeerCrashed(NodeId::decode(r)?),
-            4 => Envelope::PeerRecovered(NodeId::decode(r)?),
-            5 => Envelope::Shutdown,
-            tag => {
-                return Err(WireError::InvalidTag {
-                    ty: "Envelope",
-                    tag,
-                })
-            }
-        })
-    }
-
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            Envelope::Net { from, msg } => from.encoded_len() + msg.encoded_len(),
-            Envelope::PeerCrashed(n) | Envelope::PeerRecovered(n) => n.encoded_len(),
-            Envelope::Crash | Envelope::Recover | Envelope::Shutdown => 0,
-        }
-    }
-}
+paso_wire::wire_enum!(Envelope {
+    0 => Net { from, msg },
+    1 => Crash,
+    2 => Recover,
+    3 => PeerCrashed(node),
+    4 => PeerRecovered(node),
+    5 => Shutdown,
+});
 
 /// Receiving side owned by one node thread.
 pub trait Mailbox: Send {

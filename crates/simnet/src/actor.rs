@@ -20,24 +20,12 @@ use rand_chacha::ChaCha8Rng;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(pub u32);
 
+paso_wire::wire_struct!(NodeId { 0 });
+
 impl NodeId {
     /// The machine index as a usize.
     pub fn index(self) -> usize {
         self.0 as usize
-    }
-}
-
-impl paso_wire::Wire for NodeId {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.0.encode(out);
-    }
-
-    fn decode(r: &mut paso_wire::Reader<'_>) -> Result<Self, paso_wire::WireError> {
-        Ok(NodeId(u32::decode(r)?))
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.0.encoded_len()
     }
 }
 

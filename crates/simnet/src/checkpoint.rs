@@ -507,18 +507,7 @@ mod tests {
         seen: u64,
     }
 
-    impl Wire for Counting {
-        fn encode(&self, out: &mut Vec<u8>) {
-            self.id.encode(out);
-            self.seen.encode(out);
-        }
-        fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-            Ok(Counting {
-                id: NodeId::decode(r)?,
-                seen: u64::decode(r)?,
-            })
-        }
-    }
+    paso_wire::wire_struct!(Counting { id, seen });
 
     #[derive(Debug, Clone, PartialEq)]
     struct Ping(u64);
@@ -529,14 +518,7 @@ mod tests {
         }
     }
 
-    impl Wire for Ping {
-        fn encode(&self, out: &mut Vec<u8>) {
-            self.0.encode(out);
-        }
-        fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-            Ok(Ping(u64::decode(r)?))
-        }
-    }
+    paso_wire::wire_struct!(Ping { 0 });
 
     impl Actor for Counting {
         type Msg = Ping;

@@ -59,6 +59,8 @@ impl fmt::Display for Cost {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Rank(pub u64);
 
+paso_wire::wire_struct!(Rank { 0 });
+
 impl Rank {
     /// Builds a rank from a logical timestamp and the origin machine index.
     ///
@@ -84,20 +86,6 @@ impl Rank {
 impl fmt::Display for Rank {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "r{}@{}", self.time(), self.origin())
-    }
-}
-
-impl paso_wire::Wire for Rank {
-    fn encode(&self, out: &mut Vec<u8>) {
-        paso_wire::put_varint(out, self.0);
-    }
-
-    fn decode(r: &mut paso_wire::Reader<'_>) -> Result<Self, paso_wire::WireError> {
-        Ok(Rank(r.varint()?))
-    }
-
-    fn encoded_len(&self) -> usize {
-        paso_wire::varint_len(self.0)
     }
 }
 

@@ -24,7 +24,6 @@
 //!   matcher shapes conservatively answer "maybe".
 
 use paso_types::{stable_field_hash, PasoObject, SearchCriterion};
-use paso_wire::{put_varint, Reader, Wire, WireError};
 
 /// Number of 64-bit words in the fingerprint Bloom filter (256 bits).
 const BLOOM_WORDS: usize = 4;
@@ -60,6 +59,12 @@ pub struct ClassSummary {
     /// all live objects.
     bloom: [u64; BLOOM_WORDS],
 }
+
+paso_wire::wire_struct!(ClassSummary {
+    len,
+    arities,
+    bloom
+});
 
 /// The two Bloom bit indexes for one fingerprint hash (double hashing on
 /// the high and low halves of the 64-bit value).
@@ -148,39 +153,11 @@ impl ClassSummary {
     }
 }
 
-impl Wire for ClassSummary {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_varint(out, self.len);
-        put_varint(out, self.arities);
-        for w in self.bloom {
-            out.extend_from_slice(&w.to_le_bytes());
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let len = r.varint()?;
-        let arities = r.varint()?;
-        let mut bloom = [0u64; BLOOM_WORDS];
-        for w in &mut bloom {
-            let raw: [u8; 8] = r.bytes(8)?.try_into().expect("8-byte read");
-            *w = u64::from_le_bytes(raw);
-        }
-        Ok(ClassSummary {
-            len,
-            arities,
-            bloom,
-        })
-    }
-
-    fn encoded_len(&self) -> usize {
-        paso_wire::varint_len(self.len) + paso_wire::varint_len(self.arities) + 8 * BLOOM_WORDS
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use paso_types::{FieldMatcher, ObjectId, ProcessId, Template, Value};
+    use paso_wire::Wire;
 
     fn obj(seq: u64, fields: Vec<Value>) -> PasoObject {
         PasoObject::new(ObjectId::new(ProcessId(0), seq), fields)

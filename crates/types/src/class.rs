@@ -21,6 +21,8 @@ use crate::value::{Value, ValueType};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ClassId(pub u32);
 
+paso_wire::wire_struct!(ClassId { 0 });
+
 impl fmt::Display for ClassId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "C{}", self.0)

@@ -52,6 +52,8 @@ pub struct SearchCriterion {
     template: Template,
 }
 
+paso_wire::wire_struct!(SearchCriterion { template });
+
 impl SearchCriterion {
     /// Creates a criterion from a template.
     pub fn new(template: Template) -> Self {

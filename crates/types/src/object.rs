@@ -18,6 +18,8 @@ use crate::value::Value;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ProcessId(pub u64);
 
+paso_wire::wire_struct!(ProcessId { 0 });
+
 impl fmt::Display for ProcessId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "p{}", self.0)
@@ -34,6 +36,8 @@ pub struct ObjectId {
     /// Sequence number local to the creator.
     pub seq: u64,
 }
+
+paso_wire::wire_struct!(ObjectId { creator, seq });
 
 impl ObjectId {
     /// Creates an object id.
@@ -71,6 +75,8 @@ pub struct PasoObject {
     id: ObjectId,
     fields: Vec<Value>,
 }
+
+paso_wire::wire_struct!(PasoObject { id, fields });
 
 impl PasoObject {
     /// Creates an object from its identity and fields.

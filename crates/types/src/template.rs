@@ -191,6 +191,8 @@ pub struct Template {
     matchers: Vec<FieldMatcher>,
 }
 
+paso_wire::wire_struct!(Template { matchers });
+
 impl Template {
     /// Creates a template from per-field matchers.
     pub fn new(matchers: Vec<FieldMatcher>) -> Self {

@@ -36,6 +36,16 @@ pub enum ValueType {
     Tuple,
 }
 
+paso_wire::wire_enum!(ValueType {
+    0 => Int,
+    1 => Float,
+    2 => Bool,
+    3 => Str,
+    4 => Bytes,
+    5 => Symbol,
+    6 => Tuple,
+});
+
 impl fmt::Display for ValueType {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -79,6 +89,16 @@ pub enum Value {
     /// Nested tuple.
     Tuple(Vec<Value>),
 }
+
+paso_wire::wire_enum!(Value {
+    0 => Int(i),
+    1 => Float(x),
+    2 => Bool(b),
+    3 => Str(s),
+    4 => Bytes(b),
+    5 => Symbol(s),
+    6 => Tuple(fields),
+});
 
 impl Value {
     /// Returns the type tag of this value.

@@ -1,182 +1,18 @@
-//! Binary codec impls for the data model.
+//! The data model's one hand-written codec, and the codec tests.
 //!
-//! Encodings follow the crate-wide convention: one tag byte per enum
-//! variant, varints for integers and lengths (zig-zag for signed), raw
-//! little-endian bits for floats. Tag values are part of the wire format —
-//! append new variants, never renumber.
+//! Every other type states its layout once, in a `wire_struct!` /
+//! `wire_enum!` line next to its definition. [`FieldMatcher`] cannot: its
+//! `Range` bounds are `std::ops::Bound<Value>` and `Not` boxes a matcher,
+//! neither of which has a `Wire` impl of its own. The convention is the
+//! same — one tag byte per variant, fields in order; tag values are part
+//! of the wire format, so append new variants and never renumber.
 
 use std::ops::Bound;
 
-use paso_wire::{put_bytes, put_varint, Reader, Wire, WireError};
+use paso_wire::{Reader, Wire, WireError};
 
-use crate::class::ClassId;
-use crate::criteria::SearchCriterion;
-use crate::object::{ObjectId, PasoObject, ProcessId};
-use crate::template::{FieldMatcher, Template};
+use crate::template::FieldMatcher;
 use crate::value::{Value, ValueType};
-
-impl Wire for ValueType {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            ValueType::Int => 0,
-            ValueType::Float => 1,
-            ValueType::Bool => 2,
-            ValueType::Str => 3,
-            ValueType::Bytes => 4,
-            ValueType::Symbol => 5,
-            ValueType::Tuple => 6,
-        });
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match r.u8()? {
-            0 => ValueType::Int,
-            1 => ValueType::Float,
-            2 => ValueType::Bool,
-            3 => ValueType::Str,
-            4 => ValueType::Bytes,
-            5 => ValueType::Symbol,
-            6 => ValueType::Tuple,
-            tag => {
-                return Err(WireError::InvalidTag {
-                    ty: "ValueType",
-                    tag,
-                })
-            }
-        })
-    }
-
-    fn encoded_len(&self) -> usize {
-        1
-    }
-}
-
-impl Wire for Value {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Value::Int(i) => {
-                out.push(0);
-                i.encode(out);
-            }
-            Value::Float(x) => {
-                out.push(1);
-                x.encode(out);
-            }
-            Value::Bool(b) => {
-                out.push(2);
-                b.encode(out);
-            }
-            Value::Str(s) => {
-                out.push(3);
-                s.encode(out);
-            }
-            Value::Bytes(b) => {
-                out.push(4);
-                put_bytes(out, b);
-            }
-            Value::Symbol(s) => {
-                out.push(5);
-                s.encode(out);
-            }
-            Value::Tuple(t) => {
-                out.push(6);
-                t.encode(out);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match r.u8()? {
-            0 => Value::Int(i64::decode(r)?),
-            1 => Value::Float(f64::decode(r)?),
-            2 => Value::Bool(bool::decode(r)?),
-            3 => Value::Str(String::decode(r)?),
-            4 => Value::Bytes(r.byte_string()?.to_vec()),
-            5 => Value::Symbol(String::decode(r)?),
-            6 => Value::Tuple(Vec::<Value>::decode(r)?),
-            tag => return Err(WireError::InvalidTag { ty: "Value", tag }),
-        })
-    }
-
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            Value::Int(i) => i.encoded_len(),
-            Value::Float(_) => 8,
-            Value::Bool(_) => 1,
-            Value::Str(s) | Value::Symbol(s) => s.encoded_len(),
-            Value::Bytes(b) => paso_wire::bytes_len(b),
-            Value::Tuple(t) => t.encoded_len(),
-        }
-    }
-}
-
-impl Wire for ProcessId {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_varint(out, self.0);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(ProcessId(r.varint()?))
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.0.encoded_len()
-    }
-}
-
-impl Wire for ObjectId {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.creator.encode(out);
-        put_varint(out, self.seq);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(ObjectId {
-            creator: ProcessId::decode(r)?,
-            seq: r.varint()?,
-        })
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.creator.encoded_len() + self.seq.encoded_len()
-    }
-}
-
-impl Wire for PasoObject {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.id().encode(out);
-        put_varint(out, self.fields().len() as u64);
-        for v in self.fields() {
-            v.encode(out);
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let id = ObjectId::decode(r)?;
-        let fields = Vec::<Value>::decode(r)?;
-        Ok(PasoObject::new(id, fields))
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.id().encoded_len()
-            + paso_wire::varint_len(self.fields().len() as u64)
-            + self.fields().iter().map(Wire::encoded_len).sum::<usize>()
-    }
-}
-
-impl Wire for ClassId {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.0.encode(out);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(ClassId(u32::decode(r)?))
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.0.encoded_len()
-    }
-}
 
 fn encode_bound(b: &Bound<Value>, out: &mut Vec<u8>) {
     match b {
@@ -279,41 +115,10 @@ impl Wire for FieldMatcher {
     }
 }
 
-impl Wire for Template {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_varint(out, self.matchers().len() as u64);
-        for m in self.matchers() {
-            m.encode(out);
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Template::new(Vec::<FieldMatcher>::decode(r)?))
-    }
-
-    fn encoded_len(&self) -> usize {
-        paso_wire::varint_len(self.matchers().len() as u64)
-            + self.matchers().iter().map(Wire::encoded_len).sum::<usize>()
-    }
-}
-
-impl Wire for SearchCriterion {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.template().encode(out);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(SearchCriterion::new(Template::decode(r)?))
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.template().encoded_len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ClassId, ObjectId, PasoObject, ProcessId, SearchCriterion, Template};
     use paso_wire::{decode_exact, encode_to_vec};
 
     fn round_trip<T: Wire + PartialEq + std::fmt::Debug>(v: T) {

@@ -9,12 +9,13 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 use paso_simnet::NodeId;
-use paso_wire::Wire;
 
 /// Name of a group (an element of the paper's `Names`). PASO maps each
 /// object class's write group and read group to distinct `GroupId`s.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct GroupId(pub u64);
+
+paso_wire::wire_struct!(GroupId { 0 });
 
 impl fmt::Display for GroupId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -25,6 +26,8 @@ impl fmt::Display for GroupId {
 /// View epoch within a group; strictly increasing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ViewId(pub u64);
+
+paso_wire::wire_struct!(ViewId { 0 });
 
 impl ViewId {
     /// The next view id.
@@ -57,6 +60,8 @@ pub struct View {
     id: ViewId,
     members: BTreeSet<NodeId>,
 }
+
+paso_wire::wire_struct!(View { id, members });
 
 impl View {
     /// Creates a view.
@@ -127,60 +132,6 @@ impl View {
     /// Exact wire size in bytes under the binary codec.
     pub fn wire_size(&self) -> usize {
         paso_wire::Wire::encoded_len(self)
-    }
-}
-
-impl Wire for GroupId {
-    fn encode(&self, out: &mut Vec<u8>) {
-        paso_wire::put_varint(out, self.0);
-    }
-
-    fn decode(r: &mut paso_wire::Reader<'_>) -> Result<Self, paso_wire::WireError> {
-        Ok(GroupId(r.varint()?))
-    }
-
-    fn encoded_len(&self) -> usize {
-        paso_wire::varint_len(self.0)
-    }
-}
-
-impl Wire for ViewId {
-    fn encode(&self, out: &mut Vec<u8>) {
-        paso_wire::put_varint(out, self.0);
-    }
-
-    fn decode(r: &mut paso_wire::Reader<'_>) -> Result<Self, paso_wire::WireError> {
-        Ok(ViewId(r.varint()?))
-    }
-
-    fn encoded_len(&self) -> usize {
-        paso_wire::varint_len(self.0)
-    }
-}
-
-impl Wire for View {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.id.encode(out);
-        paso_wire::put_varint(out, self.members.len() as u64);
-        for m in &self.members {
-            m.encode(out);
-        }
-    }
-
-    fn decode(r: &mut paso_wire::Reader<'_>) -> Result<Self, paso_wire::WireError> {
-        let id = ViewId::decode(r)?;
-        let members = Vec::<NodeId>::decode(r)?;
-        Ok(View::new(id, members))
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.id.encoded_len()
-            + paso_wire::varint_len(self.members.len() as u64)
-            + self
-                .members
-                .iter()
-                .map(paso_wire::Wire::encoded_len)
-                .sum::<usize>()
     }
 }
 

@@ -1,7 +1,7 @@
 //! Wire messages of the virtual synchrony protocol.
 
 use paso_simnet::{NodeId, WireSized};
-use paso_wire::{put_bytes, Frame, Reader, Wire, WireError};
+use paso_wire::{Frame, Wire};
 
 use crate::group::{GroupId, View, ViewId};
 
@@ -13,6 +13,8 @@ pub struct ReqId {
     /// Per-origin sequence number.
     pub seq: u64,
 }
+
+paso_wire::wire_struct!(ReqId { origin, seq });
 
 impl std::fmt::Display for ReqId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -33,25 +35,7 @@ pub struct LogEntry {
     pub payload: Frame,
 }
 
-impl Wire for LogEntry {
-    fn encode(&self, out: &mut Vec<u8>) {
-        paso_wire::put_varint(out, self.seq);
-        self.req.encode(out);
-        self.payload.encode(out);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(LogEntry {
-            seq: r.varint()?,
-            req: ReqId::decode(r)?,
-            payload: Frame::decode(r)?,
-        })
-    }
-
-    fn encoded_len(&self) -> usize {
-        paso_wire::varint_len(self.seq) + self.req.encoded_len() + self.payload.encoded_len()
-    }
-}
+paso_wire::wire_struct!(LogEntry { seq, req, payload });
 
 /// Protocol messages. `App` payloads are opaque byte strings owned by the
 /// layered application (the PASO memory server).
@@ -193,6 +177,20 @@ pub enum VsyncMsg {
     },
 }
 
+paso_wire::wire_enum!(VsyncMsg {
+    0 => Gcast { group, view, req, seq, payload },
+    1 => GcastDone { group, req },
+    2 => GcastResp { group, req, payload },
+    3 => GcastNack { group, req, view },
+    4 => JoinReq { group, joiner, epoch, seq, req },
+    5 => LeaveReq { group, leaver },
+    6 => NewView { group, view, donor, joiner },
+    7 => ProbeReq { group, joiner },
+    8 => ProbeResp { group, member, grant, holder },
+    9 => StateXfer { group, view, state },
+    10 => StateXferDelta { group, view, epoch, from_seq, entries },
+});
+
 impl VsyncMsg {
     /// The group this message concerns.
     pub fn group(&self) -> GroupId {
@@ -208,277 +206,6 @@ impl VsyncMsg {
             | VsyncMsg::ProbeResp { group, .. }
             | VsyncMsg::StateXfer { group, .. }
             | VsyncMsg::StateXferDelta { group, .. } => *group,
-        }
-    }
-}
-
-impl Wire for ReqId {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.origin.encode(out);
-        paso_wire::put_varint(out, self.seq);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(ReqId {
-            origin: NodeId::decode(r)?,
-            seq: r.varint()?,
-        })
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.origin.encoded_len() + paso_wire::varint_len(self.seq)
-    }
-}
-
-impl Wire for VsyncMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            VsyncMsg::Gcast {
-                group,
-                view,
-                req,
-                seq,
-                payload,
-            } => {
-                out.push(0);
-                group.encode(out);
-                view.encode(out);
-                req.encode(out);
-                paso_wire::put_varint(out, *seq);
-                payload.encode(out);
-            }
-            VsyncMsg::GcastDone { group, req } => {
-                out.push(1);
-                group.encode(out);
-                req.encode(out);
-            }
-            VsyncMsg::GcastResp {
-                group,
-                req,
-                payload,
-            } => {
-                out.push(2);
-                group.encode(out);
-                req.encode(out);
-                put_bytes(out, payload);
-            }
-            VsyncMsg::GcastNack { group, req, view } => {
-                out.push(3);
-                group.encode(out);
-                req.encode(out);
-                view.encode(out);
-            }
-            VsyncMsg::JoinReq {
-                group,
-                joiner,
-                epoch,
-                seq,
-                req,
-            } => {
-                out.push(4);
-                group.encode(out);
-                joiner.encode(out);
-                paso_wire::put_varint(out, *epoch);
-                paso_wire::put_varint(out, *seq);
-                req.encode(out);
-            }
-            VsyncMsg::LeaveReq { group, leaver } => {
-                out.push(5);
-                group.encode(out);
-                leaver.encode(out);
-            }
-            VsyncMsg::NewView {
-                group,
-                view,
-                donor,
-                joiner,
-            } => {
-                out.push(6);
-                group.encode(out);
-                view.encode(out);
-                donor.encode(out);
-                joiner.encode(out);
-            }
-            VsyncMsg::ProbeReq { group, joiner } => {
-                out.push(7);
-                group.encode(out);
-                joiner.encode(out);
-            }
-            VsyncMsg::ProbeResp {
-                group,
-                member,
-                grant,
-                holder,
-            } => {
-                out.push(8);
-                group.encode(out);
-                member.encode(out);
-                grant.encode(out);
-                holder.encode(out);
-            }
-            VsyncMsg::StateXfer { group, view, state } => {
-                out.push(9);
-                group.encode(out);
-                view.encode(out);
-                put_bytes(out, state);
-            }
-            VsyncMsg::StateXferDelta {
-                group,
-                view,
-                epoch,
-                from_seq,
-                entries,
-            } => {
-                out.push(10);
-                group.encode(out);
-                view.encode(out);
-                paso_wire::put_varint(out, *epoch);
-                paso_wire::put_varint(out, *from_seq);
-                entries.encode(out);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match r.u8()? {
-            0 => VsyncMsg::Gcast {
-                group: GroupId::decode(r)?,
-                view: ViewId::decode(r)?,
-                req: ReqId::decode(r)?,
-                seq: r.varint()?,
-                payload: Frame::decode(r)?,
-            },
-            1 => VsyncMsg::GcastDone {
-                group: GroupId::decode(r)?,
-                req: ReqId::decode(r)?,
-            },
-            2 => VsyncMsg::GcastResp {
-                group: GroupId::decode(r)?,
-                req: ReqId::decode(r)?,
-                payload: r.byte_string()?.to_vec(),
-            },
-            3 => VsyncMsg::GcastNack {
-                group: GroupId::decode(r)?,
-                req: ReqId::decode(r)?,
-                view: View::decode(r)?,
-            },
-            4 => VsyncMsg::JoinReq {
-                group: GroupId::decode(r)?,
-                joiner: NodeId::decode(r)?,
-                epoch: r.varint()?,
-                seq: r.varint()?,
-                req: ReqId::decode(r)?,
-            },
-            5 => VsyncMsg::LeaveReq {
-                group: GroupId::decode(r)?,
-                leaver: NodeId::decode(r)?,
-            },
-            6 => VsyncMsg::NewView {
-                group: GroupId::decode(r)?,
-                view: View::decode(r)?,
-                donor: Option::<NodeId>::decode(r)?,
-                joiner: Option::<NodeId>::decode(r)?,
-            },
-            7 => VsyncMsg::ProbeReq {
-                group: GroupId::decode(r)?,
-                joiner: NodeId::decode(r)?,
-            },
-            8 => VsyncMsg::ProbeResp {
-                group: GroupId::decode(r)?,
-                member: bool::decode(r)?,
-                grant: bool::decode(r)?,
-                holder: Option::<NodeId>::decode(r)?,
-            },
-            9 => VsyncMsg::StateXfer {
-                group: GroupId::decode(r)?,
-                view: ViewId::decode(r)?,
-                state: r.byte_string()?.to_vec(),
-            },
-            10 => VsyncMsg::StateXferDelta {
-                group: GroupId::decode(r)?,
-                view: ViewId::decode(r)?,
-                epoch: r.varint()?,
-                from_seq: r.varint()?,
-                entries: Vec::<LogEntry>::decode(r)?,
-            },
-            tag => {
-                return Err(WireError::InvalidTag {
-                    ty: "VsyncMsg",
-                    tag,
-                })
-            }
-        })
-    }
-
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            VsyncMsg::Gcast {
-                group,
-                view,
-                req,
-                seq,
-                payload,
-            } => {
-                group.encoded_len()
-                    + view.encoded_len()
-                    + req.encoded_len()
-                    + paso_wire::varint_len(*seq)
-                    + payload.encoded_len()
-            }
-            VsyncMsg::GcastDone { group, req } => group.encoded_len() + req.encoded_len(),
-            VsyncMsg::GcastResp {
-                group,
-                req,
-                payload,
-            } => group.encoded_len() + req.encoded_len() + paso_wire::bytes_len(payload),
-            VsyncMsg::GcastNack { group, req, view } => {
-                group.encoded_len() + req.encoded_len() + view.encoded_len()
-            }
-            VsyncMsg::JoinReq {
-                group,
-                joiner,
-                epoch,
-                seq,
-                req,
-            } => {
-                group.encoded_len()
-                    + joiner.encoded_len()
-                    + paso_wire::varint_len(*epoch)
-                    + paso_wire::varint_len(*seq)
-                    + req.encoded_len()
-            }
-            VsyncMsg::LeaveReq { group, leaver } => group.encoded_len() + leaver.encoded_len(),
-            VsyncMsg::NewView {
-                group,
-                view,
-                donor,
-                joiner,
-            } => {
-                group.encoded_len()
-                    + view.encoded_len()
-                    + donor.encoded_len()
-                    + joiner.encoded_len()
-            }
-            VsyncMsg::ProbeReq { group, joiner } => group.encoded_len() + joiner.encoded_len(),
-            VsyncMsg::ProbeResp { group, holder, .. } => {
-                group.encoded_len() + 2 + holder.encoded_len()
-            }
-            VsyncMsg::StateXfer { group, view, state } => {
-                group.encoded_len() + view.encoded_len() + paso_wire::bytes_len(state)
-            }
-            VsyncMsg::StateXferDelta {
-                group,
-                view,
-                epoch,
-                from_seq,
-                entries,
-            } => {
-                group.encoded_len()
-                    + view.encoded_len()
-                    + paso_wire::varint_len(*epoch)
-                    + paso_wire::varint_len(*from_seq)
-                    + entries.encoded_len()
-            }
         }
     }
 }
@@ -504,35 +231,10 @@ pub enum NetMsg {
     App(Vec<u8>),
 }
 
-impl Wire for NetMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            NetMsg::Vsync(m) => {
-                out.push(0);
-                m.encode(out);
-            }
-            NetMsg::App(b) => {
-                out.push(1);
-                put_bytes(out, b);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match r.u8()? {
-            0 => NetMsg::Vsync(VsyncMsg::decode(r)?),
-            1 => NetMsg::App(r.byte_string()?.to_vec()),
-            tag => return Err(WireError::InvalidTag { ty: "NetMsg", tag }),
-        })
-    }
-
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            NetMsg::Vsync(m) => m.encoded_len(),
-            NetMsg::App(b) => paso_wire::bytes_len(b),
-        }
-    }
-}
+paso_wire::wire_enum!(NetMsg {
+    0 => Vsync(msg),
+    1 => App(bytes),
+});
 
 impl WireSized for NetMsg {
     fn wire_size(&self) -> usize {

@@ -86,43 +86,14 @@ struct GroupSnapshot {
     last_req: ReqId,
 }
 
-impl paso_wire::Wire for GroupSnapshot {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.processed.encode(out);
-        paso_wire::put_varint(out, self.resps.len() as u64);
-        for (req, resp) in &self.resps {
-            req.encode(out);
-            paso_wire::put_bytes(out, resp);
-        }
-        paso_wire::put_bytes(out, &self.app);
-        paso_wire::put_varint(out, self.epoch);
-        paso_wire::put_varint(out, self.seq);
-        self.last_req.encode(out);
-    }
-
-    fn decode(r: &mut paso_wire::Reader<'_>) -> Result<Self, paso_wire::WireError> {
-        let processed = Vec::<ReqId>::decode(r)?;
-        let n = r.length()?;
-        let mut resps = Vec::with_capacity(n.min(r.remaining()));
-        for _ in 0..n {
-            let req = ReqId::decode(r)?;
-            let resp = r.byte_string()?.to_vec();
-            resps.push((req, resp));
-        }
-        let app = r.byte_string()?.to_vec();
-        let epoch = r.varint()?;
-        let seq = r.varint()?;
-        let last_req = ReqId::decode(r)?;
-        Ok(GroupSnapshot {
-            processed,
-            resps,
-            app,
-            epoch,
-            seq,
-            last_req,
-        })
-    }
-}
+paso_wire::wire_struct!(GroupSnapshot {
+    processed,
+    resps,
+    app,
+    epoch,
+    seq,
+    last_req
+});
 
 /// A state transfer received before this node's admitting view.
 #[derive(Debug)]

@@ -9,7 +9,8 @@
 //! - a **tag byte** per enum variant, making every frame self-describing;
 //! - the [`Wire`] trait (`encode` into a caller-owned, reusable `Vec<u8>`;
 //!   `decode` from a borrowing [`Reader`] cursor), implemented here for the
-//!   primitive building blocks and by each crate for its own message types;
+//!   primitive building blocks and by each crate for its own message types
+//!   — with [`wire_struct!`] / [`wire_enum!`], from a single field list;
 //! - strict error reporting: truncated or malformed input yields a
 //!   [`WireError`], never a panic, and [`decode_exact`] rejects frames with
 //!   trailing garbage;
@@ -24,6 +25,7 @@ pub mod mini_json;
 
 mod error;
 mod frame;
+mod macros;
 mod primitives;
 mod reader;
 mod varint;
@@ -48,9 +50,11 @@ pub trait Wire: Sized {
 
     /// Exact size of `encode`'s output in bytes.
     ///
-    /// The default measures by encoding into a scratch buffer; primitive
-    /// impls override it with arithmetic. Used by the simnet's `α + β·|m|`
-    /// accounting, so it must match `encode` byte-for-byte.
+    /// The default measures by encoding into a scratch buffer; the
+    /// primitives and the [`wire_struct!`] / [`wire_enum!`] impls compute
+    /// it arithmetically, and every type on a message path must. Used by
+    /// the simnet's `α + β·|m|` accounting, so it must match `encode`
+    /// byte-for-byte.
     fn encoded_len(&self) -> usize {
         let mut scratch = Vec::with_capacity(64);
         self.encode(&mut scratch);

@@ -1,9 +1,11 @@
 //! `Wire` impls for primitive building blocks.
 //!
-//! Note `u8` deliberately has no `Wire` impl: byte strings are encoded as
-//! length-prefixed slices via [`put_bytes`]/[`Reader::byte_string`], which
-//! keeps `Vec<u8>` payloads cheap and leaves `Vec<T: Wire>` free for real
-//! element types.
+//! Note `u8` deliberately has no `Wire` impl: a `Vec<u8>` is a byte string,
+//! encoded as one length-prefixed slice ([`put_bytes`] /
+//! [`Reader::byte_string`]) by its own impl below rather than element by
+//! element through `Vec<T: Wire>`.
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::error::WireError;
 use crate::reader::Reader;
@@ -154,6 +156,104 @@ impl<T: Wire> Wire for Vec<T> {
     }
 }
 
+/// A byte string: varint length, then the raw bytes.
+impl Wire for Vec<u8> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        put_bytes(out, self);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(r.byte_string()?.to_vec())
+    }
+
+    fn encoded_len(&self) -> usize {
+        bytes_len(self)
+    }
+}
+
+/// A pair is its two halves back to back, so `Vec<(A, B)>` and
+/// `BTreeMap<A, B>` share one layout.
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.0.encode(out);
+        self.1.encode(out);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok((A::decode(r)?, B::decode(r)?))
+    }
+
+    fn encoded_len(&self) -> usize {
+        self.0.encoded_len() + self.1.encoded_len()
+    }
+}
+
+/// A set is written like a `Vec` of its elements in ascending order;
+/// decoding collects, so duplicates collapse.
+impl<T: Wire + Ord> Wire for BTreeSet<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        put_varint(out, self.len() as u64);
+        for item in self {
+            item.encode(out);
+        }
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(Vec::<T>::decode(r)?.into_iter().collect())
+    }
+
+    fn encoded_len(&self) -> usize {
+        varint_len(self.len() as u64) + self.iter().map(Wire::encoded_len).sum::<usize>()
+    }
+}
+
+/// A map is written like a `Vec` of its `(key, value)` pairs in ascending
+/// key order; on decode a repeated key keeps its last value.
+impl<K: Wire + Ord, V: Wire> Wire for BTreeMap<K, V> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        put_varint(out, self.len() as u64);
+        for (key, value) in self {
+            key.encode(out);
+            value.encode(out);
+        }
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(Vec::<(K, V)>::decode(r)?.into_iter().collect())
+    }
+
+    fn encoded_len(&self) -> usize {
+        varint_len(self.len() as u64)
+            + self
+                .iter()
+                .map(|(k, v)| k.encoded_len() + v.encoded_len())
+                .sum::<usize>()
+    }
+}
+
+/// Bitmap words: fixed-width little-endian, no count. High bits are as
+/// likely set as low ones, so varints would only add bytes.
+impl<const N: usize> Wire for [u64; N] {
+    fn encode(&self, out: &mut Vec<u8>) {
+        for word in self {
+            out.extend_from_slice(&word.to_le_bytes());
+        }
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let mut words = [0u64; N];
+        for word in &mut words {
+            let raw: [u8; 8] = r.bytes(8)?.try_into().expect("8-byte read");
+            *word = u64::from_le_bytes(raw);
+        }
+        Ok(words)
+    }
+
+    fn encoded_len(&self) -> usize {
+        8 * N
+    }
+}
+
 impl<T: Wire> Wire for Option<T> {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
@@ -205,6 +305,32 @@ mod tests {
         round_trip(Vec::<String>::new());
         round_trip(Some(9i64));
         round_trip(Option::<String>::None);
+        round_trip((7u64, String::from("x")));
+        round_trip(BTreeSet::from([3u32, 1, 200]));
+        round_trip(BTreeMap::from([(5u64, vec![1u8, 2]), (1, vec![])]));
+        round_trip([0u64, u64::MAX, 1 << 40]);
+    }
+
+    #[test]
+    fn byte_strings_are_one_length_prefixed_slice() {
+        for payload in [vec![], vec![7u8], vec![0u8; 300]] {
+            round_trip(payload.clone());
+            let mut expect = Vec::new();
+            put_bytes(&mut expect, &payload);
+            assert_eq!(encode_to_vec(&payload), expect);
+        }
+    }
+
+    #[test]
+    fn collections_share_the_vec_layout() {
+        let set = BTreeSet::from([9u64, 2, 300]);
+        assert_eq!(encode_to_vec(&set), encode_to_vec(&vec![2u64, 9, 300]));
+        let map = BTreeMap::from([(2u64, true), (1, false)]);
+        assert_eq!(
+            encode_to_vec(&map),
+            encode_to_vec(&vec![(1u64, false), (2, true)])
+        );
+        assert_eq!(encode_to_vec(&[1u64, 2]).len(), 16, "fixed-width words");
     }
 
     #[test]

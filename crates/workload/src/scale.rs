@@ -25,7 +25,6 @@
 use std::collections::BTreeMap;
 
 use paso_simnet::{Actor, Context, NodeEvent, NodeId, WireSized};
-use paso_wire::{Reader, Wire, WireError};
 
 /// Messages of the shard protocol.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,6 +57,13 @@ pub enum ShardMsg {
     },
 }
 
+paso_wire::wire_enum!(ShardMsg {
+    0 => Insert { key, val },
+    1 => Replicate { key, val, home },
+    2 => Ack { key },
+    3 => Read { key },
+});
+
 impl WireSized for ShardMsg {
     fn wire_size(&self) -> usize {
         match self {
@@ -65,56 +71,6 @@ impl WireSized for ShardMsg {
             ShardMsg::Replicate { .. } => 28,
             ShardMsg::Ack { .. } => 12,
             ShardMsg::Read { .. } => 12,
-        }
-    }
-}
-
-impl Wire for ShardMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            ShardMsg::Insert { key, val } => {
-                0u64.encode(out);
-                key.encode(out);
-                val.encode(out);
-            }
-            ShardMsg::Replicate { key, val, home } => {
-                1u64.encode(out);
-                key.encode(out);
-                val.encode(out);
-                home.encode(out);
-            }
-            ShardMsg::Ack { key } => {
-                2u64.encode(out);
-                key.encode(out);
-            }
-            ShardMsg::Read { key } => {
-                3u64.encode(out);
-                key.encode(out);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.varint()? {
-            0 => Ok(ShardMsg::Insert {
-                key: u64::decode(r)?,
-                val: u64::decode(r)?,
-            }),
-            1 => Ok(ShardMsg::Replicate {
-                key: u64::decode(r)?,
-                val: u64::decode(r)?,
-                home: NodeId::decode(r)?,
-            }),
-            2 => Ok(ShardMsg::Ack {
-                key: u64::decode(r)?,
-            }),
-            3 => Ok(ShardMsg::Read {
-                key: u64::decode(r)?,
-            }),
-            tag => Err(WireError::InvalidTag {
-                ty: "ShardMsg",
-                tag: tag.min(u8::MAX as u64) as u8,
-            }),
         }
     }
 }
@@ -148,6 +104,16 @@ pub struct ShardActor {
     read_hits: u64,
     read_misses: u64,
 }
+
+paso_wire::wire_struct!(ShardActor {
+    id,
+    lambda,
+    store,
+    pending,
+    inserts,
+    read_hits,
+    read_misses
+});
 
 impl ShardActor {
     /// A factory closure for [`Engine::new`](paso_simnet::Engine::new)
@@ -246,54 +212,6 @@ impl Actor for ShardActor {
                 ctx.emit(ShardOut::Read { key, found });
             }
         }
-    }
-}
-
-impl Wire for ShardActor {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.id.encode(out);
-        (self.lambda as u64).encode(out);
-        (self.store.len() as u64).encode(out);
-        for (k, v) in &self.store {
-            k.encode(out);
-            v.encode(out);
-        }
-        (self.pending.len() as u64).encode(out);
-        for (k, v) in &self.pending {
-            k.encode(out);
-            (*v as u64).encode(out);
-        }
-        self.inserts.encode(out);
-        self.read_hits.encode(out);
-        self.read_misses.encode(out);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let id = NodeId::decode(r)?;
-        let lambda = u64::decode(r)? as u32;
-        let n_store = r.varint()? as usize;
-        let mut store = BTreeMap::new();
-        for _ in 0..n_store {
-            let k = u64::decode(r)?;
-            let v = u64::decode(r)?;
-            store.insert(k, v);
-        }
-        let n_pending = r.varint()? as usize;
-        let mut pending = BTreeMap::new();
-        for _ in 0..n_pending {
-            let k = u64::decode(r)?;
-            let v = u64::decode(r)? as u32;
-            pending.insert(k, v);
-        }
-        Ok(ShardActor {
-            id,
-            lambda,
-            store,
-            pending,
-            inserts: u64::decode(r)?,
-            read_hits: u64::decode(r)?,
-            read_misses: u64::decode(r)?,
-        })
     }
 }
 
