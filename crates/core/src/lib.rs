@@ -67,6 +67,6 @@ pub use system::{
     register_durability_metrics, register_proxy_metrics, ClassReport, SimSystem, SystemReport,
 };
 pub use wire::{
-    auth_token, decode, encode, try_decode, AppMsg, ClientDone, ClientOp, ClientRequest,
+    auth_token, decode, encode, obj_ref, try_decode, AppMsg, ClientDone, ClientOp, ClientRequest,
     ClientResult, OpResponse, ProxyClientFrame, ProxyServerFrame, ReplOp,
 };

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use paso_durable::{DurabilityHub, DurableConfig};
 use paso_simnet::{Engine, EngineConfig, FaultScript, MachineStatus, NodeId, SimTime, Stats};
-use paso_telemetry::{ObjRef, OpKind, Outcome, Telemetry, TraceBuf, TraceEvent, TraceKind};
+use paso_telemetry::{OpKind, Telemetry, TraceBuf, TraceEvent, TraceKind};
 use paso_types::{ClassId, Classifier, ObjectId, PasoObject, ProcessId, SearchCriterion, Value};
 use paso_vsync::{VsyncConfig, VsyncNode};
 
@@ -20,7 +20,7 @@ use crate::config::PasoConfig;
 use crate::groups::{assign_basic_support, initial_groups, wg_group};
 use crate::semantics::{check_run, RunLog, SemanticsReport};
 use crate::server::MemoryServer;
-use crate::wire::{encode, AppMsg, ClientDone, ClientOp, ClientRequest, ClientResult};
+use crate::wire::{encode, obj_ref, AppMsg, ClientDone, ClientOp, ClientRequest, ClientResult};
 
 /// Per-class snapshot of replication state (observability).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -99,31 +99,6 @@ pub fn register_proxy_metrics(telemetry: &Telemetry) {
         "proxy.op.latency_micros",
     ] {
         telemetry.histogram(h);
-    }
-}
-
-/// Maps a native object id onto the telemetry trace's driver-neutral pair.
-pub fn obj_ref(id: ObjectId) -> ObjRef {
-    ObjRef {
-        origin: id.creator.0,
-        seq: id.seq,
-    }
-}
-
-fn op_kind(op: &ClientOp) -> OpKind {
-    match op {
-        ClientOp::Insert { .. } => OpKind::Insert,
-        ClientOp::Read { .. } => OpKind::Read,
-        ClientOp::ReadDel { .. } => OpKind::ReadDel,
-    }
-}
-
-fn outcome_of(result: &ClientResult) -> Outcome {
-    match result {
-        ClientResult::Inserted => Outcome::Inserted,
-        ClientResult::Found(o) => Outcome::Found(obj_ref(o.id())),
-        ClientResult::Fail => Outcome::Fail,
-        ClientResult::TimedOut | ClientResult::Unavailable => Outcome::Error,
     }
 }
 
@@ -339,7 +314,7 @@ impl SimSystem {
             node,
             TraceKind::OpBegin {
                 op_id,
-                op: op_kind(&op),
+                op: op.kind(),
                 obj,
             },
         );
@@ -413,7 +388,7 @@ impl SimSystem {
                     self.engine.telemetry().count("client.dup_answers", 1.0);
                     continue;
                 }
-                let kind = op_kind(&rec.op);
+                let kind = rec.op.kind();
                 let lat = time.saturating_since(rec.issued).as_micros();
                 let hist = match kind {
                     OpKind::Insert => "op.insert.latency_micros",
@@ -427,7 +402,7 @@ impl SimSystem {
                     TraceKind::OpEnd {
                         op_id,
                         op: kind,
-                        outcome: outcome_of(&result),
+                        outcome: result.outcome(),
                     },
                 );
             }

@@ -58,13 +58,13 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use paso_core::{
-    auth_token, encode, try_decode, AppMsg, ClientOp, ClientRequest, ClientResult,
+    auth_token, encode, obj_ref, try_decode, AppMsg, ClientOp, ClientRequest, ClientResult,
     ProxyClientFrame, ProxyServerFrame,
 };
 use paso_runtime::{ClientEvent, ClientId, FrameServer, GatewayLink, TransportTuning};
 use paso_simnet::NodeId;
 use paso_storage::ClassSummary;
-use paso_telemetry::{hash64, HyperLogLog, ObjRef, OpKind, Outcome, TraceKind};
+use paso_telemetry::{hash64, HyperLogLog, OpKind, TraceKind};
 use paso_types::ClassId;
 
 /// Tuning for one proxy instance. Defaults mirror the `PasoConfig`
@@ -391,9 +391,11 @@ impl Core {
         let op_id = (u64::from(self.link.node_id().0) << 40) | self.next_op;
         self.next_op += 1;
         let (ctr, kind, obj) = match &op {
-            ClientOp::Insert { object } => {
-                ("client.op.insert", OpKind::Insert, Some(obj_ref(object)))
-            }
+            ClientOp::Insert { object } => (
+                "client.op.insert",
+                OpKind::Insert,
+                Some(obj_ref(object.id())),
+            ),
             ClientOp::Read { .. } => ("client.op.read", OpKind::Read, None),
             ClientOp::ReadDel { .. } => ("client.op.readdel", OpKind::ReadDel, None),
         };
@@ -545,12 +547,7 @@ impl Core {
             OpKind::ReadDel => "op.readdel.latency_micros",
         };
         self.record(hist, lat);
-        let outcome = match &result {
-            ClientResult::Inserted => Outcome::Inserted,
-            ClientResult::Found(o) => Outcome::Found(obj_ref(o)),
-            ClientResult::Fail => Outcome::Fail,
-            ClientResult::TimedOut | ClientResult::Unavailable => Outcome::Error,
-        };
+        let outcome = result.outcome();
         self.link.trace_buf().record(
             self.link.now_micros(),
             self.link.node_id().0,
@@ -629,13 +626,5 @@ impl Core {
 
     fn record(&self, name: &'static str, value: u64) {
         self.link.telemetry().record(name, value);
-    }
-}
-
-fn obj_ref(object: &paso_types::PasoObject) -> ObjRef {
-    let id = object.id();
-    ObjRef {
-        origin: id.creator.0,
-        seq: id.seq,
     }
 }

@@ -12,13 +12,13 @@ use crossbeam::channel::{unbounded, Receiver};
 use parking_lot::Mutex;
 
 use paso_core::{
-    assign_basic_support, encode, initial_groups, register_durability_metrics,
+    assign_basic_support, encode, initial_groups, obj_ref, register_durability_metrics,
     register_proxy_metrics, AppMsg, ClientDone, ClientOp, ClientRequest, ClientResult,
     MemoryServer, PasoConfig,
 };
 use paso_durable::{DurabilityHub, DurableConfig};
 use paso_simnet::{Fault, FaultPlan, FaultScript, NodeId};
-use paso_telemetry::{ObjRef, OpKind, Outcome, Telemetry, TraceBuf, TraceEvent, TraceKind};
+use paso_telemetry::{OpKind, Outcome, Telemetry, TraceBuf, TraceEvent, TraceKind};
 use paso_types::{ClassId, ObjectId, PasoObject, ProcessId, SearchCriterion, Value};
 use paso_vsync::{NetMsg, VsyncConfig, VsyncNode};
 
@@ -234,30 +234,6 @@ pub struct ClusterStats {
 /// for its answer to arrive before the next re-send (or the final
 /// `Timeout`) fires.
 const MIN_RETRY_SLICE: Duration = Duration::from_millis(1);
-
-fn obj_ref(id: ObjectId) -> ObjRef {
-    ObjRef {
-        origin: id.creator.0,
-        seq: id.seq,
-    }
-}
-
-fn op_kind(op: &ClientOp) -> OpKind {
-    match op {
-        ClientOp::Insert { .. } => OpKind::Insert,
-        ClientOp::Read { .. } => OpKind::Read,
-        ClientOp::ReadDel { .. } => OpKind::ReadDel,
-    }
-}
-
-fn outcome_of(result: &Result<ClientResult, ClusterError>) -> Outcome {
-    match result {
-        Ok(ClientResult::Inserted) => Outcome::Inserted,
-        Ok(ClientResult::Found(o)) => Outcome::Found(obj_ref(o.id())),
-        Ok(ClientResult::Fail) => Outcome::Fail,
-        Ok(ClientResult::TimedOut) | Ok(ClientResult::Unavailable) | Err(_) => Outcome::Error,
-    }
-}
 
 impl fmt::Debug for Cluster {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -608,7 +584,7 @@ impl Cluster {
         // Issue-time accounting: one count per op regardless of retries,
         // so op-level totals are directly comparable with a simnet run of
         // the same workload.
-        let kind = op_kind(&op);
+        let kind = op.kind();
         let (ctr, obj) = match &op {
             ClientOp::Insert { object } => ("client.op.insert", Some(obj_ref(object.id()))),
             ClientOp::Read { .. } => ("client.op.read", None),
@@ -640,7 +616,9 @@ impl Cluster {
             TraceKind::OpEnd {
                 op_id,
                 op: kind,
-                outcome: outcome_of(&result),
+                outcome: result
+                    .as_ref()
+                    .map_or(Outcome::Error, ClientResult::outcome),
             },
         );
         result
