@@ -1,24 +1,15 @@
 //! Experiment (PR 6) — saturating the event-driven transport.
 //!
-//! Two questions, answered with numbers:
-//!
-//! 1. **Does the reactor scale in peers without scaling in threads?**
-//!    A single sender pushes a Zipf-skewed stream of `Net` envelopes
-//!    through a live loopback [`TcpTransport`] at increasing peer
-//!    counts. The reactor drives *every* socket — accepts, reads and
-//!    vectored zero-copy writes — on a fixed pool of ≤4 poller threads.
-//!    The same workload then runs against a classic thread-per-connection
-//!    baseline (one blocking writer + one blocking reader per peer, one
-//!    `Vec` allocation per frame) built from the identical wire format
-//!    via [`push_frame`]. We report delivered msgs/sec, thread counts,
-//!    writev batch-shape quantiles, and peak RSS.
-//!
-//! 2. **Does per-class sharding use the cores it is given?**
-//!    [`ClassPool::pinned`] runs an identical CPU-bound job batch at
-//!    1/2/4/8 workers (capped at the cores actually available) and
-//!    reports jobs/sec and speedup vs 1 worker. On a single-core box the
-//!    sweep is skipped with a note — a "parallel" run there only
-//!    measures scheduler churn.
+//! One question, answered with numbers: **does the reactor scale in
+//! peers without scaling in threads?** A single sender pushes a
+//! Zipf-skewed stream of `Net` envelopes through a live loopback
+//! [`TcpTransport`] at increasing peer counts. The reactor drives *every*
+//! socket — accepts, reads and vectored zero-copy writes — on a fixed
+//! pool of ≤4 poller threads. The same workload then runs against a
+//! classic thread-per-connection baseline (one blocking writer + one
+//! blocking reader per peer, one `Vec` allocation per frame) built from
+//! the identical wire format via [`push_frame`]. We report delivered
+//! msgs/sec, thread counts, writev batch-shape quantiles, and peak RSS.
 //!
 //! Usage:
 //!   `cargo run --release -p paso-bench --bin exp_saturation`
@@ -37,12 +28,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use paso_bench::{f1, Table};
-use paso_runtime::{
-    push_frame, ClassPool, Envelope, Mailbox, Postman, TcpTransport, TransportTuning,
-};
+use paso_runtime::{push_frame, Envelope, Mailbox, Postman, TcpTransport, TransportTuning};
 use paso_simnet::NodeId;
 use paso_telemetry::Telemetry;
-use paso_types::ClassId;
 use paso_vsync::NetMsg;
 use paso_wire::mini_json::Json;
 use rand::{Rng, SeedableRng};
@@ -309,40 +297,6 @@ fn peek_varint(bytes: &[u8]) -> Option<(u64, usize)> {
     None
 }
 
-/// CPU-bound stand-in for executing one class's operation batch.
-fn class_job(class: u32, iters: u64) -> u64 {
-    let mut acc = class as u64 ^ 0xcbf2_9ce4_8422_2325;
-    for i in 0..iters {
-        acc = (acc ^ i).wrapping_mul(0x100_0000_01b3);
-    }
-    acc
-}
-
-struct PoolRun {
-    workers: usize,
-    wall_ms: f64,
-    jobs_per_sec: f64,
-}
-
-fn run_pool(classes: u32, jobs_per_class: u32, iters: u64, workers: usize) -> PoolRun {
-    let pool = ClassPool::pinned(workers);
-    let wall = Instant::now();
-    for class in 0..classes {
-        for _ in 0..jobs_per_class {
-            pool.submit(ClassId(class), move || {
-                std::hint::black_box(class_job(class, iters));
-            });
-        }
-    }
-    pool.join();
-    let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
-    PoolRun {
-        workers,
-        wall_ms,
-        jobs_per_sec: f64::from(classes * jobs_per_class) / (wall_ms / 1e3),
-    }
-}
-
 fn net_run_json(run: &NetRun) -> Json {
     Json::obj([
         ("peers", Json::UInt(run.peers as u64)),
@@ -420,45 +374,6 @@ fn main() {
         );
     }
 
-    let (classes, jobs, iters) = if smoke {
-        (16u32, 4u32, 20_000u64)
-    } else {
-        (64u32, 16u32, 200_000u64)
-    };
-    let sweep: Vec<usize> = [1usize, 2, 4, 8]
-        .into_iter()
-        .filter(|w| *w <= cores)
-        .collect();
-    let skipped: Vec<usize> = [1usize, 2, 4, 8]
-        .into_iter()
-        .filter(|w| *w > cores)
-        .collect();
-    println!(
-        "\nClassPool sweep (pinned): {classes} classes x {jobs} jobs x {iters} iters, \
-         {cores} cores"
-    );
-    let pool_runs: Vec<PoolRun> = sweep
-        .iter()
-        .map(|&w| run_pool(classes, jobs, iters, w))
-        .collect();
-    let serial = pool_runs[0].jobs_per_sec;
-    for run in &pool_runs {
-        println!(
-            "  {} worker(s): {} ms, {} jobs/s (speedup {:.2}x)",
-            run.workers,
-            f1(run.wall_ms),
-            f1(run.jobs_per_sec),
-            run.jobs_per_sec / serial
-        );
-    }
-    if !skipped.is_empty() {
-        println!(
-            "  note: skipped worker counts {:?} — only {cores} core(s) available; \
-             speedup there would measure scheduler churn, not parallelism",
-            skipped
-        );
-    }
-
     let doc = Json::obj([
         ("bench", Json::Str("saturation".into())),
         ("smoke", Json::Bool(smoke)),
@@ -483,34 +398,6 @@ fn main() {
                     })
                     .collect(),
             ),
-        ),
-        (
-            "class_pool",
-            Json::obj([
-                ("classes", Json::UInt(classes as u64)),
-                ("jobs_per_class", Json::UInt(jobs as u64)),
-                ("iters_per_job", Json::UInt(iters)),
-                (
-                    "runs",
-                    Json::Arr(
-                        pool_runs
-                            .iter()
-                            .map(|r| {
-                                Json::obj([
-                                    ("workers", Json::UInt(r.workers as u64)),
-                                    ("wall_ms", Json::Num(r.wall_ms)),
-                                    ("jobs_per_sec", Json::Num(r.jobs_per_sec)),
-                                    ("speedup_vs_1", Json::Num(r.jobs_per_sec / serial)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-                (
-                    "skipped_worker_counts",
-                    Json::Arr(skipped.iter().map(|w| Json::UInt(*w as u64)).collect()),
-                ),
-            ]),
         ),
         ("peak_rss_kb", Json::UInt(proc_status_field("VmHWM:"))),
         ("floor_msgs_per_sec", floor.map_or(Json::Null, Json::Num)),
