@@ -135,8 +135,10 @@ impl<T: Wire> Wire for Vec<T> {
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let n = r.varint()?;
-        // Cap the pre-allocation by what the input could possibly hold
-        // (each element takes at least one byte).
+        // Each element takes at least one byte, so a count beyond the
+        // remaining input is a lie. An honest-looking count still only
+        // buys a bounded pre-allocation: elements can be far larger in
+        // memory than on the wire.
         let n = usize::try_from(n).map_err(|_| WireError::Malformed("vec length"))?;
         if n > r.remaining() {
             return Err(WireError::LengthOverrun {
@@ -144,7 +146,7 @@ impl<T: Wire> Wire for Vec<T> {
                 available: r.remaining(),
             });
         }
-        let mut v = Vec::with_capacity(n);
+        let mut v = Vec::with_capacity(n.min(4096));
         for _ in 0..n {
             v.push(T::decode(r)?);
         }
