@@ -400,38 +400,11 @@ mod tests {
     use paso_telemetry::check_trace;
     use paso_wire::{decode_exact, encode_to_vec};
 
+    /// Every variant round-trips, and `wire_size` — charged on every
+    /// simulated send and computed arithmetically — equals the real byte
+    /// count at each varint width boundary.
     #[test]
-    fn msg_round_trips() {
-        let msgs = [
-            TupleMsg::Insert {
-                op: 7,
-                key: 3,
-                val: 99,
-            },
-            TupleMsg::Read { op: 8, key: 3 },
-            TupleMsg::Take { op: 9, key: 3 },
-            TupleMsg::Replicate {
-                key: 3,
-                val: 99,
-                version: 7,
-                home: NodeId(2),
-            },
-            TupleMsg::Ack { key: 3 },
-            TupleMsg::Purge { key: 3 },
-            TupleMsg::SetLambda { lambda: 4 },
-        ];
-        for m in &msgs {
-            let bytes = encode_to_vec(m);
-            assert_eq!(bytes.len(), m.wire_size());
-            assert_eq!(&decode_exact::<TupleMsg>(&bytes).unwrap(), m);
-        }
-    }
-
-    /// `wire_size` is charged on every simulated send and is computed
-    /// arithmetically, so check it against real bytes at the varint width
-    /// boundaries of every variant.
-    #[test]
-    fn wire_size_is_the_encoded_length_for_every_variant() {
+    fn msgs_round_trip_and_wire_size_is_the_encoded_length() {
         for v in [0, 127, 128, 1 << 14, u64::MAX] {
             let home = NodeId(v as u32);
             for m in [
@@ -452,7 +425,9 @@ mod tests {
                 TupleMsg::Purge { key: v },
                 TupleMsg::SetLambda { lambda: v as u32 },
             ] {
-                assert_eq!(m.wire_size(), encode_to_vec(&m).len(), "{m:?}");
+                let bytes = encode_to_vec(&m);
+                assert_eq!(m.wire_size(), bytes.len(), "{m:?}");
+                assert_eq!(decode_exact::<TupleMsg>(&bytes).unwrap(), m);
             }
         }
     }

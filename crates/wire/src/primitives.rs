@@ -191,7 +191,7 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
 }
 
 /// A set is written like a `Vec` of its elements in ascending order;
-/// decoding collects, so duplicates collapse.
+/// decoding inserts one by one, so duplicates collapse.
 impl<T: Wire + Ord> Wire for BTreeSet<T> {
     fn encode(&self, out: &mut Vec<u8>) {
         put_varint(out, self.len() as u64);
@@ -201,7 +201,7 @@ impl<T: Wire + Ord> Wire for BTreeSet<T> {
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Vec::<T>::decode(r)?.into_iter().collect())
+        (0..r.length()?).map(|_| T::decode(r)).collect()
     }
 
     fn encoded_len(&self) -> usize {
@@ -221,7 +221,7 @@ impl<K: Wire + Ord, V: Wire> Wire for BTreeMap<K, V> {
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Vec::<(K, V)>::decode(r)?.into_iter().collect())
+        (0..r.length()?).map(|_| Wire::decode(r)).collect()
     }
 
     fn encoded_len(&self) -> usize {
