@@ -21,7 +21,7 @@ use paso_storage::Rank;
 use paso_types::{
     ClassId, FieldMatcher, ObjectId, PasoObject, ProcessId, SearchCriterion, Template, Value,
 };
-use paso_vsync::{GroupId, NetMsg, ReqId, ViewId, VsyncMsg};
+use paso_vsync::{GroupId, NetMsg, ReqId, VsyncMsg};
 use paso_wire::mini_json::Json;
 use paso_wire::Wire;
 
@@ -64,11 +64,11 @@ fn store_gcast() -> NetMsg {
     });
     NetMsg::Vsync(VsyncMsg::Gcast {
         group: GroupId(4),
-        view: ViewId(9),
         req: ReqId {
             origin: NodeId(3),
             seq: 17,
         },
+        ack: 2,
         seq: 23,
         payload: payload.into(),
     })

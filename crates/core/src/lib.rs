@@ -64,7 +64,8 @@ pub use groups::{
 pub use semantics::{check_run, LatencyStats, OpRecord, RunLog, SemanticsReport, Violation};
 pub use server::MemoryServer;
 pub use system::{
-    register_durability_metrics, register_proxy_metrics, ClassReport, SimSystem, SystemReport,
+    register_durability_metrics, register_proxy_metrics, register_vsync_metrics, ClassReport,
+    SimSystem, SystemReport,
 };
 pub use wire::{
     auth_token, decode, encode, obj_ref, try_decode, AppMsg, ClientDone, ClientOp, ClientRequest,

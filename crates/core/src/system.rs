@@ -70,6 +70,14 @@ pub fn register_durability_metrics(telemetry: &Telemetry) {
     }
 }
 
+/// Pre-registers the one vsync counter every configuration can bump —
+/// gcasts dropped below their origin's acknowledged floor — so both
+/// substrates show it at zero (same contract as
+/// [`register_durability_metrics`]).
+pub fn register_vsync_metrics(telemetry: &Telemetry) {
+    telemetry.counter("vsync.dedup.stale_dropped");
+}
+
 /// Pre-registers the proxy-tier metric family (`proxy.*`) so both
 /// substrates expose the identical schema whenever gateway slots are
 /// configured — the simulator has no live proxies, but dashboards built
@@ -218,6 +226,7 @@ impl SimSystem {
                 None => node,
             }
         });
+        register_vsync_metrics(engine.telemetry());
         if hub.is_some() {
             register_durability_metrics(engine.telemetry());
         }
@@ -279,9 +288,14 @@ impl SimSystem {
         self.engine.trace_buf().events()
     }
 
+    /// The vsync node on `node` (for protocol-state assertions).
+    pub fn vsync(&self, node: u32) -> &VsyncNode<MemoryServer> {
+        self.engine.actor(NodeId(node))
+    }
+
     /// The memory server on `node` (for state assertions).
     pub fn server(&self, node: u32) -> &MemoryServer {
-        self.engine.actor(NodeId(node)).app()
+        self.vsync(node).app()
     }
 
     /// The classifier (the global `obj-clss` / `sc-list`).

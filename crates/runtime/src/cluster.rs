@@ -13,8 +13,8 @@ use parking_lot::Mutex;
 
 use paso_core::{
     assign_basic_support, encode, initial_groups, obj_ref, register_durability_metrics,
-    register_proxy_metrics, AppMsg, ClientDone, ClientOp, ClientRequest, ClientResult,
-    MemoryServer, PasoConfig,
+    register_proxy_metrics, register_vsync_metrics, AppMsg, ClientDone, ClientOp, ClientRequest,
+    ClientResult, MemoryServer, PasoConfig,
 };
 use paso_durable::{DurabilityHub, DurableConfig};
 use paso_simnet::{Fault, FaultPlan, FaultScript, NodeId};
@@ -320,6 +320,7 @@ impl Cluster {
             mailboxes.split_off(n).into_iter().map(Some).collect();
         postman.set_fault_plan(plan);
         let telemetry = Arc::new(Telemetry::new());
+        register_vsync_metrics(&telemetry);
         if hub.is_some() {
             register_durability_metrics(&telemetry);
         }

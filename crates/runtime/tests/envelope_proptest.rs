@@ -5,7 +5,7 @@ use proptest::prelude::*;
 
 use paso_runtime::Envelope;
 use paso_simnet::NodeId;
-use paso_vsync::{GroupId, NetMsg, ReqId, ViewId, VsyncMsg};
+use paso_vsync::{GroupId, NetMsg, ReqId, VsyncMsg};
 use paso_wire::Wire;
 
 fn arb_net_msg() -> impl Strategy<Value = NetMsg> {
@@ -28,14 +28,14 @@ fn arb_net_msg() -> impl Strategy<Value = NetMsg> {
             any::<u64>(),
             proptest::collection::vec(any::<u8>(), 0..32)
         )
-            .prop_map(|(g, v, o, s, oseq, payload)| {
+            .prop_map(|(g, ack, o, s, oseq, payload)| {
                 NetMsg::Vsync(VsyncMsg::Gcast {
                     group: GroupId(g),
-                    view: ViewId(v),
                     req: ReqId {
                         origin: NodeId(o),
                         seq: s,
                     },
+                    ack,
                     seq: oseq,
                     payload: payload.into(),
                 })

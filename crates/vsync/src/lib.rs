@@ -91,7 +91,7 @@ mod tests {
     use super::*;
     use paso_simnet::{Engine, EngineConfig, NodeId, SimTime};
 
-    const G: GroupId = GroupId(1);
+    pub(crate) const G: GroupId = GroupId(1);
     const G2: GroupId = GroupId(2);
 
     /// Test app: a replicated log of (origin, byte) entries, with commands
@@ -100,9 +100,9 @@ mod tests {
     /// tests: `[10, g]` join group g; `[11, g]` leave group g;
     /// `[12, g, payload…]` gcast payload to group g with token 99.
     #[derive(Debug, Default)]
-    struct TestApp {
+    pub(crate) struct TestApp {
         log: Vec<u8>,
-        completions: Vec<(u64, Result<Vec<u8>, GcastError>)>,
+        pub(crate) completions: Vec<(u64, Result<Vec<u8>, GcastError>)>,
         views_seen: Vec<(GroupId, u64, usize)>,
     }
 
@@ -178,7 +178,10 @@ mod tests {
         }
     }
 
-    fn engine(n: usize, groups: Vec<(GroupId, Vec<NodeId>)>) -> Engine<VsyncNode<TestApp>> {
+    pub(crate) fn engine(
+        n: usize,
+        groups: Vec<(GroupId, Vec<NodeId>)>,
+    ) -> Engine<VsyncNode<TestApp>> {
         let cfg = VsyncConfig {
             initial_groups: groups,
             ..VsyncConfig::default()
@@ -188,7 +191,13 @@ mod tests {
         })
     }
 
-    fn append(engine: &mut Engine<VsyncNode<TestApp>>, at: SimTime, node: u32, group: u8, x: u8) {
+    pub(crate) fn append(
+        engine: &mut Engine<VsyncNode<TestApp>>,
+        at: SimTime,
+        node: u32,
+        group: u8,
+        x: u8,
+    ) {
         engine.inject(at, NodeId(node), NetMsg::App(vec![12, group, 1, x]));
     }
 

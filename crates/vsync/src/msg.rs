@@ -45,10 +45,14 @@ pub enum VsyncMsg {
     Gcast {
         /// Target group.
         group: GroupId,
-        /// View the origin believed current when sending.
-        view: ViewId,
         /// Request identity (for dedup and retries).
         req: ReqId,
+        /// The origin's acknowledged floor, as a distance below `req.seq`:
+        /// every request of this origin with a sequence under
+        /// `req.seq - ack` has completed there and will never be retried,
+        /// so members may forget it. Stamped by the origin on every
+        /// attempt; relays and the leader's fan-out copy it unchanged.
+        ack: u64,
         /// Leader-stamped total-order sequence. `0` on the unsequenced
         /// origin→leader hop; the leader stamps a positive value before
         /// fanning out, and members log `(seq, req, payload)` for delta
@@ -178,7 +182,7 @@ pub enum VsyncMsg {
 }
 
 paso_wire::wire_enum!(VsyncMsg {
-    0 => Gcast { group, view, req, seq, payload },
+    0 => Gcast { group, req, ack, seq, payload },
     1 => GcastDone { group, req },
     2 => GcastResp { group, req, payload },
     3 => GcastNack { group, req, view },
@@ -269,13 +273,13 @@ mod tests {
         };
         let gcast = VsyncMsg::Gcast {
             group: GroupId(1),
-            view: ViewId(0),
             req,
+            ack: 0,
             seq: 0,
             payload: vec![0; 100].into(),
         };
-        // tag + group + view + (origin, seq) + order-seq + payload.
-        assert_eq!(gcast.wire_size(), 1 + 1 + 1 + 2 + 1 + (1 + 100));
+        // tag + group + (origin, seq) + ack + order-seq + payload.
+        assert_eq!(gcast.wire_size(), 1 + 1 + 2 + 1 + 1 + (1 + 100));
         let done = VsyncMsg::GcastDone {
             group: GroupId(1),
             req,
@@ -306,8 +310,8 @@ mod tests {
         let msgs = vec![
             VsyncMsg::Gcast {
                 group: g,
-                view: ViewId(0),
                 req,
+                ack: 0,
                 seq: 0,
                 payload: Frame::empty(),
             },
@@ -378,8 +382,8 @@ mod tests {
         let msgs = vec![
             NetMsg::Vsync(VsyncMsg::Gcast {
                 group: g,
-                view: ViewId(1),
                 req,
+                ack: 200,
                 seq: 17,
                 payload: vec![1, 2, 3].into(),
             }),

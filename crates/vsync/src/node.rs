@@ -24,11 +24,18 @@
 //!   unlike the paper's conservative design — the group never blocks.
 //! - **Fault recovery**: origins retry unanswered gcasts to the current
 //!   leader with exponential patience; members deduplicate by request id
-//!   and re-acknowledge, and every member caches its own response so that
+//!   and re-acknowledge, and every member keeps its own response so that
 //!   *any* member that becomes leader can answer a retried request
 //!   ("all responses are equal", §3.2).
+//! - **Bounded memory**: every gcast carries its origin's *acknowledged
+//!   floor* — the lowest request the origin still waits for. On delivery a
+//!   member forgets that origin's entries below the floor and from then on
+//!   drops any gcast below it: the origin has the answer and will never
+//!   retry, so the dedup/response table (and with it state transfer and
+//!   WAL snapshots) holds requests in flight, not history.
 
-use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::ops::Range;
 
 use paso_durable::WalHandle;
 use paso_simnet::{Actor, Context, NodeEvent, NodeId, SimTime};
@@ -41,6 +48,10 @@ use crate::msg::{LogEntry, NetMsg, ReqId, VsyncMsg};
 
 /// Timer tags with this bit set belong to the vsync layer.
 const VSYNC_TAG_BIT: u64 = 1 << 63;
+
+/// Counter of gcasts (and leader responses) dropped because the origin's
+/// acknowledged floor had already passed the request.
+const STALE_DROPPED: &str = "vsync.dedup.stale_dropped";
 
 /// Configuration of the vsync layer.
 #[derive(Debug, Clone)]
@@ -71,12 +82,12 @@ impl Default for VsyncConfig {
 }
 
 /// Serialized join-time state: the application snapshot plus the vsync
-/// dedup/response caches, so a joiner that later becomes leader can answer
-/// retried requests and never re-applies a delivery.
+/// dedup/response table and floors, so a joiner that later becomes leader
+/// can answer retried requests and never re-applies a delivery.
 #[derive(Debug)]
 struct GroupSnapshot {
-    processed: Vec<ReqId>,
-    resps: Vec<(ReqId, Vec<u8>)>,
+    table: BTreeMap<ReqId, Vec<u8>>,
+    floors: BTreeMap<NodeId, u64>,
     app: Vec<u8>,
     /// History-lineage id of the donor's group incarnation.
     epoch: u64,
@@ -87,8 +98,8 @@ struct GroupSnapshot {
 }
 
 paso_wire::wire_struct!(GroupSnapshot {
-    processed,
-    resps,
+    table,
+    floors,
     app,
     epoch,
     seq,
@@ -126,12 +137,18 @@ struct GroupState {
     /// claims lapse and the priority prober can reach unanimity.
     probe_backoff: bool,
     pending_state: Option<PendingXfer>,
-    /// Fan-outs buffered while awaiting the join snapshot.
-    buffer: Vec<(NodeId, ReqId, u64, Frame)>,
-    /// Requests already delivered at this member.
-    processed: HashSet<ReqId>,
-    /// This member's own response per delivered request.
-    resps: BTreeMap<ReqId, Vec<u8>>,
+    /// Fan-outs buffered while awaiting the join snapshot:
+    /// `(leader, req, origin's floor, seq, payload)`.
+    buffer: Vec<(NodeId, ReqId, u64, u64, Frame)>,
+    /// The dedup/response table: this member's own response per delivered
+    /// request at or above its origin's floor. Ordered by `(origin, seq)`,
+    /// so a floor advance is one range removal.
+    table: BTreeMap<ReqId, Vec<u8>>,
+    /// Acknowledged floor per origin (absent = 0): requests below it have
+    /// completed at the origin, are gone from `table`, and are dropped on
+    /// arrival. May lag after a WAL replay or delta install (those carry
+    /// no floors); the origin's next delivery catches it up.
+    floors: BTreeMap<NodeId, u64>,
     /// History-lineage id: fresh formations pick a new one, state
     /// transfers adopt the donor's, 0 = not part of any lineage. A delta
     /// rejoin is only legal within one epoch.
@@ -167,8 +184,8 @@ impl Default for GroupState {
             probe_backoff: false,
             pending_state: None,
             buffer: Vec::new(),
-            processed: HashSet::new(),
-            resps: BTreeMap::new(),
+            table: BTreeMap::new(),
+            floors: BTreeMap::new(),
             epoch: 0,
             applied_seq: 0,
             next_seq: 1,
@@ -177,6 +194,21 @@ impl Default for GroupState {
             log_complete: true,
             join_started: None,
         }
+    }
+}
+
+impl GroupState {
+    /// Has `req`'s origin vouched it complete (below the floor)?
+    fn is_stale(&self, req: ReqId) -> bool {
+        self.floors.get(&req.origin).is_some_and(|f| req.seq < *f)
+    }
+}
+
+/// Removes every key of `map` inside `range`; costs one lookup per key
+/// removed (a floor advance usually removes exactly one).
+fn remove_range<K: Ord + Copy, V>(map: &mut BTreeMap<K, V>, range: Range<K>) {
+    while let Some((&k, _)) = map.range(range.clone()).next() {
+        map.remove(&k);
     }
 }
 
@@ -286,6 +318,19 @@ impl Core {
             .get(&g)
             .map(|gs| (gs.epoch, gs.applied_seq, gs.last_req))
             .unwrap_or((0, 0, ReqId::default()))
+    }
+
+    /// Raises `origin`'s acknowledged floor in `group` and forgets the
+    /// table entries and tallies below it.
+    fn raise_floor(&mut self, group: GroupId, origin: NodeId, floor: u64) {
+        let gs = self.groups.entry(group).or_default();
+        if floor <= gs.floors.get(&origin).copied().unwrap_or(0) {
+            return;
+        }
+        gs.floors.insert(origin, floor);
+        let (lo, hi) = (ReqId { origin, seq: 0 }, ReqId { origin, seq: floor });
+        remove_range(&mut gs.table, lo..hi);
+        remove_range(&mut self.tallies, (group, lo)..(group, hi));
     }
 
     fn arm_timer<O>(
@@ -423,15 +468,13 @@ fn send_gcast_attempt<O>(
     req: ReqId,
     payload: Frame,
 ) {
-    let view_id = core
-        .groups
-        .get(&group)
-        .map(|g| g.view.id())
-        .unwrap_or(ViewId(0));
+    // The acknowledged floor: `pending` holds only this node's requests,
+    // so its first key is the lowest one still unanswered (at most `req`).
+    let floor = core.pending.keys().next().map_or(req.seq, |r| r.seq);
     let msg = NetMsg::Vsync(VsyncMsg::Gcast {
         group,
-        view: view_id,
         req,
+        ack: req.seq.saturating_sub(floor),
         seq: 0, // unsequenced origin hop; the leader stamps the order
         payload,
     });
@@ -587,6 +630,14 @@ impl<A: GroupApp> VsyncNode<A> {
         self.core.groups.get(&group).is_some_and(|g| g.member)
     }
 
+    /// Size of this node's largest per-group dedup/response table (for
+    /// assertions in tests and experiments: it tracks the requests in
+    /// flight, not how many ever ran).
+    pub fn dedup_entries(&self) -> usize {
+        let tables = self.core.groups.values().map(|g| g.table.len());
+        tables.max().unwrap_or(0)
+    }
+
     fn init_groups(&mut self, fresh: bool) {
         let id = self.core.id;
         for (g, members) in self.core.cfg.initial_groups.clone() {
@@ -612,24 +663,46 @@ impl<A: GroupApp> VsyncNode<A> {
         }
     }
 
-    /// Delivers `req` at this member: dedup, apply, cache response, log
-    /// the delivery (in-memory for delta transfer, durably when a WAL is
-    /// attached). Returns whether it was newly processed.
+    /// Discards (and counts) a gcast whose origin has vouched it
+    /// complete: it is never re-applied and never answered.
+    fn drop_if_stale(
+        &self,
+        ctx: &mut Context<'_, NetMsg, A::Output>,
+        group: GroupId,
+        req: ReqId,
+    ) -> bool {
+        let stale = self
+            .core
+            .groups
+            .get(&group)
+            .is_some_and(|g| g.is_stale(req));
+        if stale {
+            ctx.count(STALE_DROPPED, 1.0);
+        }
+        stale
+    }
+
+    /// Delivers `req` at this member unless the table already holds it:
+    /// apply, keep the response, raise the origin's floor to `floor`
+    /// (0 = none vouched: WAL and delta replays), log the delivery
+    /// (in-memory for delta transfer, durably when a WAL is attached).
+    /// Callers facing the network run [`Self::drop_if_stale`] first.
     fn deliver_at_member(
         &mut self,
         ctx: &mut Context<'_, NetMsg, A::Output>,
         group: GroupId,
         req: ReqId,
+        floor: u64,
         seq: u64,
         payload: &Frame,
-    ) -> bool {
+    ) {
         if self
             .core
             .groups
             .get(&group)
-            .is_some_and(|g| g.processed.contains(&req))
+            .is_some_and(|g| g.table.contains_key(&req))
         {
-            return false;
+            return;
         }
         let Delivery { response, work } = {
             let mut ops = Ops {
@@ -642,8 +715,7 @@ impl<A: GroupApp> VsyncNode<A> {
         let horizon = self.core.cfg.log_horizon;
         let epoch = {
             let gs = self.core.group(group);
-            gs.processed.insert(req);
-            gs.resps.insert(req, response);
+            gs.table.insert(req, response);
             // `seq == 0` marks an unsequenced (origin-hop) delivery; only
             // leader-stamped fan-outs advance the order bookkeeping.
             if seq > gs.applied_seq {
@@ -660,6 +732,7 @@ impl<A: GroupApp> VsyncNode<A> {
             }
             gs.epoch
         };
+        self.core.raise_floor(group, req.origin, floor);
         if seq > 0 && epoch != 0 && !self.wal_mute {
             if let Some(wal) = &self.wal {
                 let r = wal.append_delivery(
@@ -680,7 +753,6 @@ impl<A: GroupApp> VsyncNode<A> {
                 }
             }
         }
-        true
     }
 
     /// Rewrites the WAL as one snapshot per member group, truncating the
@@ -724,12 +796,8 @@ impl<A: GroupApp> VsyncNode<A> {
     fn snapshot_group(&self, group: GroupId) -> GroupSnapshot {
         let gs = &self.core.groups[&group];
         GroupSnapshot {
-            processed: {
-                let mut v: Vec<ReqId> = gs.processed.iter().copied().collect();
-                v.sort_unstable();
-                v
-            },
-            resps: gs.resps.iter().map(|(k, v)| (*k, v.clone())).collect(),
+            table: gs.table.clone(),
+            floors: gs.floors.clone(),
             app: self.app.snapshot(group),
             epoch: gs.epoch,
             seq: gs.applied_seq,
@@ -753,12 +821,26 @@ impl<A: GroupApp> VsyncNode<A> {
         }
         let origin = tally.origin;
         self.core.tallies.get_mut(&(group, req)).unwrap().responded = true;
-        let resp = self
-            .core
-            .groups
-            .get(&group)
-            .and_then(|g| g.resps.get(&req).cloned())
-            .unwrap_or_default();
+        self.respond(ctx, group, req, origin);
+    }
+
+    /// Sends the group's single response for `req` — this member's own,
+    /// from the table — to `origin`. A tally that outlived its table
+    /// entry has nothing to say: drop it rather than answer with bytes
+    /// the origin cannot decode (its retry reaches a member that can).
+    fn respond(
+        &mut self,
+        ctx: &mut Context<'_, NetMsg, A::Output>,
+        group: GroupId,
+        req: ReqId,
+        origin: NodeId,
+    ) {
+        let cached = self.core.groups.get(&group).and_then(|g| g.table.get(&req));
+        let Some(resp) = cached.cloned() else {
+            self.core.tallies.remove(&(group, req));
+            ctx.count(STALE_DROPPED, 1.0);
+            return;
+        };
         if origin == self.core.id {
             self.complete_pending(ctx, req, Ok(resp));
         } else {
@@ -788,36 +870,21 @@ impl<A: GroupApp> VsyncNode<A> {
         }
     }
 
-    /// Leader-side processing of a gcast request (fresh or retried).
+    /// Leader-side processing of a gcast request (fresh or retried)
+    /// that [`Self::drop_if_stale`] let through.
     fn lead_gcast(
         &mut self,
         ctx: &mut Context<'_, NetMsg, A::Output>,
         group: GroupId,
         req: ReqId,
+        ack: u64,
         payload: Frame,
     ) {
         if let Some(t) = self.core.tallies.get(&(group, req)) {
             if t.responded {
-                // Retried after completion: resend the cached response.
+                // Retried after completion: resend the kept response.
                 let origin = t.origin;
-                let resp = self
-                    .core
-                    .groups
-                    .get(&group)
-                    .and_then(|g| g.resps.get(&req).cloned())
-                    .unwrap_or_default();
-                if origin == self.core.id {
-                    self.complete_pending(ctx, req, Ok(resp));
-                } else {
-                    ctx.send(
-                        origin,
-                        NetMsg::Vsync(VsyncMsg::GcastResp {
-                            group,
-                            req,
-                            payload: resp,
-                        }),
-                    );
-                }
+                self.respond(ctx, group, req, origin);
                 return;
             }
             if !t.expected.is_empty() {
@@ -827,14 +894,14 @@ impl<A: GroupApp> VsyncNode<A> {
             // Else: a lazy tally from early dones — fall through and
             // sequence the request now, keeping the dones already seen.
         }
-        let (members, view_id, seq): (Vec<NodeId>, ViewId, u64) = {
+        let (members, seq): (Vec<NodeId>, u64) = {
             let gs = self.core.group(group);
             // Stamp the total-order sequence. `max(applied_seq + 1)`
             // guards against reuse: a retried request that dedups at the
             // leader must never recycle a sequence members already hold.
             let seq = gs.next_seq.max(gs.applied_seq + 1);
             gs.next_seq = seq + 1;
-            (gs.view.members().collect(), gs.view.id(), seq)
+            (gs.view.members().collect(), seq)
         };
         // Fan-out to every other member (|g| messages incl. the leader's
         // own local processing, per the §3.3 accounting). One shared frame
@@ -854,8 +921,8 @@ impl<A: GroupApp> VsyncNode<A> {
                 targets,
                 NetMsg::Vsync(VsyncMsg::Gcast {
                     group,
-                    view: view_id,
                     req,
+                    ack,
                     seq,
                     payload: payload.clone(),
                 }),
@@ -873,7 +940,7 @@ impl<A: GroupApp> VsyncNode<A> {
                 responded: false,
             });
         tally.expected = expected;
-        self.deliver_at_member(ctx, group, req, seq, &payload);
+        self.deliver_at_member(ctx, group, req, req.seq.saturating_sub(ack), seq, &payload);
         self.core
             .tallies
             .get_mut(&(group, req))
@@ -1081,14 +1148,15 @@ impl<A: GroupApp> VsyncNode<A> {
             gs.member = false;
             gs.leaving = false;
             gs.view = effective;
-            gs.processed.clear();
-            gs.resps.clear();
+            gs.table.clear();
+            gs.floors.clear();
             gs.epoch = 0;
             gs.applied_seq = 0;
             gs.next_seq = 1;
             gs.last_req = ReqId::default();
             gs.delivery_log.clear();
             gs.log_complete = true;
+            self.core.tallies.retain(|(g, _), _| *g != group);
             self.app.erase(group);
             if let Some(wal) = &self.wal {
                 let r = wal.append_erase(group.0, ctx.now().as_micros());
@@ -1114,8 +1182,8 @@ impl<A: GroupApp> VsyncNode<A> {
         };
         let epoch = {
             let gs = self.core.group(group);
-            gs.processed = snap.processed.into_iter().collect();
-            gs.resps = snap.resps.into_iter().collect();
+            gs.table = snap.table;
+            gs.floors = snap.floors;
             gs.epoch = snap.epoch;
             gs.applied_seq = snap.seq;
             gs.next_seq = gs.next_seq.max(snap.seq + 1);
@@ -1174,7 +1242,7 @@ impl<A: GroupApp> VsyncNode<A> {
         // payload and (when a WAL is attached) each replayed delivery is
         // appended durably — it is new information for this node.
         for e in &entries {
-            self.deliver_at_member(ctx, group, e.req, e.seq, &e.payload);
+            self.deliver_at_member(ctx, group, e.req, 0, e.seq, &e.payload);
         }
         self.finish_install(ctx, group);
     }
@@ -1207,8 +1275,8 @@ impl<A: GroupApp> VsyncNode<A> {
                 if let Ok(snap) = paso_wire::decode_exact::<GroupSnapshot>(state) {
                     {
                         let gs = self.core.group(group);
-                        gs.processed = snap.processed.into_iter().collect();
-                        gs.resps = snap.resps.into_iter().collect();
+                        gs.table = snap.table;
+                        gs.floors = snap.floors;
                         gs.applied_seq = *seq;
                         gs.next_seq = gs.next_seq.max(seq + 1);
                         gs.last_req = snap.last_req;
@@ -1227,7 +1295,7 @@ impl<A: GroupApp> VsyncNode<A> {
                     origin: NodeId(d.origin),
                     seq: d.req_seq,
                 };
-                self.deliver_at_member(ctx, group, req, d.seq, &Frame::from(d.payload));
+                self.deliver_at_member(ctx, group, req, 0, d.seq, &Frame::from(d.payload));
                 replayed += 1;
             }
         }
@@ -1236,13 +1304,16 @@ impl<A: GroupApp> VsyncNode<A> {
     }
 
     /// Common tail of both install paths: replay fan-outs that arrived
-    /// while the transfer was in flight (the dedup set filters the ones
-    /// already covered, and every one is acknowledged so the leader's
-    /// tally completes), record join latency, and fire `on_view`.
+    /// while the transfer was in flight (the table filters the ones the
+    /// transfer already covered, and every one is acknowledged so the
+    /// leader's tally completes), record join latency, and fire `on_view`.
     fn finish_install(&mut self, ctx: &mut Context<'_, NetMsg, A::Output>, group: GroupId) {
         let buffered = std::mem::take(&mut self.core.group(group).buffer);
-        for (from, req, seq, payload) in buffered {
-            self.deliver_at_member(ctx, group, req, seq, &payload);
+        for (from, req, floor, seq, payload) in buffered {
+            if self.drop_if_stale(ctx, group, req) {
+                continue;
+            }
+            self.deliver_at_member(ctx, group, req, floor, seq, &payload);
             ctx.send(from, NetMsg::Vsync(VsyncMsg::GcastDone { group, req }));
         }
         let (view, started) = {
@@ -1272,17 +1343,20 @@ impl<A: GroupApp> VsyncNode<A> {
         match msg {
             VsyncMsg::Gcast {
                 group,
-                view,
                 req,
+                ack,
                 seq,
                 payload,
             } => {
+                if self.drop_if_stale(ctx, group, req) {
+                    return;
+                }
                 let (member, awaiting, from_is_peer_member) = {
                     let gs = self.core.group(group);
                     (gs.member, gs.awaiting_state, gs.view.contains(from))
                 };
                 if self.core.is_leader(group) {
-                    self.lead_gcast(ctx, group, req, payload);
+                    self.lead_gcast(ctx, group, req, ack, payload);
                 } else if member {
                     if !from_is_peer_member && from != id {
                         // Not a fan-out from the (current or recent)
@@ -1293,14 +1367,14 @@ impl<A: GroupApp> VsyncNode<A> {
                             if l == id {
                                 // Shouldn't happen (is_leader above), but
                                 // stay safe.
-                                self.lead_gcast(ctx, group, req, payload);
+                                self.lead_gcast(ctx, group, req, ack, payload);
                             } else {
                                 ctx.send(
                                     l,
                                     NetMsg::Vsync(VsyncMsg::Gcast {
                                         group,
-                                        view,
                                         req,
+                                        ack,
                                         seq,
                                         payload,
                                     }),
@@ -1309,13 +1383,14 @@ impl<A: GroupApp> VsyncNode<A> {
                         }
                         return;
                     }
+                    let floor = req.seq.saturating_sub(ack);
                     if awaiting {
                         self.core
                             .group(group)
                             .buffer
-                            .push((from, req, seq, payload));
+                            .push((from, req, floor, seq, payload));
                     } else {
-                        self.deliver_at_member(ctx, group, req, seq, &payload);
+                        self.deliver_at_member(ctx, group, req, floor, seq, &payload);
                         if from == id {
                             // Degenerate self-delivery; tally handled above.
                         } else {
@@ -1332,6 +1407,12 @@ impl<A: GroupApp> VsyncNode<A> {
                 }
             }
             VsyncMsg::GcastDone { group, req } => {
+                // A late ack for a forgotten request (below the floor, or
+                // of a group this node left) must not resurrect a tally.
+                let live = |g: &GroupState| g.member && !g.is_stale(req);
+                if !self.core.groups.get(&group).is_some_and(live) {
+                    return;
+                }
                 let t = self
                     .core
                     .tallies
@@ -1845,7 +1926,30 @@ impl<A: GroupApp> Actor for VsyncNode<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::{append, engine, G};
     use paso_wire::{decode_exact, encode_to_vec, Wire};
+
+    /// History independence at the source: however many gcasts an origin
+    /// has run one at a time, every node holds at most one table entry
+    /// and one tally for it.
+    #[test]
+    fn one_at_a_time_gcasts_leave_one_table_entry_and_one_tally() {
+        let mut e = engine(4, vec![(G, vec![NodeId(0), NodeId(1), NodeId(2)])]);
+        for i in 0..10_000u32 {
+            let now = e.now();
+            append(&mut e, now, 3, 1, i as u8);
+            e.run_until(now + SimTime::from_millis(1));
+        }
+        assert_eq!(e.actor(NodeId(3)).app().completions.len(), 10_000);
+        for m in 0..4 {
+            let core = &e.actor(NodeId(m)).core;
+            let from_3 = |r: &ReqId| r.origin == NodeId(3);
+            assert!(core.groups[&G].table.keys().filter(|r| from_3(r)).count() <= 1);
+            assert!(core.tallies.keys().filter(|(_, r)| from_3(r)).count() <= 1);
+        }
+        assert_eq!(e.actor(NodeId(0)).core.groups[&G].table.len(), 1);
+        assert_eq!(e.actor(NodeId(0)).core.tallies.len(), 1);
+    }
 
     /// Join-time snapshots cross the wire inside `StateXfer` and sit in
     /// WAL `Snapshot` records, so their layout is pinned like a message's.
@@ -1856,8 +1960,8 @@ mod tests {
             seq,
         };
         let snap = GroupSnapshot {
-            processed: vec![req(2, 300), req(0, 1)],
-            resps: vec![(req(2, 300), vec![9, 8]), (req(0, 1), vec![])],
+            table: [(req(2, 300), vec![9, 8]), (req(0, 1), vec![])].into(),
+            floors: [(NodeId(2), 299)].into(),
             app: vec![1, 2, 3],
             epoch: 5,
             seq: 300,
@@ -1865,7 +1969,7 @@ mod tests {
         };
         let bytes = encode_to_vec(&snap);
         let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
-        assert_eq!(hex, "0202ac0200010202ac020209080001000301020305ac0202ac02");
+        assert_eq!(hex, "0200010002ac020209080102ab020301020305ac0202ac02");
         assert_eq!(snap.encoded_len(), bytes.len());
         let back: GroupSnapshot = decode_exact(&bytes).unwrap();
         assert_eq!(encode_to_vec(&back), bytes);

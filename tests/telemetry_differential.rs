@@ -135,6 +135,12 @@ fn simnet_and_tcp_report_identical_op_totals_and_legal_traces() {
         assert!(live_snap.counter(name) > 0.0, "live missing {name}");
     }
 
+    // … including a counter a clean run never bumps: both drivers
+    // pre-register it, so it reads zero rather than being absent.
+    for snap in [&sim_snap, &live_snap] {
+        assert_eq!(snap.counters.get("vsync.dedup.stale_dropped"), Some(&0.0));
+    }
+
     // The reactor's I/O histograms share names across drivers too: the
     // live side records real poll(2) wakeups and writev batches, the sim
     // records its bus analogs (one wakeup per delivery, one batch per

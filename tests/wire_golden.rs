@@ -419,7 +419,7 @@ const VSYNC_AND_TRANSPORT: &[(&str, &str)] = &[
     ("View(empty)", "0000"),
     ("ReqId", "02ac02"),
     ("LogEntry", "2a02ac02020506"),
-    ("VsyncMsg::Gcast", "00070102ac021103010203"),
+    ("VsyncMsg::Gcast", "000702ac02011103010203"),
     ("VsyncMsg::GcastDone", "010702ac02"),
     ("VsyncMsg::GcastResp", "020702ac02020908"),
     ("VsyncMsg::GcastNack", "030702ac0204030009c801"),
@@ -467,8 +467,8 @@ fn vsync_transport_and_wal_bytes_are_pinned() {
         "VsyncMsg::Gcast",
         &VsyncMsg::Gcast {
             group: g,
-            view: ViewId(1),
             req: req(),
+            ack: 1,
             seq: 17,
             payload: vec![1, 2, 3].into(),
         },
