@@ -14,18 +14,17 @@
 //! timeline, so probes arrive at all responders in the same order and
 //! the randomized property tests can never produce this interleaving.
 //! Real TCP reorders across links freely; the live fault-injection
-//! tests caught the hang. This harness drives the same sans-I/O actors
-//! with a deterministic *adversarial* per-link schedule that forces the
-//! split, and asserts the group still re-forms: a denied prober that
-//! learns a smaller-id holder owns the window must pause past the
-//! grant expiry so exactly one prober keeps collecting.
+//! tests caught the hang. The `common` harness drives the same sans-I/O
+//! actors with a deterministic *adversarial* per-link schedule that
+//! forces the split; the test asserts the group still re-forms: a denied
+//! prober that learns a smaller-id holder owns the window must pause past
+//! the grant expiry so exactly one prober keeps collecting.
 
-use paso_simnet::{drive_actor, Action, NodeEvent, NodeId, SimTime};
-use paso_vsync::{
-    Delivery, GcastError, GroupApp, GroupId, NetMsg, View, VsyncConfig, VsyncNode, VsyncOps,
-};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
+mod common;
+
+use common::Net;
+use paso_simnet::{NodeEvent, NodeId, SimTime};
+use paso_vsync::{Delivery, GcastError, GroupApp, GroupId, View, VsyncConfig, VsyncNode, VsyncOps};
 
 const G: GroupId = GroupId(7);
 
@@ -66,110 +65,10 @@ impl GroupApp for NullApp {
     fn on_view(&mut self, _: &mut dyn VsyncOps<Self::Output>, _: GroupId, _: &View) {}
 }
 
-/// A lockstep network with an adversarial per-link delivery order.
-///
-/// Messages accumulate into rounds; each round is delivered sorted so
-/// that receivers with even `from + to` parity see lower senders first
-/// and odd parity the reverse — competing probes from two joiners hence
-/// arrive in *opposite* orders at different responders, while per-link
-/// FIFO (the only order TCP guarantees) is preserved by the stable sort.
-struct Net {
-    nodes: Vec<VsyncNode<NullApp>>,
-    now: SimTime,
-    rng: ChaCha8Rng,
-    msgs: Vec<(NodeId, NodeId, NetMsg)>,
-    timers: Vec<(SimTime, NodeId, u64)>,
-}
-
-impl Net {
-    fn new(n: usize, cfg: &VsyncConfig) -> Self {
-        Net {
-            nodes: (0..n as u32)
-                .map(|i| VsyncNode::new(NodeId(i), cfg.clone(), NullApp))
-                .collect(),
-            now: SimTime::ZERO,
-            rng: ChaCha8Rng::seed_from_u64(42),
-            msgs: Vec::new(),
-            timers: Vec::new(),
-        }
-    }
-
-    fn drive(&mut self, node: NodeId, ev: NodeEvent<NetMsg>) {
-        let n = self.nodes.len();
-        let actions = drive_actor(
-            &mut self.nodes[node.index()],
-            node,
-            n,
-            self.now,
-            &mut self.rng,
-            ev,
-        );
-        for action in actions {
-            match action {
-                Action::Send { to, msg } => self.msgs.push((node, to, msg)),
-                Action::SendMany { to, msg } => {
-                    for t in to {
-                        self.msgs.push((node, t, msg.clone()));
-                    }
-                }
-                Action::SendLocal { msg } => self.msgs.push((node, node, msg)),
-                Action::SetTimer { delay, tag } => {
-                    self.timers.push((self.now + delay, node, tag));
-                }
-                Action::Emit(_)
-                | Action::Work(_)
-                | Action::Count(..)
-                | Action::Record(..)
-                | Action::Trace(_) => {}
-            }
-        }
-    }
-
-    /// Delivers everything currently in flight, one adversarially
-    /// ordered round; messages sent during the round wait for the next.
-    fn settle_round(&mut self) {
-        let mut batch = std::mem::take(&mut self.msgs);
-        batch.sort_by_key(|(from, to, _)| (to.0, (from.0 + to.0) % 2, from.0));
-        for (from, to, msg) in batch {
-            self.drive(to, NodeEvent::Message { from, msg });
-        }
-    }
-
-    /// Runs message rounds and timers until `until` (or quiescence).
-    fn run(&mut self, until: SimTime) {
-        loop {
-            if !self.msgs.is_empty() {
-                self.settle_round();
-                continue;
-            }
-            let Some(due) = self.timers.iter().map(|t| t.0).min() else {
-                return;
-            };
-            if due > until {
-                return;
-            }
-            self.now = due;
-            let mut firing: Vec<(SimTime, NodeId, u64)> = Vec::new();
-            self.timers.retain(|t| {
-                if t.0 <= due {
-                    firing.push(*t);
-                    false
-                } else {
-                    true
-                }
-            });
-            firing.sort_by_key(|(_, node, tag)| (node.0, *tag));
-            for (_, node, tag) in firing {
-                self.drive(node, NodeEvent::Timer { tag });
-            }
-        }
-    }
-
-    fn members(&self) -> Vec<u32> {
-        (0..self.nodes.len() as u32)
-            .filter(|m| self.nodes[*m as usize].is_member_of(G))
-            .collect()
-    }
+fn members(net: &Net<NullApp>) -> Vec<u32> {
+    (0..net.nodes.len() as u32)
+        .filter(|m| net.nodes[*m as usize].is_member_of(G))
+        .collect()
 }
 
 #[test]
@@ -178,12 +77,9 @@ fn simultaneous_rejoin_survives_adversarial_probe_interleaving() {
         initial_groups: vec![(G, vec![NodeId(2), NodeId(3)])],
         ..VsyncConfig::default()
     };
-    let mut net = Net::new(4, &cfg);
-    for i in 0..4u32 {
-        net.drive(NodeId(i), NodeEvent::Start);
-    }
+    let mut net = Net::start(4, |id| VsyncNode::new(id, cfg.clone(), NullApp));
     net.run(net.now + SimTime::from_millis(500));
-    assert_eq!(net.members(), vec![2, 3], "initial membership installs");
+    assert_eq!(members(&net), vec![2, 3], "initial membership installs");
 
     // Crash BOTH members (> λ — losing the group state is expected and
     // correct) and bring both back in the same instant: fresh
@@ -210,7 +106,7 @@ fn simultaneous_rejoin_survives_adversarial_probe_interleaving() {
     // the split grants refresh forever and the group never re-forms.
     net.run(net.now + SimTime::from_secs(20));
     assert!(
-        !net.members().is_empty(),
+        !members(&net).is_empty(),
         "group must re-form after simultaneous rejoin under adversarial \
          probe interleaving (formation-grant livelock)"
     );
