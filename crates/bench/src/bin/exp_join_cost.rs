@@ -14,10 +14,12 @@
 //!   `cargo run --release -p paso-bench --bin exp_join_cost`
 //!   `cargo run --release -p paso-bench --bin exp_join_cost -- --smoke`
 //!
-//! Always writes `BENCH_PR8.json`. Exits non-zero if the delta path ever
-//! moves at least as many bytes as the full path, if the small-gap /
-//! large-store corner saves less than 5×, or if any theorem point with a
-//! measured K lands outside its bound.
+//! Always writes `BENCH_PR8.json`. Exits non-zero if the delta path
+//! moves at least as many bytes as the full path at a gap no larger than
+//! the pre-crash store (a logged delivery is ~1.5 stored objects, so past
+//! that the two cross over), if the small-gap / large-store corner saves
+//! less than 5×, or if any theorem point with a measured K lands outside
+//! its bound.
 
 use paso_adaptive::{
     measure, optimum_variable_k, oscillation_adversary, run_strategy, BasicStrategy,
@@ -185,7 +187,7 @@ fn main() {
             assert!(delta.delta, "ample horizon must take the delta path");
             assert!(!full.delta, "horizon 1 must force the full fallback");
             let saved = full.bytes as f64 / delta.bytes as f64;
-            all_strict &= delta.bytes < full.bytes;
+            all_strict &= gap > store || delta.bytes < full.bytes;
             // K in delivery-equivalents: bytes normalized by what one
             // missed delivery costs on the wire for this workload.
             let per_delivery = delta.bytes as f64 / gap as f64;
@@ -292,7 +294,9 @@ fn main() {
 
     let mut fail = false;
     if !all_strict {
-        eprintln!("FAIL: a delta transfer moved at least as many bytes as the full path");
+        eprintln!(
+            "FAIL: a delta no larger than the store moved at least as many bytes as the full path"
+        );
         fail = true;
     }
     if corner_ratio < 5.0 {
@@ -307,6 +311,6 @@ fn main() {
         std::process::exit(1);
     }
     println!(
-        "all gates passed: delta strictly cheaper everywhere, ≥5× at the corner, theorems hold"
+        "all gates passed: delta strictly cheaper up to gap = store, ≥5× at the corner, theorems hold"
     );
 }
