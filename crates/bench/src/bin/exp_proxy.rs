@@ -207,15 +207,16 @@ fn main() {
         DROP_PROB * 100.0
     );
 
+    // Timeout and retry budget sized so a dropped frame costs one ~2s
+    // retry, while the closed-loop waves keep queueing delay well under
+    // that slice.
     let cfg = PasoConfig::builder(N, LAMBDA)
         .seed(SEED)
         .proxy_slots(load.proxies)
+        .client_retry_budget(3)
         .build();
-    // Slice sized so a dropped frame costs one ~2s retry, while the
-    // closed-loop waves keep queueing delay well under the slice.
     let opts = ProxyOptions {
         op_timeout: Duration::from_secs(8),
-        retry_budget: 3,
         ..ProxyOptions::from_config(&cfg, SECRET)
     };
     // Drops on every gateway↔server link, both directions: the workload

@@ -2,11 +2,13 @@
 
 use std::fmt;
 
-use paso_simnet::{ChurnModel, CostModel, FaultPlan, NetModel, SimTime};
+use paso_simnet::{ChurnModel, CostModel, FaultPlan};
 use paso_storage::StoreKind;
 use paso_types::{
     ArityClassifier, Classifier, FirstFieldClassifier, SignatureClassifier, ValueType,
 };
+
+use crate::wire::ClientOp;
 
 /// Which classifier (`obj-clss` / `sc-list`) the system uses. Kept as a
 /// plain data description so every machine constructs the *same*
@@ -115,35 +117,10 @@ pub struct PasoConfig {
     /// Per-operation deadline for blocking operations, after which they
     /// report `TimedOut`.
     pub blocking_deadline_micros: u64,
-    /// How long an [`ReadMode::Anycast`] read waits for its single-member
-    /// answer before falling back to a full group cast.
-    pub anycast_fallback_micros: u64,
     /// Interval at which servers gossip their per-class summaries for
     /// client-side `sc-list` pruning. `0` disables gossip (reads then
     /// visit the full `sc-list`, the pre-pruning behaviour).
     pub summary_gossip_micros: u64,
-    /// Re-initialization phase bounds (§3.1).
-    pub init_min: SimTime,
-    /// Upper bound of the initialization phase.
-    pub init_max: SimTime,
-    /// Live runtime: depth of each per-connection bounded send queue.
-    /// Overflow frames are dropped (and counted) rather than buffered
-    /// without bound behind a dead or slow peer.
-    pub net_queue_depth: usize,
-    /// Live runtime: first redial delay after a failed connect, in
-    /// microseconds. Doubles per failure.
-    pub net_backoff_base_micros: u64,
-    /// Live runtime: ceiling for the exponential dial backoff, in
-    /// microseconds.
-    pub net_backoff_cap_micros: u64,
-    /// Live runtime: number of reactor poller threads driving every TCP
-    /// socket. This is the whole I/O thread budget regardless of peer
-    /// count — one node driving hundreds of peers still uses only this
-    /// many I/O threads (plus one background dialer).
-    pub net_poller_threads: usize,
-    /// Live runtime: max frames one vectored write may drain from a
-    /// connection's queue in a single `writev`.
-    pub net_max_batch_frames: usize,
     /// Live runtime: how many times the client re-issues a timed-out
     /// *idempotent* operation (same op id; servers dedup) before giving
     /// up. `0` disables retries.
@@ -158,14 +135,6 @@ pub struct PasoConfig {
     /// ops one client may have in flight before the proxy answers
     /// `Busy` instead of forwarding.
     pub proxy_pipeline_depth: usize,
-    /// Proxy tier: flush threshold for the per-server op batch. Ops
-    /// accumulate into one `ClientBatch` frame until their encoded size
-    /// reaches this many bytes (or the input burst drains).
-    pub proxy_batch_bytes: usize,
-    /// Simulation: which network the ensemble runs on — the paper's
-    /// serializing bus (default) or a switched fabric with per-link
-    /// latency, jitter, and asymmetry.
-    pub net_model: NetModel,
     /// Message-level fault injection, shared vocabulary with the live
     /// runtime's `Postman::set_fault_plan` (drops, delays, jitter,
     /// partitions). Pass-through by default.
@@ -173,24 +142,12 @@ pub struct PasoConfig {
     /// Simulation: engine-driven Poisson crash/rejoin churn. `None`
     /// (default) disables churn.
     pub churn: Option<ChurnModel>,
-    /// Simulation: whether the perfect membership oracle broadcasts
-    /// peer-crash/recover events (O(n) per fault). Required by the PASO
-    /// protocol layers; scale experiments with oracle-free actors turn
-    /// it off.
-    pub membership_oracle: bool,
     /// Attach a per-node write-ahead log that survives crashes. A
     /// recovering node replays it locally and rejoins with a durable
     /// watermark, so the donor ships a delta instead of the full state —
     /// shrinking the adaptive join cost `K` from `O(|store|)` to
     /// `O(missed deliveries)`.
     pub durable: bool,
-    /// Fsync batching window in microseconds: appends within the window
-    /// share one sync. `0` syncs every append (strictest durability,
-    /// highest per-append cost).
-    pub durability_interval_micros: u64,
-    /// WAL compaction cadence: after this many logged deliveries the log
-    /// is rewritten as one snapshot per group. `0` disables compaction.
-    pub wal_snapshot_every: u64,
     /// In-memory delivery-log horizon per group member (the donor side of
     /// delta state transfer). Rejoiners further behind get a full
     /// transfer.
@@ -222,26 +179,13 @@ impl PasoConfig {
                     interval_micros: 5_000,
                 },
                 blocking_deadline_micros: 10_000_000,
-                anycast_fallback_micros: 100_000,
                 summary_gossip_micros: 0,
-                init_min: SimTime::from_millis(5),
-                init_max: SimTime::from_millis(10),
-                net_queue_depth: 1024,
-                net_backoff_base_micros: 10_000,
-                net_backoff_cap_micros: 1_000_000,
-                net_poller_threads: 2,
-                net_max_batch_frames: 64,
                 client_retry_budget: 2,
                 proxy_slots: 0,
                 proxy_pipeline_depth: 32,
-                proxy_batch_bytes: 16 << 10,
-                net_model: NetModel::Bus,
                 fault_plan: FaultPlan::none(),
                 churn: None,
-                membership_oracle: true,
                 durable: false,
-                durability_interval_micros: 500,
-                wal_snapshot_every: 64,
                 log_horizon: 512,
                 wal_dir: None,
             },
@@ -266,27 +210,6 @@ impl PasoConfig {
         if self.q_cost == 0 {
             return Err(ConfigError::new("q must be positive"));
         }
-        if self.init_min > self.init_max {
-            return Err(ConfigError::new("init_min must be ≤ init_max"));
-        }
-        if self.anycast_fallback_micros == 0 {
-            return Err(ConfigError::new("anycast fallback must be positive"));
-        }
-        if self.net_queue_depth == 0 {
-            return Err(ConfigError::new("net queue depth must be positive"));
-        }
-        if self.net_backoff_base_micros == 0 {
-            return Err(ConfigError::new("net backoff base must be positive"));
-        }
-        if self.net_backoff_cap_micros < self.net_backoff_base_micros {
-            return Err(ConfigError::new("net backoff cap must be ≥ base"));
-        }
-        if self.net_poller_threads == 0 {
-            return Err(ConfigError::new("net poller threads must be positive"));
-        }
-        if self.net_max_batch_frames == 0 {
-            return Err(ConfigError::new("net max batch frames must be positive"));
-        }
         if let Some(churn) = &self.churn {
             if churn.max_concurrent > self.lambda {
                 return Err(ConfigError::new(
@@ -302,9 +225,6 @@ impl PasoConfig {
         }
         if self.proxy_pipeline_depth == 0 {
             return Err(ConfigError::new("proxy pipeline depth must be positive"));
-        }
-        if self.proxy_batch_bytes == 0 {
-            return Err(ConfigError::new("proxy batch bytes must be positive"));
         }
         Ok(())
     }
@@ -322,6 +242,17 @@ impl PasoConfig {
     pub fn dedup_cache_ops(&self) -> usize {
         let retries = self.client_retry_budget as usize + 1;
         (retries * self.proxy_pipeline_depth * self.proxy_slots.max(1)).max(512)
+    }
+
+    /// How many times a timed-out `op` may be re-sent under its op id:
+    /// `client_retry_budget` for a [`ClientOp::retryable`] op, never for
+    /// one that must run exactly once.
+    pub fn retry_budget_for(&self, op: &ClientOp) -> u32 {
+        if op.retryable() {
+            self.client_retry_budget
+        } else {
+            0
+        }
     }
 }
 
@@ -398,44 +329,13 @@ impl PasoConfigBuilder {
         self
     }
 
-    /// Sets the anycast fallback delay in microseconds.
-    pub fn anycast_fallback_micros(mut self, d: u64) -> Self {
-        self.cfg.anycast_fallback_micros = d;
-        self
-    }
-
     /// Sets the summary-gossip interval in microseconds (`0` disables).
     pub fn summary_gossip_micros(mut self, d: u64) -> Self {
         self.cfg.summary_gossip_micros = d;
         self
     }
 
-    /// Sets the per-connection bounded send-queue depth (live runtime).
-    pub fn net_queue_depth(mut self, depth: usize) -> Self {
-        self.cfg.net_queue_depth = depth;
-        self
-    }
-
-    /// Sets the dial-backoff bounds in microseconds (live runtime).
-    pub fn net_backoff_micros(mut self, base: u64, cap: u64) -> Self {
-        self.cfg.net_backoff_base_micros = base;
-        self.cfg.net_backoff_cap_micros = cap;
-        self
-    }
-
     /// Sets the reactor poller-thread count — the live transport's whole
-    /// I/O thread budget (live runtime).
-    pub fn net_poller_threads(mut self, threads: usize) -> Self {
-        self.cfg.net_poller_threads = threads;
-        self
-    }
-
-    /// Sets the max frames per vectored write batch (live runtime).
-    pub fn net_max_batch_frames(mut self, frames: usize) -> Self {
-        self.cfg.net_max_batch_frames = frames;
-        self
-    }
-
     /// Sets the client retry budget for timed-out idempotent operations
     /// (live runtime).
     pub fn client_retry_budget(mut self, budget: u32) -> Self {
@@ -456,18 +356,6 @@ impl PasoConfigBuilder {
         self
     }
 
-    /// Sets the proxy's per-server batch flush threshold in bytes.
-    pub fn proxy_batch_bytes(mut self, bytes: usize) -> Self {
-        self.cfg.proxy_batch_bytes = bytes;
-        self
-    }
-
-    /// Sets the simulated network model (bus or switched fabric).
-    pub fn net_model(mut self, net: NetModel) -> Self {
-        self.cfg.net_model = net;
-        self
-    }
-
     /// Sets the message-level fault-injection plan (simulation and live
     /// runtime share the vocabulary).
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
@@ -482,19 +370,6 @@ impl PasoConfigBuilder {
     }
 
     /// Enables or disables the membership oracle's peer broadcasts
-    /// (simulation).
-    pub fn membership_oracle(mut self, on: bool) -> Self {
-        self.cfg.membership_oracle = on;
-        self
-    }
-
-    /// Sets the initialization-phase bounds.
-    pub fn init_bounds(mut self, min: SimTime, max: SimTime) -> Self {
-        self.cfg.init_min = min;
-        self.cfg.init_max = max;
-        self
-    }
-
     /// Enables the durable per-node write-ahead log (crash recovery via
     /// local replay + delta rejoin).
     pub fn durable(mut self, on: bool) -> Self {
@@ -503,19 +378,7 @@ impl PasoConfigBuilder {
     }
 
     /// Sets the fsync batching window in microseconds (`0` = sync every
-    /// append).
-    pub fn durability_interval_micros(mut self, d: u64) -> Self {
-        self.cfg.durability_interval_micros = d;
-        self
-    }
-
     /// Sets the WAL compaction cadence in logged deliveries (`0`
-    /// disables compaction).
-    pub fn wal_snapshot_every(mut self, every: u64) -> Self {
-        self.cfg.wal_snapshot_every = every;
-        self
-    }
-
     /// Sets the in-memory delivery-log horizon for delta state transfer.
     pub fn log_horizon(mut self, horizon: usize) -> Self {
         self.cfg.log_horizon = horizon;
@@ -609,74 +472,21 @@ mod tests {
     }
 
     #[test]
-    fn read_path_tunables_default_and_validate() {
-        let cfg = PasoConfig::builder(4, 1).build();
-        assert_eq!(cfg.anycast_fallback_micros, 100_000);
-        assert_eq!(cfg.summary_gossip_micros, 0);
-        let cfg = PasoConfig::builder(4, 1)
-            .anycast_fallback_micros(25_000)
-            .summary_gossip_micros(40_000)
-            .build();
-        assert_eq!(cfg.anycast_fallback_micros, 25_000);
-        assert_eq!(cfg.summary_gossip_micros, 40_000);
-        let mut bad = cfg;
-        bad.anycast_fallback_micros = 0;
-        assert!(bad.validate().is_err());
-    }
-
-    #[test]
-    fn net_tunables_default_and_validate() {
-        let cfg = PasoConfig::builder(4, 1).build();
-        assert_eq!(cfg.net_queue_depth, 1024);
-        assert_eq!(cfg.client_retry_budget, 2);
-        assert_eq!(cfg.net_poller_threads, 2);
-        assert_eq!(cfg.net_max_batch_frames, 64);
-        let cfg = PasoConfig::builder(4, 1)
-            .net_queue_depth(64)
-            .net_backoff_micros(5_000, 250_000)
-            .net_poller_threads(4)
-            .net_max_batch_frames(128)
-            .client_retry_budget(0)
-            .build();
-        assert_eq!(cfg.net_queue_depth, 64);
-        assert_eq!(cfg.net_backoff_base_micros, 5_000);
-        assert_eq!(cfg.net_backoff_cap_micros, 250_000);
-        assert_eq!(cfg.net_poller_threads, 4);
-        assert_eq!(cfg.net_max_batch_frames, 128);
-        assert_eq!(cfg.client_retry_budget, 0);
-        let mut bad = cfg.clone();
-        bad.net_queue_depth = 0;
-        assert!(bad.validate().is_err());
-        let mut bad = cfg.clone();
-        bad.net_poller_threads = 0;
-        assert!(bad.validate().is_err());
-        let mut bad = cfg.clone();
-        bad.net_max_batch_frames = 0;
-        assert!(bad.validate().is_err());
-        let mut bad = cfg;
-        bad.net_backoff_cap_micros = 1;
-        assert!(bad.validate().is_err());
-    }
-
-    #[test]
     fn proxy_knobs_default_and_validate() {
         let cfg = PasoConfig::builder(4, 1).build();
         assert_eq!(cfg.proxy_slots, 0);
         assert_eq!(cfg.proxy_pipeline_depth, 32);
-        assert_eq!(cfg.proxy_batch_bytes, 16 << 10);
+        assert_eq!(cfg.client_retry_budget, 2);
         let cfg = PasoConfig::builder(4, 1)
             .proxy_slots(3)
             .proxy_pipeline_depth(256)
-            .proxy_batch_bytes(4096)
+            .client_retry_budget(0)
             .build();
         assert_eq!(cfg.proxy_slots, 3);
         assert_eq!(cfg.proxy_pipeline_depth, 256);
-        assert_eq!(cfg.proxy_batch_bytes, 4096);
-        let mut bad = cfg.clone();
-        bad.proxy_pipeline_depth = 0;
-        assert!(bad.validate().is_err());
+        assert_eq!(cfg.client_retry_budget, 0);
         let mut bad = cfg;
-        bad.proxy_batch_bytes = 0;
+        bad.proxy_pipeline_depth = 0;
         assert!(bad.validate().is_err());
     }
 
@@ -707,20 +517,14 @@ mod tests {
     fn durability_knobs_default_and_validate() {
         let cfg = PasoConfig::builder(4, 1).build();
         assert!(!cfg.durable, "durability must be opt-in");
-        assert_eq!(cfg.durability_interval_micros, 500);
-        assert_eq!(cfg.wal_snapshot_every, 64);
         assert_eq!(cfg.log_horizon, 512);
         assert!(cfg.wal_dir.is_none());
         let cfg = PasoConfig::builder(4, 1)
             .durable(true)
-            .durability_interval_micros(0)
-            .wal_snapshot_every(128)
             .log_horizon(64)
             .wal_dir("/tmp/paso-wal")
             .build();
         assert!(cfg.durable);
-        assert_eq!(cfg.durability_interval_micros, 0);
-        assert_eq!(cfg.wal_snapshot_every, 128);
         assert_eq!(cfg.log_horizon, 64);
         assert!(cfg.wal_dir.is_some());
         let mut bad = cfg.clone();

@@ -14,6 +14,8 @@
 //! Entry points:
 //! - [`SimSystem`] — a complete simulated deployment (machines, servers,
 //!   faults, cost accounting) with a synchronous client API;
+//! - [`Deployment`] — the node-building recipe every driver shares, and
+//!   [`OpLedger`] — the client-op accounting every driver shares;
 //! - [`MemoryServer`] — the per-machine server, reusable over any
 //!   transport that drives [`paso_simnet::Actor`]s (see `paso-runtime`
 //!   for the live threaded cluster);
@@ -48,7 +50,9 @@
 #![warn(missing_docs)]
 
 mod config;
+mod deployment;
 mod groups;
+mod ledger;
 mod semantics;
 mod server;
 mod system;
@@ -57,16 +61,15 @@ mod wire;
 pub use config::{
     BlockingMode, ClassifierKind, ConfigError, PasoConfig, PasoConfigBuilder, ReadMode,
 };
+pub use deployment::{Deployment, WalMedium};
 pub use groups::{
     assign_basic_support, fault_tolerance_ok, group_class, initial_groups, rg_group, wg_group,
     GroupKind,
 };
+pub use ledger::{retry_slice, OpLedger};
 pub use semantics::{check_run, LatencyStats, OpRecord, RunLog, SemanticsReport, Violation};
 pub use server::MemoryServer;
-pub use system::{
-    register_durability_metrics, register_proxy_metrics, register_vsync_metrics, ClassReport,
-    SimSystem, SystemReport,
-};
+pub use system::{ClassReport, SimSystem, SystemReport};
 pub use wire::{
     auth_token, decode, encode, obj_ref, try_decode, AppMsg, ClientDone, ClientOp, ClientRequest,
     ClientResult, OpResponse, ProxyClientFrame, ProxyServerFrame, ReplOp,

@@ -136,6 +136,10 @@ pub struct MemoryServer {
 /// How many decode failures [`MemoryServer::decode_errors`] retains.
 const DECODE_ERROR_LOG_CAP: usize = 16;
 
+/// How long a [`ReadMode::Anycast`] read waits for its single-member
+/// answer before falling back to a full group cast.
+const ANYCAST_FALLBACK_MICROS: u64 = 100_000;
+
 impl MemoryServer {
     /// Creates the server for machine `id` under a shared configuration
     /// and basic-support table.
@@ -493,7 +497,7 @@ impl MemoryServer {
                             vs.count("op.read.anycast", 1.0);
                             vs.send_app(target, encode(&msg));
                             // Fall back to a gcast if no answer arrives.
-                            vs.set_app_timer(self.cfg.anycast_fallback_micros, op_id);
+                            vs.set_app_timer(ANYCAST_FALLBACK_MICROS, op_id);
                             return;
                         }
                     }

@@ -7,20 +7,23 @@
 //! operations, collects results, and records everything in a
 //! [`RunLog`] for the semantics checker.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use paso_durable::{DurabilityHub, DurableConfig};
-use paso_simnet::{Engine, EngineConfig, FaultScript, MachineStatus, NodeId, SimTime, Stats};
-use paso_telemetry::{OpKind, Telemetry, TraceBuf, TraceEvent, TraceKind};
-use paso_types::{ClassId, Classifier, ObjectId, PasoObject, ProcessId, SearchCriterion, Value};
-use paso_vsync::{VsyncConfig, VsyncNode};
+use paso_durable::DurabilityHub;
+use paso_simnet::{
+    Engine, EngineConfig, FaultScript, MachineStatus, NetModel, NodeId, SimTime, Stats,
+};
+use paso_telemetry::{Telemetry, TraceBuf, TraceEvent};
+use paso_types::{Classifier, ObjectId, PasoObject, ProcessId, SearchCriterion, Value};
+use paso_vsync::VsyncNode;
 
 use crate::config::PasoConfig;
-use crate::groups::{assign_basic_support, initial_groups, wg_group};
+use crate::deployment::{Deployment, WalMedium};
+use crate::groups::wg_group;
+use crate::ledger::OpLedger;
 use crate::semantics::{check_run, RunLog, SemanticsReport};
 use crate::server::MemoryServer;
-use crate::wire::{encode, obj_ref, AppMsg, ClientDone, ClientOp, ClientRequest, ClientResult};
+use crate::wire::{encode, AppMsg, ClientDone, ClientOp, ClientRequest, ClientResult};
 
 /// Per-class snapshot of replication state (observability).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -47,68 +50,11 @@ pub struct SystemReport {
     pub fault_tolerance_ok: bool,
 }
 
-/// Pre-registers the durability metric family on a telemetry registry so
-/// both substrates (simnet and live) expose the identical schema — every
-/// `wal.*` / `join.*` name, with its counter-vs-histogram kind — even
-/// before the first crash or join exercises it.
-pub fn register_durability_metrics(telemetry: &Telemetry) {
-    for c in [
-        "wal.compactions",
-        "wal.recovered_records",
-        "join.delta_hit",
-        "join.full_xfer",
-    ] {
-        telemetry.counter(c);
-    }
-    telemetry.counter("wal.append_bytes");
-    for h in [
-        "wal.fsync_micros",
-        "join.transfer_bytes",
-        "join.latency_micros",
-    ] {
-        telemetry.histogram(h);
-    }
-}
-
-/// Pre-registers the one vsync counter every configuration can bump —
-/// gcasts dropped below their origin's acknowledged floor — so both
-/// substrates show it at zero (same contract as
-/// [`register_durability_metrics`]).
-pub fn register_vsync_metrics(telemetry: &Telemetry) {
-    telemetry.counter("vsync.dedup.stale_dropped");
-}
-
-/// Pre-registers the proxy-tier metric family (`proxy.*`) so both
-/// substrates expose the identical schema whenever gateway slots are
-/// configured — the simulator has no live proxies, but dashboards built
-/// against either driver must read the other unchanged (same contract as
-/// [`register_durability_metrics`]).
-pub fn register_proxy_metrics(telemetry: &Telemetry) {
-    for c in [
-        "proxy.clients.accepted",
-        "proxy.clients.closed",
-        "proxy.auth.denied",
-        "proxy.frames.in",
-        "proxy.ops.forwarded",
-        "proxy.ops.completed",
-        "proxy.retries",
-        "proxy.backpressure",
-        "proxy.batch.flushes",
-        "proxy.gossip.recv",
-    ] {
-        telemetry.counter(c);
-    }
-    for g in ["proxy.clients.open", "proxy.tenants"] {
-        telemetry.gauge(g);
-    }
-    for h in [
-        "proxy.batch.ops",
-        "proxy.batch.bytes",
-        "proxy.op.latency_micros",
-    ] {
-        telemetry.histogram(h);
-    }
-}
+/// Bounds of the re-initialization phase a repaired machine spends
+/// before it rejoins (§3.1: "bounded above and below"), scaled down from
+/// the paper's minutes while staying ≫ message latency.
+const INIT_MIN: SimTime = SimTime::from_millis(5);
+const INIT_MAX: SimTime = SimTime::from_millis(10);
 
 impl std::fmt::Display for SystemReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -153,19 +99,17 @@ impl std::fmt::Display for SystemReport {
 /// ```
 pub struct SimSystem {
     engine: Engine<VsyncNode<MemoryServer>>,
-    cfg: Arc<PasoConfig>,
-    hub: Option<Arc<DurabilityHub>>,
-    classifier: Box<dyn Classifier>,
+    deployment: Arc<Deployment>,
+    ledger: OpLedger,
     next_op: u64,
     next_obj: u64,
     log: RunLog,
-    done: BTreeMap<u64, ClientResult>,
 }
 
 impl std::fmt::Debug for SimSystem {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SimSystem")
-            .field("n", &self.cfg.n)
+            .field("n", &self.config().n)
             .field("now", &self.engine.now())
             .field("ops_issued", &self.next_op)
             .finish_non_exhaustive()
@@ -179,81 +123,46 @@ impl SimSystem {
     ///
     /// Panics on an invalid configuration.
     pub fn new(cfg: PasoConfig) -> Self {
-        cfg.validate().expect("invalid PasoConfig");
-        let cfg = Arc::new(cfg);
-        let classifier = cfg.classifier.build();
-        let classes = classifier.classes();
-        let support = assign_basic_support(cfg.n, cfg.lambda, &classes);
-        let groups = initial_groups(&support);
-        let basic: BTreeMap<ClassId, Vec<NodeId>> = support.into_iter().collect();
-        let vcfg = VsyncConfig {
-            initial_groups: groups,
-            log_horizon: cfg.log_horizon,
-            ..VsyncConfig::default()
-        };
+        let deployment = Arc::new(Deployment::new(cfg, WalMedium::Memory));
+        let cfg = deployment.config();
         let engine_cfg = EngineConfig {
             n: cfg.n,
             cost_model: cfg.cost_model,
             seed: cfg.seed,
-            init_min: cfg.init_min,
-            init_max: cfg.init_max,
+            init_min: INIT_MIN,
+            init_max: INIT_MAX,
             record_trace: false,
-            net: cfg.net_model.clone(),
+            net: NetModel::Bus,
             fault_plan: cfg.fault_plan.clone(),
             churn: cfg.churn,
-            membership_oracle: cfg.membership_oracle,
+            membership_oracle: true,
         };
-        // Simulated deployments always use the in-memory WAL medium:
-        // crash-survival is modeled (a crashed actor is rebuilt but its
-        // hub-held log persists), and fsync cost comes from the
-        // deterministic model in `paso-durable`.
-        let hub = cfg.durable.then(|| {
-            DurabilityHub::new_mem(DurableConfig {
-                durability_interval_micros: cfg.durability_interval_micros,
-                snapshot_every: cfg.wal_snapshot_every,
-            })
-        });
-        let cfg_for_factory = Arc::clone(&cfg);
-        let hub_for_factory = hub.clone();
-        let engine = Engine::new(engine_cfg, move |id| {
-            let node = VsyncNode::new(
-                id,
-                vcfg.clone(),
-                MemoryServer::new(id, Arc::clone(&cfg_for_factory), basic.clone()),
-            );
-            match &hub_for_factory {
-                Some(h) => node.with_wal(h.handle(id.0)),
-                None => node,
-            }
-        });
-        register_vsync_metrics(engine.telemetry());
-        if hub.is_some() {
-            register_durability_metrics(engine.telemetry());
-        }
-        if cfg.proxy_slots > 0 {
-            register_proxy_metrics(engine.telemetry());
-        }
+        let factory = Arc::clone(&deployment);
+        let engine = Engine::new(engine_cfg, move |id| factory.node(id));
+        deployment.register_metrics(engine.telemetry());
+        let ledger = OpLedger::new(
+            Arc::clone(engine.telemetry()),
+            Arc::clone(engine.trace_buf()),
+        );
         SimSystem {
             engine,
-            cfg,
-            hub,
-            classifier,
+            deployment,
+            ledger,
             next_op: 0,
             next_obj: 0,
             log: RunLog::new(),
-            done: BTreeMap::new(),
         }
     }
 
     /// The shared durability hub, when `cfg.durable` is set — exposes
     /// per-node WAL byte accounting for experiments.
     pub fn durability_hub(&self) -> Option<&Arc<DurabilityHub>> {
-        self.hub.as_ref()
+        self.deployment.durability_hub()
     }
 
     /// The configuration in force.
     pub fn config(&self) -> &PasoConfig {
-        &self.cfg
+        self.deployment.config()
     }
 
     /// Current simulated time.
@@ -300,7 +209,7 @@ impl SimSystem {
 
     /// The classifier (the global `obj-clss` / `sc-list`).
     pub fn classifier(&self) -> &dyn Classifier {
-        self.classifier.as_ref()
+        self.deployment.classifier()
     }
 
     /// Machine status (up / crashed / initializing).
@@ -317,21 +226,8 @@ impl SimSystem {
         self.next_op += 1;
         self.log
             .issued(op_id, NodeId(node), op.clone(), self.engine.now());
-        let (ctr, obj) = match &op {
-            ClientOp::Insert { object } => ("client.op.insert", Some(obj_ref(object.id()))),
-            ClientOp::Read { .. } => ("client.op.read", None),
-            ClientOp::ReadDel { .. } => ("client.op.readdel", None),
-        };
-        self.engine.telemetry().count(ctr, 1.0);
-        self.engine.trace_buf().record(
-            self.engine.now().as_micros(),
-            node,
-            TraceKind::OpBegin {
-                op_id,
-                op: op.kind(),
-                obj,
-            },
-        );
+        self.ledger
+            .begin(self.engine.now().as_micros(), node, op_id, &op);
         let req = ClientRequest { op_id, op };
         self.engine.inject(
             self.engine.now(),
@@ -379,7 +275,7 @@ impl SimSystem {
             "m{} is down: a halted machine cannot re-issue requests",
             node.0
         );
-        self.engine.telemetry().count("client.retries", 1.0);
+        self.ledger.retried();
         let req = ClientRequest {
             op_id: op,
             op: body,
@@ -393,42 +289,29 @@ impl SimSystem {
 
     fn pump(&mut self) {
         for (time, _node, ClientDone { op_id, result }) in self.engine.take_outputs() {
-            if let Some(rec) = self.log.get(op_id) {
-                if rec.returned.is_some() {
-                    // A retry's duplicate answer: the op already
-                    // returned to the client. Dropped and counted, the
-                    // same way the live cluster's done-map eviction
-                    // discards answers nobody is waiting for.
-                    self.engine.telemetry().count("client.dup_answers", 1.0);
-                    continue;
-                }
-                let kind = rec.op.kind();
-                let lat = time.saturating_since(rec.issued).as_micros();
-                let hist = match kind {
-                    OpKind::Insert => "op.insert.latency_micros",
-                    OpKind::Read => "op.read.latency_micros",
-                    OpKind::ReadDel => "op.readdel.latency_micros",
-                };
-                self.engine.telemetry().record(hist, lat);
-                self.engine.trace_buf().record(
-                    time.as_micros(),
-                    rec.node.0,
-                    TraceKind::OpEnd {
-                        op_id,
-                        op: kind,
-                        outcome: result.outcome(),
-                    },
-                );
+            let rec = self.log.get(op_id).expect("answer to an op never issued");
+            if rec.returned.is_some() {
+                // A retry's duplicate answer: the op already returned to
+                // the client.
+                self.ledger.duplicate_answer();
+                continue;
             }
-            self.log.returned(op_id, result.clone(), time);
-            self.done.insert(op_id, result);
+            self.ledger.end(
+                time.as_micros(),
+                rec.node.0,
+                op_id,
+                rec.op.kind(),
+                time.saturating_since(rec.issued).as_micros(),
+                result.outcome(),
+            );
+            self.log.returned(op_id, result, time);
         }
     }
 
     /// Has `op` completed? Returns its result if so.
     pub fn poll(&mut self, op: u64) -> Option<ClientResult> {
         self.pump();
-        self.done.get(&op).cloned()
+        self.log.get(op)?.result.clone()
     }
 
     /// Steps the simulation until `op` completes. Returns `None` if the
@@ -437,13 +320,11 @@ impl SimSystem {
     pub fn wait(&mut self, op: u64, max_events: u64) -> Option<ClientResult> {
         let mut processed = 0u64;
         loop {
-            self.pump();
-            if let Some(r) = self.done.get(&op) {
-                return Some(r.clone());
+            if let Some(r) = self.poll(op) {
+                return Some(r);
             }
             if processed >= max_events || !self.engine.step() {
-                self.pump();
-                return self.done.get(&op).cloned();
+                return self.poll(op);
             }
             processed += 1;
         }
@@ -539,11 +420,11 @@ impl SimSystem {
 
     /// Takes a whole-system observability snapshot.
     pub fn report(&self) -> SystemReport {
-        let up: Vec<u32> = (0..self.cfg.n as u32)
+        let up: Vec<u32> = (0..self.config().n as u32)
             .filter(|m| self.engine.status(NodeId(*m)).is_up())
             .collect();
         let classes = self
-            .classifier
+            .classifier()
             .classes()
             .into_iter()
             .map(|class| {
@@ -555,7 +436,7 @@ impl SimSystem {
                 let live = replicas
                     .first()
                     .map_or(0, |m| self.server(*m).store_len(class));
-                let basic: Vec<u32> = (0..self.cfg.n as u32)
+                let basic: Vec<u32> = (0..self.config().n as u32)
                     .filter(|m| self.server(*m).is_basic(class))
                     .collect();
                 ClassReport {
@@ -577,15 +458,15 @@ impl SimSystem {
     /// seen by the lowest live machine: with `k` failed machines, every
     /// write group must keep more than `λ − k` live members.
     pub fn fault_tolerance_ok(&self) -> bool {
-        let up: Vec<NodeId> = (0..self.cfg.n as u32)
+        let up: Vec<NodeId> = (0..self.config().n as u32)
             .map(NodeId)
             .filter(|m| self.engine.status(*m).is_up())
             .collect();
-        let failed = self.cfg.n - up.len();
-        if failed > self.cfg.lambda {
+        let failed = self.config().n - up.len();
+        if failed > self.config().lambda {
             return true; // outside the model's assumption; vacuous
         }
-        for class in self.classifier.classes() {
+        for class in self.classifier().classes() {
             // Observe the view from a live *member* — non-members hold
             // only stale contact caches.
             let group = wg_group(class);
@@ -598,7 +479,7 @@ impl SimSystem {
                         .view_of(group)
                         .map_or(0, |v| v.members().filter(|m| up.contains(m)).count())
                 });
-            if live + failed <= self.cfg.lambda {
+            if live + failed <= self.config().lambda {
                 return false;
             }
         }

@@ -86,6 +86,22 @@ impl ClientOp {
             ClientOp::ReadDel { .. } => OpKind::ReadDel,
         }
     }
+
+    /// True iff a timed-out request may be re-sent under the same op id.
+    /// Inserts and non-blocking reads re-execute to the same observable
+    /// outcome under the servers' request-id dedup; `read&del` is
+    /// destructive and blocking ops hold server state, so those run
+    /// exactly once (a lost request surfaces as a timeout).
+    pub fn retryable(&self) -> bool {
+        matches!(
+            self,
+            ClientOp::Insert { .. }
+                | ClientOp::Read {
+                    blocking: false,
+                    ..
+                }
+        )
+    }
 }
 
 /// Maps a native object id onto the telemetry trace's driver-neutral pair.
@@ -240,9 +256,9 @@ pub enum AppMsg {
     /// using the in-process output channel instead.
     Done(ClientDone),
     /// A pipelined batch of client requests from a gateway, flushed as
-    /// one frame (`proxy_batch_bytes`). An *empty* batch is a gateway
-    /// subscription ping: it teaches the server the gateway's address
-    /// (for summary gossip) without enqueuing work.
+    /// one frame (at `paso-proxy`'s `BATCH_BYTES`). An *empty* batch is
+    /// a gateway subscription ping: it teaches the server the gateway's
+    /// address (for summary gossip) without enqueuing work.
     ClientBatch(Vec<ClientRequest>),
 }
 

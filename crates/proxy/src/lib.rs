@@ -21,11 +21,11 @@
 //!   anything else is answered [`ProxyServerFrame::Denied`] and the
 //!   connection is closed (the denial is flushed first). Tenant
 //!   cardinality feeds a HyperLogLog → the `proxy.tenants` gauge.
-//! * **Pipelining** — each connection may keep `proxy_pipeline_depth`
-//!   ops outstanding; excess ops bounce with
+//! * **Pipelining** — each connection may keep the cluster config's
+//!   `proxy_pipeline_depth` ops outstanding; excess ops bounce with
 //!   [`ProxyServerFrame::Busy`] instead of queueing unboundedly.
 //! * **Batching** — admitted ops accumulate per target server and flush
-//!   as one [`AppMsg::ClientBatch`] frame when `proxy_batch_bytes`
+//!   as one [`AppMsg::ClientBatch`] frame when `BATCH_BYTES` (16 KiB)
 //!   accumulate or the event loop goes idle, so 10k trickling clients
 //!   become a few dense wire frames.
 //! * **Routing** — servers gossip per-class [`ClassSummary`]s
@@ -34,10 +34,10 @@
 //!   any server can execute any op via macro expansion, so a stale
 //!   route costs extra hops, never a wrong result.
 //! * **Retries** — timed-out idempotent ops (inserts, non-blocking
-//!   reads) are re-sent under the same op id to the same server, where
-//!   the PR 4 `recent_done` dedup cache (sized for exactly this retry
-//!   horizon, `PasoConfig::dedup_cache_ops`) replays instead of
-//!   re-executing.
+//!   reads) are re-sent under the same op id to the same server, up to
+//!   the cluster config's `client_retry_budget`; the servers'
+//!   `recent_done` dedup cache, sized from the same two numbers
+//!   (`PasoConfig::dedup_cache_ops`), replays instead of re-executing.
 //!
 //! Ops flowing through a proxy land in the *same* `client.op.*`
 //! counters and A1–A3 trace stream as ops issued through the in-process
@@ -58,34 +58,29 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use paso_core::{
-    auth_token, encode, obj_ref, try_decode, AppMsg, ClientOp, ClientRequest, ClientResult,
-    ProxyClientFrame, ProxyServerFrame,
+    auth_token, encode, retry_slice, try_decode, AppMsg, ClientOp, ClientRequest, ClientResult,
+    OpLedger, ProxyClientFrame, ProxyServerFrame,
 };
 use paso_runtime::{ClientEvent, ClientId, FrameServer, GatewayLink, TransportTuning};
 use paso_simnet::NodeId;
 use paso_storage::ClassSummary;
-use paso_telemetry::{hash64, HyperLogLog, OpKind, TraceKind};
+use paso_telemetry::{hash64, HyperLogLog};
 use paso_types::ClassId;
 
-/// Tuning for one proxy instance. Defaults mirror the `PasoConfig`
-/// proxy knobs; construct via [`ProxyOptions::from_config`] to stay in
-/// sync with the cluster's derived dedup-cache sizing.
+/// What one proxy instance is told beyond the cluster's own
+/// configuration. The pipelining window and the retry budget are not
+/// here: they are `proxy_pipeline_depth` and `client_retry_budget` of
+/// the `PasoConfig` the cluster was started with, read through the
+/// [`GatewayLink`], so the proxy's retry horizon is by construction the
+/// one the servers sized their dedup caches for.
 #[derive(Debug, Clone)]
 pub struct ProxyOptions {
     /// Shared deployment secret clients must prove knowledge of
     /// (`auth_token(tenant, secret)`).
     pub secret: u64,
-    /// Max ops outstanding per client connection before `Busy`.
-    pub pipeline_depth: usize,
-    /// Flush an [`AppMsg::ClientBatch`] once this many encoded bytes
-    /// accumulate for one server.
-    pub batch_bytes: usize,
     /// Per-op deadline before the proxy answers `TimedOut` (sliced
     /// across retries exactly like the in-process client API).
     pub op_timeout: Duration,
-    /// Idempotent re-sends per op (same op id, same server — the
-    /// server's dedup cache absorbs duplicates).
-    pub retry_budget: u32,
     /// Cap on a single client frame; connections exceeding it are cut.
     pub max_client_frame: usize,
 }
@@ -94,33 +89,28 @@ impl Default for ProxyOptions {
     fn default() -> Self {
         ProxyOptions {
             secret: 0,
-            pipeline_depth: 32,
-            batch_bytes: 16 << 10,
             op_timeout: Duration::from_secs(10),
-            retry_budget: 2,
             max_client_frame: 1 << 20,
         }
     }
 }
 
 impl ProxyOptions {
-    /// Derives the options from the cluster's own configuration so the
-    /// proxy's retry horizon matches the servers' dedup-cache sizing.
-    pub fn from_config(cfg: &paso_core::PasoConfig, secret: u64) -> Self {
+    /// The default options under `secret`. Nothing is copied out of the
+    /// configuration any more (see [`ProxyOptions`]); the parameter
+    /// remains for the callers that pass it.
+    pub fn from_config(_cfg: &paso_core::PasoConfig, secret: u64) -> Self {
         ProxyOptions {
             secret,
-            pipeline_depth: cfg.proxy_pipeline_depth,
-            batch_bytes: cfg.proxy_batch_bytes,
-            retry_budget: cfg.client_retry_budget,
             ..ProxyOptions::default()
         }
     }
 }
 
-/// Floor on the per-attempt wait, mirroring the in-process client API:
-/// however the budget slices `op_timeout`, every attempt gets at least
-/// this long before the re-send (or the final `TimedOut`) fires.
-const MIN_RETRY_SLICE: Duration = Duration::from_millis(1);
+/// Flush threshold for the per-server op batch: ops accumulate into one
+/// [`AppMsg::ClientBatch`] frame until their encoded size reaches this
+/// many bytes (or the input burst drains).
+const BATCH_BYTES: usize = 16 << 10;
 
 /// How long the logic thread parks on the gateway mailbox per loop pass
 /// when there is nothing else to do. Bounds idle wakeups without adding
@@ -145,8 +135,6 @@ struct OpState {
     server: u32,
     /// The request, kept verbatim for idempotent re-sends.
     req: ClientRequest,
-    kind: OpKind,
-    retryable: bool,
     issued: Instant,
     /// Re-sends performed so far.
     attempts_used: u32,
@@ -228,6 +216,7 @@ impl Drop for Proxy {
 /// a lock hierarchy.
 struct Core {
     link: GatewayLink,
+    ledger: OpLedger,
     server: FrameServer,
     opts: ProxyOptions,
     stop: Arc<AtomicBool>,
@@ -245,8 +234,6 @@ struct Core {
     /// disjoint from the in-process client API's 0-based counter.
     next_op: u64,
     tenants: HyperLogLog,
-    /// Per-attempt wait before a re-send or the final `TimedOut`.
-    slice: Duration,
 }
 
 impl Core {
@@ -257,9 +244,8 @@ impl Core {
         stop: Arc<AtomicBool>,
     ) -> Core {
         let servers = link.servers();
-        let attempts = opts.retry_budget + 1;
-        let slice = (opts.op_timeout / attempts).max(MIN_RETRY_SLICE);
         Core {
+            ledger: OpLedger::new(link.telemetry(), link.trace_buf()),
             link,
             server,
             opts,
@@ -272,7 +258,6 @@ impl Core {
             rr: 0,
             next_op: 0,
             tenants: HyperLogLog::new(),
-            slice,
         }
     }
 
@@ -365,7 +350,7 @@ impl Core {
                 let (authed, window_full) = match self.conns.get(&id) {
                     Some(c) => (
                         c.tenant.is_some(),
-                        c.inflight.len() >= self.opts.pipeline_depth,
+                        c.inflight.len() >= self.link.config().proxy_pipeline_depth,
                     ),
                     None => return,
                 };
@@ -390,33 +375,8 @@ impl Core {
     fn admit(&mut self, id: ClientId, seq: u64, op: ClientOp) {
         let op_id = (u64::from(self.link.node_id().0) << 40) | self.next_op;
         self.next_op += 1;
-        let (ctr, kind, obj) = match &op {
-            ClientOp::Insert { object } => (
-                "client.op.insert",
-                OpKind::Insert,
-                Some(obj_ref(object.id())),
-            ),
-            ClientOp::Read { .. } => ("client.op.read", OpKind::Read, None),
-            ClientOp::ReadDel { .. } => ("client.op.readdel", OpKind::ReadDel, None),
-        };
-        self.count(ctr, 1.0);
-        self.link.trace_buf().record(
-            self.link.now_micros(),
-            self.link.node_id().0,
-            TraceKind::OpBegin {
-                op_id,
-                op: kind,
-                obj,
-            },
-        );
-        let retryable = matches!(
-            op,
-            ClientOp::Insert { .. }
-                | ClientOp::Read {
-                    blocking: false,
-                    ..
-                }
-        );
+        let node = self.link.node_id().0;
+        self.ledger.begin(self.link.now_micros(), node, op_id, &op);
         let server = self.route(&op);
         let req = ClientRequest { op_id, op };
         let now = Instant::now();
@@ -425,8 +385,6 @@ impl Core {
             seq,
             server,
             req,
-            kind,
-            retryable,
             issued: now,
             attempts_used: 0,
         };
@@ -475,7 +433,7 @@ impl Core {
         let slot = &mut self.batches[server as usize];
         slot.0.push(req);
         slot.1 += bytes;
-        if slot.1 >= self.opts.batch_bytes {
+        if slot.1 >= BATCH_BYTES {
             self.flush(server);
         }
     }
@@ -515,7 +473,7 @@ impl Core {
         let Some(st) = self.ops.remove(&op_id) else {
             // A retry's duplicate answer — the first one already went
             // back to the client.
-            self.count("client.dup_answers", 1.0);
+            self.ledger.duplicate_answer();
             return;
         };
         self.deadlines.remove(&(
@@ -525,15 +483,10 @@ impl Core {
         self.finish(st, result);
     }
 
-    /// The per-attempt wait for one op: retryable ops slice the deadline
-    /// across their budget (as the in-process client API does),
-    /// exactly-once ops get the whole timeout for their single attempt.
+    /// The per-attempt wait for one op (as in the in-process client API).
     fn slice_of(&self, st: &OpState) -> Duration {
-        if st.retryable {
-            self.slice
-        } else {
-            self.opts.op_timeout.max(MIN_RETRY_SLICE)
-        }
+        let budget = self.link.config().retry_budget_for(&st.req.op);
+        retry_slice(self.opts.op_timeout, budget)
     }
 
     /// Completes one op toward the client: latency + trace + reply.
@@ -541,21 +494,13 @@ impl Core {
         self.count("proxy.ops.completed", 1.0);
         let lat = st.issued.elapsed().as_micros() as u64;
         self.record("proxy.op.latency_micros", lat);
-        let hist = match st.kind {
-            OpKind::Insert => "op.insert.latency_micros",
-            OpKind::Read => "op.read.latency_micros",
-            OpKind::ReadDel => "op.readdel.latency_micros",
-        };
-        self.record(hist, lat);
-        let outcome = result.outcome();
-        self.link.trace_buf().record(
+        self.ledger.end(
             self.link.now_micros(),
             self.link.node_id().0,
-            TraceKind::OpEnd {
-                op_id: st.req.op_id,
-                op: st.kind,
-                outcome,
-            },
+            st.req.op_id,
+            st.req.op.kind(),
+            lat,
+            result.outcome(),
         );
         if let Some(conn) = self.conns.get_mut(&st.client) {
             conn.inflight.remove(&st.req.op_id);
@@ -584,14 +529,15 @@ impl Core {
             let Some(st) = self.ops.get_mut(&op_id) else {
                 continue; // already completed
             };
-            if st.retryable && st.attempts_used < self.opts.retry_budget {
+            let budget = self.link.config().retry_budget_for(&st.req.op);
+            if st.attempts_used < budget {
                 st.attempts_used += 1;
-                let server = st.server;
-                let req = st.req.clone();
-                let next = st.issued + self.slice * (st.attempts_used + 1);
-                self.deadlines.insert((next, op_id));
+                let (server, req) = (st.server, st.req.clone());
+                let slice = retry_slice(self.opts.op_timeout, budget);
+                self.deadlines
+                    .insert((st.issued + slice * (st.attempts_used + 1), op_id));
                 self.count("proxy.retries", 1.0);
-                self.count("client.retries", 1.0);
+                self.ledger.retried();
                 // Same op id, same server: the dedup cache turns a
                 // merely-slow first execution into a replay.
                 self.enqueue(server, req);

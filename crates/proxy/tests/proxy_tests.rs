@@ -137,13 +137,7 @@ fn full_pipeline_window_bounces_busy() {
         .proxy_slots(1)
         .proxy_pipeline_depth(1)
         .build();
-    let (cluster, proxy) = cluster_with_proxy(
-        cfg,
-        ProxyOptions {
-            pipeline_depth: 1,
-            ..ProxyOptions::default()
-        },
-    );
+    let (cluster, proxy) = cluster_with_proxy(cfg, ProxyOptions::default());
     let mut c = ProxyClient::connect(proxy.port(), 1, SECRET).expect("connect");
     // A blocking take on a never-matching template parks server-side
     // and holds the only window slot...

@@ -1,27 +1,26 @@
 //! The live PASO cluster: one thread per machine, a membership-oracle
 //! controller, and a synchronous client API.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver};
 use parking_lot::Mutex;
 
 use paso_core::{
-    assign_basic_support, encode, initial_groups, obj_ref, register_durability_metrics,
-    register_proxy_metrics, register_vsync_metrics, AppMsg, ClientDone, ClientOp, ClientRequest,
-    ClientResult, MemoryServer, PasoConfig,
+    encode, retry_slice, AppMsg, ClientDone, ClientOp, ClientRequest, ClientResult, Deployment,
+    OpLedger, PasoConfig, WalMedium,
 };
-use paso_durable::{DurabilityHub, DurableConfig};
+use paso_durable::DurabilityHub;
 use paso_simnet::{Fault, FaultPlan, FaultScript, NodeId};
-use paso_telemetry::{OpKind, Outcome, Telemetry, TraceBuf, TraceEvent, TraceKind};
-use paso_types::{ClassId, ObjectId, PasoObject, ProcessId, SearchCriterion, Value};
-use paso_vsync::{NetMsg, VsyncConfig, VsyncNode};
+use paso_telemetry::{Outcome, Telemetry, TraceBuf, TraceEvent, TraceKind};
+use paso_types::{ObjectId, PasoObject, ProcessId, SearchCriterion, Value};
+use paso_vsync::NetMsg;
 
+use crate::completions::Completions;
 use crate::node::{run_node, NodeStats};
 use crate::transport::{
     ChannelMailbox, ChannelTransport, Envelope, Mailbox, Postman, TcpTransport, TransportTuning,
@@ -81,27 +80,21 @@ impl std::error::Error for ClusterError {}
 /// cluster.shutdown();
 /// ```
 pub struct Cluster {
-    n: usize,
+    deployment: Arc<Deployment>,
     postman: Arc<dyn Postman>,
     handles: Mutex<Vec<JoinHandle<()>>>,
-    outputs: Receiver<(NodeId, ClientDone)>,
-    /// Results drained off `outputs` while waiting for a different op,
-    /// stamped with their arrival time. Entries nobody claims within an
-    /// op-timeout belong to dead waiters (the op already returned
-    /// `Timeout`, or a retry double-answered) and are evicted — the map
-    /// must not grow without bound over a long-lived cluster.
-    done: Mutex<BTreeMap<u64, (Instant, ClientResult)>>,
+    /// Where the node threads put finished ops. Entries nobody claims
+    /// within an op-timeout belong to dead waiters (the op already
+    /// returned `Timeout`, or a retry double-answered) and are evicted.
+    completions: Arc<Completions>,
     down: Mutex<BTreeSet<NodeId>>,
     next_op: Mutex<u64>,
     next_obj: Mutex<u64>,
     stats: Vec<Arc<NodeStats>>,
     op_timeout: Duration,
-    retry_budget: u32,
-    client_retries: AtomicU64,
-    results_evicted: AtomicU64,
     telemetry: Arc<Telemetry>,
     trace: Arc<TraceBuf>,
-    hub: Option<Arc<DurabilityHub>>,
+    ledger: OpLedger,
     /// Monotonic zero for every trace timestamp this cluster records.
     epoch: Instant,
     /// Unclaimed gateway attachment points (`cfg.proxy_slots` of them),
@@ -121,7 +114,7 @@ pub struct Cluster {
 /// what the proxy differential test asserts.
 pub struct GatewayLink {
     node: NodeId,
-    servers: usize,
+    cfg: Arc<PasoConfig>,
     postman: Arc<dyn Postman>,
     mailbox: ChannelMailbox,
     telemetry: Arc<Telemetry>,
@@ -133,7 +126,7 @@ impl fmt::Debug for GatewayLink {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("GatewayLink")
             .field("node", &self.node)
-            .field("servers", &self.servers)
+            .field("servers", &self.servers())
             .finish_non_exhaustive()
     }
 }
@@ -146,14 +139,21 @@ impl GatewayLink {
 
     /// Number of memory servers (valid send targets are `0..servers`).
     pub fn servers(&self) -> usize {
-        self.servers
+        self.cfg.n
+    }
+
+    /// The cluster's configuration — a gateway takes its pipelining
+    /// window and retry budget from here, the same numbers the servers
+    /// sized their dedup caches for.
+    pub fn config(&self) -> &PasoConfig {
+        &self.cfg
     }
 
     /// Sends one application message to a memory server, stamped with
     /// the gateway's own address so the server can answer with
     /// [`AppMsg::Done`] (and learn the gateway for summary gossip).
     pub fn send(&self, server: u32, msg: &AppMsg) {
-        debug_assert!((server as usize) < self.servers, "not a server id");
+        debug_assert!((server as usize) < self.servers(), "not a server id");
         self.postman.send(
             NodeId(server),
             Envelope::Net {
@@ -225,20 +225,14 @@ pub struct ClusterStats {
     pub msgs_delayed: u64,
     /// Timed-out idempotent client ops re-issued under the same op id.
     pub client_retries: u64,
-    /// Unclaimed client results evicted from the done map.
+    /// Unclaimed client results evicted from the completion table.
     pub results_evicted: u64,
 }
-
-/// Floor on the per-attempt wait in the retry loop: however the retry
-/// budget slices the op deadline, every attempt gets at least this long
-/// for its answer to arrive before the next re-send (or the final
-/// `Timeout`) fires.
-const MIN_RETRY_SLICE: Duration = Duration::from_millis(1);
 
 impl fmt::Debug for Cluster {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Cluster")
-            .field("n", &self.n)
+            .field("n", &self.n())
             .finish_non_exhaustive()
     }
 }
@@ -262,43 +256,10 @@ impl Cluster {
     ///
     /// Panics on an invalid configuration or if TCP listeners cannot bind.
     pub fn start_faulty(cfg: PasoConfig, kind: TransportKind, plan: FaultPlan) -> Self {
-        cfg.validate().expect("invalid PasoConfig");
+        let deployment = Arc::new(Deployment::new(cfg, WalMedium::Configured));
+        let cfg = deployment.config();
         let n = cfg.n;
-        let cfg = Arc::new(cfg);
-        let classifier = cfg.classifier.build();
-        let classes = classifier.classes();
-        let support = assign_basic_support(n, cfg.lambda, &classes);
-        let groups = initial_groups(&support);
-        let basic: BTreeMap<ClassId, Vec<NodeId>> = support.into_iter().collect();
-        let vcfg = VsyncConfig {
-            initial_groups: groups,
-            log_horizon: cfg.log_horizon,
-            ..VsyncConfig::default()
-        };
-        // Durable mode: one hub shared by every node thread. A crash
-        // replaces the actor (`factory(node)`) but the hub-held WAL
-        // survives, so the rebuilt node replays it on `Recover`. With
-        // `wal_dir` set the log additionally lives on disk and real
-        // fsyncs are timed; otherwise the in-memory medium models them.
-        let hub: Option<Arc<DurabilityHub>> = cfg.durable.then(|| {
-            let dcfg = DurableConfig {
-                durability_interval_micros: cfg.durability_interval_micros,
-                snapshot_every: cfg.wal_snapshot_every,
-            };
-            match &cfg.wal_dir {
-                Some(dir) => {
-                    DurabilityHub::new_file(dcfg, dir.clone()).expect("open WAL directory")
-                }
-                None => DurabilityHub::new_mem(dcfg),
-            }
-        });
-
         let tuning = TransportTuning {
-            queue_depth: cfg.net_queue_depth,
-            backoff_base: Duration::from_micros(cfg.net_backoff_base_micros),
-            backoff_cap: Duration::from_micros(cfg.net_backoff_cap_micros),
-            poller_threads: cfg.net_poller_threads,
-            max_batch_frames: cfg.net_max_batch_frames,
             fault_seed: cfg.seed,
             ..TransportTuning::default()
         };
@@ -320,73 +281,58 @@ impl Cluster {
             mailboxes.split_off(n).into_iter().map(Some).collect();
         postman.set_fault_plan(plan);
         let telemetry = Arc::new(Telemetry::new());
-        register_vsync_metrics(&telemetry);
-        if hub.is_some() {
-            register_durability_metrics(&telemetry);
-        }
-        if cfg.proxy_slots > 0 {
-            register_proxy_metrics(&telemetry);
-        }
+        deployment.register_metrics(&telemetry);
         let trace = Arc::new(TraceBuf::new());
         let epoch = Instant::now();
         postman.set_trace_sink(Arc::clone(&trace), epoch);
         postman.set_telemetry(&telemetry);
-        let (out_tx, out_rx) = unbounded();
+        let completions = Arc::new(Completions::new(Arc::clone(&telemetry)));
         let mut handles = Vec::with_capacity(n);
         let mut stats = Vec::with_capacity(n);
         for (i, mailbox) in mailboxes.into_iter().enumerate() {
             let node = NodeId(i as u32);
-            let cfg = Arc::clone(&cfg);
-            let vcfg = vcfg.clone();
-            let basic = basic.clone();
+            let deployment = Arc::clone(&deployment);
             let postman = Arc::clone(&postman);
-            let out_tx = out_tx.clone();
+            let completions = Arc::clone(&completions);
             let st = Arc::new(NodeStats::default());
             stats.push(Arc::clone(&st));
             let tel = Arc::clone(&telemetry);
             let tr = Arc::clone(&trace);
-            let hub = hub.clone();
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("paso-node-{i}"))
                     .spawn(move || {
-                        let factory = move |id: NodeId| {
-                            let node = VsyncNode::new(
-                                id,
-                                vcfg.clone(),
-                                MemoryServer::new(id, Arc::clone(&cfg), basic.clone()),
-                            );
-                            match &hub {
-                                Some(h) => node.with_wal(h.handle(id.0)),
-                                None => node,
-                            }
-                        };
                         run_node(
-                            node, n, factory, mailbox, postman, out_tx, st, tel, tr, epoch,
+                            node,
+                            n,
+                            |id| deployment.node(id),
+                            mailbox,
+                            postman,
+                            |ClientDone { op_id, result }| completions.complete(op_id, result),
+                            st,
+                            tel,
+                            tr,
+                            epoch,
                         );
                     })
                     .expect("spawn node thread"),
             );
         }
         Cluster {
-            n,
             postman,
             handles: Mutex::new(handles),
-            outputs: out_rx,
-            done: Mutex::new(BTreeMap::new()),
+            completions,
             down: Mutex::new(BTreeSet::new()),
             next_op: Mutex::new(0),
             next_obj: Mutex::new(0),
             stats,
             op_timeout: Duration::from_secs(10),
-            retry_budget: cfg.client_retry_budget,
-            client_retries: AtomicU64::new(0),
-            results_evicted: AtomicU64::new(0),
+            ledger: OpLedger::new(Arc::clone(&telemetry), Arc::clone(&trace)),
             telemetry,
             trace,
-            hub,
             epoch,
             gateway_mail: Mutex::new(gateway_mail),
+            deployment,
         }
     }
 
@@ -406,8 +352,8 @@ impl Cluster {
         );
         let mailbox = mail[slot].take().expect("gateway slot already claimed");
         GatewayLink {
-            node: NodeId((self.n + slot) as u32),
-            servers: self.n,
+            node: NodeId((self.n() + slot) as u32),
+            cfg: Arc::clone(self.deployment.config()),
             postman: Arc::clone(&self.postman),
             mailbox,
             telemetry: Arc::clone(&self.telemetry),
@@ -419,12 +365,12 @@ impl Cluster {
     /// The shared durability hub, when `cfg.durable` is set — exposes
     /// per-node WAL byte accounting for experiments.
     pub fn durability_hub(&self) -> Option<&Arc<DurabilityHub>> {
-        self.hub.as_ref()
+        self.deployment.durability_hub()
     }
 
     /// Number of machines.
     pub fn n(&self) -> usize {
-        self.n
+        self.deployment.config().n
     }
 
     /// Overrides the client-side operation timeout (default 10s). The
@@ -459,6 +405,7 @@ impl Cluster {
     /// accounting, and client retry/eviction activity.
     pub fn stats(&self) -> ClusterStats {
         let net = self.postman.net_stats();
+        let client = self.telemetry.snapshot();
         ClusterStats {
             msgs_sent: self.msgs_sent(),
             bytes_sent: net.bytes_sent,
@@ -467,8 +414,8 @@ impl Cluster {
             msgs_dropped: net.msgs_dropped,
             msgs_faulted: net.msgs_faulted,
             msgs_delayed: net.msgs_delayed,
-            client_retries: self.client_retries.load(Ordering::SeqCst),
-            results_evicted: self.results_evicted.load(Ordering::SeqCst),
+            client_retries: client.counter("client.retries") as u64,
+            results_evicted: client.counter("client.results_evicted") as u64,
         }
     }
 
@@ -537,20 +484,8 @@ impl Cluster {
         }
     }
 
-    /// True iff a timed-out `op` may be re-issued under the same op id.
-    /// Inserts and non-blocking reads re-execute to the same observable
-    /// outcome under the servers' request-id dedup; `read&del` is
-    /// destructive and blocking ops hold server state, so those run
-    /// exactly once (a lost request surfaces as `Timeout`).
-    fn retryable(op: &ClientOp) -> bool {
-        matches!(
-            op,
-            ClientOp::Insert { .. }
-                | ClientOp::Read {
-                    blocking: false,
-                    ..
-                }
-        )
+    fn now_micros(&self) -> u64 {
+        self.epoch.elapsed().as_micros() as u64
     }
 
     fn send_request(&self, node: u32, req: &ClientRequest) {
@@ -577,50 +512,21 @@ impl Cluster {
             *next += 1;
             id
         };
-        let budget = if Self::retryable(&op) {
-            self.retry_budget
-        } else {
-            0
-        };
-        // Issue-time accounting: one count per op regardless of retries,
-        // so op-level totals are directly comparable with a simnet run of
-        // the same workload.
         let kind = op.kind();
-        let (ctr, obj) = match &op {
-            ClientOp::Insert { object } => ("client.op.insert", Some(obj_ref(object.id()))),
-            ClientOp::Read { .. } => ("client.op.read", None),
-            ClientOp::ReadDel { .. } => ("client.op.readdel", None),
-        };
-        self.telemetry.count(ctr, 1.0);
-        let issued_micros = self.epoch.elapsed().as_micros() as u64;
+        let budget = self.deployment.config().retry_budget_for(&op);
+        self.completions.evict_unclaimed(self.op_timeout);
+        self.ledger.begin(self.now_micros(), node, op_id, &op);
         let issued = Instant::now();
-        self.trace.record(
-            issued_micros,
+        let result = self.run_op_inner(node, budget, ClientRequest { op_id, op });
+        self.ledger.end(
+            self.now_micros(),
             node,
-            TraceKind::OpBegin {
-                op_id,
-                op: kind,
-                obj,
-            },
-        );
-        let result = self.run_op_inner(node, op_id, budget, ClientRequest { op_id, op });
-        let lat = issued.elapsed().as_micros() as u64;
-        let hist = match kind {
-            OpKind::Insert => "op.insert.latency_micros",
-            OpKind::Read => "op.read.latency_micros",
-            OpKind::ReadDel => "op.readdel.latency_micros",
-        };
-        self.telemetry.record(hist, lat);
-        self.trace.record(
-            self.epoch.elapsed().as_micros() as u64,
-            node,
-            TraceKind::OpEnd {
-                op_id,
-                op: kind,
-                outcome: result
-                    .as_ref()
-                    .map_or(Outcome::Error, ClientResult::outcome),
-            },
+            op_id,
+            kind,
+            issued.elapsed().as_micros() as u64,
+            result
+                .as_ref()
+                .map_or(Outcome::Error, ClientResult::outcome),
         );
         result
     }
@@ -628,79 +534,25 @@ impl Cluster {
     fn run_op_inner(
         &self,
         node: u32,
-        op_id: u64,
         budget: u32,
         req: ClientRequest,
     ) -> Result<ClientResult, ClusterError> {
         self.send_request(node, &req);
-        // Slice the overall deadline across the attempts so retries make
-        // the op *more* likely to land within the same client patience,
-        // instead of stretching it. Clamp the slice: with a large budget
-        // or a sub-millisecond timeout the division hands each attempt a
-        // near-zero wait, and the op burns its whole budget (or its only
-        // attempt) without giving the first request a chance to land.
-        let attempts = budget + 1;
-        let slice = (self.op_timeout / attempts).max(MIN_RETRY_SLICE);
-        for attempt in 0..attempts {
-            match self.wait_for(op_id, slice) {
-                Err(ClusterError::Timeout) if attempt + 1 < attempts => {
-                    if self.down.lock().contains(&NodeId(node)) {
-                        // The issuing machine crashed while we waited; a
-                        // re-send would be dropped on the floor. Keep
-                        // waiting out the remaining slices in case the
-                        // original execution's answer is still in flight.
-                        continue;
-                    }
-                    self.client_retries.fetch_add(1, Ordering::SeqCst);
-                    self.telemetry.count("client.retries", 1.0);
-                    self.send_request(node, &req);
-                }
-                other => return other,
+        let slice = retry_slice(self.op_timeout, budget);
+        for attempt in 0..=budget {
+            if let Some(result) = self.completions.wait(req.op_id, slice) {
+                return Ok(result);
+            }
+            // The issuing machine may have crashed while we waited; a
+            // re-send would be dropped on the floor. Keep waiting out the
+            // remaining slices in case the original execution's answer is
+            // still in flight.
+            if attempt < budget && !self.down.lock().contains(&NodeId(node)) {
+                self.ledger.retried();
+                self.send_request(node, &req);
             }
         }
         Err(ClusterError::Timeout)
-    }
-
-    /// Waits up to `timeout` for `op`'s result, stashing results of other
-    /// ops (concurrent callers) into the done map.
-    fn wait_for(&self, op: u64, timeout: Duration) -> Result<ClientResult, ClusterError> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if let Some((_, r)) = self.done.lock().remove(&op) {
-                return Ok(r);
-            }
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(ClusterError::Timeout);
-            }
-            if let Ok((_, ClientDone { op_id, result })) = self
-                .outputs
-                .recv_timeout(remaining.min(Duration::from_millis(50)))
-            {
-                if op_id == op {
-                    return Ok(result);
-                }
-                self.stash_result(op_id, result);
-            }
-        }
-    }
-
-    /// Parks a result for whichever caller is waiting on it, evicting
-    /// entries nobody claimed within an op-timeout (their waiter already
-    /// gave up, or a retry produced a duplicate answer).
-    fn stash_result(&self, op_id: u64, result: ClientResult) {
-        let now = Instant::now();
-        let mut done = self.done.lock();
-        let before = done.len();
-        done.retain(|_, (at, _)| now.duration_since(*at) < self.op_timeout);
-        let evicted = before - done.len();
-        if evicted > 0 {
-            self.results_evicted
-                .fetch_add(evicted as u64, Ordering::SeqCst);
-            self.telemetry
-                .count("client.results_evicted", evicted as f64);
-        }
-        done.insert(op_id, (now, result));
     }
 
     /// Inserts a fresh object from a process on `node`.
@@ -788,13 +640,9 @@ impl Cluster {
         let target = NodeId(node);
         self.down.lock().insert(target);
         self.telemetry.count("fault.crashes", 1.0);
-        self.trace.record(
-            self.epoch.elapsed().as_micros() as u64,
-            node,
-            TraceKind::Crash,
-        );
+        self.trace.record(self.now_micros(), node, TraceKind::Crash);
         self.postman.send(target, Envelope::Crash);
-        for i in 0..self.n as u32 {
+        for i in 0..self.n() as u32 {
             if i != node {
                 self.postman.send(NodeId(i), Envelope::PeerCrashed(target));
             }
@@ -807,17 +655,14 @@ impl Cluster {
         let target = NodeId(node);
         self.down.lock().remove(&target);
         self.telemetry.count("fault.recoveries", 1.0);
-        self.trace.record(
-            self.epoch.elapsed().as_micros() as u64,
-            node,
-            TraceKind::Recover,
-        );
+        self.trace
+            .record(self.now_micros(), node, TraceKind::Recover);
         self.postman.send(target, Envelope::Recover);
         let down = self.down.lock().clone();
         for d in down {
             self.postman.send(target, Envelope::PeerCrashed(d));
         }
-        for i in 0..self.n as u32 {
+        for i in 0..self.n() as u32 {
             if i != node {
                 self.postman
                     .send(NodeId(i), Envelope::PeerRecovered(target));
@@ -827,7 +672,7 @@ impl Cluster {
 
     /// Stops all node threads and joins them.
     pub fn shutdown(&self) {
-        for i in 0..self.n as u32 {
+        for i in 0..self.n() as u32 {
             self.postman.send(NodeId(i), Envelope::Shutdown);
         }
         let mut handles = self.handles.lock();

@@ -21,6 +21,7 @@
 #![warn(missing_docs)]
 
 mod cluster;
+mod completions;
 mod frame_server;
 mod node;
 mod reactor;

@@ -11,7 +11,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::Sender;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -33,7 +32,8 @@ pub struct NodeStats {
 }
 
 /// Runs a node until [`Envelope::Shutdown`]. `factory` builds the fresh
-/// actor at start and after every crash.
+/// actor at start and after every crash; `emit` receives every output
+/// the actor produces.
 #[allow(
     clippy::collapsible_match,
     clippy::collapsible_else_if,
@@ -45,14 +45,13 @@ pub(crate) fn run_node<A, F>(
     factory: F,
     mailbox: impl Mailbox,
     postman: Arc<dyn Postman>,
-    outputs: Sender<(NodeId, A::Output)>,
+    emit: impl Fn(A::Output),
     stats: Arc<NodeStats>,
     telemetry: Arc<Telemetry>,
     trace: Arc<TraceBuf>,
     epoch: Instant,
 ) where
     A: Actor<Msg = NetMsg>,
-    A::Output: Send + 'static,
     F: Fn(NodeId) -> A,
 {
     let start = Instant::now();
@@ -96,9 +95,7 @@ pub(crate) fn run_node<A, F>(
                     Action::SetTimer { delay, tag } => {
                         timers.push(Reverse((now() + delay, tag)));
                     }
-                    Action::Emit(out) => {
-                        let _ = outputs.send((node, out));
-                    }
+                    Action::Emit(out) => emit(out),
                     Action::Work(units) => {
                         stats.work.fetch_add(units, Ordering::Relaxed);
                         tel_work.add(units as f64);

@@ -29,7 +29,7 @@ impl SimTime {
     }
 
     /// Creates a time from milliseconds.
-    pub fn from_millis(ms: u64) -> Self {
+    pub const fn from_millis(ms: u64) -> Self {
         SimTime(ms * 1_000)
     }
 

@@ -9,6 +9,7 @@ mod common;
 
 use common::{durable_builder, durable_sys, fields, sc_eq};
 use paso::core::SimSystem;
+use paso::runtime::{Cluster, TransportKind};
 use paso::simnet::SimTime;
 use paso::telemetry::check_trace;
 use paso::types::ClassId;
@@ -113,4 +114,30 @@ fn gap_beyond_log_horizon_falls_back_to_full_transfer() {
     }
     let report = check_trace(&sys.trace_events());
     assert!(report.ok(), "post-recovery trace: {:?}", report.violations);
+}
+
+/// `wal_dir` is a deployment path, and the one place the two substrates
+/// build their node differently: the live cluster keeps `node-<id>.wal`
+/// files under it, the simulator logs to memory whatever it says.
+#[test]
+fn wal_dir_puts_live_logs_on_files_and_the_simulator_ignores_it() {
+    let dir = std::env::temp_dir().join(format!("paso-wal-dir-{}", std::process::id()));
+    let cfg = durable_builder(17).wal_dir(&dir).build();
+
+    let mut sys = SimSystem::new(cfg.clone());
+    sys.insert(0, fields(1));
+    assert!(!dir.exists(), "a simulated WAL must stay in memory");
+
+    let cluster = Cluster::start(cfg, TransportKind::Channel);
+    cluster.insert(0, fields(1)).unwrap();
+    cluster.shutdown();
+    let logged: u64 = (0..5)
+        .filter_map(|node| std::fs::metadata(dir.join(format!("node-{node}.wal"))).ok())
+        .map(|file| file.len())
+        .sum();
+    std::fs::remove_dir_all(&dir).expect("remove the WAL directory");
+    assert!(
+        logged > 0,
+        "an acknowledged insert is on some member's file"
+    );
 }
