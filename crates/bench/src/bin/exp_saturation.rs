@@ -28,9 +28,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use paso_bench::{f1, Table};
-use paso_runtime::{push_frame, Envelope, Mailbox, Postman, TcpTransport, TransportTuning};
+use paso_runtime::{push_frame, Envelope, Ledger, Mailbox, Postman, TcpTransport, TransportTuning};
 use paso_simnet::NodeId;
-use paso_telemetry::Telemetry;
 use paso_vsync::NetMsg;
 use paso_wire::mini_json::Json;
 use rand::{Rng, SeedableRng};
@@ -110,9 +109,8 @@ fn run_reactor(peers: usize, msgs: u64, payload: &[u8]) -> NetRun {
         queue_depth: 4096,
         ..TransportTuning::default()
     };
-    let (transport, mailboxes) = TcpTransport::with_tuning(peers, tuning);
-    let telemetry = Telemetry::new();
-    transport.set_telemetry(&telemetry);
+    let ledger = Ledger::new();
+    let (transport, mailboxes) = TcpTransport::with_tuning(peers, tuning, &ledger);
     let io_threads = transport.io_threads();
 
     let drained = Arc::new(AtomicU64::new(0));
@@ -166,7 +164,7 @@ fn run_reactor(peers: usize, msgs: u64, payload: &[u8]) -> NetRun {
         let _ = d.join();
     }
     let stats = transport.net_stats();
-    let snap = telemetry.snapshot();
+    let snap = ledger.telemetry().snapshot();
     let frames = snap.hist("net.writev.batch_frames");
     NetRun {
         peers,

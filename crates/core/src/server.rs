@@ -223,11 +223,6 @@ impl MemoryServer {
         self.basic.get(&class).is_some_and(|m| m.contains(&self.id))
     }
 
-    /// Outstanding (blocked or in-flight) client operations.
-    pub fn pending_ops(&self) -> usize {
-        self.pending.len()
-    }
-
     /// The Basic-algorithm counter value for `class` (experiments observe
     /// adaptation through this).
     pub fn counter_value(&self, class: ClassId) -> Option<u64> {

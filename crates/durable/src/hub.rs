@@ -74,16 +74,6 @@ impl DurabilityHub {
             let _ = std::fs::remove_file(dir.join(format!("node-{id}.wal")));
         }
     }
-
-    /// Total log bytes across all nodes (benchmark accounting).
-    pub fn total_log_bytes(&self) -> u64 {
-        self.nodes
-            .lock()
-            .unwrap()
-            .values()
-            .map(|w| w.lock().unwrap().log_bytes())
-            .sum()
-    }
 }
 
 /// Cloneable accessor to one node's WAL.

@@ -75,12 +75,13 @@ fn main() {
                 cluster.recover(m);
                 println!("m{m} recovering (will re-join with state transfer)");
             }
-            Command::Stats => println!(
-                "messages: {}  bytes: {}  work: {}",
-                cluster.msgs_sent(),
-                cluster.bytes_sent(),
-                cluster.total_work()
-            ),
+            Command::Stats => {
+                let stats = cluster.stats();
+                println!(
+                    "messages: {}  bytes: {}  work: {}",
+                    stats.msgs_sent, stats.bytes_sent, stats.total_work
+                );
+            }
             Command::Telemetry { json } => {
                 let snap = cluster.telemetry().snapshot();
                 if json {

@@ -3,7 +3,6 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -15,13 +14,14 @@ use paso_core::{
     OpLedger, PasoConfig, WalMedium,
 };
 use paso_durable::DurabilityHub;
-use paso_simnet::{Fault, FaultPlan, FaultScript, NodeId};
+use paso_simnet::{FaultPlan, NodeId};
 use paso_telemetry::{Outcome, Telemetry, TraceBuf, TraceEvent, TraceKind};
 use paso_types::{ObjectId, PasoObject, ProcessId, SearchCriterion, Value};
 use paso_vsync::NetMsg;
 
 use crate::completions::Completions;
-use crate::node::{run_node, NodeStats};
+use crate::ledger::{ClusterStats, Ledger};
+use crate::node::run_node;
 use crate::transport::{
     ChannelMailbox, ChannelTransport, Envelope, Mailbox, Postman, TcpTransport, TransportTuning,
 };
@@ -90,13 +90,11 @@ pub struct Cluster {
     down: Mutex<BTreeSet<NodeId>>,
     next_op: Mutex<u64>,
     next_obj: Mutex<u64>,
-    stats: Vec<Arc<NodeStats>>,
     op_timeout: Duration,
-    telemetry: Arc<Telemetry>,
-    trace: Arc<TraceBuf>,
-    ledger: OpLedger,
-    /// Monotonic zero for every trace timestamp this cluster records.
-    epoch: Instant,
+    /// Where everything this cluster counts or traces lives; the
+    /// transport, the node threads and every gateway link share it.
+    ledger: Arc<Ledger>,
+    ops: OpLedger,
     /// Unclaimed gateway attachment points (`cfg.proxy_slots` of them),
     /// indexed by slot. `Cluster::gateway_link` takes one.
     gateway_mail: Mutex<Vec<Option<ChannelMailbox>>>,
@@ -117,9 +115,7 @@ pub struct GatewayLink {
     cfg: Arc<PasoConfig>,
     postman: Arc<dyn Postman>,
     mailbox: ChannelMailbox,
-    telemetry: Arc<Telemetry>,
-    trace: Arc<TraceBuf>,
-    epoch: Instant,
+    ledger: Arc<Ledger>,
 }
 
 impl fmt::Debug for GatewayLink {
@@ -182,51 +178,26 @@ impl GatewayLink {
                 if let Some(msg) = paso_core::decode::<AppMsg>(&bytes) {
                     return Some((from, msg));
                 }
-                self.telemetry.count("wire.decode.error", 1.0);
+                self.ledger.telemetry().count("wire.decode.error", 1.0);
             }
         }
     }
 
     /// The cluster's shared metrics registry.
     pub fn telemetry(&self) -> Arc<Telemetry> {
-        Arc::clone(&self.telemetry)
+        Arc::clone(self.ledger.telemetry())
     }
 
     /// The cluster's shared structured trace stream.
     pub fn trace_buf(&self) -> Arc<TraceBuf> {
-        Arc::clone(&self.trace)
+        Arc::clone(self.ledger.trace_buf())
     }
 
     /// Micros since cluster start — the timebase every trace event in
     /// the shared stream uses.
     pub fn now_micros(&self) -> u64 {
-        self.epoch.elapsed().as_micros() as u64
+        self.ledger.now_micros()
     }
-}
-
-/// Cluster-wide counters: the node-side totals plus the transport's
-/// message-path accounting and the client API's retry/eviction activity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ClusterStats {
-    /// Messages sent by node protocol logic.
-    pub msgs_sent: u64,
-    /// Bytes handed to live writers (see `NetStats::bytes_sent`).
-    pub bytes_sent: u64,
-    /// Work units charged across all servers.
-    pub total_work: u64,
-    /// Frames handed off for delivery by the transport.
-    pub msgs_delivered: u64,
-    /// Frames dropped by the transport failure path (dead peer queue
-    /// overflow, missing port, writer loss).
-    pub msgs_dropped: u64,
-    /// Frames dropped by injected faults.
-    pub msgs_faulted: u64,
-    /// Frames deferred through the injected-delay line.
-    pub msgs_delayed: u64,
-    /// Timed-out idempotent client ops re-issued under the same op id.
-    pub client_retries: u64,
-    /// Unclaimed client results evicted from the completion table.
-    pub results_evicted: u64,
 }
 
 impl fmt::Debug for Cluster {
@@ -267,37 +238,30 @@ impl Cluster {
         // gateway slots: gateways are ordinary peers on the fabric, they
         // just run a proxy front half instead of a memory server.
         let total = n + cfg.proxy_slots;
+        // The ledger comes first: whatever counts is built over it.
+        let ledger = Ledger::new();
+        deployment.register_metrics(ledger.telemetry());
         let (postman, mut mailboxes): (Arc<dyn Postman>, Vec<_>) = match kind {
             TransportKind::Channel => {
-                let (p, m) = ChannelTransport::with_tuning(total, tuning);
+                let (p, m) = ChannelTransport::with_tuning(total, tuning, &ledger);
                 (p, m)
             }
             TransportKind::Tcp => {
-                let (p, m) = TcpTransport::with_tuning(total, tuning);
+                let (p, m) = TcpTransport::with_tuning(total, tuning, &ledger);
                 (p, m)
             }
         };
         let gateway_mail: Vec<Option<ChannelMailbox>> =
             mailboxes.split_off(n).into_iter().map(Some).collect();
         postman.set_fault_plan(plan);
-        let telemetry = Arc::new(Telemetry::new());
-        deployment.register_metrics(&telemetry);
-        let trace = Arc::new(TraceBuf::new());
-        let epoch = Instant::now();
-        postman.set_trace_sink(Arc::clone(&trace), epoch);
-        postman.set_telemetry(&telemetry);
-        let completions = Arc::new(Completions::new(Arc::clone(&telemetry)));
+        let completions = Arc::new(Completions::new(Arc::clone(ledger.telemetry())));
         let mut handles = Vec::with_capacity(n);
-        let mut stats = Vec::with_capacity(n);
         for (i, mailbox) in mailboxes.into_iter().enumerate() {
             let node = NodeId(i as u32);
             let deployment = Arc::clone(&deployment);
             let postman = Arc::clone(&postman);
             let completions = Arc::clone(&completions);
-            let st = Arc::new(NodeStats::default());
-            stats.push(Arc::clone(&st));
-            let tel = Arc::clone(&telemetry);
-            let tr = Arc::clone(&trace);
+            let ledger = Arc::clone(&ledger);
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("paso-node-{i}"))
@@ -309,10 +273,7 @@ impl Cluster {
                             mailbox,
                             postman,
                             |ClientDone { op_id, result }| completions.complete(op_id, result),
-                            st,
-                            tel,
-                            tr,
-                            epoch,
+                            &ledger,
                         );
                     })
                     .expect("spawn node thread"),
@@ -325,12 +286,12 @@ impl Cluster {
             down: Mutex::new(BTreeSet::new()),
             next_op: Mutex::new(0),
             next_obj: Mutex::new(0),
-            stats,
             op_timeout: Duration::from_secs(10),
-            ledger: OpLedger::new(Arc::clone(&telemetry), Arc::clone(&trace)),
-            telemetry,
-            trace,
-            epoch,
+            ops: OpLedger::new(
+                Arc::clone(ledger.telemetry()),
+                Arc::clone(ledger.trace_buf()),
+            ),
+            ledger,
             gateway_mail: Mutex::new(gateway_mail),
             deployment,
         }
@@ -356,9 +317,7 @@ impl Cluster {
             cfg: Arc::clone(self.deployment.config()),
             postman: Arc::clone(&self.postman),
             mailbox,
-            telemetry: Arc::clone(&self.telemetry),
-            trace: Arc::clone(&self.trace),
-            epoch: self.epoch,
+            ledger: Arc::clone(&self.ledger),
         }
     }
 
@@ -380,112 +339,36 @@ impl Cluster {
         self.op_timeout = timeout;
     }
 
-    /// Total messages sent by all nodes.
-    pub fn msgs_sent(&self) -> u64 {
-        self.stats
-            .iter()
-            .map(|s| s.msgs_sent.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Total bytes put on the transport.
-    pub fn bytes_sent(&self) -> u64 {
-        self.postman.bytes_sent()
-    }
-
-    /// Total work units charged across all servers.
-    pub fn total_work(&self) -> u64 {
-        self.stats
-            .iter()
-            .map(|s| s.work.load(Ordering::Relaxed))
-            .sum()
-    }
-
     /// Cluster-wide counters: node totals, transport message-path
-    /// accounting, and client retry/eviction activity.
+    /// accounting, and client retry/eviction activity — each one read
+    /// from the registry counter of the same name.
     pub fn stats(&self) -> ClusterStats {
-        let net = self.postman.net_stats();
-        let client = self.telemetry.snapshot();
-        ClusterStats {
-            msgs_sent: self.msgs_sent(),
-            bytes_sent: net.bytes_sent,
-            total_work: self.total_work(),
-            msgs_delivered: net.msgs_delivered,
-            msgs_dropped: net.msgs_dropped,
-            msgs_faulted: net.msgs_faulted,
-            msgs_delayed: net.msgs_delayed,
-            client_retries: client.counter("client.retries") as u64,
-            results_evicted: client.counter("client.results_evicted") as u64,
-        }
+        self.ledger.cluster_stats()
     }
 
-    /// The unified metrics registry. Node threads and the client API
-    /// write into it continuously; transport-side totals (which live in
-    /// `NetStats` atomics, not the registry) are synced in here on every
-    /// call so a snapshot always carries the full picture under the same
-    /// metric names the simnet engine uses.
+    /// The unified metrics registry. The transport, the node threads and
+    /// the client API all count straight into it, under the same metric
+    /// names the simnet engine uses, so a handle taken at any time — this
+    /// one or a [`GatewayLink`]'s — always reads current totals.
     pub fn telemetry(&self) -> Arc<Telemetry> {
-        let net = self.postman.net_stats();
-        self.telemetry
-            .counter("net.bytes_sent")
-            .set(net.bytes_sent as f64);
-        self.telemetry
-            .counter("net.msgs_delivered")
-            .set(net.msgs_delivered as f64);
-        self.telemetry
-            .counter("net.msgs_dropped")
-            .set(net.msgs_dropped as f64);
-        self.telemetry
-            .counter("net.msgs_faulted")
-            .set(net.msgs_faulted as f64);
-        self.telemetry
-            .counter("net.msgs_delayed")
-            .set(net.msgs_delayed as f64);
-        self.telemetry
-            .counter("net.poll.errors")
-            .set(net.poll_errors as f64);
-        Arc::clone(&self.telemetry)
+        Arc::clone(self.ledger.telemetry())
     }
 
     /// The structured trace stream (op begin/end, view changes, gcast
     /// fan-outs, fault injections), timestamped in micros since cluster
     /// start.
     pub fn trace_buf(&self) -> Arc<TraceBuf> {
-        Arc::clone(&self.trace)
+        Arc::clone(self.ledger.trace_buf())
     }
 
     /// Snapshot of all trace events recorded so far, in arrival order.
     pub fn trace_events(&self) -> Vec<TraceEvent> {
-        self.trace.events()
+        self.ledger.trace_buf().events()
     }
 
     /// Installs (replaces) the transport's fault-injection plan.
     pub fn set_fault_plan(&self, plan: FaultPlan) {
         self.postman.set_fault_plan(plan);
-    }
-
-    /// Replays a simulator [`FaultScript`] against the live cluster,
-    /// mapping sim-micros to wall micros scaled by `time_scale` (e.g.
-    /// `0.1` runs the schedule 10× faster). Crash/repair events call
-    /// [`Cluster::crash`] / [`Cluster::recover`]; blocks until the last
-    /// event fired. This is what lets one fault schedule drive both the
-    /// simulated and the live twin of an experiment.
-    pub fn play_script(&self, script: &FaultScript, time_scale: f64) {
-        let start = Instant::now();
-        for &(at, fault) in script.events() {
-            let wall = Duration::from_micros((at.as_micros() as f64 * time_scale) as u64);
-            if let Some(nap) = wall.checked_sub(start.elapsed()) {
-                std::thread::sleep(nap);
-            }
-            match fault {
-                Fault::Crash(node) => self.crash(node.0),
-                Fault::Repair(node) => self.recover(node.0),
-            }
-        }
-    }
-
-    fn now_micros(&self) -> u64 {
-        self.epoch.elapsed().as_micros() as u64
     }
 
     fn send_request(&self, node: u32, req: &ClientRequest) {
@@ -515,11 +398,11 @@ impl Cluster {
         let kind = op.kind();
         let budget = self.deployment.config().retry_budget_for(&op);
         self.completions.evict_unclaimed(self.op_timeout);
-        self.ledger.begin(self.now_micros(), node, op_id, &op);
+        self.ops.begin(self.ledger.now_micros(), node, op_id, &op);
         let issued = Instant::now();
         let result = self.run_op_inner(node, budget, ClientRequest { op_id, op });
-        self.ledger.end(
-            self.now_micros(),
+        self.ops.end(
+            self.ledger.now_micros(),
             node,
             op_id,
             kind,
@@ -548,7 +431,7 @@ impl Cluster {
             // remaining slices in case the original execution's answer is
             // still in flight.
             if attempt < budget && !self.down.lock().contains(&NodeId(node)) {
-                self.ledger.retried();
+                self.ops.retried();
                 self.send_request(node, &req);
             }
         }
@@ -639,8 +522,8 @@ impl Cluster {
     pub fn crash(&self, node: u32) {
         let target = NodeId(node);
         self.down.lock().insert(target);
-        self.telemetry.count("fault.crashes", 1.0);
-        self.trace.record(self.now_micros(), node, TraceKind::Crash);
+        self.ledger.telemetry().count("fault.crashes", 1.0);
+        self.ledger.trace(node, TraceKind::Crash);
         self.postman.send(target, Envelope::Crash);
         for i in 0..self.n() as u32 {
             if i != node {
@@ -654,9 +537,8 @@ impl Cluster {
     pub fn recover(&self, node: u32) {
         let target = NodeId(node);
         self.down.lock().remove(&target);
-        self.telemetry.count("fault.recoveries", 1.0);
-        self.trace
-            .record(self.now_micros(), node, TraceKind::Recover);
+        self.ledger.telemetry().count("fault.recoveries", 1.0);
+        self.ledger.trace(node, TraceKind::Recover);
         self.postman.send(target, Envelope::Recover);
         let down = self.down.lock().clone();
         for d in down {

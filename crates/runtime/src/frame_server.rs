@@ -32,8 +32,11 @@ use std::time::Duration;
 
 use crossbeam::channel::{unbounded, Receiver};
 
-use crate::reactor::{ClientEvent, ClientId, ClientRegistry, Frame, HistSlot, Reactor};
-use crate::transport::{NetCounters, NetStats, TransportTuning};
+use paso_telemetry::Telemetry;
+
+use crate::ledger::{NetCounters, NetStats};
+use crate::reactor::{ClientEvent, ClientId, ClientRegistry, Frame, Reactor};
+use crate::transport::TransportTuning;
 
 /// Outcome of queueing one frame toward a client.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,14 +85,10 @@ impl FrameServer {
     pub fn bind(tuning: TransportTuning, max_frame: usize) -> io::Result<FrameServer> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let port = listener.local_addr()?.port();
-        let counters = Arc::new(NetCounters::default());
+        // A registry of its own: the handles keep its counters alive.
+        let counters = Arc::new(NetCounters::new(&Telemetry::new()));
         let shutdown = Arc::new(AtomicBool::new(false));
-        let reactor = Reactor::start(
-            tuning.clone(),
-            Arc::clone(&counters),
-            Arc::new(HistSlot::new()),
-            Arc::clone(&shutdown),
-        );
+        let reactor = Reactor::start(tuning.clone(), Arc::clone(&counters), Arc::clone(&shutdown));
         let (tx, events) = unbounded();
         let reg = Arc::new(ClientRegistry::new(tx, tuning.queue_depth, max_frame));
         reactor.add_client_listener(0, listener, Arc::clone(&reg));
@@ -140,7 +139,7 @@ impl FrameServer {
             }
             Ok(false) => SendOutcome::Queued,
             Err(_) => {
-                self.counters.dropped.fetch_add(1, Ordering::SeqCst);
+                self.counters.dropped.add(1.0);
                 SendOutcome::Backpressure
             }
         }

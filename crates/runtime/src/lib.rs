@@ -23,18 +23,19 @@
 mod cluster;
 mod completions;
 mod frame_server;
+mod ledger;
 mod node;
 mod reactor;
 pub mod shell;
 mod transport;
 
-pub use cluster::{Cluster, ClusterError, ClusterStats, GatewayLink, TransportKind};
+pub use cluster::{Cluster, ClusterError, GatewayLink, TransportKind};
 pub use frame_server::{FrameServer, SendOutcome};
-pub use node::NodeStats;
+pub use ledger::{ClusterStats, Ledger, NetStats};
 pub use reactor::{ClientEvent, ClientId};
 pub use transport::{
-    push_frame, ChannelMailbox, ChannelTransport, Envelope, Mailbox, NetStats, Postman,
-    TcpTransport, TransportTuning,
+    push_frame, ChannelMailbox, ChannelTransport, Envelope, Mailbox, Postman, TcpTransport,
+    TransportTuning,
 };
 
 #[cfg(test)]
@@ -150,7 +151,7 @@ mod tests {
         let taken = cluster.read_del(3, sc_task(1)).unwrap();
         assert!(taken.is_some());
         assert!(cluster.read(1, sc_task(1)).unwrap().is_none());
-        assert!(cluster.msgs_sent() > 0);
+        assert!(cluster.stats().msgs_sent > 0);
         cluster.shutdown();
     }
 
@@ -198,7 +199,7 @@ mod tests {
         assert!(got.is_some(), "data must replicate over real TCP sockets");
         let taken = cluster.read_del(1, sc_task(7)).unwrap();
         assert!(taken.is_some());
-        assert!(cluster.bytes_sent() > 0);
+        assert!(cluster.stats().bytes_sent > 0);
         cluster.shutdown();
     }
 

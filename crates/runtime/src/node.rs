@@ -7,7 +7,6 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -15,30 +14,16 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use paso_simnet::{drive_actor, Action, Actor, NodeEvent, NodeId, SimTime, WireSized};
-use paso_telemetry::{Telemetry, TraceBuf};
 use paso_vsync::NetMsg;
 
+use crate::ledger::Ledger;
 use crate::transport::{Envelope, Mailbox, Postman};
-
-/// Shared counters for one node thread.
-#[derive(Debug, Default)]
-pub struct NodeStats {
-    /// Network messages sent.
-    pub msgs_sent: AtomicU64,
-    /// Local work units charged by the server.
-    pub work: AtomicU64,
-    /// Events handled.
-    pub events: AtomicU64,
-}
 
 /// Runs a node until [`Envelope::Shutdown`]. `factory` builds the fresh
 /// actor at start and after every crash; `emit` receives every output
-/// the actor produces.
-#[allow(
-    clippy::collapsible_match,
-    clippy::collapsible_else_if,
-    clippy::too_many_arguments
-)]
+/// the actor produces; everything the node counts or traces goes into
+/// `ledger`.
+#[allow(clippy::collapsible_match, clippy::collapsible_else_if)]
 pub(crate) fn run_node<A, F>(
     node: NodeId,
     n: usize,
@@ -46,10 +31,7 @@ pub(crate) fn run_node<A, F>(
     mailbox: impl Mailbox,
     postman: Arc<dyn Postman>,
     emit: impl Fn(A::Output),
-    stats: Arc<NodeStats>,
-    telemetry: Arc<Telemetry>,
-    trace: Arc<TraceBuf>,
-    epoch: Instant,
+    ledger: &Ledger,
 ) where
     A: Actor<Msg = NetMsg>,
     F: Fn(NodeId) -> A,
@@ -58,9 +40,10 @@ pub(crate) fn run_node<A, F>(
     let now = || SimTime::from_micros(start.elapsed().as_micros() as u64);
     // Hot-path registry handles, resolved once (same names the simnet
     // engine uses, so both drivers report through one schema).
-    let tel_msgs = telemetry.counter("net.msgs_sent");
-    let tel_work = telemetry.counter("work.total");
-    let tel_msg_bytes = telemetry.histogram("net.msg_bytes");
+    let telemetry = ledger.telemetry();
+    let msgs_sent = telemetry.counter("net.msgs_sent");
+    let work = telemetry.counter("work.total");
+    let msg_bytes = telemetry.histogram("net.msg_bytes");
     let mut rng = ChaCha8Rng::seed_from_u64(node.0 as u64 + 1);
     let mut actor = factory(node);
     let mut down = false;
@@ -70,24 +53,19 @@ pub(crate) fn run_node<A, F>(
     // Closure-free dispatch helper (borrows everything it needs).
     macro_rules! dispatch {
         ($event:expr) => {{
-            stats.events.fetch_add(1, Ordering::Relaxed);
             let actions = drive_actor(&mut actor, node, n, now(), &mut rng, $event);
             for action in actions {
                 match action {
                     Action::Send { to, msg } => {
-                        stats.msgs_sent.fetch_add(1, Ordering::Relaxed);
-                        tel_msgs.add(1.0);
-                        tel_msg_bytes.record(msg.wire_size() as u64);
+                        msgs_sent.add(1.0);
+                        msg_bytes.record(msg.wire_size() as u64);
                         postman.send(to, Envelope::Net { from: node, msg });
                     }
                     Action::SendMany { to, msg } => {
-                        stats
-                            .msgs_sent
-                            .fetch_add(to.len() as u64, Ordering::Relaxed);
-                        tel_msgs.add(to.len() as f64);
+                        msgs_sent.add(to.len() as f64);
                         let bytes = msg.wire_size() as u64;
                         for _ in 0..to.len() {
-                            tel_msg_bytes.record(bytes);
+                            msg_bytes.record(bytes);
                         }
                         postman.send_shared(&to, Envelope::Net { from: node, msg });
                     }
@@ -96,15 +74,10 @@ pub(crate) fn run_node<A, F>(
                         timers.push(Reverse((now() + delay, tag)));
                     }
                     Action::Emit(out) => emit(out),
-                    Action::Work(units) => {
-                        stats.work.fetch_add(units, Ordering::Relaxed);
-                        tel_work.add(units as f64);
-                    }
+                    Action::Work(units) => work.add(units as f64),
                     Action::Count(name, delta) => telemetry.count(name, delta),
                     Action::Record(name, value) => telemetry.record(name, value),
-                    Action::Trace(kind) => {
-                        trace.record(epoch.elapsed().as_micros() as u64, node.0, kind);
-                    }
+                    Action::Trace(kind) => ledger.trace(node.0, kind),
                 }
             }
         }};

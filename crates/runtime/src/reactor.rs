@@ -46,9 +46,9 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
-use paso_telemetry::Histogram;
 
-use crate::transport::{Envelope, NetCounters, TransportTuning, MAX_FRAME};
+use crate::ledger::NetCounters;
+use crate::transport::{Envelope, TransportTuning, MAX_FRAME};
 
 /// Opaque handle for one accepted client connection on a
 /// [`FrameServer`](crate::FrameServer). Ids are unique for the lifetime
@@ -200,63 +200,6 @@ impl std::fmt::Debug for OutConn {
     }
 }
 
-/// The three reactor histograms (PR 6 telemetry), resolved once per
-/// attached registry.
-#[derive(Clone)]
-pub(crate) struct NetHists {
-    /// `net.poll.wakeups` — ready-set size per poll return.
-    pub(crate) wakeups: Arc<Histogram>,
-    /// `net.writev.batch_frames` — frames per vectored write batch.
-    pub(crate) batch_frames: Arc<Histogram>,
-    /// `net.writev.batch_bytes` — bytes per vectored write batch.
-    pub(crate) batch_bytes: Arc<Histogram>,
-}
-
-/// Swappable histogram sink. Pollers cache the handles and re-read only
-/// when the generation bumps, so the steady-state cost is one atomic
-/// load per wakeup.
-pub(crate) struct HistSlot {
-    gen: AtomicU64,
-    slot: Mutex<Option<NetHists>>,
-}
-
-impl std::fmt::Debug for HistSlot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("HistSlot")
-    }
-}
-
-impl HistSlot {
-    pub(crate) fn new() -> Self {
-        HistSlot {
-            gen: AtomicU64::new(1),
-            slot: Mutex::new(None),
-        }
-    }
-
-    pub(crate) fn set(&self, hists: NetHists) {
-        *self.slot.lock() = Some(hists);
-        self.gen.fetch_add(1, Ordering::Release);
-    }
-}
-
-/// Per-poller handle cache keyed by the slot generation.
-struct HistCache {
-    seen_gen: u64,
-    hists: Option<NetHists>,
-}
-
-impl HistCache {
-    fn get(&mut self, slot: &HistSlot) -> Option<&NetHists> {
-        let gen = slot.gen.load(Ordering::Acquire);
-        if gen != self.seen_gen {
-            self.seen_gen = gen;
-            self.hists = slot.slot.lock().clone();
-        }
-        self.hists.as_ref()
-    }
-}
-
 /// Commands delivered to a poller through its inbox + wake pipe.
 enum Cmd {
     /// Adopt a listener (accepted streams stay on this poller).
@@ -319,7 +262,6 @@ struct ReactorShared {
     dial_tx: Sender<DialCmd>,
     shutdown: Arc<AtomicBool>,
     counters: Arc<NetCounters>,
-    hists: Arc<HistSlot>,
     tuning: TransportTuning,
 }
 
@@ -369,7 +311,6 @@ impl Reactor {
     pub(crate) fn start(
         tuning: TransportTuning,
         counters: Arc<NetCounters>,
-        hists: Arc<HistSlot>,
         shutdown: Arc<AtomicBool>,
     ) -> Self {
         let pollers = tuning.poller_threads.max(1);
@@ -390,7 +331,6 @@ impl Reactor {
             dial_tx,
             shutdown,
             counters,
-            hists,
             tuning,
         });
         let mut handles = Vec::with_capacity(pollers + 1);
@@ -536,7 +476,7 @@ fn dialer_loop(rx: Receiver<DialCmd>, shared: Arc<ReactorShared>) {
                 // other dial failure rather than panicking the dialer.
                 Ok(stream) if stream.set_nonblocking(true).is_ok() => Some(stream),
                 Ok(_) => {
-                    shared.counters.errors.fetch_add(1, Ordering::SeqCst);
+                    shared.counters.errors.add(1.0);
                     None
                 }
                 Err(_) => None,
@@ -712,10 +652,6 @@ impl Entry {
 fn poller_loop(index: usize, wake_rd: libc::c_int, shared: Arc<ReactorShared>) {
     let mut entries: Vec<Entry> = Vec::new();
     let mut pfds: Vec<libc::pollfd> = Vec::new();
-    let mut cache = HistCache {
-        seen_gen: 0,
-        hists: None,
-    };
     let inbox = Arc::clone(&shared.inboxes[index]);
     'run: loop {
         // Install pending commands.
@@ -731,7 +667,7 @@ fn poller_loop(index: usize, wake_rd: libc::c_int, shared: Arc<ReactorShared>) {
                     let mut entry = OutEntry::new(conn, stream);
                     // Frames queued while dialing: drain immediately
                     // rather than waiting for a POLLOUT cycle.
-                    match drain_write(&mut entry, &shared, &mut cache) {
+                    match drain_write(&mut entry, &shared) {
                         WriteOutcome::Alive => entries.push(Entry::Outbound(entry)),
                         WriteOutcome::Dead => redial(entry, &shared),
                     }
@@ -761,9 +697,7 @@ fn poller_loop(index: usize, wake_rd: libc::c_int, shared: Arc<ReactorShared>) {
         if ready < 0 {
             continue; // EINTR
         }
-        if let Some(h) = cache.get(&shared.hists) {
-            h.wakeups.record(ready as u64);
-        }
+        shared.counters.wakeups.record(ready as u64);
         if pfds[0].revents != 0 {
             drain_wake_pipe(wake_rd);
         }
@@ -801,13 +735,21 @@ fn poller_loop(index: usize, wake_rd: libc::c_int, shared: Arc<ReactorShared>) {
                     buf,
                     filled,
                 } => {
-                    if !read_ready(stream, tx, buf, filled, &shared.counters) {
+                    // Peer frames are envelopes for the node's mailbox.
+                    let sink = |payload: &[u8]| match paso_wire::decode_exact::<Envelope>(payload) {
+                        Ok(env) => match tx.send(env) {
+                            Ok(()) => Sunk::Ok,
+                            Err(_) => Sunk::Closed, // mailbox gone: node shut down
+                        },
+                        Err(_) => Sunk::Corrupt,
+                    };
+                    if !fill_and_split(stream, buf, filled, MAX_FRAME, &shared.counters, sink) {
                         dead.push(i);
                     }
                 }
                 Entry::Outbound(o) => {
                     if revents & libc::POLLOUT != 0 || (hangup && o.wants_write()) {
-                        if let WriteOutcome::Dead = drain_write(o, &shared, &mut cache) {
+                        if let WriteOutcome::Dead = drain_write(o, &shared) {
                             dead.push(i);
                         }
                     } else if hangup {
@@ -824,7 +766,22 @@ fn poller_loop(index: usize, wake_rd: libc::c_int, shared: Arc<ReactorShared>) {
                     let kicked = out.conn.is_closed();
                     let mut gone = false;
                     if !kicked && revents & libc::POLLIN != 0 {
-                        gone = !client_read_ready(*id, reg, out, buf, filled, &shared.counters);
+                        // Client payloads go through opaque.
+                        let sink = |payload: &[u8]| {
+                            let event = ClientEvent::Frame(ClientId(*id), payload.to_vec());
+                            match reg.sink.send(event) {
+                                Ok(()) => Sunk::Ok,
+                                Err(_) => Sunk::Closed,
+                            }
+                        };
+                        gone = !fill_and_split(
+                            &mut out.stream,
+                            buf,
+                            filled,
+                            reg.max_frame,
+                            &shared.counters,
+                            sink,
+                        );
                     }
                     // A kicked connection still drains: replies queued
                     // before the kick (e.g. an auth denial) must reach
@@ -832,7 +789,7 @@ fn poller_loop(index: usize, wake_rd: libc::c_int, shared: Arc<ReactorShared>) {
                     // keeps POLLOUT set while `closed`, so a partial
                     // flush retries next wakeup.
                     if revents & libc::POLLOUT != 0 || (hangup && out.wants_write()) {
-                        gone |= matches!(drain_write(out, &shared, &mut cache), WriteOutcome::Dead);
+                        gone |= matches!(drain_write(out, &shared), WriteOutcome::Dead);
                     }
                     if gone || hangup || (kicked && !out.wants_write()) {
                         dead.push(i);
@@ -886,7 +843,7 @@ fn accept_ready(
         match listener.accept() {
             Ok((stream, _)) => {
                 if stream.set_nonblocking(true).is_err() {
-                    counters.errors.fetch_add(1, Ordering::SeqCst);
+                    counters.errors.add(1.0);
                     continue;
                 }
                 out.push(Entry::Inbound {
@@ -901,7 +858,7 @@ fn accept_ready(
             Err(_) => {
                 // Transient accept error (e.g. fd exhaustion under a
                 // client swarm): count it, retry next wakeup.
-                counters.errors.fetch_add(1, Ordering::SeqCst);
+                counters.errors.add(1.0);
                 return;
             }
         }
@@ -921,7 +878,7 @@ fn accept_clients(
         match listener.accept() {
             Ok((stream, _)) => {
                 if stream.set_nonblocking(true).is_err() {
-                    counters.errors.fetch_add(1, Ordering::SeqCst);
+                    counters.errors.add(1.0);
                     continue;
                 }
                 let _ = stream.set_nodelay(true);
@@ -945,25 +902,40 @@ fn accept_clients(
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(_) => {
-                counters.errors.fetch_add(1, Ordering::SeqCst);
+                counters.errors.add(1.0);
                 return;
             }
         }
     }
 }
 
-/// Reads whatever is available on an inbound connection (up to the
-/// budget), then decodes every complete frame. Returns `false` when the
+/// What a per-frame sink made of one complete payload.
+enum Sunk {
+    /// Consumed; keep splitting.
+    Ok,
+    /// The receiving end is gone (local shutdown): drop the connection,
+    /// nothing was lost to a fault.
+    Closed,
+    /// The payload does not decode: drop the connection and count it.
+    Corrupt,
+}
+
+/// Reads whatever is available on `stream` into `buf` (up to the
+/// budget), then hands every complete `[varint len][payload]` frame to
+/// `sink` and keeps the partial tail for the next wakeup. `max_frame`
+/// caps a single frame: the peer [`MAX_FRAME`], or the registry's
+/// tighter cap for untrusted clients. Returns `false` when the
 /// connection must be dropped (EOF, I/O error, oversize or corrupt
-/// frame, or a closed mailbox). Every drop that loses data — anything
-/// but a clean EOF on a frame boundary or local shutdown — bumps
+/// frame, or a closed sink). Every drop that loses data — anything but a
+/// clean EOF on a frame boundary or local shutdown — bumps
 /// `poll_errors`; the connection dies, the poller does not.
-fn read_ready(
+fn fill_and_split(
     stream: &mut TcpStream,
-    tx: &Sender<Envelope>,
     buf: &mut Vec<u8>,
     filled: &mut usize,
+    max_frame: usize,
     counters: &NetCounters,
+    mut sink: impl FnMut(&[u8]) -> Sunk,
 ) -> bool {
     let mut fresh = 0usize;
     let mut eof = false;
@@ -983,36 +955,33 @@ fn read_ready(
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(_) => {
-                counters.errors.fetch_add(1, Ordering::SeqCst);
+                counters.errors.add(1.0);
                 return false;
             }
         }
     }
 
-    // Decode complete frames off the front; keep the partial tail.
+    // Split complete frames off the front; keep the partial tail.
     let mut pos = 0usize;
     loop {
         let avail = &buf[pos..*filled];
         let Some((len, header)) = peek_varint(avail) else {
             break; // incomplete header
         };
-        if len > MAX_FRAME as u64 {
-            counters.errors.fetch_add(1, Ordering::SeqCst);
-            return false; // insane frame; drop the connection
+        if len > max_frame as u64 {
+            counters.errors.add(1.0);
+            return false; // insane or oversize frame: drop, don't buffer
         }
         let len = len as usize;
         if avail.len() < header + len {
             break; // incomplete body
         }
-        match paso_wire::decode_exact::<Envelope>(&avail[header..header + len]) {
-            Ok(env) => {
-                if tx.send(env).is_err() {
-                    return false; // mailbox gone: node shut down
-                }
-            }
-            Err(_) => {
-                counters.errors.fetch_add(1, Ordering::SeqCst);
-                return false; // corrupt frame; drop the connection
+        match sink(&avail[header..header + len]) {
+            Sunk::Ok => {}
+            Sunk::Closed => return false,
+            Sunk::Corrupt => {
+                counters.errors.add(1.0);
+                return false;
             }
         }
         pos += header + len;
@@ -1023,76 +992,7 @@ fn read_ready(
     }
     if eof && *filled > 0 {
         // Peer died mid-frame: the partial tail is lost for good.
-        counters.errors.fetch_add(1, Ordering::SeqCst);
-    }
-    !eof
-}
-
-/// [`read_ready`] for a client connection: identical framing, but
-/// payloads are handed through opaque as [`ClientEvent::Frame`]s and the
-/// size cap is the registry's (client frames are untrusted input).
-fn client_read_ready(
-    id: u64,
-    reg: &ClientRegistry,
-    out: &mut OutEntry,
-    buf: &mut Vec<u8>,
-    filled: &mut usize,
-    counters: &NetCounters,
-) -> bool {
-    let mut fresh = 0usize;
-    let mut eof = false;
-    while fresh < READ_BUDGET {
-        if buf.len() < *filled + READ_CHUNK {
-            buf.resize(*filled + READ_CHUNK, 0);
-        }
-        match out.stream.read(&mut buf[*filled..]) {
-            Ok(0) => {
-                eof = true;
-                break;
-            }
-            Ok(n) => {
-                *filled += n;
-                fresh += n;
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                counters.errors.fetch_add(1, Ordering::SeqCst);
-                return false;
-            }
-        }
-    }
-
-    let mut pos = 0usize;
-    loop {
-        let avail = &buf[pos..*filled];
-        let Some((len, header)) = peek_varint(avail) else {
-            break;
-        };
-        if len > reg.max_frame as u64 {
-            counters.errors.fetch_add(1, Ordering::SeqCst);
-            return false; // oversize client frame: kick, don't buffer
-        }
-        let len = len as usize;
-        if avail.len() < header + len {
-            break;
-        }
-        let payload = avail[header..header + len].to_vec();
-        if reg
-            .sink
-            .send(ClientEvent::Frame(ClientId(id), payload))
-            .is_err()
-        {
-            return false; // server gone
-        }
-        pos += header + len;
-    }
-    if pos > 0 {
-        buf.copy_within(pos..*filled, 0);
-        *filled -= pos;
-    }
-    if eof && *filled > 0 {
-        counters.errors.fetch_add(1, Ordering::SeqCst);
+        counters.errors.add(1.0);
     }
     !eof
 }
@@ -1128,7 +1028,7 @@ fn peek_varint(bytes: &[u8]) -> Option<(u64, usize)> {
 /// a write error the partially-written frame (corrupt mid-stream) is
 /// dropped **with accounting**; unwritten frames stay queued for the
 /// reconnect.
-fn drain_write(o: &mut OutEntry, shared: &ReactorShared, cache: &mut HistCache) -> WriteOutcome {
+fn drain_write(o: &mut OutEntry, shared: &ReactorShared) -> WriteOutcome {
     let tuning = &shared.tuning;
     let counters = &shared.counters;
     loop {
@@ -1159,10 +1059,8 @@ fn drain_write(o: &mut OutEntry, shared: &ReactorShared, cache: &mut HistCache) 
                     });
                 }
             }
-            if let Some(h) = cache.get(&shared.hists) {
-                h.batch_frames.record(o.batch.len() as u64);
-                h.batch_bytes.record(o.total as u64);
-            }
+            counters.batch_frames.record(o.batch.len() as u64);
+            counters.batch_bytes.record(o.total as u64);
         }
 
         // Gather the unwritten remainder into IoSlices.
@@ -1190,8 +1088,8 @@ fn drain_write(o: &mut OutEntry, shared: &ReactorShared, cache: &mut HistCache) 
                 while o.batch_done < o.batch.len() && o.batch[o.batch_done].end <= o.written {
                     let bf = &o.batch[o.batch_done];
                     let framed = (bf.header.1 - bf.header.0) + bf.frame.len();
-                    counters.bytes.fetch_add(framed as u64, Ordering::SeqCst);
-                    counters.delivered.fetch_add(1, Ordering::SeqCst);
+                    counters.bytes.add(framed as f64);
+                    counters.delivered.add(1.0);
                     pop_front(&o.conn, &bf.frame, counters);
                     o.batch_done += 1;
                 }
@@ -1208,12 +1106,12 @@ fn drain_write(o: &mut OutEntry, shared: &ReactorShared, cache: &mut HistCache) 
 /// dead stream; resending it whole on a new connection could duplicate),
 /// keep everything else queued, and reconnect.
 fn fail_batch(o: &mut OutEntry, counters: &NetCounters) -> WriteOutcome {
-    counters.errors.fetch_add(1, Ordering::SeqCst);
+    counters.errors.add(1.0);
     if o.batch_done < o.batch.len() {
         let bf = &o.batch[o.batch_done];
         let start = bf.end - (bf.header.1 - bf.header.0) - bf.frame.len();
         if o.written > start {
-            counters.dropped.fetch_add(1, Ordering::SeqCst);
+            counters.dropped.add(1.0);
             pop_front(&o.conn, &bf.frame, counters);
         }
     }
@@ -1235,7 +1133,7 @@ fn pop_front(conn: &OutConn, expect: &Frame, counters: &NetCounters) {
         Some(popped) => debug_assert!(Arc::ptr_eq(&popped, expect), "queue/batch desync"),
         None => {
             debug_assert!(false, "queue front must exist");
-            counters.errors.fetch_add(1, Ordering::SeqCst);
+            counters.errors.add(1.0);
         }
     }
     conn.len.store(q.len(), Ordering::Release);

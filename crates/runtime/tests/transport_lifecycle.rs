@@ -6,7 +6,7 @@
 
 use std::time::{Duration, Instant};
 
-use paso_runtime::{Envelope, Mailbox, Postman, TcpTransport, TransportTuning};
+use paso_runtime::{Envelope, Ledger, Mailbox, Postman, TcpTransport, TransportTuning};
 use paso_simnet::NodeId;
 use paso_vsync::NetMsg;
 
@@ -57,7 +57,7 @@ fn repeated_create_drop_leaks_no_threads_or_fds() {
     // One warm-up round absorbs lazy process-wide setup (TLS, stdio,
     // allocator arenas) so the baseline reflects steady state.
     {
-        let (transport, mailboxes) = TcpTransport::with_tuning(2, tuning());
+        let (transport, mailboxes) = TcpTransport::with_tuning(2, tuning(), &Ledger::new());
         transport.send(
             NodeId(1),
             Envelope::Net {
@@ -74,7 +74,7 @@ fn repeated_create_drop_leaks_no_threads_or_fds() {
     let base_fds = fd_count();
 
     for round in 0..10 {
-        let (transport, mailboxes) = TcpTransport::with_tuning(3, tuning());
+        let (transport, mailboxes) = TcpTransport::with_tuning(3, tuning(), &Ledger::new());
         // Touch the data path so sockets actually dial and accept: a
         // transport that never connects would trivially "not leak".
         transport.send(

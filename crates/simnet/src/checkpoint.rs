@@ -20,9 +20,9 @@
 use std::sync::Arc;
 
 use crate::actor::{Actor, NodeId};
-use crate::engine::{Engine, EngineConfig, Event, MachineStatus, TelBuf};
+use crate::engine::{Engine, EngineConfig, Event, MachineStatus};
 use crate::queue::EventQueue;
-use crate::stats::Stats;
+use crate::stats::{Publisher, Stats};
 use crate::time::SimTime;
 use paso_telemetry::{HistSnapshot, Snapshot, Telemetry, TraceBuf, N_BUCKETS};
 use paso_wire::{put_bytes, Reader, Wire, WireError};
@@ -32,7 +32,7 @@ use rand_chacha::ChaCha8Rng;
 /// Leading magic of every checkpoint blob.
 pub const CHECKPOINT_MAGIC: &[u8; 8] = b"PASOCKPT";
 /// Format version; bumped on any layout change.
-pub const CHECKPOINT_VERSION: u32 = 1;
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// An opaque, self-describing snapshot of a simulation engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -242,10 +242,10 @@ fn decode_hist(r: &mut Reader<'_>) -> Result<HistSnapshot, WireError> {
     Ok(h)
 }
 
-fn encode_named_f64s(map: &std::collections::BTreeMap<String, f64>, out: &mut Vec<u8>) {
+fn encode_named_f64s<K: AsRef<str>>(map: &std::collections::BTreeMap<K, f64>, out: &mut Vec<u8>) {
     (map.len() as u64).encode(out);
     for (name, value) in map {
-        name.encode(out);
+        put_bytes(out, name.as_ref().as_bytes());
         value.encode(out);
     }
 }
@@ -284,7 +284,7 @@ where
             self.outputs.is_empty(),
             "drain outputs with take_outputs() before snapshotting"
         );
-        self.tel.flush(&self.telemetry);
+        self.flush_telemetry();
         let mut out = Vec::with_capacity(64 * self.config.n);
         out.extend_from_slice(CHECKPOINT_MAGIC);
         CHECKPOINT_VERSION.encode(&mut out);
@@ -408,17 +408,21 @@ where
         stats.total_bytes = u64::decode(&mut r)?;
         stats.dropped_msgs = u64::decode(&mut r)?;
         stats.bus_busy_micros = u64::decode(&mut r)?;
-        stats.work = Vec::decode(&mut r)?;
-        if stats.work.len() != n {
+        let work: Vec<u64> = Vec::decode(&mut r)?;
+        if work.len() != n {
             return Err(CheckpointError::Decode(WireError::Malformed(
                 "work column length",
             )));
         }
+        stats.set_work(work);
         stats.crashes = u64::decode(&mut r)?;
         stats.recoveries = u64::decode(&mut r)?;
         stats.max_concurrent_failures = u64::decode(&mut r)? as usize;
         stats.events_processed = u64::decode(&mut r)?;
-        stats.counters = decode_named_f64s(&mut r)?;
+        stats.counters = decode_named_f64s(&mut r)?
+            .into_iter()
+            .map(|(name, value)| (paso_telemetry::intern(&name), value))
+            .collect();
 
         let mut tel_snap = Snapshot {
             counters: decode_named_f64s(&mut r)?,
@@ -450,7 +454,7 @@ where
         self.trace.clear();
         let telemetry = Arc::new(Telemetry::new());
         telemetry.restore(&tel_snap);
-        self.tel = TelBuf::new(&telemetry);
+        self.tel = Publisher::new(&telemetry);
         self.telemetry = telemetry;
         self.trace_buf = Arc::new(TraceBuf::new());
         // A checkpoint taken without churn has no pending tick; if this
@@ -530,6 +534,8 @@ mod tests {
                 NodeEvent::Message { msg, .. } => {
                     self.seen += 1;
                     ctx.emit(self.seen);
+                    ctx.charge_work(2);
+                    ctx.count("counting.seen", 1.0);
                     if msg.0 > 0 {
                         let next = NodeId((self.id.0 + 1) % ctx.n() as u32);
                         ctx.send(next, Ping(msg.0 - 1));
@@ -569,11 +575,34 @@ mod tests {
         e.take_outputs();
     }
 
+    /// The registry is a published view of `Stats`: every engine total
+    /// and every labeled counter reads the same from both.
+    fn assert_registry_is_stats(e: &Engine<Counting>) {
+        let (stats, snap) = (e.stats(), e.telemetry().snapshot());
+        for (name, total) in [
+            ("net.msgs_sent", stats.msgs_sent as f64),
+            ("net.bytes_sent", stats.total_bytes as f64),
+            ("net.msg_cost", stats.total_msg_cost),
+            ("net.msgs_dropped", stats.dropped_msgs as f64),
+            ("work.total", stats.total_work() as f64),
+            ("fault.crashes", stats.crashes as f64),
+            ("fault.recoveries", stats.recoveries as f64),
+        ] {
+            assert_eq!(snap.counter(name), total, "{name}");
+        }
+        assert!(stats.counter("counting.seen") > 0.0);
+        for (name, total) in &stats.counters {
+            assert_eq!(snap.counter(name), *total, "{name}");
+        }
+    }
+
     #[test]
     fn restored_run_replays_identical_trace_and_metrics() {
         // Uninterrupted reference run.
         let mut reference = fresh(42);
         drive(&mut reference, 5);
+        assert_registry_is_stats(&reference);
+        assert!(reference.stats().dropped_msgs > 0 && reference.stats().crashes > 0);
         let mid_len = reference.trace().len();
         reference.run_to_quiescence(100_000);
         let ref_tail: Vec<TraceEntry> = reference.trace()[mid_len..].to_vec();
@@ -589,7 +618,9 @@ mod tests {
         cfg.fault_plan = FaultPlanForTest::plan();
         let mut restored =
             Engine::from_checkpoint(cfg, |id| Counting { id, seen: 0 }, &ckpt).unwrap();
+        assert_registry_is_stats(&restored);
         restored.run_to_quiescence(100_000);
+        assert_registry_is_stats(&restored);
 
         assert_eq!(restored.trace().as_slice(), ref_tail.as_slice());
         assert_eq!(restored.telemetry().snapshot(), ref_snap);

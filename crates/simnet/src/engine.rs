@@ -10,8 +10,8 @@
 //! struct-of-arrays arena indexed by dense `NodeId`s; the event queue is
 //! an indexed binary heap with O(log n) cancellation, so crashed nodes'
 //! timers are removed instead of tombstoned; per-message metrics
-//! accumulate in plain (non-atomic) buffers flushed into the shared
-//! registry at run boundaries; and the whole engine state is
+//! accumulate in plain (non-atomic) [`Stats`] fields published to the
+//! shared registry at run boundaries; and the whole engine state is
 //! checkpointable (`snapshot`/`restore`, see `checkpoint.rs`) whenever
 //! the actor and message types implement `paso_wire::Wire`.
 //!
@@ -19,7 +19,6 @@
 //! event queue breaks time ties by insertion sequence, so the same
 //! configuration and inputs always produce the same trace.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::actor::{Action, Actor, Context, NodeEvent, NodeId};
@@ -27,9 +26,9 @@ use crate::arena::ActorArena;
 use crate::cost::{CostModel, WireSized};
 use crate::fault::{ChurnModel, Fault, FaultPlan, FaultScript, LinkFate, NetModel};
 use crate::queue::EventQueue;
-use crate::stats::Stats;
+use crate::stats::{Publisher, Stats};
 use crate::time::SimTime;
-use paso_telemetry::{Counter, HistSnapshot, Histogram, Telemetry, TraceBuf, TraceKind};
+use paso_telemetry::{Telemetry, TraceBuf, TraceKind};
 use rand::Rng;
 use rand::RngCore;
 use rand::SeedableRng;
@@ -259,7 +258,7 @@ pub struct Engine<A: Actor> {
     pub(crate) rng: ChaCha8Rng,
     pub(crate) stats: Stats,
     pub(crate) telemetry: Arc<Telemetry>,
-    pub(crate) tel: TelBuf,
+    pub(crate) tel: Publisher,
     pub(crate) trace_buf: Arc<TraceBuf>,
     pub(crate) outputs: Vec<(SimTime, NodeId, A::Output)>,
     pub(crate) trace: Trace,
@@ -267,147 +266,6 @@ pub struct Engine<A: Actor> {
     /// Cached `config.fault_plan.is_pass_through()` so the per-send hot
     /// path skips the plan without walking its maps.
     pub(crate) fault_pass_through: bool,
-}
-
-/// Buffered engine telemetry: plain local accumulators on the per-message
-/// hot path, flushed into the shared registry's atomics at run boundaries
-/// (`run_until`, `run_to_quiescence`, `take_outputs`, `snapshot`). At
-/// millions of events per second the previous per-message CAS loops and
-/// atomic histogram updates dominated the profile; buffering makes the
-/// hot path pure arithmetic while external observers still see totals at
-/// every point they could legitimately read them.
-pub(crate) struct TelBuf {
-    handles: TelHandles,
-    msgs_sent: u64,
-    bytes_sent: u64,
-    msg_cost: f64,
-    msgs_dropped: u64,
-    work_total: u64,
-    crashes: u64,
-    recoveries: u64,
-    churn_crashes: u64,
-    churn_recoveries: u64,
-    msg_bytes: HistSnapshot,
-    poll_wakeups: HistSnapshot,
-    writev_batch_frames: HistSnapshot,
-    writev_batch_bytes: HistSnapshot,
-    link_latency: HistSnapshot,
-    link_jitter: HistSnapshot,
-    counts: BTreeMap<&'static str, f64>,
-    /// Actor-labeled histogram values (`Action::Record`), buffered like
-    /// `counts` and resolved against the registry at flush time.
-    records: BTreeMap<&'static str, HistSnapshot>,
-}
-
-/// Cached registry handles so flushes never take the name-table lock.
-struct TelHandles {
-    msgs_sent: Arc<Counter>,
-    bytes_sent: Arc<Counter>,
-    msg_cost: Arc<Counter>,
-    msgs_dropped: Arc<Counter>,
-    work_total: Arc<Counter>,
-    crashes: Arc<Counter>,
-    recoveries: Arc<Counter>,
-    churn_crashes: Arc<Counter>,
-    churn_recoveries: Arc<Counter>,
-    /// Shared-name mirrors of the live reactor's I/O histograms, with
-    /// driver-specific semantics (DESIGN.md §6e): one "wakeup" per bus
-    /// delivery, one "batch" per send action (a fan-out is one batch of
-    /// `targets` frames).
-    msg_bytes: Arc<Histogram>,
-    poll_wakeups: Arc<Histogram>,
-    writev_batch_frames: Arc<Histogram>,
-    writev_batch_bytes: Arc<Histogram>,
-    link_latency: Arc<Histogram>,
-    link_jitter: Arc<Histogram>,
-}
-
-impl TelBuf {
-    pub(crate) fn new(t: &Telemetry) -> Self {
-        // Schema parity with the live reactor: the simulated bus cannot
-        // fail a poll(2), but the name must exist in both snapshots so
-        // dashboards and the differential tests see one schema.
-        t.counter("net.poll.errors");
-        TelBuf {
-            handles: TelHandles {
-                msgs_sent: t.counter("net.msgs_sent"),
-                bytes_sent: t.counter("net.bytes_sent"),
-                msg_cost: t.counter("net.msg_cost"),
-                msgs_dropped: t.counter("net.msgs_dropped"),
-                work_total: t.counter("work.total"),
-                crashes: t.counter("fault.crashes"),
-                recoveries: t.counter("fault.recoveries"),
-                churn_crashes: t.counter("fault.churn.crashes"),
-                churn_recoveries: t.counter("fault.churn.recoveries"),
-                msg_bytes: t.histogram("net.msg_bytes"),
-                poll_wakeups: t.histogram("net.poll.wakeups"),
-                writev_batch_frames: t.histogram("net.writev.batch_frames"),
-                writev_batch_bytes: t.histogram("net.writev.batch_bytes"),
-                link_latency: t.histogram("net.link.latency_micros"),
-                link_jitter: t.histogram("net.link.jitter_micros"),
-            },
-            msgs_sent: 0,
-            bytes_sent: 0,
-            msg_cost: 0.0,
-            msgs_dropped: 0,
-            work_total: 0,
-            crashes: 0,
-            recoveries: 0,
-            churn_crashes: 0,
-            churn_recoveries: 0,
-            msg_bytes: HistSnapshot::empty(),
-            poll_wakeups: HistSnapshot::empty(),
-            writev_batch_frames: HistSnapshot::empty(),
-            writev_batch_bytes: HistSnapshot::empty(),
-            link_latency: HistSnapshot::empty(),
-            link_jitter: HistSnapshot::empty(),
-            counts: BTreeMap::new(),
-            records: BTreeMap::new(),
-        }
-    }
-
-    /// Pushes every buffered delta into the registry and resets.
-    pub(crate) fn flush(&mut self, t: &Telemetry) {
-        fn counter(handle: &Counter, value: &mut u64) {
-            if *value > 0 {
-                handle.add(*value as f64);
-                *value = 0;
-            }
-        }
-        fn hist(handle: &Histogram, local: &mut HistSnapshot) {
-            if !local.is_empty() {
-                handle.absorb(local);
-                *local = HistSnapshot::empty();
-            }
-        }
-        let h = &self.handles;
-        counter(&h.msgs_sent, &mut self.msgs_sent);
-        counter(&h.bytes_sent, &mut self.bytes_sent);
-        counter(&h.msgs_dropped, &mut self.msgs_dropped);
-        counter(&h.work_total, &mut self.work_total);
-        counter(&h.crashes, &mut self.crashes);
-        counter(&h.recoveries, &mut self.recoveries);
-        counter(&h.churn_crashes, &mut self.churn_crashes);
-        counter(&h.churn_recoveries, &mut self.churn_recoveries);
-        if self.msg_cost != 0.0 {
-            h.msg_cost.add(self.msg_cost);
-            self.msg_cost = 0.0;
-        }
-        hist(&h.msg_bytes, &mut self.msg_bytes);
-        hist(&h.poll_wakeups, &mut self.poll_wakeups);
-        hist(&h.writev_batch_frames, &mut self.writev_batch_frames);
-        hist(&h.writev_batch_bytes, &mut self.writev_batch_bytes);
-        hist(&h.link_latency, &mut self.link_latency);
-        hist(&h.link_jitter, &mut self.link_jitter);
-        while let Some((name, delta)) = self.counts.pop_first() {
-            t.count(name, delta);
-        }
-        while let Some((name, local)) = self.records.pop_first() {
-            if !local.is_empty() {
-                t.histogram(name).absorb(&local);
-            }
-        }
-    }
 }
 
 impl<A: Actor> std::fmt::Debug for Engine<A> {
@@ -438,7 +296,7 @@ impl<A: Actor> Engine<A> {
         for i in 0..engine.config.n {
             engine.dispatch_now(NodeId(i as u32), NodeEvent::Start);
         }
-        engine.tel.flush(&engine.telemetry);
+        engine.flush_telemetry();
         engine
     }
 
@@ -464,7 +322,7 @@ impl<A: Actor> Engine<A> {
         let rng = ChaCha8Rng::seed_from_u64(config.seed);
         let stats = Stats::new(config.n);
         let telemetry = Arc::new(Telemetry::new());
-        let tel = TelBuf::new(&telemetry);
+        let tel = Publisher::new(&telemetry);
         let fault_pass_through = config.fault_plan.is_pass_through();
         Engine {
             arena,
@@ -515,16 +373,18 @@ impl<A: Actor> Engine<A> {
     /// The unified metrics registry mirroring every engine statistic and
     /// actor counter under the shared metric names (see DESIGN.md §6e).
     ///
-    /// Engine-internal metrics are buffered on the hot path and flushed
-    /// at run boundaries; call [`flush_telemetry`](Self::flush_telemetry)
-    /// first when reading between single [`step`](Self::step) calls.
+    /// Engine-internal metrics are counted in [`Stats`] on the hot path
+    /// and published at run boundaries; call
+    /// [`flush_telemetry`](Self::flush_telemetry) first when reading
+    /// between single [`step`](Self::step) calls.
     pub fn telemetry(&self) -> &Arc<Telemetry> {
         &self.telemetry
     }
 
-    /// Flushes buffered engine metrics into the registry.
+    /// Publishes the [`Stats`] totals and buffered histogram samples
+    /// into the registry.
     pub fn flush_telemetry(&mut self) {
-        self.tel.flush(&self.telemetry);
+        self.tel.publish(&self.stats, &self.telemetry);
     }
 
     /// The structured trace-event stream (op events recorded by the
@@ -545,10 +405,10 @@ impl<A: Actor> Engine<A> {
         &self.arena.actors[node.index()]
     }
 
-    /// Drains the outputs emitted since the last call, flushing buffered
+    /// Drains the outputs emitted since the last call, publishing
     /// telemetry on the way (harnesses read metrics after draining).
     pub fn take_outputs(&mut self) -> Vec<(SimTime, NodeId, A::Output)> {
-        self.tel.flush(&self.telemetry);
+        self.flush_telemetry();
         std::mem::take(&mut self.outputs)
     }
 
@@ -628,9 +488,6 @@ impl<A: Actor> Engine<A> {
         self.stats.msgs_sent += 1;
         self.stats.total_msg_cost += cost;
         self.stats.total_bytes += bytes as u64;
-        self.tel.msgs_sent += 1;
-        self.tel.msg_cost += cost;
-        self.tel.bytes_sent += bytes as u64;
         self.tel.msg_bytes.record(bytes as u64);
 
         // Injected link faults (messages are paid for whether or not the
@@ -645,7 +502,6 @@ impl<A: Actor> Engine<A> {
             match d.fate {
                 LinkFate::Drop => {
                     self.stats.dropped_msgs += 1;
-                    self.tel.msgs_dropped += 1;
                     self.trace_buf.record(
                         self.now.as_micros(),
                         from.0,
@@ -780,26 +636,20 @@ impl<A: Actor> Engine<A> {
                     timers.push(key);
                 }
                 Action::Emit(out) => self.outputs.push((self.now, node, out)),
-                Action::Work(units) => {
-                    self.stats.work[node.index()] += units;
-                    self.tel.work_total += units;
-                }
-                Action::Count(name, delta) => {
-                    self.stats.bump(name, delta);
-                    *self.tel.counts.entry(name).or_insert(0.0) += delta;
-                }
-                Action::Record(name, value) => {
-                    self.tel
-                        .records
-                        .entry(name)
-                        .or_insert_with(HistSnapshot::empty)
-                        .record(value);
-                }
+                Action::Work(units) => self.stats.charge(node, units),
+                Action::Count(name, delta) => self.count(name, delta),
+                Action::Record(name, value) => self.tel.record(name, value),
                 Action::Trace(kind) => {
                     self.trace_buf.record(self.now.as_micros(), node.0, kind);
                 }
             }
         }
+    }
+
+    /// Bumps a labeled counter and marks it for the next publish.
+    fn count(&mut self, name: &'static str, delta: f64) {
+        self.stats.bump(name, delta);
+        self.tel.touch(name);
     }
 
     /// Notifies every up node (other than `about`) of a membership change.
@@ -841,10 +691,9 @@ impl<A: Actor> Engine<A> {
             .stats
             .max_concurrent_failures
             .max(self.concurrent_failures);
-        self.tel.crashes += 1;
         if churn {
             self.arena.churned[i] = true;
-            self.tel.churn_crashes += 1;
+            self.count("fault.churn.crashes", 1.0);
             let churn_model = self.config.churn.expect("churn crash without model");
             let downtime = exp_micros(&mut self.rng, churn_model.mean_downtime.as_micros() as f64);
             self.queue.push(
@@ -900,7 +749,6 @@ impl<A: Actor> Engine<A> {
                 } else {
                     if via_bus {
                         self.stats.dropped_msgs += 1;
-                        self.tel.msgs_dropped += 1;
                     }
                     if self.config.record_trace {
                         self.trace.push(TraceEntry::Drop { time: self.now, to });
@@ -939,10 +787,9 @@ impl<A: Actor> Engine<A> {
                 self.arena.status[i] = MachineStatus::Up;
                 self.concurrent_failures -= 1;
                 self.stats.recoveries += 1;
-                self.tel.recoveries += 1;
                 if self.arena.churned[i] {
                     self.arena.churned[i] = false;
-                    self.tel.churn_recoveries += 1;
+                    self.count("fault.churn.recoveries", 1.0);
                 }
                 self.trace_buf
                     .record(self.now.as_micros(), node.0, TraceKind::Recover);
@@ -995,7 +842,7 @@ impl<A: Actor> Engine<A> {
             }
             self.step();
         }
-        self.tel.flush(&self.telemetry);
+        self.flush_telemetry();
         self.now
     }
 
@@ -1017,7 +864,7 @@ impl<A: Actor> Engine<A> {
                 "no quiescence after {max_events} events — livelock?"
             );
         }
-        self.tel.flush(&self.telemetry);
+        self.flush_telemetry();
         self.now
     }
 }

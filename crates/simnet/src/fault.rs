@@ -249,8 +249,7 @@ impl ChurnModel {
 ///
 /// - **Partitions** win over everything: a message whose endpoints sit in
 ///   different partition cells is dropped. Nodes not named in any cell
-///   are unrestricted. An explicitly blocked directed link behaves like a
-///   one-way partition.
+///   are unrestricted.
 /// - **Drop probability** is per directed link, with a plan-wide default;
 ///   the per-link override wins.
 /// - **Delay** likewise: a per-link [`DelayDist`] overriding a plan-wide
@@ -264,8 +263,7 @@ pub struct FaultPlan {
     link_drop: BTreeMap<(NodeId, NodeId), f64>,
     default_delay: DelayDist,
     link_delay: BTreeMap<(NodeId, NodeId), DelayDist>,
-    default_jitter: DelayDist,
-    link_jitter: BTreeMap<(NodeId, NodeId), DelayDist>,
+    jitter: DelayDist,
     blocked: BTreeSet<(NodeId, NodeId)>,
 }
 
@@ -314,20 +312,7 @@ impl FaultPlan {
     /// component sampled per message *on top of* the delay distribution,
     /// and reported separately (`net.link.jitter_micros`).
     pub fn jitter_all(mut self, d: DelayDist) -> Self {
-        self.default_jitter = d;
-        self
-    }
-
-    /// Sets the jitter distribution of the directed link `from → to`.
-    pub fn jitter_link(mut self, from: NodeId, to: NodeId, d: DelayDist) -> Self {
-        self.link_jitter.insert((from, to), d);
-        self
-    }
-
-    /// Blocks the directed link `from → to` entirely (a one-way
-    /// blackhole: SYNs and frames vanish).
-    pub fn block_link(mut self, from: NodeId, to: NodeId) -> Self {
-        self.blocked.insert((from, to));
+        self.jitter = d;
         self
     }
 
@@ -356,11 +341,10 @@ impl FaultPlan {
     pub fn is_pass_through(&self) -> bool {
         self.default_drop == 0.0
             && self.default_delay.is_zero()
-            && self.default_jitter.is_zero()
+            && self.jitter.is_zero()
             && self.blocked.is_empty()
             && self.link_drop.values().all(|p| *p == 0.0)
             && self.link_delay.values().all(DelayDist::is_zero)
-            && self.link_jitter.values().all(DelayDist::is_zero)
     }
 
     /// The drop probability in force on `from → to`.
@@ -379,15 +363,7 @@ impl FaultPlan {
             .unwrap_or(&self.default_delay)
     }
 
-    /// The jitter distribution in force on `from → to`.
-    pub fn jitter(&self, from: NodeId, to: NodeId) -> DelayDist {
-        *self
-            .link_jitter
-            .get(&(from, to))
-            .unwrap_or(&self.default_jitter)
-    }
-
-    /// True iff `from → to` is blocked (partition or explicit block).
+    /// True iff a partition blocks `from → to`.
     pub fn is_blocked(&self, from: NodeId, to: NodeId) -> bool {
         self.blocked.contains(&(from, to))
     }
@@ -429,8 +405,11 @@ impl FaultPlan {
         }
         let d = self.delay(from, to);
         let delay = if d.is_zero() { 0 } else { d.sample(rng) };
-        let j = self.jitter(from, to);
-        let jitter = if j.is_zero() { 0 } else { j.sample(rng) };
+        let jitter = if self.jitter.is_zero() {
+            0
+        } else {
+            self.jitter.sample(rng)
+        };
         if delay + jitter == 0 {
             deliver
         } else {

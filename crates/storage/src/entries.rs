@@ -19,7 +19,7 @@ use crate::summary::ClassSummary;
 const LOCAL_ORIGIN: u16 = u16::MAX;
 
 /// Snapshot header magic: distinguishes the binary format from anything
-/// else (legacy JSON snapshots start with `{` = 0x7B).
+/// else.
 const SNAPSHOT_MAGIC: u8 = 0xB5;
 
 /// Current snapshot format version. Bump on any layout change; old
@@ -146,11 +146,6 @@ impl Entries {
         let bytes = snapshot.as_bytes();
         match bytes.first() {
             Some(&SNAPSHOT_MAGIC) => {}
-            Some(&b'{') => {
-                return Err(SnapshotError::new(
-                    "legacy JSON snapshot; re-snapshot with the binary format",
-                ))
-            }
             Some(&b) => return Err(SnapshotError::new(format!("bad snapshot magic 0x{b:02x}"))),
             None => return Err(SnapshotError::new("empty snapshot")),
         }
@@ -271,14 +266,10 @@ mod tests {
         let mut e = Entries::default();
         assert!(e.restore(&Snapshot::from_bytes(vec![0xff, 0x00])).is_err());
         assert!(e.restore(&Snapshot::from_bytes(vec![])).is_err());
-    }
-
-    #[test]
-    fn restore_rejects_legacy_json_with_clear_error() {
-        let mut e = Entries::default();
-        let legacy = br#"{"next_local":3,"entries":[]}"#.to_vec();
-        let err = e.restore(&Snapshot::from_bytes(legacy)).unwrap_err();
-        assert!(err.to_string().contains("legacy JSON"), "{err}");
+        // A pre-binary JSON snapshot is just another bad magic.
+        let json = br#"{"next_local":3,"entries":[]}"#.to_vec();
+        let err = e.restore(&Snapshot::from_bytes(json)).unwrap_err();
+        assert!(err.to_string().contains("bad snapshot magic 0x7b"), "{err}");
     }
 
     #[test]

@@ -29,5 +29,5 @@ pub use axioms::{
 };
 pub use hist::{HistSnapshot, Histogram, N_BUCKETS};
 pub use hll::{hash64, HyperLogLog};
-pub use registry::{Counter, Gauge, Snapshot, Telemetry};
+pub use registry::{intern, Counter, Gauge, Snapshot, Telemetry};
 pub use trace::{ObjRef, OpKind, Outcome, TraceBuf, TraceEvent, TraceKind};

@@ -32,8 +32,9 @@ impl Counter {
         }
     }
 
-    /// Overwrite the value.  Used when mirroring an externally maintained
-    /// monotonic total (e.g. transport byte counts) into the registry.
+    /// Overwrite the value. For a counter whose accumulator lives outside
+    /// the registry and has a single writer: a checkpoint restore, or the
+    /// simulator publishing its `Stats` at a run boundary.
     pub fn set(&self, value: f64) {
         self.0.store(value.to_bits(), Ordering::Relaxed);
     }
@@ -63,7 +64,7 @@ impl Gauge {
 /// Process-wide intern table mapping metric names that arrive as owned
 /// strings (deserialized snapshots) onto `&'static str`. Each distinct
 /// name is leaked exactly once, ever, across all registries.
-fn intern(name: &str) -> &'static str {
+pub fn intern(name: &str) -> &'static str {
     use std::collections::BTreeSet;
     use std::sync::OnceLock;
     static TABLE: OnceLock<RwLock<BTreeSet<&'static str>>> = OnceLock::new();

@@ -104,11 +104,10 @@ fn main() {
         println!("worker {w} processed {done} tasks");
     }
 
+    let stats = cluster.stats();
     println!(
         "\ncluster stats: {} messages, {} bytes, {} work units",
-        cluster.msgs_sent(),
-        cluster.bytes_sent(),
-        cluster.total_work()
+        stats.msgs_sent, stats.bytes_sent, stats.total_work
     );
     cluster.shutdown();
     println!("done — every task computed exactly once, no worker talked to another.");

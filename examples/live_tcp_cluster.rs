@@ -83,10 +83,10 @@ fn main() {
         got.field(2).unwrap()
     );
 
+    let stats = cluster.stats();
     println!(
         "\n{} messages / {} bytes crossed the loopback TCP sockets",
-        cluster.msgs_sent(),
-        cluster.bytes_sent()
+        stats.msgs_sent, stats.bytes_sent
     );
     cluster.shutdown();
     println!("cluster shut down cleanly");

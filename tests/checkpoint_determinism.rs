@@ -44,6 +44,21 @@ fn scenario() -> impl Strategy<Value = (ShardScenario, u64)> {
         )
 }
 
+/// The registry is the published view of `Stats`: the engine totals and
+/// every labeled counter (here the engine's own `fault.churn.*`) read the
+/// same from both.
+fn registry_is_stats(e: &Engine<ShardActor>) -> bool {
+    let (stats, snap) = (e.stats(), e.telemetry().snapshot());
+    snap.counter("net.msgs_sent") == stats.msgs_sent as f64
+        && snap.counter("net.bytes_sent") == stats.total_bytes as f64
+        && snap.counter("net.msg_cost") == stats.total_msg_cost
+        && snap.counter("net.msgs_dropped") == stats.dropped_msgs as f64
+        && snap.counter("work.total") == stats.total_work() as f64
+        && snap.counter("fault.crashes") == stats.crashes as f64
+        && snap.counter("fault.recoveries") == stats.recoveries as f64
+        && stats.counters.iter().all(|(n, v)| snap.counter(n) == *v)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -70,7 +85,9 @@ proptest! {
         let mut restored =
             Engine::from_checkpoint(s.config(), ShardActor::factory(LAMBDA), &ckpt)
                 .expect("restore own checkpoint");
+        prop_assert!(registry_is_stats(&restored), "right after restore");
         restored.run_until(horizon);
+        prop_assert!(registry_is_stats(&restored) && registry_is_stats(&reference));
         outputs.extend(restored.take_outputs());
 
         // The restored run records exactly the reference's remaining trace,
