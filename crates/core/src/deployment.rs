@@ -131,6 +131,9 @@ impl Deployment {
                 "proxy.backpressure",
                 "proxy.batch.flushes",
                 "proxy.gossip.recv",
+                "proxy.route.leader",
+                "proxy.route.member",
+                "proxy.route.fallback",
             ] {
                 telemetry.counter(c);
             }
@@ -155,6 +158,13 @@ impl Deployment {
     /// The classifier (the global `obj-clss` / `sc-list`).
     pub fn classifier(&self) -> &dyn Classifier {
         self.classifier.as_ref()
+    }
+
+    /// The basic support `B(C)`: the `λ + 1` machines that belong to
+    /// `wg(C)` whenever they are operational (§5.1), in assignment order.
+    /// Empty for a class outside the partition.
+    pub fn basic_support(&self, class: ClassId) -> &[NodeId] {
+        self.basic.get(&class).map_or(&[], Vec::as_slice)
     }
 
     /// The shared durability hub, when `cfg.durable` is set — exposes

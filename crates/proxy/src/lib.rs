@@ -6,9 +6,10 @@
 //!
 //! The paper's adaptive algorithms tolerate λ faulty *servers*; the
 //! proxy deliberately holds nothing the λ-argument would have to cover.
-//! Every piece of its state — auth status, pipelining windows, the
-//! class-summary routing table — is either per-connection and dies with
-//! the connection, or a soft cache rebuilt from the next gossip round.
+//! Every piece of its state is per-connection and dies with the
+//! connection (auth status, pipelining windows), is a pure function of
+//! the deployment (the class table), or is a soft cache rebuilt from the
+//! next gossip round (the class summaries).
 //! Losing a proxy loses connections, never data or A1–A3 legality.
 //!
 //! One proxy is one [`Proxy`]: a reactor-backed
@@ -28,11 +29,24 @@
 //!   as one [`AppMsg::ClientBatch`] frame when `BATCH_BYTES` (16 KiB)
 //!   accumulate or the event loop goes idle, so 10k trickling clients
 //!   become a few dense wire frames.
-//! * **Routing** — servers gossip per-class [`ClassSummary`]s
-//!   (PR 3); the proxy keeps the latest set per server and routes reads
-//!   toward servers whose summaries may match. Summaries are advisory:
-//!   any server can execute any op via macro expansion, so a stale
-//!   route costs extra hops, never a wrong result.
+//! * **Routing** — class-affine. From the
+//!   [`Deployment`](paso_core::Deployment) the servers were built from,
+//!   the gateway holds the classifier and a table `C → B(C)`, and sends
+//!   every op to a member of its class's write group, where §4 prices
+//!   it lowest: an insert to the lowest-id live
+//!   member of `B(obj-clss(o))` — the vsync leader, so the gcast is
+//!   sequenced where it lands instead of being relayed there and back —
+//!   a `read&del` to the leader of the first class of `sc-list(sc)`, a
+//!   read to that class's live members in turn, each of which answers
+//!   from its own replica with no cluster message at all. Liveness comes
+//!   from the membership oracle ([`GatewayLink::is_up`]); with all of
+//!   `B(C)` down any live server is used. Where servers gossip
+//!   per-class `ClassSummary`s, the gateway keeps the latest per class;
+//!   since every member of `wg(C)` holds the same objects a summary
+//!   never picks the server, it only decides which class of a
+//!   multi-class `sc-list` goes first. The route is advisory either
+//!   way: any server executes any op by macro expansion, so a stale
+//!   summary or a group that grew costs hops, never a wrong result.
 //! * **Retries** — timed-out idempotent ops (inserts, non-blocking
 //!   reads) are re-sent under the same op id to the same server, up to
 //!   the cluster config's `client_retry_budget`; the servers'
@@ -47,6 +61,7 @@
 #![warn(missing_docs)]
 
 mod client;
+mod route;
 
 pub use client::{read_frame, write_frame, ProxyClient, MAX_FRAME_BYTES};
 
@@ -63,9 +78,9 @@ use paso_core::{
 };
 use paso_runtime::{ClientEvent, ClientId, FrameServer, GatewayLink, TransportTuning};
 use paso_simnet::NodeId;
-use paso_storage::ClassSummary;
 use paso_telemetry::{hash64, HyperLogLog};
-use paso_types::ClassId;
+
+use route::Router;
 
 /// What one proxy instance is told beyond the cluster's own
 /// configuration. The pipelining window and the retry budget are not
@@ -226,10 +241,7 @@ struct Core {
     deadlines: BTreeSet<(Instant, u64)>,
     /// Per-server pending batch (requests, encoded bytes so far).
     batches: Vec<(Vec<ClientRequest>, usize)>,
-    /// Latest gossiped summaries per server — the routing table.
-    routes: HashMap<u32, Vec<(ClassId, ClassSummary)>>,
-    /// Round-robin cursor for unrouted ops.
-    rr: u64,
+    router: Router,
     /// Connection-lifetime-unique op ids: `(gateway NodeId) << 40 | ctr`,
     /// disjoint from the in-process client API's 0-based counter.
     next_op: u64,
@@ -246,6 +258,7 @@ impl Core {
         let servers = link.servers();
         Core {
             ledger: OpLedger::new(link.telemetry(), link.trace_buf()),
+            router: Router::new(Arc::clone(link.deployment())),
             link,
             server,
             opts,
@@ -254,8 +267,6 @@ impl Core {
             ops: HashMap::new(),
             deadlines: BTreeSet::new(),
             batches: vec![(Vec::new(), 0); servers],
-            routes: HashMap::new(),
-            rr: 0,
             next_op: 0,
             tenants: HyperLogLog::new(),
         }
@@ -277,8 +288,8 @@ impl Core {
             // 3. Fire expired deadlines (retries / TimedOut answers).
             self.fire_deadlines();
             // 4. Drain the gateway mailbox without blocking.
-            while let Some((from, msg)) = self.link.recv_timeout(Duration::ZERO) {
-                self.on_net(from, msg);
+            while let Some((_, msg)) = self.link.recv_timeout(Duration::ZERO) {
+                self.on_net(msg);
             }
             // 5. Park on whichever side wakes the loop next. With ops in
             //    flight their completions arrive on the mailbox; with
@@ -290,8 +301,8 @@ impl Core {
                 if let Some(ev) = self.server.recv_timeout(IDLE_PARK) {
                     self.on_client_event(ev);
                 }
-            } else if let Some((from, msg)) = self.link.recv_timeout(IDLE_PARK) {
-                self.on_net(from, msg);
+            } else if let Some((_, msg)) = self.link.recv_timeout(IDLE_PARK) {
+                self.on_net(msg);
             }
         }
     }
@@ -377,7 +388,8 @@ impl Core {
         self.next_op += 1;
         let node = self.link.node_id().0;
         self.ledger.begin(self.link.now_micros(), node, op_id, &op);
-        let server = self.route(&op);
+        let (server, via) = self.router.route(&op, |s| self.link.is_up(s));
+        self.count(via.counter(), 1.0);
         let req = ClientRequest { op_id, op };
         let now = Instant::now();
         let st = OpState {
@@ -393,35 +405,6 @@ impl Core {
         self.ops.insert(op_id, st);
         if let Some(conn) = self.conns.get_mut(&id) {
             conn.inflight.insert(op_id);
-        }
-    }
-
-    /// Picks a target server. Reads prefer servers whose gossiped class
-    /// summaries may hold a match; everything else (and every insert)
-    /// round-robins. Purely advisory — a miss costs hops, not answers.
-    fn route(&mut self, op: &ClientOp) -> u32 {
-        let servers = self.link.servers() as u64;
-        self.rr += 1;
-        let sc = match op {
-            ClientOp::Read { sc, .. } | ClientOp::ReadDel { sc, .. } => sc,
-            ClientOp::Insert { .. } => return (self.rr % servers) as u32,
-        };
-        let candidates: Vec<u32> = self
-            .routes
-            .iter()
-            .filter(|(_, summaries)| {
-                summaries
-                    .iter()
-                    .any(|(_, s)| !s.is_empty() && s.may_match(sc))
-            })
-            .map(|(server, _)| *server)
-            .collect();
-        if candidates.is_empty() {
-            (self.rr % servers) as u32
-        } else {
-            let mut picked: Vec<u32> = candidates;
-            picked.sort_unstable();
-            picked[(self.rr % picked.len() as u64) as usize]
         }
     }
 
@@ -457,12 +440,12 @@ impl Core {
 
     // ---- cluster side ----------------------------------------------
 
-    fn on_net(&mut self, from: NodeId, msg: AppMsg) {
+    fn on_net(&mut self, msg: AppMsg) {
         match msg {
             AppMsg::Done(done) => self.on_done(done.op_id, done.result),
             AppMsg::SummaryGossip { summaries } => {
                 self.count("proxy.gossip.recv", 1.0);
-                self.routes.insert(from.0, summaries);
+                self.router.learn(summaries);
             }
             // Anything else addressed at a gateway is a stray.
             _ => self.count("wire.decode.error", 1.0),

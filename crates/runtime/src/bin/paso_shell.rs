@@ -81,6 +81,15 @@ fn main() {
                     "messages: {}  bytes: {}  work: {}",
                     stats.msgs_sent, stats.bytes_sent, stats.total_work
                 );
+                // Where gateways sent their ops (all zero until one is
+                // attached to this cluster).
+                let snap = cluster.telemetry().snapshot();
+                println!(
+                    "routed: leader {}  member {}  fallback {}",
+                    snap.counter("proxy.route.leader"),
+                    snap.counter("proxy.route.member"),
+                    snap.counter("proxy.route.fallback")
+                );
             }
             Command::Telemetry { json } => {
                 let snap = cluster.telemetry().snapshot();

@@ -87,7 +87,9 @@ pub struct Cluster {
     /// within an op-timeout belong to dead waiters (the op already
     /// returned `Timeout`, or a retry double-answered) and are evicted.
     completions: Arc<Completions>,
-    down: Mutex<BTreeSet<NodeId>>,
+    /// The membership oracle's record of crashed machines. Gateway links
+    /// share it (see [`GatewayLink::is_up`]).
+    down: Arc<Mutex<BTreeSet<NodeId>>>,
     next_op: Mutex<u64>,
     next_obj: Mutex<u64>,
     op_timeout: Duration,
@@ -110,12 +112,21 @@ pub struct Cluster {
 /// through a proxy land in the same `client.op.*` counters and A1–A3
 /// trace stream as ops issued directly — that equivalence is exactly
 /// what the proxy differential test asserts.
+///
+/// A gateway is in the membership oracle's audience, but not by mail:
+/// where a server is sent `PeerCrashed`/`PeerRecovered` envelopes, the
+/// link reads the oracle's own record ([`GatewayLink::is_up`]), the one
+/// [`Cluster`]'s client API consults before it names a machine. A copy
+/// kept current by envelopes would trail the oracle by a mailbox drain
+/// (and a socket, on TCP), and every op routed in that window would go
+/// to a dead machine and time out.
 pub struct GatewayLink {
     node: NodeId,
-    cfg: Arc<PasoConfig>,
+    deployment: Arc<Deployment>,
     postman: Arc<dyn Postman>,
     mailbox: ChannelMailbox,
     ledger: Arc<Ledger>,
+    down: Arc<Mutex<BTreeSet<NodeId>>>,
 }
 
 impl fmt::Debug for GatewayLink {
@@ -135,14 +146,28 @@ impl GatewayLink {
 
     /// Number of memory servers (valid send targets are `0..servers`).
     pub fn servers(&self) -> usize {
-        self.cfg.n
+        self.config().n
     }
 
     /// The cluster's configuration — a gateway takes its pipelining
     /// window and retry budget from here, the same numbers the servers
     /// sized their dedup caches for.
     pub fn config(&self) -> &PasoConfig {
-        &self.cfg
+        self.deployment.config()
+    }
+
+    /// What the cluster's nodes were built from — the classifier and the
+    /// basic-support table `B(C)` a gateway routes by are the servers'
+    /// own, not a second derivation.
+    pub fn deployment(&self) -> &Arc<Deployment> {
+        &self.deployment
+    }
+
+    /// Whether the membership oracle has `server` as operational: false
+    /// from the moment [`Cluster::crash`] is called until
+    /// [`Cluster::recover`] is.
+    pub fn is_up(&self, server: u32) -> bool {
+        !self.down.lock().contains(&NodeId(server))
     }
 
     /// Sends one application message to a memory server, stamped with
@@ -167,7 +192,7 @@ impl GatewayLink {
         let deadline = Instant::now() + timeout;
         loop {
             let remaining = deadline.saturating_duration_since(Instant::now());
-            // Gateways are not in the membership oracle's audience; any
+            // The oracle does not mail gateways (see `is_up`); any
             // envelope other than an app frame (a stray control message)
             // is ignored.
             if let Envelope::Net {
@@ -283,7 +308,7 @@ impl Cluster {
             postman,
             handles: Mutex::new(handles),
             completions,
-            down: Mutex::new(BTreeSet::new()),
+            down: Arc::new(Mutex::new(BTreeSet::new())),
             next_op: Mutex::new(0),
             next_obj: Mutex::new(0),
             op_timeout: Duration::from_secs(10),
@@ -314,10 +339,11 @@ impl Cluster {
         let mailbox = mail[slot].take().expect("gateway slot already claimed");
         GatewayLink {
             node: NodeId((self.n() + slot) as u32),
-            cfg: Arc::clone(self.deployment.config()),
+            deployment: Arc::clone(&self.deployment),
             postman: Arc::clone(&self.postman),
             mailbox,
             ledger: Arc::clone(&self.ledger),
+            down: Arc::clone(&self.down),
         }
     }
 

@@ -9,11 +9,13 @@
 //! `client.op.*` totals must be identical and both recorded histories
 //! must satisfy the §2 axioms A1–A3.
 
-use paso::core::{ClientOp, ClientResult, PasoConfig};
+use paso::core::{ClassifierKind, ClientOp, ClientResult, PasoConfig};
 use paso::proxy::{Proxy, ProxyClient, ProxyOptions};
 use paso::runtime::{Cluster, TransportKind};
 use paso::telemetry::{check_trace, Snapshot};
-use paso::types::{ObjectId, PasoObject, ProcessId, SearchCriterion, Template, Value};
+use paso::types::{
+    FieldMatcher, ObjectId, PasoObject, ProcessId, SearchCriterion, Template, Value,
+};
 
 const SEED: u64 = 7;
 const N: usize = 4;
@@ -25,6 +27,9 @@ enum Op {
     Insert(i64),
     Read(i64),
     Take(i64),
+    /// Read / take whatever is there: the first field is left open.
+    ReadAny,
+    TakeAny,
 }
 
 /// Same shape as the sim/live differential script: every read and take
@@ -51,12 +56,54 @@ fn script() -> Vec<Op> {
     ]
 }
 
-fn sc_eq(v: i64) -> SearchCriterion {
-    SearchCriterion::from(Template::exact(vec![Value::symbol("d"), Value::Int(v)]))
+/// Every take finds something, but which object is the store's choice:
+/// the criterion leaves field 0 open, so under a first-field hash its
+/// `sc-list` is every class, the gateway can send it to one class's
+/// group only, and that server's macro expansion has to walk the rest.
+fn wildcard_script() -> Vec<Op> {
+    use Op::*;
+    vec![
+        Insert(1),
+        Insert(2),
+        Insert(3),
+        Insert(4),
+        ReadAny,
+        TakeAny,
+        TakeAny,
+        Insert(5),
+        Insert(6),
+        ReadAny,
+        TakeAny,
+        TakeAny,
+        TakeAny,
+        ReadAny,
+        TakeAny,
+    ]
 }
 
+/// The value comes first, so that a first-field hash spreads the
+/// script's objects over its classes.
 fn fields(v: i64) -> Vec<Value> {
-    vec![Value::symbol("d"), Value::Int(v)]
+    vec![Value::Int(v), Value::symbol("d")]
+}
+
+fn sc_eq(v: i64) -> SearchCriterion {
+    SearchCriterion::from(Template::exact(fields(v)))
+}
+
+fn sc_any() -> SearchCriterion {
+    SearchCriterion::from(Template::new(vec![
+        FieldMatcher::Any,
+        FieldMatcher::Exact(Value::symbol("d")),
+    ]))
+}
+
+/// The criterion of a read or take.
+fn criterion(op: Op) -> SearchCriterion {
+    match op {
+        Op::Read(v) | Op::Take(v) => sc_eq(v),
+        Op::ReadAny | Op::TakeAny | Op::Insert(_) => sc_any(),
+    }
 }
 
 fn op_totals(snap: &Snapshot) -> (f64, f64, f64) {
@@ -69,31 +116,45 @@ fn op_totals(snap: &Snapshot) -> (f64, f64, f64) {
 
 #[test]
 fn proxy_and_direct_paths_report_identical_op_totals_and_legal_traces() {
-    // --- Path 1: the in-process client API ---
-    let direct = Cluster::start(
-        PasoConfig::builder(N, LAMBDA).seed(SEED).build(),
-        TransportKind::Channel,
+    differential(ClassifierKind::Arity(4), script());
+}
+
+/// Six objects hashed over three classes, every search listing all
+/// three: whichever class's group the gateway picks, most takes find
+/// their object in another one.
+#[test]
+fn wildcard_searches_through_the_proxy_walk_every_class() {
+    let snap = differential(ClassifierKind::FirstField(3), wildcard_script());
+    let takes = snap.counter("client.op.readdel");
+    assert!(
+        snap.counter("op.readdel.gcast") > takes,
+        "no take had to go past the class it was routed for"
     );
-    for (i, op) in script().iter().enumerate() {
+}
+
+/// Runs `script` down both paths, holds them to each other, and returns
+/// the proxy path's registry.
+fn differential(classifier: ClassifierKind, script: Vec<Op>) -> Snapshot {
+    let cfg = || {
+        PasoConfig::builder(N, LAMBDA)
+            .seed(SEED)
+            .classifier(classifier.clone())
+    };
+    // --- Path 1: the in-process client API ---
+    let direct = Cluster::start(cfg().build(), TransportKind::Channel);
+    for (i, op) in script.iter().enumerate() {
         let node = (i % N) as u32;
         match *op {
             Op::Insert(v) => {
                 direct.insert(node, fields(v)).expect("direct insert");
             }
-            Op::Read(v) => {
-                assert!(
-                    direct.read(node, sc_eq(v)).expect("direct read").is_some(),
-                    "direct read({v})"
-                );
+            Op::Read(_) | Op::ReadAny => {
+                let r = direct.read(node, criterion(*op)).expect("direct read");
+                assert!(r.is_some(), "direct read, op {i}");
             }
-            Op::Take(v) => {
-                assert!(
-                    direct
-                        .read_del(node, sc_eq(v))
-                        .expect("direct take")
-                        .is_some(),
-                    "direct take({v})"
-                );
+            Op::Take(_) | Op::TakeAny => {
+                let r = direct.read_del(node, criterion(*op)).expect("direct take");
+                assert!(r.is_some(), "direct take, op {i}");
             }
         }
     }
@@ -102,51 +163,38 @@ fn proxy_and_direct_paths_report_identical_op_totals_and_legal_traces() {
     direct.shutdown();
 
     // --- Path 2: a real TCP client through the proxy tier ---
-    let cfg = PasoConfig::builder(N, LAMBDA)
-        .seed(SEED)
-        .proxy_slots(1)
-        .build();
+    let cfg = cfg().proxy_slots(1).build();
     let opts = ProxyOptions::from_config(&cfg, SECRET);
     let cluster = Cluster::start(cfg, TransportKind::Channel);
     let proxy = Proxy::start(cluster.gateway_link(0), opts).expect("proxy start");
     let mut client = ProxyClient::connect(proxy.port(), 42, SECRET).expect("connect");
-    for (i, op) in script().iter().enumerate() {
-        match *op {
+    for (i, op) in script.iter().enumerate() {
+        let (request, expect_found) = match *op {
             Op::Insert(v) => {
                 // Same object-id scheme the direct path uses internally:
                 // creator process + fresh sequence number.
                 let object = PasoObject::new(ObjectId::new(ProcessId(9000), i as u64), fields(v));
-                assert_eq!(
-                    client
-                        .op(&ClientOp::Insert { object })
-                        .expect("proxy insert"),
-                    ClientResult::Inserted
-                );
+                (ClientOp::Insert { object }, false)
             }
-            Op::Read(v) => {
-                let r = client
-                    .op(&ClientOp::Read {
-                        sc: sc_eq(v),
-                        blocking: false,
-                    })
-                    .expect("proxy read");
-                assert!(
-                    matches!(r, ClientResult::Found(_)),
-                    "proxy read({v}): {r:?}"
-                );
-            }
-            Op::Take(v) => {
-                let r = client
-                    .op(&ClientOp::ReadDel {
-                        sc: sc_eq(v),
-                        blocking: false,
-                    })
-                    .expect("proxy take");
-                assert!(
-                    matches!(r, ClientResult::Found(_)),
-                    "proxy take({v}): {r:?}"
-                );
-            }
+            Op::Read(_) | Op::ReadAny => (
+                ClientOp::Read {
+                    sc: criterion(*op),
+                    blocking: false,
+                },
+                true,
+            ),
+            Op::Take(_) | Op::TakeAny => (
+                ClientOp::ReadDel {
+                    sc: criterion(*op),
+                    blocking: false,
+                },
+                true,
+            ),
+        };
+        let r = client.op(&request).expect("proxy op");
+        match expect_found {
+            true => assert!(matches!(r, ClientResult::Found(_)), "proxy op {i}: {r:?}"),
+            false => assert_eq!(r, ClientResult::Inserted, "proxy op {i}"),
         }
     }
     let proxy_snap = cluster.telemetry().snapshot();
@@ -160,10 +208,7 @@ fn proxy_and_direct_paths_report_identical_op_totals_and_legal_traces() {
     let d = op_totals(&direct_snap);
     let p = op_totals(&proxy_snap);
     assert_eq!(d, p, "op totals diverged between client paths");
-    let inserts = script()
-        .iter()
-        .filter(|o| matches!(o, Op::Insert(_)))
-        .count() as f64;
+    let inserts = script.iter().filter(|o| matches!(o, Op::Insert(_))).count() as f64;
     assert_eq!(p.0, inserts);
 
     // Both histories are axiom-legal, and both saw every op complete.
@@ -177,10 +222,16 @@ fn proxy_and_direct_paths_report_identical_op_totals_and_legal_traces() {
     );
 
     // The proxy path additionally reports its own tier: every scripted op
-    // was forwarded and completed through the gateway.
-    let total_ops = script().len() as f64;
+    // was forwarded and completed through the gateway, each to a member
+    // of a write group.
+    let total_ops = script.len() as f64;
     assert!(proxy_snap.counter("proxy.ops.forwarded") >= total_ops);
     assert_eq!(proxy_snap.counter("proxy.ops.completed"), total_ops);
+    assert_eq!(
+        proxy_snap.counter("proxy.route.leader") + proxy_snap.counter("proxy.route.member"),
+        total_ops
+    );
     // The direct path routed nothing through a gateway.
     assert_eq!(direct_snap.counter("proxy.ops.forwarded"), 0.0);
+    proxy_snap
 }

@@ -397,6 +397,9 @@ fn proxy_metric_family_shares_schema_across_drivers() {
             "proxy.ops.completed",
             "proxy.ops.forwarded",
             "proxy.retries",
+            "proxy.route.fallback",
+            "proxy.route.leader",
+            "proxy.route.member",
         ]
     );
     assert_eq!(
