@@ -101,6 +101,8 @@ impl Deployment {
     /// other unchanged.
     pub fn register_metrics(&self, telemetry: &Telemetry) {
         telemetry.counter("vsync.dedup.stale_dropped");
+        telemetry.counter("op.batch.gcasts");
+        telemetry.histogram("op.batch.ops");
         if self.hub.is_some() {
             for c in [
                 "wal.compactions",
@@ -131,6 +133,7 @@ impl Deployment {
                 "proxy.backpressure",
                 "proxy.batch.flushes",
                 "proxy.gossip.recv",
+                "proxy.done_batches",
                 "proxy.route.leader",
                 "proxy.route.member",
                 "proxy.route.fallback",

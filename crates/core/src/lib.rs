@@ -72,5 +72,5 @@ pub use server::MemoryServer;
 pub use system::{ClassReport, SimSystem, SystemReport};
 pub use wire::{
     auth_token, decode, encode, obj_ref, try_decode, AppMsg, ClientDone, ClientOp, ClientRequest,
-    ClientResult, OpResponse, ProxyClientFrame, ProxyServerFrame, ReplOp,
+    ClientResult, OpResponse, ProxyClientFrame, ProxyServerFrame, ReplBatch, ReplOp,
 };

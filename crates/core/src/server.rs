@@ -25,11 +25,28 @@ use paso_vsync::{Delivery, GcastError, GroupApp, GroupId, View, VsyncOps};
 use crate::config::{BlockingMode, PasoConfig, ReadMode};
 use crate::groups::{group_class, rg_group, wg_group, GroupKind};
 use crate::wire::{
-    encode, try_decode, AppMsg, ClientDone, ClientOp, ClientResult, OpResponse, ReplOp,
+    encode, try_decode, AppMsg, ClientDone, ClientOp, ClientRequest, ClientResult, OpResponse,
+    ReplBatch, ReplOp,
 };
 
 /// Token used for fire-and-forget gcasts (marker placement).
+///
+/// The gcast token space has three disjoint parts:
+///
+/// - a gcast carrying **one op** uses the op's id. Op ids keep bit 63
+///   clear: in-process ids count up from 0, gateway ids are
+///   `(node << 40) | ctr`, both double as app-timer tags (which the vsync
+///   layer refuses with the top bit set), and admission drops a request
+///   whose id has it set;
+/// - a gcast carrying a **batch** uses [`BATCH_TOKEN_BIT`]` | k`, `k`
+///   counting up from 0 per incarnation — never `u64::MAX` for any
+///   reachable `k`;
+/// - `u64::MAX` is this constant.
 const FIRE_AND_FORGET: u64 = u64::MAX;
+
+/// Set in the token of every gcast that carries a [`ReplBatch`]; see
+/// [`FIRE_AND_FORGET`] for the whole token space.
+const BATCH_TOKEN_BIT: u64 = 1 << 63;
 
 /// Reserved timer tag for the periodic summary gossip. Sits far above any
 /// plausible op id and keeps the top bit clear (the vsync layer reserves
@@ -62,6 +79,19 @@ struct ClassState {
 }
 
 paso_wire::wire_struct!(ClassState { store, markers });
+
+/// What one handler call wants sent, collected while the macro expansions
+/// run and shipped by [`MemoryServer::flush`] when the handler returns: at
+/// most one gcast per group and one completion frame per gateway, however
+/// many ops the call touched. Empty between handler calls.
+#[derive(Debug, Default)]
+struct Outbox {
+    /// Op-token gcasts per group: `(op id, op)` in the order the
+    /// expansions asked for them.
+    casts: BTreeMap<GroupId, Vec<(u64, ReplOp)>>,
+    /// Completions owed, per gateway.
+    dones: BTreeMap<NodeId, Vec<ClientDone>>,
+}
 
 #[derive(Debug)]
 struct PendingOp {
@@ -96,6 +126,11 @@ pub struct MemoryServer {
     markers: BTreeMap<ClassId, Vec<MarkerEntry>>,
     counters: BTreeMap<ClassId, BasicCounter>,
     pending: BTreeMap<u64, PendingOp>,
+    outbox: Outbox,
+    /// Batch gcasts in flight: token → the op ids the batch carries, in
+    /// batch order (the order of the `Vec<OpResponse>` that answers it).
+    batches: BTreeMap<u64, Vec<u64>>,
+    next_batch: u64,
     up: BTreeSet<NodeId>,
     /// Logical clock for object age ranks.
     clock: u64,
@@ -155,6 +190,9 @@ impl MemoryServer {
             markers: BTreeMap::new(),
             counters: BTreeMap::new(),
             pending: BTreeMap::new(),
+            outbox: Outbox::default(),
+            batches: BTreeMap::new(),
+            next_batch: 0,
             up: BTreeSet::new(),
             clock: 0,
             anycast_cursor: 0,
@@ -340,13 +378,56 @@ impl MemoryServer {
     }
 
     /// Routes a completion back to whoever injected the request: the
-    /// local output channel for in-process clients, a wire-level
-    /// [`AppMsg::Done`] for gateway-originated ones.
+    /// local output channel for in-process clients, the outbox (one
+    /// wire-level frame per gateway and handler call) for
+    /// gateway-originated ones.
     fn answer(&mut self, vs: &mut dyn VsyncOps<ClientDone>, origin: NodeId, done: ClientDone) {
         if origin == self.id {
             vs.emit(done);
         } else {
-            vs.send_app(origin, encode(&AppMsg::Done(done)));
+            self.outbox.dones.entry(origin).or_default().push(done);
+        }
+    }
+
+    /// Queues `op` as the gcast pending op `op_id` now waits for.
+    fn cast(&mut self, group: GroupId, op_id: u64, op: ReplOp) {
+        if let Some(p) = self.pending.get_mut(&op_id) {
+            p.waiting = true;
+        }
+        self.outbox
+            .casts
+            .entry(group)
+            .or_default()
+            .push((op_id, op));
+    }
+
+    /// Ships the outbox. A group that collected one op is cast as a plain
+    /// [`ReplOp`] under the op's id and a gateway owed one completion gets
+    /// an [`AppMsg::Done`] — the bytes a server without an outbox sent;
+    /// more go as one [`ReplBatch`] under a batch token and one
+    /// [`AppMsg::DoneBatch`], in the order the ops were admitted.
+    fn flush(&mut self, vs: &mut dyn VsyncOps<ClientDone>) {
+        for (group, mut ops) in std::mem::take(&mut self.outbox.casts) {
+            if ops.len() == 1 {
+                let (op_id, op) = ops.remove(0);
+                vs.gcast(group, encode(&op), op_id);
+                continue;
+            }
+            let (op_ids, ops): (Vec<u64>, Vec<ReplOp>) = ops.into_iter().unzip();
+            let token = BATCH_TOKEN_BIT | self.next_batch;
+            self.next_batch += 1;
+            vs.count("op.batch.gcasts", 1.0);
+            vs.record("op.batch.ops", ops.len() as u64);
+            self.batches.insert(token, op_ids);
+            vs.gcast(group, encode(&ReplBatch(ops)), token);
+        }
+        for (gateway, mut dones) in std::mem::take(&mut self.outbox.dones) {
+            let msg = if dones.len() == 1 {
+                AppMsg::Done(dones.remove(0))
+            } else {
+                AppMsg::DoneBatch(dones)
+            };
+            vs.send_app(gateway, encode(&msg));
         }
     }
 
@@ -359,14 +440,35 @@ impl MemoryServer {
         }
     }
 
+    /// Admits the requests of one frame — [`AppMsg::Client`] is a batch of
+    /// one, an empty [`AppMsg::ClientBatch`] a gateway subscription ping
+    /// (it only teaches us the sender's address, see `note_gateway`).
+    fn admit(
+        &mut self,
+        vs: &mut dyn VsyncOps<ClientDone>,
+        from: NodeId,
+        reqs: impl IntoIterator<Item = ClientRequest>,
+    ) {
+        self.note_gateway(vs, from);
+        for req in reqs {
+            self.handle_client(vs, from, req);
+        }
+    }
+
     /// Admits one client request (local or gateway-forwarded): replays a
     /// cached result for retries, otherwise starts the macro expansion.
     fn handle_client(
         &mut self,
         vs: &mut dyn VsyncOps<ClientDone>,
         from: NodeId,
-        req: crate::wire::ClientRequest,
+        req: ClientRequest,
     ) {
+        if req.op_id & BATCH_TOKEN_BIT != 0 {
+            // Outside the op-id space (see `FIRE_AND_FORGET`): no client
+            // of ours mints such an id.
+            vs.count("wire.decode.error", 1.0);
+            return;
+        }
         // Retry dedup: a re-issued request must not execute twice
         // (a duplicated Insert would duplicate the object — the
         // store does not key by ObjectId).
@@ -432,20 +534,20 @@ impl MemoryServer {
         }
         match &p.op {
             ClientOp::Insert { object } => {
-                let class = self.classifier.classify(object);
+                // `obj-clss(o)`, computed once at admission.
+                let class = p.classes[0];
                 // Rank times ride the simulation clock so they (a) order
                 // cross-machine inserts by real age and (b) never repeat
                 // across crash incarnations of this server.
                 self.clock = (self.clock + 1).max(vs.now_micros());
                 let rank = Rank::new(self.clock, self.id.0 as u16);
-                let payload = encode(&ReplOp::Store {
+                let op = ReplOp::Store {
                     class,
                     object: object.clone(),
                     rank,
-                });
-                self.pending.get_mut(&op_id).unwrap().waiting = true;
+                };
                 vs.count("op.insert.gcast", 1.0);
-                vs.gcast(wg_group(class), payload, op_id);
+                self.cast(wg_group(class), op_id, op);
             }
             ClientOp::Read { sc, .. } => {
                 let sc = sc.clone();
@@ -496,13 +598,12 @@ impl MemoryServer {
                             return;
                         }
                     }
-                    let payload = encode(&ReplOp::MemRead {
-                        class,
-                        sc: sc.clone(),
-                    });
-                    self.pending.get_mut(&op_id).unwrap().waiting = true;
                     vs.count("op.read.remote", 1.0);
-                    vs.gcast(self.read_target(class), payload, op_id);
+                    self.cast(
+                        self.read_target(class),
+                        op_id,
+                        ReplOp::MemRead { class, sc },
+                    );
                     return;
                 }
             }
@@ -517,10 +618,8 @@ impl MemoryServer {
                 };
                 // "There is no reason to deal with requests locally" —
                 // every remove goes through the write group (§4.3).
-                let payload = encode(&ReplOp::Remove { class, sc });
-                self.pending.get_mut(&op_id).unwrap().waiting = true;
                 vs.count("op.readdel.gcast", 1.0);
-                vs.gcast(wg_group(class), payload, op_id);
+                self.cast(wg_group(class), op_id, ReplOp::Remove { class, sc });
             }
         }
     }
@@ -613,64 +712,184 @@ impl MemoryServer {
             vs.join(wg_group(class));
         }
     }
-}
 
-impl GroupApp for MemoryServer {
-    type Output = ClientDone;
-
-    fn on_start(&mut self, vs: &mut dyn VsyncOps<ClientDone>) {
-        self.up = (0..vs.n() as u32).map(NodeId).collect();
-        if self.cfg.summary_gossip_micros > 0 {
-            vs.set_app_timer(self.cfg.summary_gossip_micros, SUMMARY_GOSSIP_TAG);
-        }
-    }
-
-    fn on_recovered(&mut self, vs: &mut dyn VsyncOps<ClientDone>) {
-        self.up = (0..vs.n() as u32).map(NodeId).collect();
-        if self.cfg.summary_gossip_micros > 0 {
-            vs.set_app_timer(self.cfg.summary_gossip_micros, SUMMARY_GOSSIP_TAG);
-        }
-        // §4.2: "when a machine is restarted, the memory server residing
-        // on it should determine which groups it belongs to, and, one by
-        // one, g-join these groups." The write group comes first; the
-        // read group is joined only once the write-group state transfer
-        // has installed (see `on_view`) — otherwise this server could
-        // become the read group's leader and answer queries from an
-        // empty store.
-        let mine: Vec<ClassId> = self
-            .basic
-            .iter()
-            .filter(|(_, m)| m.contains(&self.id))
-            .map(|(c, _)| *c)
-            .collect();
-        for class in mine {
-            vs.join(wg_group(class));
-        }
-    }
-
-    fn on_peer_crashed(&mut self, _vs: &mut dyn VsyncOps<ClientDone>, peer: NodeId) {
-        self.up.remove(&peer);
-    }
-
-    fn on_peer_recovered(&mut self, _vs: &mut dyn VsyncOps<ClientDone>, peer: NodeId) {
-        self.up.insert(peer);
-    }
-
-    fn on_app_message(&mut self, vs: &mut dyn VsyncOps<ClientDone>, from: NodeId, bytes: &[u8]) {
-        match try_decode::<AppMsg>(bytes) {
-            Ok(AppMsg::Client(req)) => {
-                self.note_gateway(vs, from);
-                self.handle_client(vs, from, req);
-            }
-            Ok(AppMsg::ClientBatch(reqs)) => {
-                // An empty batch is a gateway subscription ping (it only
-                // teaches us the sender's address, see `note_gateway`).
-                self.note_gateway(vs, from);
-                for req in reqs {
-                    self.handle_client(vs, from, req);
+    /// Applies one replicated op to this member's state: the per-op body
+    /// of [`GroupApp::deliver`], shared by plain and batch payloads.
+    /// Returns the op's response and its local work.
+    fn apply(
+        &mut self,
+        vs: &mut dyn VsyncOps<ClientDone>,
+        group: GroupId,
+        op: ReplOp,
+    ) -> (OpResponse, u64) {
+        match op {
+            ReplOp::Store {
+                class,
+                object,
+                rank,
+            } => {
+                debug_assert_eq!(class, group_class(group).0);
+                let store = self
+                    .stores
+                    .entry(class)
+                    .or_insert_with(|| AutoStore::for_kind(self.cfg.default_store));
+                let cost = store.store_ranked(object.clone(), rank);
+                // Fire read-markers matching the new object.
+                let now = vs.now_micros();
+                if let Some(ms) = self.markers.get_mut(&class) {
+                    let mut fired = Vec::new();
+                    ms.retain(|m| {
+                        if m.expires_micros < now {
+                            return false;
+                        }
+                        if m.sc.matches(&object) {
+                            fired.push((m.origin, m.op_id));
+                            return false;
+                        }
+                        true
+                    });
+                    for (origin, op_id) in fired {
+                        vs.send_app(origin, encode(&AppMsg::MarkerWake { op_id }));
+                    }
                 }
+                self.record_member_update(vs, class);
+                let failed = self.failed_of(class);
+                (
+                    OpResponse {
+                        object: None,
+                        failed,
+                    },
+                    cost.0,
+                )
             }
-            Ok(AppMsg::Done(_)) => {
+            ReplOp::MemRead { class, sc } => {
+                let (found, cost) = self
+                    .stores
+                    .get(&class)
+                    .map_or((None, Cost::ZERO), |s| s.mem_read(&sc));
+                let failed = self.failed_of(class);
+                (
+                    OpResponse {
+                        object: found,
+                        failed,
+                    },
+                    cost.0,
+                )
+            }
+            ReplOp::Remove { class, sc } => {
+                let (removed, cost) = self
+                    .stores
+                    .get_mut(&class)
+                    .map(|s| s.remove(&sc))
+                    .unwrap_or((None, Cost::ZERO));
+                self.record_member_update(vs, class);
+                let failed = self.failed_of(class);
+                (
+                    OpResponse {
+                        object: removed,
+                        failed,
+                    },
+                    cost.0,
+                )
+            }
+            ReplOp::PlaceMarker {
+                class,
+                sc,
+                origin,
+                op_id,
+                expires_micros,
+            } => {
+                let now = vs.now_micros();
+                let ms = self.markers.entry(class).or_default();
+                ms.retain(|m| m.expires_micros >= now);
+                // Fire immediately if a match is already present (insert
+                // raced the marker placement).
+                let already = self.stores.get(&class).and_then(|s| s.mem_read(&sc).0);
+                if already.is_some() {
+                    vs.send_app(origin, encode(&AppMsg::MarkerWake { op_id }));
+                } else {
+                    ms.push(MarkerEntry {
+                        sc,
+                        origin,
+                        op_id,
+                        expires_micros,
+                    });
+                }
+                let failed = self.failed_of(class);
+                (
+                    OpResponse {
+                        object: None,
+                        failed,
+                    },
+                    1,
+                )
+            }
+        }
+    }
+
+    /// Stands in for a gcast answer that is absent or fails to decode:
+    /// counted like any other corrupt payload, and the op walks on as a
+    /// miss.
+    fn missing_answer(vs: &mut dyn VsyncOps<ClientDone>) -> OpResponse {
+        vs.count("wire.decode.error", 1.0);
+        OpResponse {
+            object: None,
+            failed: 0,
+        }
+    }
+
+    /// Resumes pending op `op_id` with the answer to its gcast: the
+    /// per-op body of [`GroupApp::on_gcast_complete`], shared by plain
+    /// and batch completions.
+    fn complete_one(
+        &mut self,
+        vs: &mut dyn VsyncOps<ClientDone>,
+        op_id: u64,
+        response: Result<OpResponse, GcastError>,
+    ) {
+        let Some(p) = self.pending.get_mut(&op_id) else {
+            return;
+        };
+        p.waiting = false;
+        let class = p.classes.get(p.idx).copied();
+        let resp = match response {
+            Ok(resp) => resp,
+            Err(GcastError::Unavailable) => {
+                self.finish(vs, op_id, ClientResult::Unavailable);
+                return;
+            }
+        };
+        if matches!(p.op, ClientOp::Insert { .. }) {
+            self.finish(vs, op_id, ClientResult::Inserted);
+            return;
+        }
+        if matches!(p.op, ClientOp::Read { .. }) {
+            if let Some(c) = class {
+                self.record_remote_read(vs, c, resp.failed);
+            }
+        }
+        match resp.object {
+            Some(obj) => self.finish(vs, op_id, ClientResult::Found(obj)),
+            None => {
+                if let Some(p) = self.pending.get_mut(&op_id) {
+                    p.idx += 1;
+                    p.force_gcast = false;
+                }
+                self.drive(vs, op_id);
+            }
+        }
+    }
+
+    fn handle_app_message(
+        &mut self,
+        vs: &mut dyn VsyncOps<ClientDone>,
+        from: NodeId,
+        bytes: &[u8],
+    ) {
+        match try_decode::<AppMsg>(bytes) {
+            Ok(AppMsg::Client(req)) => self.admit(vs, from, std::iter::once(req)),
+            Ok(AppMsg::ClientBatch(reqs)) => self.admit(vs, from, reqs),
+            Ok(AppMsg::Done(_) | AppMsg::DoneBatch(_)) => {
                 // Completions address gateways, never servers; a stray
                 // one (e.g. a gateway slot reused as a server id by a
                 // misconfigured peer) is dropped loudly.
@@ -760,7 +979,7 @@ impl GroupApp for MemoryServer {
         }
     }
 
-    fn on_timer(&mut self, vs: &mut dyn VsyncOps<ClientDone>, tag: u64) {
+    fn handle_timer(&mut self, vs: &mut dyn VsyncOps<ClientDone>, tag: u64) {
         if tag == SUMMARY_GOSSIP_TAG {
             self.gossip_summaries(vs);
             vs.set_app_timer(self.cfg.summary_gossip_micros, SUMMARY_GOSSIP_TAG);
@@ -790,6 +1009,58 @@ impl GroupApp for MemoryServer {
             self.drive(vs, tag);
         }
     }
+}
+
+impl GroupApp for MemoryServer {
+    type Output = ClientDone;
+
+    fn on_start(&mut self, vs: &mut dyn VsyncOps<ClientDone>) {
+        self.up = (0..vs.n() as u32).map(NodeId).collect();
+        if self.cfg.summary_gossip_micros > 0 {
+            vs.set_app_timer(self.cfg.summary_gossip_micros, SUMMARY_GOSSIP_TAG);
+        }
+    }
+
+    fn on_recovered(&mut self, vs: &mut dyn VsyncOps<ClientDone>) {
+        self.up = (0..vs.n() as u32).map(NodeId).collect();
+        if self.cfg.summary_gossip_micros > 0 {
+            vs.set_app_timer(self.cfg.summary_gossip_micros, SUMMARY_GOSSIP_TAG);
+        }
+        // §4.2: "when a machine is restarted, the memory server residing
+        // on it should determine which groups it belongs to, and, one by
+        // one, g-join these groups." The write group comes first; the
+        // read group is joined only once the write-group state transfer
+        // has installed (see `on_view`) — otherwise this server could
+        // become the read group's leader and answer queries from an
+        // empty store.
+        let mine: Vec<ClassId> = self
+            .basic
+            .iter()
+            .filter(|(_, m)| m.contains(&self.id))
+            .map(|(c, _)| *c)
+            .collect();
+        for class in mine {
+            vs.join(wg_group(class));
+        }
+    }
+
+    fn on_peer_crashed(&mut self, _vs: &mut dyn VsyncOps<ClientDone>, peer: NodeId) {
+        self.up.remove(&peer);
+    }
+
+    fn on_peer_recovered(&mut self, _vs: &mut dyn VsyncOps<ClientDone>, peer: NodeId) {
+        self.up.insert(peer);
+    }
+
+    fn on_app_message(&mut self, vs: &mut dyn VsyncOps<ClientDone>, from: NodeId, bytes: &[u8]) {
+        self.handle_app_message(vs, from, bytes);
+        self.flush(vs);
+    }
+
+    fn on_timer(&mut self, vs: &mut dyn VsyncOps<ClientDone>, tag: u64) {
+        self.handle_timer(vs, tag);
+        self.flush(vs);
+    }
 
     fn deliver(
         &mut self,
@@ -798,117 +1069,37 @@ impl GroupApp for MemoryServer {
         origin: NodeId,
         payload: &[u8],
     ) -> Delivery {
-        let (class_of_group, _kind) = group_class(group);
-        let op = match try_decode::<ReplOp>(payload) {
-            Ok(op) => op,
-            Err(err) => {
-                self.note_decode_error(vs, origin, err);
-                return Delivery::default();
-            }
+        // One op or a batch of them; a batch is applied in batch order at
+        // every member and answered op for op.
+        let applied = if payload.first() == Some(&ReplBatch::TAG) {
+            try_decode::<ReplBatch>(payload).map(|ReplBatch(ops)| {
+                let mut work = 0;
+                let responses: Vec<OpResponse> = ops
+                    .into_iter()
+                    .map(|op| {
+                        let (response, cost) = self.apply(vs, group, op);
+                        work += cost;
+                        response
+                    })
+                    .collect();
+                Delivery {
+                    response: encode(&responses),
+                    work,
+                }
+            })
+        } else {
+            try_decode::<ReplOp>(payload).map(|op| {
+                let (response, work) = self.apply(vs, group, op);
+                Delivery {
+                    response: encode(&response),
+                    work,
+                }
+            })
         };
-        match op {
-            ReplOp::Store {
-                class,
-                object,
-                rank,
-            } => {
-                debug_assert_eq!(class, class_of_group);
-                let store = self
-                    .stores
-                    .entry(class)
-                    .or_insert_with(|| AutoStore::for_kind(self.cfg.default_store));
-                let cost = store.store_ranked(object.clone(), rank);
-                // Fire read-markers matching the new object.
-                let now = vs.now_micros();
-                if let Some(ms) = self.markers.get_mut(&class) {
-                    let mut fired = Vec::new();
-                    ms.retain(|m| {
-                        if m.expires_micros < now {
-                            return false;
-                        }
-                        if m.sc.matches(&object) {
-                            fired.push((m.origin, m.op_id));
-                            return false;
-                        }
-                        true
-                    });
-                    for (origin, op_id) in fired {
-                        vs.send_app(origin, encode(&AppMsg::MarkerWake { op_id }));
-                    }
-                }
-                self.record_member_update(vs, class);
-                let failed = self.failed_of(class);
-                Delivery {
-                    response: encode(&OpResponse {
-                        object: None,
-                        failed,
-                    }),
-                    work: cost.0,
-                }
-            }
-            ReplOp::MemRead { class, sc } => {
-                let (found, cost) = self
-                    .stores
-                    .get(&class)
-                    .map_or((None, Cost::ZERO), |s| s.mem_read(&sc));
-                let failed = self.failed_of(class);
-                Delivery {
-                    response: encode(&OpResponse {
-                        object: found,
-                        failed,
-                    }),
-                    work: cost.0,
-                }
-            }
-            ReplOp::Remove { class, sc } => {
-                let (removed, cost) = self
-                    .stores
-                    .get_mut(&class)
-                    .map(|s| s.remove(&sc))
-                    .unwrap_or((None, Cost::ZERO));
-                self.record_member_update(vs, class);
-                let failed = self.failed_of(class);
-                Delivery {
-                    response: encode(&OpResponse {
-                        object: removed,
-                        failed,
-                    }),
-                    work: cost.0,
-                }
-            }
-            ReplOp::PlaceMarker {
-                class,
-                sc,
-                origin,
-                op_id,
-                expires_micros,
-            } => {
-                let now = vs.now_micros();
-                let ms = self.markers.entry(class).or_default();
-                ms.retain(|m| m.expires_micros >= now);
-                // Fire immediately if a match is already present (insert
-                // raced the marker placement).
-                let already = self.stores.get(&class).and_then(|s| s.mem_read(&sc).0);
-                if already.is_some() {
-                    vs.send_app(origin, encode(&AppMsg::MarkerWake { op_id }));
-                } else {
-                    ms.push(MarkerEntry {
-                        sc,
-                        origin,
-                        op_id,
-                        expires_micros,
-                    });
-                }
-                let failed = self.failed_of(class);
-                Delivery {
-                    response: encode(&OpResponse {
-                        object: None,
-                        failed,
-                    }),
-                    work: 1,
-                }
-            }
-        }
+        applied.unwrap_or_else(|err| {
+            self.note_decode_error(vs, origin, err);
+            Delivery::default()
+        })
     }
 
     fn on_gcast_complete(
@@ -920,59 +1111,27 @@ impl GroupApp for MemoryServer {
         if token == FIRE_AND_FORGET {
             return;
         }
-        let op_id = token;
-        let Some(p) = self.pending.get_mut(&op_id) else {
-            return;
-        };
-        p.waiting = false;
-        let class = p.classes.get(p.idx).copied();
-        match result {
-            Err(GcastError::Unavailable) => {
-                self.finish(vs, op_id, ClientResult::Unavailable);
-            }
-            Ok(bytes) => {
-                // A gcast response that fails to decode is counted like any
-                // other corrupt payload; the op then walks on as a miss.
-                let resp: OpResponse = match try_decode(&bytes) {
-                    Ok(r) => r,
-                    Err(_) => {
-                        vs.count("wire.decode.error", 1.0);
-                        OpResponse {
-                            object: None,
-                            failed: 0,
-                        }
-                    }
+        if token & BATCH_TOKEN_BIT == 0 {
+            let response =
+                result.map(|bytes| try_decode(&bytes).unwrap_or_else(|_| Self::missing_answer(vs)));
+            self.complete_one(vs, token, response);
+        } else if let Some(op_ids) = self.batches.remove(&token) {
+            // Answers come in batch order; an undecodable vector answers
+            // nothing, a short one leaves its tail unanswered.
+            let mut responses = result.map(|bytes| {
+                try_decode::<Vec<OpResponse>>(&bytes)
+                    .unwrap_or_default()
+                    .into_iter()
+            });
+            for op_id in op_ids {
+                let response = match &mut responses {
+                    Ok(rs) => Ok(rs.next().unwrap_or_else(|| Self::missing_answer(vs))),
+                    Err(err) => Err(*err),
                 };
-                let op_kind_insert = matches!(p.op, ClientOp::Insert { .. });
-                if op_kind_insert {
-                    self.finish(vs, op_id, ClientResult::Inserted);
-                    return;
-                }
-                let is_read = matches!(p.op, ClientOp::Read { .. });
-                match resp.object {
-                    Some(obj) => {
-                        if is_read {
-                            if let Some(c) = class {
-                                self.record_remote_read(vs, c, resp.failed);
-                            }
-                        }
-                        self.finish(vs, op_id, ClientResult::Found(obj));
-                    }
-                    None => {
-                        if is_read {
-                            if let Some(c) = class {
-                                self.record_remote_read(vs, c, resp.failed);
-                            }
-                        }
-                        if let Some(p) = self.pending.get_mut(&op_id) {
-                            p.idx += 1;
-                            p.force_gcast = false;
-                        }
-                        self.drive(vs, op_id);
-                    }
-                }
+                self.complete_one(vs, op_id, response);
             }
         }
+        self.flush(vs);
     }
 
     fn snapshot(&self, group: GroupId) -> Vec<u8> {

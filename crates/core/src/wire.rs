@@ -199,6 +199,46 @@ wire_enum!(ReplOp {
     3 => PlaceMarker { class, sc, origin, op_id, expires_micros },
 });
 
+/// Two or more [`ReplOp`]s for one group riding a single gcast — what a
+/// memory server casts when one handler call (one `ClientBatch`, one
+/// batch completion) produced several ops for the same group. Members
+/// apply the ops in vector order and answer `Vec<OpResponse>`, one per op
+/// in the same order. One op still goes as a plain [`ReplOp`].
+///
+/// On the wire: [`ReplBatch::TAG`], then the vector. The tag shares the
+/// first payload byte with `ReplOp`'s tags, which is how a receiver tells
+/// the two shapes apart; the elements are plain `ReplOp`s, where the tag
+/// is invalid, so a batch cannot nest and decoding never recurses.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ReplBatch(pub Vec<ReplOp>);
+
+impl ReplBatch {
+    /// First byte of an encoded batch. `ReplOp` tags are appended upward
+    /// from 0 and must never reach it.
+    pub const TAG: u8 = 0x80;
+}
+
+impl Wire for ReplBatch {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.push(Self::TAG);
+        self.0.encode(out);
+    }
+
+    fn decode(r: &mut paso_wire::Reader<'_>) -> Result<Self, WireError> {
+        match r.u8()? {
+            Self::TAG => Ok(ReplBatch(Wire::decode(r)?)),
+            tag => Err(WireError::InvalidTag {
+                ty: "ReplBatch",
+                tag,
+            }),
+        }
+    }
+
+    fn encoded_len(&self) -> usize {
+        1 + self.0.encoded_len()
+    }
+}
+
 /// Response to a [`ReplOp::MemRead`] / [`ReplOp::Remove`]: the §2 "object
 /// or fail" result.
 #[derive(Debug, Clone, PartialEq)]
@@ -260,6 +300,10 @@ pub enum AppMsg {
     /// a gateway subscription ping: it teaches the server the gateway's
     /// address (for summary gossip) without enqueuing work.
     ClientBatch(Vec<ClientRequest>),
+    /// Two or more completions for one gateway, produced by one handler
+    /// call at the server and sent as one frame. A single completion
+    /// still goes as [`AppMsg::Done`].
+    DoneBatch(Vec<ClientDone>),
 }
 
 wire_enum!(AppMsg {
@@ -270,6 +314,7 @@ wire_enum!(AppMsg {
     4 => SummaryGossip { summaries },
     5 => Done(done),
     6 => ClientBatch(requests),
+    7 => DoneBatch(dones),
 });
 
 /// A frame from an external client to a front-end proxy. Client

@@ -4,13 +4,15 @@
 
 use proptest::prelude::*;
 
-use paso_core::{AppMsg, ClientDone, ClientOp, ClientRequest, ClientResult, OpResponse, ReplOp};
+use paso_core::{
+    AppMsg, ClientDone, ClientOp, ClientRequest, ClientResult, OpResponse, ReplBatch, ReplOp,
+};
 use paso_simnet::NodeId;
 use paso_storage::Rank;
 use paso_types::{
     ClassId, FieldMatcher, ObjectId, PasoObject, ProcessId, SearchCriterion, Template, Value,
 };
-use paso_wire::Wire;
+use paso_wire::{Wire, WireError};
 
 fn arb_value() -> impl Strategy<Value = Value> {
     prop_oneof![
@@ -86,6 +88,14 @@ fn arb_app_msg() -> impl Strategy<Value = AppMsg> {
                 failed,
             }
         ),
+        proptest::collection::vec((any::<u64>(), arb_result()), 0..4).prop_map(|dones| {
+            AppMsg::DoneBatch(
+                dones
+                    .into_iter()
+                    .map(|(op_id, result)| ClientDone { op_id, result })
+                    .collect(),
+            )
+        }),
     ]
 }
 
@@ -153,6 +163,34 @@ proptest! {
     }
 
     #[test]
+    fn repl_batch_and_its_answer_round_trip(
+        ops in proptest::collection::vec(arb_repl_op(), 0..5),
+        answers in proptest::collection::vec((arb_opt_object(), any::<u64>()), 0..5),
+    ) {
+        let batch = ReplBatch(ops);
+        let bytes = paso_core::encode(&batch);
+        prop_assert_eq!(bytes.len(), batch.encoded_len());
+        prop_assert_eq!(bytes[0], ReplBatch::TAG);
+        for cut in 0..bytes.len() {
+            prop_assert!(paso_core::try_decode::<ReplBatch>(&bytes[..cut]).is_err());
+        }
+        // The two payload shapes never decode as each other.
+        prop_assert!(paso_core::try_decode::<ReplOp>(&bytes).is_err());
+        for op in &batch.0 {
+            prop_assert!(paso_core::try_decode::<ReplBatch>(&paso_core::encode(op)).is_err());
+        }
+        let back: ReplBatch = paso_core::try_decode(&bytes).unwrap();
+        prop_assert_eq!(back, batch);
+
+        let answers: Vec<OpResponse> = answers
+            .into_iter()
+            .map(|(object, failed)| OpResponse { object, failed })
+            .collect();
+        let back: Vec<OpResponse> = paso_core::try_decode(&paso_core::encode(&answers)).unwrap();
+        prop_assert_eq!(back, answers);
+    }
+
+    #[test]
     fn done_and_response_round_trip(
         op_id in any::<u64>(),
         result in arb_result(),
@@ -184,5 +222,60 @@ proptest! {
         let _ = paso_core::try_decode::<AppMsg>(&bytes);
         let _ = paso_core::try_decode::<ReplOp>(&bytes);
         let _ = paso_core::try_decode::<OpResponse>(&bytes);
+        let _ = paso_core::try_decode::<ReplBatch>(&bytes);
+        let _ = paso_core::try_decode::<Vec<OpResponse>>(&bytes);
     }
+}
+
+/// A batch cannot nest: its elements are plain `ReplOp`s, where the batch
+/// tag is invalid, so a peer feeding a megabyte of batch-tag/length pairs
+/// gets `InvalidTag` from the second byte pair on — the decoder never
+/// recurses, whatever the input's depth.
+#[test]
+fn a_nested_batch_tag_is_an_invalid_tag_at_bounded_depth() {
+    let nest: Vec<u8> = [ReplBatch::TAG, 1].repeat(512 << 10);
+    assert_eq!(nest.len(), 1 << 20);
+    assert_eq!(
+        paso_core::try_decode::<ReplBatch>(&nest),
+        Err(WireError::InvalidTag {
+            ty: "ReplOp",
+            tag: ReplBatch::TAG
+        })
+    );
+    assert_eq!(
+        paso_core::try_decode::<ReplOp>(&nest),
+        Err(WireError::InvalidTag {
+            ty: "ReplOp",
+            tag: ReplBatch::TAG
+        })
+    );
+}
+
+/// An element count the remaining bytes cannot hold is refused before
+/// anything is allocated for it.
+#[test]
+fn a_batch_count_beyond_the_remaining_bytes_is_a_length_overrun() {
+    // Tag, then a count of 2^35 with four bytes behind it.
+    let lie = [
+        ReplBatch::TAG,
+        0x80,
+        0x80,
+        0x80,
+        0x80,
+        0x80,
+        0x01,
+        0,
+        0,
+        0,
+        0,
+    ];
+    assert!(matches!(
+        paso_core::try_decode::<ReplBatch>(&lie),
+        Err(WireError::LengthOverrun { available: 4, .. })
+    ));
+    let lie = [7, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 0, 0, 0, 0];
+    assert!(matches!(
+        paso_core::try_decode::<AppMsg>(&lie),
+        Err(WireError::LengthOverrun { available: 4, .. })
+    ));
 }

@@ -2,7 +2,7 @@
 //! what tests and the `exp_proxy` driver speak. Real deployments would
 //! wrap this in a connection pool; one instance is one TCP connection.
 
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -78,7 +78,10 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
 
 /// One authenticated client connection to a [`Proxy`](crate::Proxy).
 pub struct ProxyClient {
-    stream: TcpStream,
+    /// Reads are buffered — a frame's varint header is parsed a byte at
+    /// a time and must not cost a `read(2)` per byte; writes go straight
+    /// to the socket underneath.
+    stream: BufReader<TcpStream>,
     next_seq: u64,
 }
 
@@ -103,7 +106,7 @@ impl ProxyClient {
         stream.set_read_timeout(Some(Duration::from_secs(30)))?;
         stream.set_nodelay(true)?;
         let mut client = ProxyClient {
-            stream,
+            stream: BufReader::new(stream),
             next_seq: 0,
         };
         client.send(&ProxyClientFrame::Hello {
@@ -143,7 +146,7 @@ impl ProxyClient {
     ///
     /// Propagates socket read failures and undecodable frames.
     pub fn recv(&mut self) -> io::Result<ProxyServerFrame> {
-        let payload = self.read_frame()?;
+        let payload = read_frame(&mut self.stream)?;
         try_decode::<ProxyServerFrame>(&payload)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("{e:?}")))
     }
@@ -172,11 +175,7 @@ impl ProxyClient {
     }
 
     fn send(&mut self, frame: &ProxyClientFrame) -> io::Result<()> {
-        write_frame(&mut self.stream, &encode(frame))
-    }
-
-    fn read_frame(&mut self) -> io::Result<Vec<u8>> {
-        read_frame(&mut self.stream)
+        write_frame(self.stream.get_mut(), &encode(frame))
     }
 }
 

@@ -29,6 +29,10 @@
 //!   as one [`AppMsg::ClientBatch`] frame when `BATCH_BYTES` (16 KiB)
 //!   accumulate or the event loop goes idle, so 10k trickling clients
 //!   become a few dense wire frames.
+//!   The server treats the batch as one unit of work: one gcast per
+//!   write group, and the completions come back as one
+//!   [`AppMsg::DoneBatch`] (a lone one as [`AppMsg::Done`]), fed op by
+//!   op to the same completion path.
 //! * **Routing** — class-affine. From the
 //!   [`Deployment`](paso_core::Deployment) the servers were built from,
 //!   the gateway holds the classifier and a table `C → B(C)`, and sends
@@ -443,6 +447,12 @@ impl Core {
     fn on_net(&mut self, msg: AppMsg) {
         match msg {
             AppMsg::Done(done) => self.on_done(done.op_id, done.result),
+            AppMsg::DoneBatch(dones) => {
+                self.count("proxy.done_batches", 1.0);
+                for done in dones {
+                    self.on_done(done.op_id, done.result);
+                }
+            }
             AppMsg::SummaryGossip { summaries } => {
                 self.count("proxy.gossip.recv", 1.0);
                 self.router.learn(summaries);

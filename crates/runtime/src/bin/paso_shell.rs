@@ -90,6 +90,13 @@ fn main() {
                     snap.counter("proxy.route.member"),
                     snap.counter("proxy.route.fallback")
                 );
+                // Ops that shared a gcast, completions that shared a frame.
+                println!(
+                    "batched: gcasts {}  ops/gcast {:.2}  done frames {}",
+                    snap.counter("op.batch.gcasts"),
+                    snap.hist("op.batch.ops").mean(),
+                    snap.counter("proxy.done_batches")
+                );
             }
             Command::Telemetry { json } => {
                 let snap = cluster.telemetry().snapshot();

@@ -7,12 +7,14 @@
 
 mod common;
 
+use std::time::{Duration, Instant};
+
 use common::{durable_builder, durable_sys, fields, sc_eq};
-use paso::core::SimSystem;
-use paso::runtime::{Cluster, TransportKind};
+use paso::core::{AppMsg, ClientOp, ClientRequest, ClientResult, SimSystem};
+use paso::runtime::{Cluster, GatewayLink, TransportKind};
 use paso::simnet::SimTime;
 use paso::telemetry::check_trace;
-use paso::types::ClassId;
+use paso::types::{ClassId, ObjectId, PasoObject, ProcessId};
 
 #[test]
 fn crashed_member_replays_wal_and_rejoins_via_delta() {
@@ -140,4 +142,101 @@ fn wal_dir_puts_live_logs_on_files_and_the_simulator_ignores_it() {
         logged > 0,
         "an acknowledged insert is on some member's file"
     );
+}
+
+/// Sends `server` one `ClientBatch` inserting `fields(v)` for every `v`
+/// and waits until each insert is acknowledged.
+fn insert_batch(link: &GatewayLink, server: u32, values: std::ops::RangeInclusive<i64>) {
+    let gateway = u64::from(link.node_id().0);
+    let reqs: Vec<ClientRequest> = values
+        .map(|v| ClientRequest {
+            op_id: (gateway << 40) | v as u64,
+            op: ClientOp::Insert {
+                object: PasoObject::new(ObjectId::new(ProcessId(gateway), v as u64), fields(v)),
+            },
+        })
+        .collect();
+    let mut waiting = reqs.len();
+    link.send(server, &AppMsg::ClientBatch(reqs));
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while waiting > 0 {
+        assert!(Instant::now() < deadline, "{waiting} inserts unanswered");
+        let dones = match link.recv_timeout(Duration::from_millis(100)) {
+            Some((_, AppMsg::Done(done))) => vec![done],
+            Some((_, AppMsg::DoneBatch(dones))) => dones,
+            _ => continue,
+        };
+        for done in dones {
+            assert_eq!(done.result, ClientResult::Inserted);
+            waiting -= 1;
+        }
+    }
+}
+
+/// Batch payloads through both recovery paths: a member whose WAL tail
+/// holds batch deliveries replays them after a crash, fetches the batches
+/// it missed as a `StateXferDelta`, and ends holding exactly what its
+/// peers hold — every object once.
+#[test]
+fn batch_deliveries_replay_from_the_wal_tail_and_from_a_delta() {
+    let cluster = Cluster::start(
+        durable_builder(19).proxy_slots(1).build(),
+        TransportKind::Channel,
+    );
+    let link = cluster.gateway_link(0);
+    let class = ClassId(2); // arity-2 objects
+    let mut members: Vec<u32> = link
+        .deployment()
+        .basic_support(class)
+        .iter()
+        .map(|m| m.0)
+        .collect();
+    members.sort_unstable();
+    let (sequencer, victim) = (members[0], members[1]);
+    let count = |name: &str| cluster.telemetry().snapshot().counter(name);
+
+    // Two batches the victim logs, two it misses while down.
+    insert_batch(&link, sequencer, 1..=4);
+    insert_batch(&link, sequencer, 5..=8);
+    cluster.crash(victim);
+    std::thread::sleep(Duration::from_millis(100));
+    insert_batch(&link, sequencer, 9..=12);
+    insert_batch(&link, sequencer, 13..=16);
+    assert_eq!(count("op.batch.gcasts"), 4.0, "each batch was one gcast");
+
+    cluster.recover(victim);
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while count("join.delta_hit") + count("join.full_xfer") < 1.0 {
+        assert!(Instant::now() < deadline, "the victim never rejoined");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert!(
+        count("wal.recovered_records") > 0.0,
+        "the WAL tail replayed"
+    );
+    assert!(count("join.delta_hit") >= 1.0, "the gap came as a delta");
+
+    // The victim holds every object: it is a member again, so these
+    // reads are served from its own replica...
+    let local_before = count("op.read.local");
+    for v in 1..=16 {
+        assert!(
+            cluster.read(victim, sc_eq(v)).unwrap().is_some(),
+            "object {v} missing at the rejoined member"
+        );
+    }
+    assert_eq!(count("op.read.local") - local_before, 16.0);
+    // ...and holds each exactly once: after one `read&del` per object
+    // nothing is left at the victim. A batch applied twice (replayed and
+    // then delivered again) would leave its copies behind.
+    for v in 1..=16 {
+        assert!(cluster.read_del(sequencer, sc_eq(v)).unwrap().is_some());
+    }
+    for v in 1..=16 {
+        assert!(
+            cluster.read(victim, sc_eq(v)).unwrap().is_none(),
+            "object {v} was applied twice at the rejoined member"
+        );
+    }
+    cluster.shutdown();
 }

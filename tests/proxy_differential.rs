@@ -9,7 +9,7 @@
 //! `client.op.*` totals must be identical and both recorded histories
 //! must satisfy the §2 axioms A1–A3.
 
-use paso::core::{ClassifierKind, ClientOp, ClientResult, PasoConfig};
+use paso::core::{ClassifierKind, ClientOp, ClientResult, PasoConfig, ProxyServerFrame};
 use paso::proxy::{Proxy, ProxyClient, ProxyOptions};
 use paso::runtime::{Cluster, TransportKind};
 use paso::telemetry::{check_trace, Snapshot};
@@ -81,6 +81,45 @@ fn wildcard_script() -> Vec<Op> {
     ]
 }
 
+/// Four windows of eight: every read and take finds a value inserted in
+/// an *earlier* window and taken by nobody in its own, so the outcomes
+/// stay determined when a window's ops are all in flight at once.
+fn windowed_script() -> Vec<Op> {
+    use Op::*;
+    let mut ops: Vec<Op> = (1..=8).map(Insert).collect();
+    ops.extend([
+        Take(1),
+        Take(2),
+        Read(3),
+        Read(4),
+        Insert(9),
+        Insert(10),
+        Take(5),
+        Read(6),
+    ]);
+    ops.extend([
+        Take(3),
+        Take(4),
+        Insert(11),
+        Insert(12),
+        Read(7),
+        Take(8),
+        Read(9),
+        Take(10),
+    ]);
+    ops.extend([
+        Take(6),
+        Take(7),
+        Take(9),
+        Take(11),
+        Take(12),
+        Insert(13),
+        Insert(14),
+        Insert(15),
+    ]);
+    ops
+}
+
 /// The value comes first, so that a first-field hash spreads the
 /// script's objects over its classes.
 fn fields(v: i64) -> Vec<Value> {
@@ -116,7 +155,21 @@ fn op_totals(snap: &Snapshot) -> (f64, f64, f64) {
 
 #[test]
 fn proxy_and_direct_paths_report_identical_op_totals_and_legal_traces() {
-    differential(ClassifierKind::Arity(4), script());
+    differential(ClassifierKind::Arity(4), script(), 1);
+}
+
+/// Eight ops in flight at a time, so the gateway's `ClientBatch`es carry
+/// several ops and the servers answer them with batch gcasts and
+/// `DoneBatch` frames: same totals, same verdict.
+#[test]
+fn pipelined_ops_through_the_proxy_batch_and_match_the_direct_path() {
+    let snap = differential(ClassifierKind::Arity(4), windowed_script(), 8);
+    assert!(snap.counter("op.batch.gcasts") > 0.0, "no gcast was shared");
+    assert!(
+        snap.counter("proxy.done_batches") > 0.0,
+        "no frame was shared"
+    );
+    assert!(snap.hist("op.batch.ops").mean() >= 2.0);
 }
 
 /// Six objects hashed over three classes, every search listing all
@@ -124,7 +177,7 @@ fn proxy_and_direct_paths_report_identical_op_totals_and_legal_traces() {
 /// their object in another one.
 #[test]
 fn wildcard_searches_through_the_proxy_walk_every_class() {
-    let snap = differential(ClassifierKind::FirstField(3), wildcard_script());
+    let snap = differential(ClassifierKind::FirstField(3), wildcard_script(), 1);
     let takes = snap.counter("client.op.readdel");
     assert!(
         snap.counter("op.readdel.gcast") > takes,
@@ -132,9 +185,10 @@ fn wildcard_searches_through_the_proxy_walk_every_class() {
     );
 }
 
-/// Runs `script` down both paths, holds them to each other, and returns
-/// the proxy path's registry.
-fn differential(classifier: ClassifierKind, script: Vec<Op>) -> Snapshot {
+/// Runs `script` down both paths — the proxy path with `window` ops in
+/// flight at a time — holds them to each other, and returns the proxy
+/// path's registry.
+fn differential(classifier: ClassifierKind, script: Vec<Op>, window: usize) -> Snapshot {
     let cfg = || {
         PasoConfig::builder(N, LAMBDA)
             .seed(SEED)
@@ -168,33 +222,38 @@ fn differential(classifier: ClassifierKind, script: Vec<Op>) -> Snapshot {
     let cluster = Cluster::start(cfg, TransportKind::Channel);
     let proxy = Proxy::start(cluster.gateway_link(0), opts).expect("proxy start");
     let mut client = ProxyClient::connect(proxy.port(), 42, SECRET).expect("connect");
-    for (i, op) in script.iter().enumerate() {
-        let (request, expect_found) = match *op {
-            Op::Insert(v) => {
-                // Same object-id scheme the direct path uses internally:
-                // creator process + fresh sequence number.
-                let object = PasoObject::new(ObjectId::new(ProcessId(9000), i as u64), fields(v));
-                (ClientOp::Insert { object }, false)
+    let request = |i: usize| match script[i] {
+        Op::Insert(v) => {
+            // Same object-id scheme the direct path uses internally:
+            // creator process + fresh sequence number.
+            let object = PasoObject::new(ObjectId::new(ProcessId(9000), i as u64), fields(v));
+            ClientOp::Insert { object }
+        }
+        op @ (Op::Read(_) | Op::ReadAny) => ClientOp::Read {
+            sc: criterion(op),
+            blocking: false,
+        },
+        op @ (Op::Take(_) | Op::TakeAny) => ClientOp::ReadDel {
+            sc: criterion(op),
+            blocking: false,
+        },
+    };
+    let indices: Vec<usize> = (0..script.len()).collect();
+    for batch in indices.chunks(window) {
+        // One window: everything is sent before anything is awaited.
+        // Sequence numbers count ops, so `seq` is the script index.
+        for i in batch {
+            assert_eq!(client.send_op(&request(*i)).expect("send"), *i as u64);
+        }
+        for _ in batch {
+            let (i, r) = match client.recv().expect("recv") {
+                ProxyServerFrame::Done { seq, result } => (seq as usize, result),
+                other => panic!("unexpected frame {other:?}"),
+            };
+            match script[i] {
+                Op::Insert(_) => assert_eq!(r, ClientResult::Inserted, "proxy op {i}"),
+                _ => assert!(matches!(r, ClientResult::Found(_)), "proxy op {i}: {r:?}"),
             }
-            Op::Read(_) | Op::ReadAny => (
-                ClientOp::Read {
-                    sc: criterion(*op),
-                    blocking: false,
-                },
-                true,
-            ),
-            Op::Take(_) | Op::TakeAny => (
-                ClientOp::ReadDel {
-                    sc: criterion(*op),
-                    blocking: false,
-                },
-                true,
-            ),
-        };
-        let r = client.op(&request).expect("proxy op");
-        match expect_found {
-            true => assert!(matches!(r, ClientResult::Found(_)), "proxy op {i}: {r:?}"),
-            false => assert_eq!(r, ClientResult::Inserted, "proxy op {i}"),
         }
     }
     let proxy_snap = cluster.telemetry().snapshot();

@@ -392,6 +392,7 @@ fn proxy_metric_family_shares_schema_across_drivers() {
             "proxy.batch.flushes",
             "proxy.clients.accepted",
             "proxy.clients.closed",
+            "proxy.done_batches",
             "proxy.frames.in",
             "proxy.gossip.recv",
             "proxy.ops.completed",
@@ -419,6 +420,13 @@ fn proxy_metric_family_shares_schema_across_drivers() {
         hist_family(&live_snap),
         "proxy histogram schema diverged"
     );
+
+    // The server-side batch metrics are unconditional: every deployment
+    // shows them at zero before the first batch forms.
+    for snap in [&sim_snap, &live_snap] {
+        assert_eq!(snap.counters.get("op.batch.gcasts"), Some(&0.0));
+        assert!(snap.hists.contains_key("op.batch.ops"));
+    }
 
     // Without gateway slots the family stays out of the schema entirely
     // on both drivers — it is gated, not unconditional.

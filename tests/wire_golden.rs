@@ -13,7 +13,7 @@ use std::ops::Bound;
 use paso::campaign::{TupleActor, TupleMsg};
 use paso::core::{
     AppMsg, ClientDone, ClientOp, ClientRequest, ClientResult, OpResponse, ProxyClientFrame,
-    ProxyServerFrame, ReplOp,
+    ProxyServerFrame, ReplBatch, ReplOp,
 };
 use paso::runtime::Envelope;
 use paso::simnet::{Engine, EngineConfig, NodeId, SimTime};
@@ -223,6 +223,8 @@ const CLIENT_AND_REPLICATION: &[(&str, &str)] = &[
     ("ReplOp::PlaceMarker", "0301020205036a6f62000309c0843d"),
     ("OpResponse(some)", "0107ac020205036a6f62000502"),
     ("OpResponse(none)", "0000"),
+    ("ReplBatch", "8002000107ac020205036a6f6200058280140201020205036a6f6200"),
+    ("Vec<OpResponse>", "0200000107ac020205036a6f62000502"),
     ("AppMsg::Client", "000401020205036a6f620000"),
     ("AppMsg::MarkerWake", "01ac02"),
     ("AppMsg::RemoteRead", "020301020205036a6f6200"),
@@ -231,6 +233,7 @@ const CLIENT_AND_REPLICATION: &[(&str, &str)] = &[
     ("AppMsg::Done", "050503"),
     ("AppMsg::ClientBatch", "0602010007ac020205036a6f6200050202020205036a6f620001"),
     ("AppMsg::ClientBatch(empty)", "0600"),
+    ("AppMsg::DoneBatch", "07020503580107ac020205036a6f620005"),
     ("ProxyClientFrame::Hello", "002a8de0b7ddf0ddefd6de01"),
     ("ProxyClientFrame::Op", "01ac020007ac020205036a6f620005"),
     ("ProxyServerFrame::Welcome", "00"),
@@ -323,6 +326,33 @@ fn client_and_replication_bytes_are_pinned() {
         },
     );
     rows.pin(
+        "ReplBatch",
+        &ReplBatch(vec![
+            ReplOp::Store {
+                class: ClassId(1),
+                object: obj(),
+                rank: Rank::new(5, 2),
+            },
+            ReplOp::Remove {
+                class: ClassId(1),
+                sc: sc(),
+            },
+        ]),
+    );
+    rows.pin(
+        "Vec<OpResponse>",
+        &vec![
+            OpResponse {
+                object: None,
+                failed: 0,
+            },
+            OpResponse {
+                object: Some(obj()),
+                failed: 2,
+            },
+        ],
+    );
+    rows.pin(
         "AppMsg::Client",
         &AppMsg::Client(ClientRequest {
             op_id: 4,
@@ -382,6 +412,19 @@ fn client_and_replication_bytes_are_pinned() {
         ]),
     );
     rows.pin("AppMsg::ClientBatch(empty)", &AppMsg::ClientBatch(vec![]));
+    rows.pin(
+        "AppMsg::DoneBatch",
+        &AppMsg::DoneBatch(vec![
+            ClientDone {
+                op_id: 5,
+                result: ClientResult::TimedOut,
+            },
+            ClientDone {
+                op_id: 88,
+                result: ClientResult::Found(obj()),
+            },
+        ]),
+    );
     rows.pin(
         "ProxyClientFrame::Hello",
         &ProxyClientFrame::Hello {
