@@ -25,10 +25,16 @@
 //! * **Pipelining** — each connection may keep the cluster config's
 //!   `proxy_pipeline_depth` ops outstanding; excess ops bounce with
 //!   [`ProxyServerFrame::Busy`] instead of queueing unboundedly.
-//! * **Batching** — admitted ops accumulate per target server and flush
-//!   as one [`AppMsg::ClientBatch`] frame when `BATCH_BYTES` (16 KiB)
-//!   accumulate or the event loop goes idle, so 10k trickling clients
-//!   become a few dense wire frames.
+//! * **Batching** — group commit: an idle link sends now, a busy link
+//!   coalesces. Admitted ops accumulate per target server and leave as
+//!   one [`AppMsg::ClientBatch`] frame as soon as no non-blocking op
+//!   sent to that server is still unanswered — at once, for a client
+//!   with one op in flight — or when `BATCH_BYTES` (16 KiB) accumulate,
+//!   or when the server has been silent for `IDLE_PARK` (1 ms: a crashed
+//!   or stalled server holds nothing back); a retry leaves at once. So
+//!   a batch is the ops that arrived during one round trip, whatever
+//!   the round trip costs, and 10k trickling clients become a few dense
+//!   wire frames.
 //!   The server treats the batch as one unit of work: one gcast per
 //!   write group, and the completions come back as one
 //!   [`AppMsg::DoneBatch`] (a lone one as [`AppMsg::Done`]), fed op by
@@ -126,14 +132,16 @@ impl ProxyOptions {
     }
 }
 
-/// Flush threshold for the per-server op batch: ops accumulate into one
-/// [`AppMsg::ClientBatch`] frame until their encoded size reaches this
-/// many bytes (or the input burst drains).
+/// Size at which a per-server op batch leaves whatever the state of its
+/// link: ops accumulate into one [`AppMsg::ClientBatch`] frame until
+/// their encoded size reaches this many bytes.
 const BATCH_BYTES: usize = 16 << 10;
 
 /// How long the logic thread parks on the gateway mailbox per loop pass
 /// when there is nothing else to do. Bounds idle wakeups without adding
 /// meaningful latency under load (any traffic wakes it immediately).
+/// Also the longest a batch waits for a busy link: a server that has
+/// said nothing for this long is no longer waited for.
 const IDLE_PARK: Duration = Duration::from_millis(1);
 
 /// Per-connection state. Everything here dies with the connection.
@@ -157,6 +165,25 @@ struct OpState {
     issued: Instant,
     /// Re-sends performed so far.
     attempts_used: u32,
+    /// Counted in its link's `unanswered`: sent, and not a blocking op.
+    holds_link: bool,
+}
+
+/// The gateway's side of its link to one server: the batch being filled
+/// and what decides when it leaves.
+struct Link {
+    /// Requests for the next [`AppMsg::ClientBatch`].
+    pending: Vec<ClientRequest>,
+    /// Their encoded size so far.
+    pending_bytes: usize,
+    /// Non-blocking ops sent and not finished yet (answered or timed
+    /// out). While there are any the server is still working on an
+    /// earlier batch, and `pending` keeps filling behind it. A blocking
+    /// read may wait at the server for as long as it likes, so it is
+    /// never counted.
+    unanswered: usize,
+    /// When a batch last left.
+    last_flush: Instant,
 }
 
 /// A running proxy: accept loop, logic thread, gateway slot.
@@ -230,6 +257,14 @@ impl Drop for Proxy {
     }
 }
 
+/// Whether `op` may wait at its server until an object shows up.
+fn blocks(op: &ClientOp) -> bool {
+    matches!(
+        op,
+        ClientOp::Read { blocking: true, .. } | ClientOp::ReadDel { blocking: true, .. }
+    )
+}
+
 /// The logic thread: owns the frame server, the gateway link, and every
 /// map. Single-threaded on purpose — the proxy is a pipeline stage, not
 /// a lock hierarchy.
@@ -243,8 +278,8 @@ struct Core {
     ops: HashMap<u64, OpState>,
     /// Deadline index: earliest next retry/timeout first.
     deadlines: BTreeSet<(Instant, u64)>,
-    /// Per-server pending batch (requests, encoded bytes so far).
-    batches: Vec<(Vec<ClientRequest>, usize)>,
+    /// Per-server batching state.
+    links: Vec<Link>,
     router: Router,
     /// Connection-lifetime-unique op ids: `(gateway NodeId) << 40 | ctr`,
     /// disjoint from the in-process client API's 0-based counter.
@@ -259,8 +294,15 @@ impl Core {
         opts: ProxyOptions,
         stop: Arc<AtomicBool>,
     ) -> Core {
-        let servers = link.servers();
+        let now = Instant::now();
+        let links = (0..link.servers()).map(|_| Link {
+            pending: Vec::new(),
+            pending_bytes: 0,
+            unanswered: 0,
+            last_flush: now,
+        });
         Core {
+            links: links.collect(),
             ledger: OpLedger::new(link.telemetry(), link.trace_buf()),
             router: Router::new(Arc::clone(link.deployment())),
             link,
@@ -270,7 +312,6 @@ impl Core {
             conns: HashMap::new(),
             ops: HashMap::new(),
             deadlines: BTreeSet::new(),
-            batches: vec![(Vec::new(), 0); servers],
             next_op: 0,
             tenants: HyperLogLog::new(),
         }
@@ -283,19 +324,20 @@ impl Core {
             self.link.send(s, &AppMsg::ClientBatch(Vec::new()));
         }
         while !self.stop.load(Ordering::SeqCst) {
-            // 1. Drain client-side events without blocking.
+            // 1. Fire expired deadlines (retries / TimedOut answers).
+            self.fire_deadlines();
+            // 2. Drain the gateway mailbox, then the client side, without
+            //    blocking; in that order, so that the ops behind a link
+            //    an answer has just freed leave in this pass.
+            while let Some((_, msg)) = self.link.try_recv() {
+                self.on_net(msg);
+            }
             while let Some(ev) = self.server.try_recv() {
                 self.on_client_event(ev);
             }
-            // 2. Ship what accumulated.
+            // 3. Ship what accumulated behind every link that is free.
             self.flush_all();
-            // 3. Fire expired deadlines (retries / TimedOut answers).
-            self.fire_deadlines();
-            // 4. Drain the gateway mailbox without blocking.
-            while let Some((_, msg)) = self.link.recv_timeout(Duration::ZERO) {
-                self.on_net(msg);
-            }
-            // 5. Park on whichever side wakes the loop next. With ops in
+            // 4. Park on whichever side wakes the loop next. With ops in
             //    flight their completions arrive on the mailbox; with
             //    none, the only urgent traffic is new client frames
             //    (auth handshakes are latency-sensitive — a connect
@@ -403,10 +445,13 @@ impl Core {
             req,
             issued: now,
             attempts_used: 0,
+            holds_link: false,
         };
-        self.enqueue(server, st.req.clone());
         self.deadlines.insert((now + self.slice_of(&st), op_id));
+        let req = st.req.clone();
+        // Before `enqueue`: a flush looks the op up to count it.
         self.ops.insert(op_id, st);
+        self.enqueue(server, req);
         if let Some(conn) = self.conns.get_mut(&id) {
             conn.inflight.insert(op_id);
         }
@@ -416,19 +461,29 @@ impl Core {
 
     fn enqueue(&mut self, server: u32, req: ClientRequest) {
         self.count("proxy.ops.forwarded", 1.0);
-        let bytes = paso_wire::Wire::encoded_len(&req);
-        let slot = &mut self.batches[server as usize];
-        slot.0.push(req);
-        slot.1 += bytes;
-        if slot.1 >= BATCH_BYTES {
+        let link = &mut self.links[server as usize];
+        link.pending_bytes += paso_wire::Wire::encoded_len(&req);
+        link.pending.push(req);
+        if link.pending_bytes >= BATCH_BYTES {
             self.flush(server);
         }
     }
 
+    /// Ships `server`'s pending batch, which is not empty.
     fn flush(&mut self, server: u32) {
-        let (reqs, bytes) = std::mem::take(&mut self.batches[server as usize]);
-        if reqs.is_empty() {
-            return;
+        let link = &mut self.links[server as usize];
+        let reqs = std::mem::take(&mut link.pending);
+        let bytes = std::mem::take(&mut link.pending_bytes);
+        link.last_flush = Instant::now();
+        for req in &reqs {
+            // A retry finds its op counted already; an op that timed out
+            // while it waited here is gone.
+            if let Some(st) = self.ops.get_mut(&req.op_id) {
+                if !st.holds_link && !blocks(&req.op) {
+                    st.holds_link = true;
+                    link.unanswered += 1;
+                }
+            }
         }
         self.count("proxy.batch.flushes", 1.0);
         self.record("proxy.batch.ops", reqs.len() as u64);
@@ -436,9 +491,23 @@ impl Core {
         self.link.send(server, &AppMsg::ClientBatch(reqs));
     }
 
+    /// Group commit: an idle link sends now, a busy one coalesces. A
+    /// server's batch leaves when nothing sent to it is unanswered, so at
+    /// a window of one every op still leaves the moment it arrives;
+    /// otherwise it fills until the answer comes back (or `BATCH_BYTES`
+    /// accumulate, see `enqueue`) and one frame, one gcast and one
+    /// `DoneBatch` then carry all of it. How many ops share a frame is
+    /// thus the number that arrive per round trip — not, as when every
+    /// pass flushed, per pass of this loop. A server silent for
+    /// `IDLE_PARK` is not waited for: ops sent to a crashed one are in
+    /// nobody's way, and each times out at its own deadline.
     fn flush_all(&mut self) {
-        for s in 0..self.batches.len() as u32 {
-            self.flush(s);
+        for s in 0..self.links.len() {
+            let link = &self.links[s];
+            let free = || link.unanswered == 0 || link.last_flush.elapsed() >= IDLE_PARK;
+            if !link.pending.is_empty() && free() {
+                self.flush(s as u32);
+            }
         }
     }
 
@@ -484,6 +553,9 @@ impl Core {
 
     /// Completes one op toward the client: latency + trace + reply.
     fn finish(&mut self, st: OpState, result: ClientResult) {
+        if st.holds_link {
+            self.links[st.server as usize].unanswered -= 1;
+        }
         self.count("proxy.ops.completed", 1.0);
         let lat = st.issued.elapsed().as_micros() as u64;
         self.record("proxy.op.latency_micros", lat);
@@ -532,8 +604,11 @@ impl Core {
                 self.count("proxy.retries", 1.0);
                 self.ledger.retried();
                 // Same op id, same server: the dedup cache turns a
-                // merely-slow first execution into a replay.
+                // merely-slow first execution into a replay. It leaves
+                // at once: the link it would wait for is the one that
+                // has just failed to answer it.
                 self.enqueue(server, req);
+                self.flush(server);
             } else {
                 let st = self.ops.remove(&op_id).expect("checked above");
                 self.finish(st, ClientResult::TimedOut);

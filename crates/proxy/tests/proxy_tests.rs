@@ -1,11 +1,12 @@
 //! End-to-end tests of the serving tier: real client sockets → proxy →
 //! gateway slot → live cluster → back.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use paso_core::{ClientOp, ClientResult, Deployment, PasoConfig, WalMedium};
+use paso_core::{ClientOp, ClientResult, Deployment, PasoConfig, ProxyServerFrame, WalMedium};
 use paso_proxy::{Proxy, ProxyClient, ProxyOptions};
 use paso_runtime::{Cluster, TransportKind};
+use paso_simnet::{FaultPlan, NodeId};
 use paso_types::{ObjectId, PasoObject, ProcessId, SearchCriterion, Template, Value};
 
 const SECRET: u64 = 0x5eed;
@@ -26,6 +27,21 @@ fn obj(seq: u64, n: i64) -> PasoObject {
         ObjectId::new(ProcessId(7000), seq),
         vec![Value::symbol("task"), Value::Int(n)],
     )
+}
+
+fn insert_op(n: i64) -> ClientOp {
+    ClientOp::Insert {
+        object: obj(n as u64, n),
+    }
+}
+
+/// The machine every write of a `task` tuple is routed to: the lowest-id
+/// member of its class's basic support.
+fn task_leader(cfg: &PasoConfig) -> u32 {
+    let d = Deployment::new(cfg.clone(), WalMedium::Memory);
+    let class = d.classifier().classify(&obj(0, 0));
+    let members = d.basic_support(class).iter();
+    members.map(|m| m.0).min().expect("a class has support")
 }
 
 fn cluster_with_proxy(cfg: PasoConfig, opts: ProxyOptions) -> (Cluster, Proxy) {
@@ -329,6 +345,10 @@ fn routed_reads_are_local_and_routed_inserts_cost_one_gcast() {
     );
     assert_eq!(counter("proxy.route.member"), OPS as f64);
     assert_eq!(counter("proxy.route.fallback"), 0.0);
+    // One op in flight at a time finds its link idle every time: each
+    // left as a batch of its own, none waited for company.
+    assert_eq!(counter("proxy.batch.flushes"), 2.0 * OPS as f64);
+    assert_eq!(counter("proxy.ops.forwarded"), 2.0 * OPS as f64);
     cluster.shutdown();
 }
 
@@ -345,9 +365,7 @@ fn ops_issued_after_the_leader_crashes_all_complete() {
             .proxy_slots(1)
             .adaptive(false)
             .build();
-        let d = Deployment::new(cfg.clone(), WalMedium::Memory);
-        let class = d.classifier().classify(&obj(0, 0));
-        let leader = d.basic_support(class).iter().map(|m| m.0).min().unwrap();
+        let leader = task_leader(&cfg);
         let (cluster, proxy) = cluster_with_proxy_over(transport, cfg, ProxyOptions::default());
         let mut c = ProxyClient::connect(proxy.port(), 1, SECRET).expect("connect");
 
@@ -380,4 +398,142 @@ fn ops_issued_after_the_leader_crashes_all_complete() {
         assert_eq!(tel.counter("proxy.route.fallback"), 0.0);
         cluster.shutdown();
     }
+}
+
+/// A cluster whose `task` leader executes what the gateway sends it and
+/// whose answers are lost on the way back, with one insert already in
+/// that state: sent, applied, and never to be answered.
+fn cluster_with_an_unanswered_insert(
+    cfg: PasoConfig,
+    op_timeout: Duration,
+) -> (Cluster, Proxy, ProxyClient, u32, Instant) {
+    let leader = task_leader(&cfg);
+    let gateway = NodeId(cfg.n as u32);
+    let opts = ProxyOptions {
+        op_timeout,
+        ..ProxyOptions::default()
+    };
+    let (cluster, proxy) = cluster_with_proxy(cfg, opts);
+    let mut c = ProxyClient::connect(proxy.port(), 1, SECRET).expect("connect");
+    cluster.set_fault_plan(FaultPlan::none().drop_link(NodeId(leader), gateway, 1.0));
+    let sent = Instant::now();
+    assert_eq!(c.send_op(&insert_op(1)).unwrap(), 0);
+    wait_until_applied(&cluster, leader, 1, sent, op_timeout / 4);
+    (cluster, proxy, c, leader, sent)
+}
+
+/// Holds that the leader applied insert `n` within `limit` of `since`.
+fn wait_until_applied(cluster: &Cluster, leader: u32, n: i64, since: Instant, limit: Duration) {
+    while cluster.read(leader, sc_task(n)).unwrap().is_none() {
+        assert!(
+            since.elapsed() < limit,
+            "insert({n}) never left the gateway"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert!(since.elapsed() < limit, "insert({n}) left late");
+}
+
+fn recv_done(c: &mut ProxyClient) -> (u64, ClientResult) {
+    match c.recv().expect("recv") {
+        ProxyServerFrame::Done { seq, result } => (seq, result),
+        other => panic!("unexpected {other:?}"),
+    }
+}
+
+/// A server that stops answering holds nothing back: an op routed to it
+/// behind an unanswered one still leaves within milliseconds, the link
+/// serves the moment answers flow again, and the ops whose answers were
+/// lost time out one by one, each at its own deadline.
+#[test]
+fn ops_behind_a_silent_server_leave_at_once_and_time_out_on_their_own() {
+    const TIMEOUT: Duration = Duration::from_millis(1500);
+    let cfg = PasoConfig::builder(4, 1)
+        .proxy_slots(1)
+        .adaptive(false)
+        .client_retry_budget(0)
+        .build();
+    let (cluster, _proxy, mut c, leader, first) = cluster_with_an_unanswered_insert(cfg, TIMEOUT);
+
+    std::thread::sleep(Duration::from_millis(200));
+    let second = Instant::now();
+    assert_eq!(c.send_op(&insert_op(2)).unwrap(), 1);
+    wait_until_applied(&cluster, leader, 2, second, TIMEOUT / 4);
+
+    cluster.set_fault_plan(FaultPlan::none());
+    let third = Instant::now();
+    assert_eq!(c.send_op(&insert_op(3)).unwrap(), 2);
+    assert_eq!(recv_done(&mut c), (2, ClientResult::Inserted));
+    assert!(
+        third.elapsed() < TIMEOUT / 4,
+        "waited for the unanswered ops"
+    );
+
+    for (seq, sent) in [(0, first), (1, second)] {
+        assert_eq!(recv_done(&mut c), (seq, ClientResult::TimedOut));
+        let late = sent.elapsed().saturating_sub(TIMEOUT);
+        assert!(
+            sent.elapsed() >= TIMEOUT && late < Duration::from_millis(150),
+            "op {seq} answered {:?} after it was sent",
+            sent.elapsed()
+        );
+    }
+    cluster.shutdown();
+}
+
+/// The same with the server crashing while it owes an answer: once it
+/// is back, ops routed to it are served without waiting for the lost
+/// op's timeout.
+#[test]
+fn a_link_owed_an_answer_serves_again_as_soon_as_its_server_recovers() {
+    const TIMEOUT: Duration = Duration::from_secs(6);
+    let cfg = PasoConfig::builder(4, 1)
+        .proxy_slots(1)
+        .adaptive(false)
+        .build();
+    let (cluster, _proxy, mut c, leader, _) = cluster_with_an_unanswered_insert(cfg, TIMEOUT);
+    cluster.crash(leader);
+    cluster.set_fault_plan(FaultPlan::none());
+    cluster.recover(leader);
+
+    let sent = Instant::now();
+    assert_eq!(c.send_op(&insert_op(2)).unwrap(), 1);
+    assert_eq!(recv_done(&mut c), (1, ClientResult::Inserted));
+    // Well inside the first retry slice of the op nobody answered.
+    assert!(sent.elapsed() < TIMEOUT / 6, "took {:?}", sent.elapsed());
+    let tel = cluster.telemetry().snapshot();
+    assert_eq!(tel.counter("proxy.route.leader"), 2.0, "both went to it");
+    cluster.shutdown();
+}
+
+/// A blocking take nothing satisfies waits at its server for as long as
+/// it likes; ops routed to the same server do not wait with it.
+#[test]
+fn a_parked_blocking_read_does_not_hold_its_link() {
+    let cfg = PasoConfig::builder(3, 1).proxy_slots(1).build();
+    let (cluster, proxy) = cluster_with_proxy(cfg, ProxyOptions::default());
+    let mut c = ProxyClient::connect(proxy.port(), 1, SECRET).expect("connect");
+    let parked = c
+        .send_op(&ClientOp::ReadDel {
+            sc: sc_task(77),
+            blocking: true,
+        })
+        .unwrap();
+    let mut want = std::collections::BTreeSet::new();
+    for i in 1..=8 {
+        want.insert(c.send_op(&insert_op(i)).unwrap());
+    }
+    while !want.is_empty() {
+        let (seq, result) = recv_done(&mut c);
+        assert_eq!(result, ClientResult::Inserted);
+        assert!(want.remove(&seq), "unexpected completion of {seq}");
+    }
+    // What it waits for arrives: both ops complete, in either order.
+    let last = c.send_op(&insert_op(77)).unwrap();
+    let mut done = [recv_done(&mut c), recv_done(&mut c)];
+    done.sort_by_key(|(seq, _)| *seq);
+    assert_eq!(done[0].0, parked);
+    assert!(matches!(done[0].1, ClientResult::Found(_)), "{:?}", done[0]);
+    assert_eq!(done[1], (last, ClientResult::Inserted));
+    cluster.shutdown();
 }

@@ -192,20 +192,39 @@ impl GatewayLink {
         let deadline = Instant::now() + timeout;
         loop {
             let remaining = deadline.saturating_duration_since(Instant::now());
-            // The oracle does not mail gateways (see `is_up`); any
-            // envelope other than an app frame (a stray control message)
-            // is ignored.
-            if let Envelope::Net {
-                from,
-                msg: NetMsg::App(bytes),
-            } = self.mailbox.recv_timeout(remaining)?
-            {
-                if let Some(msg) = paso_core::decode::<AppMsg>(&bytes) {
-                    return Some((from, msg));
-                }
-                self.ledger.telemetry().count("wire.decode.error", 1.0);
+            if let Some(got) = self.app_msg(self.mailbox.recv_timeout(remaining)?) {
+                return Some(got);
             }
         }
+    }
+
+    /// The next application message if one is already waiting — what
+    /// [`GatewayLink::recv_timeout`] with a zero timeout returns, without
+    /// reading the clock for a deadline nobody will wait for.
+    pub fn try_recv(&self) -> Option<(NodeId, AppMsg)> {
+        loop {
+            if let Some(got) = self.app_msg(self.mailbox.try_recv()?) {
+                return Some(got);
+            }
+        }
+    }
+
+    /// The application message inside `envelope`. The oracle does not
+    /// mail gateways (see `is_up`); any envelope other than an app frame
+    /// (a stray control message) is ignored, an undecodable one counted.
+    fn app_msg(&self, envelope: Envelope) -> Option<(NodeId, AppMsg)> {
+        let Envelope::Net {
+            from,
+            msg: NetMsg::App(bytes),
+        } = envelope
+        else {
+            return None;
+        };
+        let msg = paso_core::decode::<AppMsg>(&bytes);
+        if msg.is_none() {
+            self.ledger.telemetry().count("wire.decode.error", 1.0);
+        }
+        Some((from, msg?))
     }
 
     /// The cluster's shared metrics registry.

@@ -24,6 +24,45 @@
 //!   counted as sent) only when their last byte hits the socket, so the
 //!   bounded queue *is* the backpressure accounting.
 //!
+//! ## Who writes a socket
+//!
+//! **An idle link sends now, a busy link coalesces.** A connection's
+//! write side — the socket handle and the progress of the batch being
+//! written — lives in its shared [`OutConn`] behind one mutex, and
+//! `drain_write` is the only routine that writes a socket; it runs with
+//! that mutex held. Two kinds of thread call it:
+//!
+//! - the **sending thread**, on a peer connection, when its push took
+//!   the queue from empty to non-empty ([`Reactor::write_through`]): the
+//!   link is idle, nobody is writing it, so the frame goes out in the
+//!   caller's own `writev` instead of after a pipe write, a poller
+//!   wake-up, a pipe drain and a second `poll` round — the hand-off that
+//!   was most of a small message's `α`;
+//! - the **owning poller**, on `POLLOUT`, for everything a sender could
+//!   not finish: the mutex was taken (`try_lock` — a sender never waits),
+//!   the connection is not dialed yet, the kernel buffer filled
+//!   (`WouldBlock`, possibly mid-frame), or the write failed. The sender
+//!   wakes it exactly as every send used to. On a busy link the queue is
+//!   non-empty when a sender pushes, so the frame just joins it and
+//!   leaves in whoever-is-writing's next `writev` with its neighbours.
+//!
+//! Lock order is write half → queue: `drain_write` takes the queue lock
+//! briefly while it holds the write half; a sender pushes, lets the queue
+//! lock go, and only then tries the write half. Only the owning poller
+//! redials: a sender whose write fails gives the socket up (the
+//! half-written frame dropped and counted, the socket shut down so the
+//! poller sees `POLLHUP`) and the poller hands the connection to the
+//! dialer when it gets there.
+//!
+//! **Client connections are excluded**: [`FrameServer::send`] always
+//! wakes the poller. A gateway answers a burst of completions with a
+//! burst of `Done` frames per client, and the poller's one `writev` for
+//! the lot beats a syscall per frame from the logic thread (measured:
+//! write-through there costs `proxy_sat` 10 %, and gains nothing where
+//! replies are single).
+//!
+//! [`FrameServer::send`]: crate::FrameServer::send
+//!
 //! Dialing happens on a dedicated **dialer thread** holding a deadline
 //! heap: unreachable peers redial with capped exponential backoff without
 //! occupying a poller or the send path. A connection that fails mid-write
@@ -32,12 +71,13 @@
 //!
 //! Shutdown is joined, not detached: dropping the transport wakes every
 //! poller and the dialer, [`Reactor::shutdown`] joins them all, and
-//! dropping the entries closes every fd — asserted by the
-//! transport-lifecycle leak test.
+//! dropping the entries and, right behind them, the transport's table of
+//! [`OutConn`]s (which share the connected sockets) closes every fd —
+//! asserted by the transport-lifecycle leak test.
 
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -117,25 +157,62 @@ const READ_CHUNK: usize = 16 << 10;
 /// Sentinel for "not registered with any poller".
 const NO_OWNER: usize = usize::MAX;
 
-/// Outbound-connection state shared between the send path (push), the
-/// owning poller (drain), and the dialer (reconnect).
+/// Outbound-connection state shared between the send path (push, and the
+/// write itself on an idle link), the owning poller (drain), and the
+/// dialer (reconnect).
 pub(crate) struct OutConn {
     /// Peer's listener port.
     port: u16,
-    /// Bounded FIFO of frames awaiting the wire. Senders push; the owning
-    /// poller pops a frame only once it is fully written.
+    /// Bounded FIFO of frames awaiting the wire. Senders push; whoever
+    /// holds `write` pops a frame only once it is fully written.
     queue: Mutex<VecDeque<Frame>>,
     /// Lock-free mirror of `queue.len()` so building the interest set
     /// takes no lock for idle connections.
     len: AtomicUsize,
     /// Queue capacity (`TransportTuning::queue_depth`).
     depth: usize,
+    /// The socket's write side. Whoever holds this lock is the
+    /// connection's one writer for as long as it holds it; `queue` is
+    /// only ever taken inside it, never the other way round.
+    write: Mutex<WriteHalf>,
     /// Index of the poller currently owning the connected socket, or
     /// [`NO_OWNER`] while dialing.
     owner: AtomicUsize,
     /// Administrative close (client kick): the owning poller drops the
     /// entry at its next wakeup instead of draining further.
     closed: AtomicBool,
+}
+
+/// One frame of a connection's active write batch.
+struct BatchFrame {
+    frame: Frame,
+    /// Span of this frame's varint header inside the scratch buffer.
+    header: (usize, usize),
+    /// Cumulative end offset of this frame in the batch byte stream.
+    end: usize,
+}
+
+/// The write side of a connection: the socket and the progress of the
+/// batch being written to it. Only [`drain_write`] writes the socket.
+#[derive(Default)]
+struct WriteHalf {
+    /// The connected socket, shared with the owning poller's entry
+    /// (which polls it and, for a client, reads it). `None` while the
+    /// connection is being dialed, and from a write failure until the
+    /// owning poller has handed the connection back to the dialer.
+    stream: Option<Arc<TcpStream>>,
+    /// Varint headers for the active batch — the only per-batch bytes the
+    /// writer materializes; payloads are written from the shared frames.
+    scratch: Vec<u8>,
+    /// Frames of the active batch: `Arc` clones of the queue front,
+    /// popped from the queue only once fully written.
+    batch: Vec<BatchFrame>,
+    /// Frames at the front of `batch` already fully written and popped.
+    batch_done: usize,
+    /// Bytes of the batch already written to the socket.
+    written: usize,
+    /// Total bytes in the active batch.
+    total: usize,
 }
 
 impl OutConn {
@@ -145,6 +222,7 @@ impl OutConn {
             queue: Mutex::new(VecDeque::new()),
             len: AtomicUsize::new(0),
             depth,
+            write: Mutex::new(WriteHalf::default()),
             owner: AtomicUsize::new(NO_OWNER),
             closed: AtomicBool::new(false),
         }
@@ -159,9 +237,9 @@ impl OutConn {
         self.closed.load(Ordering::Acquire)
     }
 
-    /// Appends a frame. `Ok(true)` means the queue was empty (the caller
-    /// should wake the owning poller); `Err` returns the frame when the
-    /// bounded queue is full.
+    /// Appends a frame. `Ok(true)` means the queue was empty (nobody is
+    /// writing this connection: the caller writes it or wakes the owning
+    /// poller); `Err` returns the frame when the bounded queue is full.
     pub(crate) fn try_push(&self, frame: Frame) -> Result<bool, Frame> {
         let mut q = self.queue.lock();
         if q.len() >= self.depth {
@@ -186,6 +264,8 @@ impl OutConn {
         self.queue.lock().iter().cloned().collect()
     }
 
+    /// Whether anything awaits the wire. A frame stays queued until its
+    /// last byte is written, so this covers an unfinished batch too.
     fn pending(&self) -> bool {
         self.queued() > 0
     }
@@ -394,6 +474,24 @@ impl Reactor {
         });
     }
 
+    /// For a sender whose push took `conn`'s queue from empty to
+    /// non-empty, i.e. found the link idle: writes the queue to the
+    /// socket from the calling thread, so the frame leaves now instead of
+    /// after a pipe write, a poller wake-up and a second `poll` round.
+    /// Whatever this thread cannot finish — another writer holds the
+    /// socket, it is not dialed yet, the kernel buffer is full
+    /// (`WouldBlock`, possibly mid-frame), the write failed — is left to
+    /// the owning poller, woken exactly as before.
+    pub(crate) fn write_through(&self, conn: &OutConn) {
+        let finished = conn.write.try_lock().is_some_and(|mut w| {
+            matches!(drain_write(conn, &mut w, &self.shared), WriteOutcome::Alive)
+                && !conn.pending()
+        });
+        if !finished {
+            self.wake_owner(conn);
+        }
+    }
+
     /// Wakes the poller owning `conn`, if any (a connection still dialing
     /// drains its queue the moment it is installed, so no wake is needed).
     pub(crate) fn wake_owner(&self, conn: &OutConn) {
@@ -525,56 +623,12 @@ fn dialer_loop(rx: Receiver<DialCmd>, shared: Arc<ReactorShared>) {
     }
 }
 
-/// One frame of an outbound entry's active write batch.
-struct BatchFrame {
-    frame: Frame,
-    /// Span of this frame's varint header inside the scratch buffer.
-    header: (usize, usize),
-    /// Cumulative end offset of this frame in the batch byte stream.
-    end: usize,
-}
-
-/// Outbound connection as owned by a poller.
-struct OutEntry {
-    conn: Arc<OutConn>,
-    stream: TcpStream,
-    /// Varint headers for the active batch — the only per-batch bytes the
-    /// writer materializes; payloads are written from the shared frames.
-    scratch: Vec<u8>,
-    /// Frames of the active batch: `Arc` clones of the queue front,
-    /// popped from the queue only once fully written.
-    batch: Vec<BatchFrame>,
-    /// Frames at the front of `batch` already fully written and popped.
-    batch_done: usize,
-    /// Bytes of the batch already written to the socket.
-    written: usize,
-    /// Total bytes in the active batch.
-    total: usize,
-}
-
-impl OutEntry {
-    fn new(conn: Arc<OutConn>, stream: TcpStream) -> Self {
-        OutEntry {
-            conn,
-            stream,
-            scratch: Vec::new(),
-            batch: Vec::new(),
-            batch_done: 0,
-            written: 0,
-            total: 0,
-        }
-    }
-
-    fn wants_write(&self) -> bool {
-        self.batch_done < self.batch.len() || self.conn.pending()
-    }
-}
-
 /// What `drain_write` decided about the connection.
 enum WriteOutcome {
-    /// Keep the entry (possibly with an unfinished batch).
+    /// Keep the connection (possibly with an unfinished batch).
     Alive,
-    /// Socket failed: reconnect via the dialer.
+    /// No usable socket (it failed, now or under an earlier writer, or it
+    /// is not dialed yet): the owning poller reconnects via the dialer.
     Dead,
 }
 
@@ -595,14 +649,21 @@ enum Entry {
         buf: Vec<u8>,
         filled: usize,
     },
-    Outbound(OutEntry),
+    /// A dialed peer connection: written through `conn`'s write half, by
+    /// this poller or by a sending thread; the entry polls the socket.
+    Outbound {
+        conn: Arc<OutConn>,
+        stream: Arc<TcpStream>,
+    },
     /// One accepted client connection: full duplex on a single fd. Reads
     /// deliver opaque payload frames as [`ClientEvent::Frame`]s; writes
-    /// drain the registered [`OutConn`] exactly like a peer connection.
+    /// drain the registered [`OutConn`] exactly like a peer connection,
+    /// except that only this poller ever writes it.
     Client {
         id: u64,
         reg: Arc<ClientRegistry>,
-        out: OutEntry,
+        conn: Arc<OutConn>,
+        stream: Arc<TcpStream>,
         buf: Vec<u8>,
         filled: usize,
     },
@@ -615,8 +676,7 @@ impl Entry {
                 listener.as_raw_fd()
             }
             Entry::Inbound { stream, .. } => stream.as_raw_fd(),
-            Entry::Outbound(o) => o.stream.as_raw_fd(),
-            Entry::Client { out, .. } => out.stream.as_raw_fd(),
+            Entry::Outbound { stream, .. } | Entry::Client { stream, .. } => stream.as_raw_fd(),
         }
     }
 
@@ -628,8 +688,8 @@ impl Entry {
             // Idle outbound connections stay in the set with no requested
             // events: POLLERR/POLLHUP are reported regardless, so a dead
             // peer is noticed without waiting for the next send.
-            Entry::Outbound(o) => {
-                if o.wants_write() {
+            Entry::Outbound { conn, .. } => {
+                if conn.pending() {
                     libc::POLLOUT
                 } else {
                     0
@@ -637,8 +697,8 @@ impl Entry {
             }
             // A kicked client requests POLLOUT so the (always-writable)
             // socket forces a dispatch that notices `closed`.
-            Entry::Client { out, .. } => {
-                if out.wants_write() || out.conn.is_closed() {
+            Entry::Client { conn, .. } => {
+                if conn.pending() || conn.is_closed() {
                     libc::POLLIN | libc::POLLOUT
                 } else {
                     libc::POLLIN
@@ -664,12 +724,17 @@ fn poller_loop(index: usize, wake_rd: libc::c_int, shared: Arc<ReactorShared>) {
                 }
                 Cmd::Outbound(conn, stream) => {
                     conn.owner.store(index, Ordering::Release);
-                    let mut entry = OutEntry::new(conn, stream);
+                    let stream = Arc::new(stream);
                     // Frames queued while dialing: drain immediately
                     // rather than waiting for a POLLOUT cycle.
-                    match drain_write(&mut entry, &shared) {
-                        WriteOutcome::Alive => entries.push(Entry::Outbound(entry)),
-                        WriteOutcome::Dead => redial(entry, &shared),
+                    let outcome = {
+                        let mut w = conn.write.lock();
+                        w.stream = Some(Arc::clone(&stream));
+                        drain_write(&conn, &mut w, &shared)
+                    };
+                    match outcome {
+                        WriteOutcome::Alive => entries.push(Entry::Outbound { conn, stream }),
+                        WriteOutcome::Dead => redial(conn, &shared),
                     }
                 }
                 Cmd::Shutdown => break 'run,
@@ -747,23 +812,29 @@ fn poller_loop(index: usize, wake_rd: libc::c_int, shared: Arc<ReactorShared>) {
                         dead.push(i);
                     }
                 }
-                Entry::Outbound(o) => {
-                    if revents & libc::POLLOUT != 0 || (hangup && o.wants_write()) {
-                        if let WriteOutcome::Dead = drain_write(o, &shared) {
+                Entry::Outbound { conn, .. } => {
+                    if revents & libc::POLLOUT != 0 || (hangup && conn.pending()) {
+                        // Blocks only for as long as a sending thread's
+                        // own drain takes; what that leaves is ours.
+                        let outcome = drain_write(conn, &mut conn.write.lock(), &shared);
+                        if let WriteOutcome::Dead = outcome {
                             dead.push(i);
                         }
                     } else if hangup {
-                        dead.push(i); // idle peer hung up: reconnect
+                        // Idle peer hung up, or a sending thread's write
+                        // failed and shut the socket down: reconnect.
+                        dead.push(i);
                     }
                 }
                 Entry::Client {
                     id,
                     reg,
-                    out,
+                    conn,
+                    stream,
                     buf,
                     filled,
                 } => {
-                    let kicked = out.conn.is_closed();
+                    let kicked = conn.is_closed();
                     let mut gone = false;
                     if !kicked && revents & libc::POLLIN != 0 {
                         // Client payloads go through opaque.
@@ -775,7 +846,7 @@ fn poller_loop(index: usize, wake_rd: libc::c_int, shared: Arc<ReactorShared>) {
                             }
                         };
                         gone = !fill_and_split(
-                            &mut out.stream,
+                            &mut &**stream,
                             buf,
                             filled,
                             reg.max_frame,
@@ -788,10 +859,11 @@ fn poller_loop(index: usize, wake_rd: libc::c_int, shared: Arc<ReactorShared>) {
                     // the wire before the socket drops. `interest()`
                     // keeps POLLOUT set while `closed`, so a partial
                     // flush retries next wakeup.
-                    if revents & libc::POLLOUT != 0 || (hangup && out.wants_write()) {
-                        gone |= matches!(drain_write(out, &shared), WriteOutcome::Dead);
+                    if revents & libc::POLLOUT != 0 || (hangup && conn.pending()) {
+                        let outcome = drain_write(conn, &mut conn.write.lock(), &shared);
+                        gone |= matches!(outcome, WriteOutcome::Dead);
                     }
-                    if gone || hangup || (kicked && !out.wants_write()) {
+                    if gone || hangup || (kicked && !conn.pending()) {
                         dead.push(i);
                     }
                 }
@@ -803,7 +875,7 @@ fn poller_loop(index: usize, wake_rd: libc::c_int, shared: Arc<ReactorShared>) {
         for &i in dead.iter().rev() {
             // Listener/inbound entries just drop, which closes the fd.
             match entries.swap_remove(i) {
-                Entry::Outbound(o) => redial(o, &shared),
+                Entry::Outbound { conn, .. } => redial(conn, &shared),
                 Entry::Client { id, reg, .. } => {
                     // Clients are accepted, never dialed: death is final.
                     reg.conns.lock().remove(&id);
@@ -816,18 +888,21 @@ fn poller_loop(index: usize, wake_rd: libc::c_int, shared: Arc<ReactorShared>) {
     unsafe {
         libc::close(wake_rd);
     }
-    // Dropping `entries` closes every remaining fd.
+    // Dropping `entries` closes every remaining fd but the connected
+    // sockets their `OutConn`s share, which go with those.
 }
 
 /// Sends a failed outbound connection back to the dialer (frames still in
-/// its queue survive the reconnect). The `backoff_base` delay before the
+/// its queue survive the reconnect). Only the owning poller does this, so
+/// a connection is never dialed twice. The `backoff_base` delay before the
 /// redial keeps a connect-then-immediately-hang-up peer — e.g. one whose
 /// mailbox is gone but whose listener still accepts — from turning into a
 /// busy reconnect loop.
-fn redial(entry: OutEntry, shared: &ReactorShared) {
-    entry.conn.owner.store(NO_OWNER, Ordering::Release);
+fn redial(conn: Arc<OutConn>, shared: &ReactorShared) {
+    abandon(&conn, &mut conn.write.lock(), &shared.counters);
+    conn.owner.store(NO_OWNER, Ordering::Release);
     let _ = shared.dial_tx.send(DialCmd::Dial {
-        conn: entry.conn,
+        conn,
         after: shared.tuning.backoff_base,
     });
 }
@@ -883,7 +958,9 @@ fn accept_clients(
                 }
                 let _ = stream.set_nodelay(true);
                 let id = reg.next_id.fetch_add(1, Ordering::Relaxed);
+                let stream = Arc::new(stream);
                 let conn = Arc::new(OutConn::new(0, reg.depth));
+                conn.write.lock().stream = Some(Arc::clone(&stream));
                 conn.owner.store(poller, Ordering::Release);
                 reg.conns.lock().insert(id, Arc::clone(&conn));
                 if reg.sink.send(ClientEvent::Connected(ClientId(id))).is_err() {
@@ -894,7 +971,8 @@ fn accept_clients(
                 out.push(Entry::Client {
                     id,
                     reg: Arc::clone(reg),
-                    out: OutEntry::new(conn, stream),
+                    conn,
+                    stream,
                     buf: Vec::new(),
                     filled: 0,
                 });
@@ -930,7 +1008,7 @@ enum Sunk {
 /// clean EOF on a frame boundary or local shutdown — bumps
 /// `poll_errors`; the connection dies, the poller does not.
 fn fill_and_split(
-    stream: &mut TcpStream,
+    stream: &mut impl Read,
     buf: &mut Vec<u8>,
     filled: &mut usize,
     max_frame: usize,
@@ -1018,7 +1096,10 @@ fn peek_varint(bytes: &[u8]) -> Option<(u64, usize)> {
 }
 
 /// Drains the connection's send queue through `write_vectored` until the
-/// queue empties or the socket stops accepting bytes.
+/// queue empties or the socket stops accepting bytes. The one routine
+/// that writes a socket: the owning poller calls it on `POLLOUT` (and when
+/// it installs a dialed socket), a sending thread calls it through
+/// [`Reactor::write_through`], each holding `conn.write` as `w`.
 ///
 /// The batch is assembled **without popping**: headers are varint-encoded
 /// into the per-connection scratch buffer and payloads referenced
@@ -1028,105 +1109,120 @@ fn peek_varint(bytes: &[u8]) -> Option<(u64, usize)> {
 /// a write error the partially-written frame (corrupt mid-stream) is
 /// dropped **with accounting**; unwritten frames stay queued for the
 /// reconnect.
-fn drain_write(o: &mut OutEntry, shared: &ReactorShared) -> WriteOutcome {
+fn drain_write(conn: &OutConn, w: &mut WriteHalf, shared: &ReactorShared) -> WriteOutcome {
     let tuning = &shared.tuning;
     let counters = &shared.counters;
+    let Some(mut stream) = w.stream.as_deref() else {
+        return WriteOutcome::Dead;
+    };
     loop {
         // Assemble a batch if none is in flight.
-        if o.batch_done == o.batch.len() {
-            o.batch.clear();
-            o.batch_done = 0;
-            o.scratch.clear();
-            o.written = 0;
-            o.total = 0;
+        if w.batch_done == w.batch.len() {
+            w.batch.clear();
+            w.batch_done = 0;
+            w.scratch.clear();
+            w.written = 0;
+            w.total = 0;
             {
-                let q = o.conn.queue.lock();
+                let q = conn.queue.lock();
                 if q.is_empty() {
                     return WriteOutcome::Alive;
                 }
                 for frame in q.iter().take(tuning.max_batch_frames.max(1)) {
-                    if !o.batch.is_empty() && o.total + frame.len() + 10 > tuning.max_batch_bytes {
+                    if !w.batch.is_empty() && w.total + frame.len() + 10 > tuning.max_batch_bytes {
                         break;
                     }
-                    let h0 = o.scratch.len();
-                    paso_wire::put_varint(&mut o.scratch, frame.len() as u64);
-                    let h1 = o.scratch.len();
-                    o.total += (h1 - h0) + frame.len();
-                    o.batch.push(BatchFrame {
+                    let h0 = w.scratch.len();
+                    paso_wire::put_varint(&mut w.scratch, frame.len() as u64);
+                    let h1 = w.scratch.len();
+                    w.total += (h1 - h0) + frame.len();
+                    w.batch.push(BatchFrame {
                         frame: Arc::clone(frame),
                         header: (h0, h1),
-                        end: o.total,
+                        end: w.total,
                     });
                 }
             }
-            counters.batch_frames.record(o.batch.len() as u64);
-            counters.batch_bytes.record(o.total as u64);
+            counters.batch_frames.record(w.batch.len() as u64);
+            counters.batch_bytes.record(w.total as u64);
         }
 
         // Gather the unwritten remainder into IoSlices.
-        let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity((o.batch.len() - o.batch_done) * 2);
-        for bf in &o.batch[o.batch_done..] {
+        let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity((w.batch.len() - w.batch_done) * 2);
+        for bf in &w.batch[w.batch_done..] {
             let header_len = bf.header.1 - bf.header.0;
             let start = bf.end - header_len - bf.frame.len();
-            let header = &o.scratch[bf.header.0..bf.header.1];
-            if o.written <= start {
+            let header = &w.scratch[bf.header.0..bf.header.1];
+            if w.written <= start {
                 slices.push(IoSlice::new(header));
                 slices.push(IoSlice::new(&bf.frame));
-            } else if o.written < start + header_len {
-                slices.push(IoSlice::new(&header[o.written - start..]));
+            } else if w.written < start + header_len {
+                slices.push(IoSlice::new(&header[w.written - start..]));
                 slices.push(IoSlice::new(&bf.frame));
-            } else if o.written < bf.end {
-                slices.push(IoSlice::new(&bf.frame[o.written - start - header_len..]));
+            } else if w.written < bf.end {
+                slices.push(IoSlice::new(&bf.frame[w.written - start - header_len..]));
             }
         }
 
-        match o.stream.write_vectored(&slices) {
-            Ok(0) => return fail_batch(o, counters),
+        match stream.write_vectored(&slices) {
+            Ok(0) => return fail_batch(conn, w, counters),
             Ok(n) => {
-                o.written += n;
+                w.written += n;
                 // Pop (and account) every frame that fully left.
-                while o.batch_done < o.batch.len() && o.batch[o.batch_done].end <= o.written {
-                    let bf = &o.batch[o.batch_done];
+                while w.batch_done < w.batch.len() && w.batch[w.batch_done].end <= w.written {
+                    let bf = &w.batch[w.batch_done];
                     let framed = (bf.header.1 - bf.header.0) + bf.frame.len();
                     counters.bytes.add(framed as f64);
                     counters.delivered.add(1.0);
-                    pop_front(&o.conn, &bf.frame, counters);
-                    o.batch_done += 1;
+                    pop_front(conn, &bf.frame, counters);
+                    w.batch_done += 1;
                 }
                 // Loop: either more of this batch, or start the next.
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => return WriteOutcome::Alive,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => return fail_batch(o, counters),
+            Err(_) => return fail_batch(conn, w, counters),
         }
     }
 }
 
-/// Write failure: drop the partially-written frame (its prefix is on the
-/// dead stream; resending it whole on a new connection could duplicate),
-/// keep everything else queued, and reconnect.
-fn fail_batch(o: &mut OutEntry, counters: &NetCounters) -> WriteOutcome {
+/// Write failure: count it, give the socket up, and have the owning
+/// poller reconnect.
+fn fail_batch(conn: &OutConn, w: &mut WriteHalf, counters: &NetCounters) -> WriteOutcome {
     counters.errors.add(1.0);
-    if o.batch_done < o.batch.len() {
-        let bf = &o.batch[o.batch_done];
-        let start = bf.end - (bf.header.1 - bf.header.0) - bf.frame.len();
-        if o.written > start {
-            counters.dropped.add(1.0);
-            pop_front(&o.conn, &bf.frame, counters);
-        }
-    }
-    o.batch.clear();
-    o.batch_done = 0;
-    o.scratch.clear();
-    o.written = 0;
-    o.total = 0;
+    abandon(conn, w, counters);
     WriteOutcome::Dead
 }
 
+/// Gives the connection's socket up: drops the partially-written frame
+/// (its prefix is on the dead stream; resending it whole on a new
+/// connection could duplicate) with accounting, keeps everything else
+/// queued, and shuts the socket down — so that a poller which did not see
+/// the failure itself (a sending thread did) gets `POLLHUP` for it
+/// whatever state the kernel left it in, and redials. A no-op on a
+/// connection already given up.
+fn abandon(conn: &OutConn, w: &mut WriteHalf, counters: &NetCounters) {
+    if let Some(bf) = w.batch.get(w.batch_done) {
+        let start = bf.end - (bf.header.1 - bf.header.0) - bf.frame.len();
+        if w.written > start {
+            counters.dropped.add(1.0);
+            pop_front(conn, &bf.frame, counters);
+        }
+    }
+    w.batch.clear();
+    w.batch_done = 0;
+    w.scratch.clear();
+    w.written = 0;
+    w.total = 0;
+    if let Some(stream) = w.stream.take() {
+        let _ = stream.shutdown(Shutdown::Both);
+    }
+}
+
 /// Pops the queue front, which must be the batch frame just completed
-/// (senders only push; this poller is the only popper). An empty queue
-/// here is a desync bug — counted and asserted in debug builds, but
-/// never worth killing a production poller over.
+/// (senders only push; the holder of `conn.write` is the only popper). An
+/// empty queue here is a desync bug — counted and asserted in debug
+/// builds, but never worth killing a production poller over.
 fn pop_front(conn: &OutConn, expect: &Frame, counters: &NetCounters) {
     let mut q = conn.queue.lock();
     match q.pop_front() {
@@ -1137,4 +1233,72 @@ fn pop_front(conn: &OutConn, expect: &Frame, counters: &NetCounters) {
         }
     }
     conn.len.store(q.len(), Ordering::Release);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use paso_telemetry::Telemetry;
+
+    /// Blocks until `stream`'s peer has reset it.
+    fn wait_for_reset(stream: &TcpStream) {
+        let mut pfd = libc::pollfd {
+            fd: stream.as_raw_fd(),
+            events: 0,
+            revents: 0,
+        };
+        let ready = unsafe { libc::poll(&mut pfd, 1, 5_000) };
+        assert_eq!(ready, 1, "the peer's reset never arrived");
+        assert_ne!(pfd.revents & (libc::POLLERR | libc::POLLHUP), 0);
+    }
+
+    /// Sender-thread twin of the transport's peer-death tests: the write
+    /// that finds the peer gone is the calling thread's own. No poller
+    /// owns this connection, so whatever happens to it the caller did.
+    #[test]
+    fn peer_death_during_an_inline_write_drops_the_half_written_frame_once() {
+        let counters = Arc::new(NetCounters::new(&Telemetry::new()));
+        let reactor = Reactor::start(
+            TransportTuning::default(),
+            Arc::clone(&counters),
+            Arc::new(AtomicBool::new(false)),
+        );
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let port = listener.local_addr().unwrap().port();
+        let stream = TcpStream::connect(("127.0.0.1", port)).unwrap();
+        stream.set_nonblocking(true).unwrap();
+        let stream = Arc::new(stream);
+        let (peer, _) = listener.accept().unwrap();
+        let conn = OutConn::new(port, 16);
+        conn.write.lock().stream = Some(Arc::clone(&stream));
+
+        // More than the kernel buffers toward a peer that reads nothing:
+        // part of the frame goes out, the rest waits for `POLLOUT`.
+        assert_eq!(conn.try_push(vec![7u8; 8 << 20].into()), Ok(true));
+        reactor.write_through(&conn);
+        assert_eq!(conn.queued(), 1, "an 8 MiB frame fit the socket buffers");
+        let behind: [Frame; 2] = [vec![1u8; 8].into(), vec![2u8; 8].into()];
+        for frame in &behind {
+            assert_eq!(conn.try_push(Arc::clone(frame)), Ok(false));
+        }
+
+        drop(peer); // unread bytes: the close resets the connection
+        wait_for_reset(&stream);
+        reactor.write_through(&conn);
+        assert_eq!(counters.errors.get(), 1.0);
+        assert_eq!(counters.dropped.get(), 1.0, "the half-written frame");
+        assert_eq!(counters.delivered.get(), 0.0);
+        let left = conn.queued_frames();
+        assert!(left.iter().zip(&behind).all(|(a, b)| Arc::ptr_eq(a, b)));
+        assert_eq!(left.len(), 2, "the frames behind it wait for the redial");
+
+        // The socket is given up: a poller holding the other reference
+        // is told so by `POLLHUP`, and later senders touch nothing.
+        assert!(conn.write.lock().stream.is_none());
+        wait_for_reset(&stream);
+        reactor.write_through(&conn);
+        assert_eq!(counters.errors.get(), 1.0);
+        assert_eq!(counters.dropped.get(), 1.0, "dropped once");
+        assert_eq!(conn.queued(), 2);
+    }
 }

@@ -18,9 +18,12 @@
 //! talking to hundreds of peers costs [`TransportTuning::poller_threads`]
 //! I/O threads plus one background dialer instead of threads per
 //! connection. The paper's `α` (per-message overhead) is what this buys
-//! down: sends are a lock-free-ish queue push, writes are vectored
-//! batches of refcounted frames with zero per-send payload copies, reads
-//! are incremental into one reusable buffer per connection.
+//! down: a send is a queue push and, when that finds the link idle, the
+//! `writev` itself, from the sending thread — no hand-off to a poller;
+//! on a busy link the frame joins the queue and leaves in a vectored
+//! batch of refcounted frames with zero per-send payload copies (who may
+//! write a socket, and the lock order, are in the reactor's module
+//! docs); reads are incremental into one reusable buffer per connection.
 //!
 //! ## Failure path and fault injection
 //!
@@ -28,10 +31,11 @@
 //! ([`reactor::OutConn`](crate::reactor)). Dialing happens on the
 //! background dialer with capped exponential backoff, so a dead or
 //! blackholed peer can never head-of-line-block sends to healthy peers;
-//! the send path only ever performs a non-blocking push. Frames that
+//! the send path only ever performs a non-blocking push and, on an idle
+//! dialed link, a non-blocking write. Frames that
 //! don't fit the bounded queue are dropped and **accounted** in
-//! [`NetStats::msgs_dropped`] — nothing is silently swallowed. The
-//! owning poller coalesces queued frames into one `writev` syscall,
+//! [`NetStats::msgs_dropped`] — nothing is silently swallowed. Whoever
+//! writes coalesces the queued frames into one `writev` syscall,
 //! capped at [`TransportTuning::max_batch_bytes`] /
 //! [`TransportTuning::max_batch_frames`] so one slow reader cannot
 //! balloon memory, and `bytes_sent` counts only frames fully written to
@@ -424,6 +428,13 @@ impl Mailbox for ChannelMailbox {
     }
 }
 
+impl ChannelMailbox {
+    /// The next envelope if one is already waiting.
+    pub(crate) fn try_recv(&self) -> Option<Envelope> {
+        self.rx.try_recv().ok()
+    }
+}
+
 impl Postman for ChannelTransport {
     fn send(&self, to: NodeId, envelope: Envelope) {
         if let Envelope::Net { from, .. } = &envelope {
@@ -529,6 +540,11 @@ impl TcpTransport {
         let transport = Self::over_ports(ports, tuning, ledger);
         for (i, (listener, tx)) in listeners.into_iter().enumerate() {
             transport.shared.reactor.add_listener(i, listener, tx);
+            // The oracle's links are dialed now, not at the first crash:
+            // a `Crash` still waiting for its dial while the peers'
+            // notices of it are delivered lets the victim answer traffic
+            // it should never have seen.
+            transport.shared.conn(CONTROLLER, NodeId(i as u32));
         }
         (transport, mailboxes)
     }
@@ -567,40 +583,47 @@ impl Drop for TcpTransport {
         if let Some(line) = self.shared.delay.lock().take() {
             line.shutdown();
         }
-        // Joins every poller and the dialer; dropping their entries
-        // closes every socket fd (asserted by the lifecycle leak test).
+        // Joins every poller and the dialer; their entries and then
+        // `conns`, dropped with `shared`, close every socket fd
+        // (asserted by the lifecycle leak test).
         self.shared.reactor.shutdown();
     }
 }
 
 impl TcpShared {
-    /// Queues one already-encoded frame toward `to`. Never blocks: the
-    /// dialer connects in the background, and a full queue drops the
-    /// frame with accounting instead of waiting.
+    /// The `(from, to)` connection, created — and its first dial
+    /// scheduled — on first use. `None` when `to` is no node of this
+    /// transport.
+    fn conn(&self, from: NodeId, to: NodeId) -> Option<Arc<OutConn>> {
+        let &port = self.ports.get(to.index())?;
+        let mut conns = self.conns.lock();
+        let conn = conns.entry((from, to)).or_insert_with(|| {
+            let conn = Arc::new(OutConn::new(port, self.tuning.queue_depth));
+            self.reactor.dial(Arc::clone(&conn));
+            conn
+        });
+        Some(Arc::clone(conn))
+    }
+
+    /// Queues one already-encoded frame toward `to` and, if the link was
+    /// idle, writes it. Never blocks: the dialer connects in the
+    /// background, a full queue drops the frame with accounting instead
+    /// of waiting, and a socket that will not take the frame now is left
+    /// to its poller.
     fn enqueue(&self, from: NodeId, to: NodeId, frame: Frame) {
         if self.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        let Some(&port) = self.ports.get(to.index()) else {
+        let Some(conn) = self.conn(from, to) else {
             self.counters.dropped.add(1.0);
             return;
         };
-        let conn = {
-            let mut conns = self.conns.lock();
-            match conns.entry((from, to)) {
-                std::collections::hash_map::Entry::Occupied(e) => Arc::clone(e.get()),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    let conn = Arc::new(OutConn::new(port, self.tuning.queue_depth));
-                    e.insert(Arc::clone(&conn));
-                    self.reactor.dial(Arc::clone(&conn));
-                    conn
-                }
-            }
-        };
         match conn.try_push(frame) {
-            // Empty→nonempty: the owning poller may be parked in poll(2)
-            // with no write interest; poke it.
-            Ok(true) => self.reactor.wake_owner(&conn),
+            // Empty→nonempty: the link was idle, so nobody is writing it
+            // and the owning poller may be parked in poll(2) with no
+            // write interest. Write it from this thread; the poller is
+            // woken only for what that leaves.
+            Ok(true) => self.reactor.write_through(&conn),
             Ok(false) => {}
             Err(_) => {
                 // Bounded-queue overflow: the peer is unreachable or
@@ -637,11 +660,14 @@ impl TcpTransport {
     }
 }
 
-/// The connection slot controller traffic uses (no sending node).
+/// The sender identity of controller traffic (no sending node).
+const CONTROLLER: NodeId = NodeId(u32::MAX);
+
+/// The connection slot an envelope travels on.
 fn conn_slot(envelope: &Envelope) -> NodeId {
     match envelope {
         Envelope::Net { from, .. } => *from,
-        _ => NodeId(u32::MAX),
+        _ => CONTROLLER,
     }
 }
 
@@ -649,8 +675,8 @@ impl Postman for TcpTransport {
     fn send(&self, to: NodeId, envelope: Envelope) {
         let net = matches!(envelope, Envelope::Net { .. });
         let from = conn_slot(&envelope);
-        // The frame carries the envelope body only — the owning poller
-        // prepends the varint header from its per-connection scratch
+        // The frame carries the envelope body only — the writer
+        // prepends the varint header from the connection's scratch
         // buffer at write time (`bytes_sent` still counts header+body).
         let frame: Frame = paso_wire::encode_to_vec(&envelope).into();
         if net {
@@ -689,7 +715,7 @@ impl Postman for TcpTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write;
+    use std::io::{Read, Write};
     use std::net::TcpStream;
 
     fn net(from: u32) -> Envelope {
@@ -1129,6 +1155,130 @@ mod tests {
             "expected ≥ 11 overflow drops, got {}",
             stats.msgs_dropped
         );
+    }
+
+    fn app(fill: u8, len: usize) -> Envelope {
+        Envelope::Net {
+            from: NodeId(0),
+            msg: NetMsg::App(vec![fill; len]),
+        }
+    }
+
+    fn queued(postman: &TcpTransport) -> usize {
+        let conns = postman.shared.conns.lock();
+        conns.values().map(|c| c.queued()).sum()
+    }
+
+    /// An idle link is written by the thread that sends on it: a frame
+    /// costs the receiving poller's `POLLIN` return and nothing on the
+    /// sending side (handing it to the owning poller costs two more).
+    #[test]
+    fn ping_pong_on_idle_links_costs_under_two_poll_wakeups_a_frame() {
+        let ledger = Ledger::new();
+        let (postman, mailboxes) =
+            TcpTransport::with_tuning(2, TransportTuning::default(), &ledger);
+        let round_trip = || {
+            for (from, to) in [(0u32, 1usize), (1, 0)] {
+                postman.send(NodeId(to as u32), net(from));
+                let got = mailboxes[to].recv_timeout(Duration::from_secs(5));
+                assert!(got.is_some(), "frame {from} -> {to} must arrive");
+            }
+        };
+        round_trip(); // dials both links
+        let wakeups = || ledger.telemetry().snapshot().hist("net.poll.wakeups").count;
+        let before = wakeups();
+        for _ in 0..500 {
+            round_trip();
+        }
+        let per_frame = (wakeups() - before) as f64 / 1000.0;
+        assert!(per_frame < 2.0, "{per_frame} poll returns per frame");
+    }
+
+    /// One frame larger than the kernel will buffer toward a reader that
+    /// has stopped reading, on a link that is dialed and idle — so the
+    /// sending thread is the one that writes it, gets part of it in, and
+    /// is told `WouldBlock` mid-frame. Returns the transport, the peer's
+    /// end of the connection, and the frames queued behind the stuck one.
+    fn stuck_mid_frame(listener: &TcpListener) -> (Arc<TcpTransport>, TcpStream, Vec<u8>) {
+        let port = listener.local_addr().unwrap().port();
+        let tuning = TransportTuning {
+            poller_threads: 1,
+            ..TransportTuning::default()
+        };
+        let postman = TcpTransport::over_ports(vec![port], tuning, &Ledger::new());
+        // Reading a first small frame off the wire proves the socket
+        // installed: the next send finds the link dialed and idle.
+        postman.send(NodeId(0), app(0, 8));
+        let (mut peer, _) = listener.accept().unwrap();
+        peer.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut first = Vec::new();
+        push_frame(&mut first, &app(0, 8));
+        let mut got = vec![0u8; first.len()];
+        peer.read_exact(&mut got).unwrap();
+        assert_eq!(got, first);
+        eventually(
+            "the first frame is accounted",
+            Duration::from_secs(2),
+            || postman.net_stats().msgs_delivered == 1,
+        );
+
+        postman.send(NodeId(0), app(1, 8 << 20));
+        assert_eq!(
+            queued(&postman),
+            1,
+            "the kernel buffered a whole 8 MiB frame nobody reads"
+        );
+        assert_eq!(postman.net_stats().msgs_delivered, 1);
+        let mut behind = Vec::new();
+        for i in 2..6 {
+            postman.send(NodeId(0), app(i, 8));
+            push_frame(&mut behind, &app(i, 8));
+        }
+        assert_eq!(queued(&postman), 5);
+        (postman, peer, behind)
+    }
+
+    /// The frame the sending thread left half-written is finished by the
+    /// poller on `POLLOUT`, and the receiver sees every byte in order.
+    #[test]
+    fn poller_finishes_the_frame_a_sending_thread_left_half_written() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let (postman, mut peer, behind) = stuck_mid_frame(&listener);
+        let mut expect = Vec::new();
+        push_frame(&mut expect, &app(1, 8 << 20));
+        expect.extend_from_slice(&behind);
+        let mut got = vec![0u8; expect.len()];
+        peer.read_exact(&mut got).expect("the reader resumes");
+        assert!(got == expect, "byte stream reordered or corrupted");
+        eventually("every frame is accounted", Duration::from_secs(2), || {
+            postman.net_stats().msgs_delivered == 6
+        });
+        assert_eq!(postman.net_stats().msgs_dropped, 0);
+        assert_eq!(queued(&postman), 0);
+    }
+
+    /// The peer dies with a frame half-written by a sending thread: that
+    /// frame is dropped, once; the frames behind it stay queued and
+    /// arrive, in order, on the redialed connection.
+    #[test]
+    fn peer_death_behind_a_half_written_frame_drops_it_once_and_redials() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let (postman, peer, behind) = stuck_mid_frame(&listener);
+        drop(peer); // unread bytes: the close resets the connection
+        let (mut peer, _) = listener.accept().expect("redial");
+        peer.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut got = vec![0u8; behind.len()];
+        peer.read_exact(&mut got).unwrap();
+        assert_eq!(got, behind);
+        eventually("the rest is accounted", Duration::from_secs(2), || {
+            postman.net_stats().msgs_delivered == 5
+        });
+        let stats = postman.net_stats();
+        assert_eq!(stats.msgs_dropped, 1, "the half-written frame, once");
+        assert!(stats.poll_errors >= 1);
+        assert_eq!(queued(&postman), 0);
     }
 
     #[test]

@@ -120,6 +120,16 @@ fn windowed_script() -> Vec<Op> {
     ops
 }
 
+/// Three windows of sixteen under the same rule: sixteen inserts, then
+/// a take or a read of each, then the rest taken beside fresh inserts.
+fn wide_script() -> Vec<Op> {
+    use Op::*;
+    let mut ops: Vec<Op> = (1..=16).map(Insert).collect();
+    ops.extend((1..=8).map(Take).chain((9..=16).map(Read)));
+    ops.extend((9..=16).map(Take).chain((17..=24).map(Insert)));
+    ops
+}
+
 /// The value comes first, so that a first-field hash spreads the
 /// script's objects over its classes.
 fn fields(v: i64) -> Vec<Value> {
@@ -169,6 +179,16 @@ fn pipelined_ops_through_the_proxy_batch_and_match_the_direct_path() {
         snap.counter("proxy.done_batches") > 0.0,
         "no frame was shared"
     );
+    assert!(snap.hist("op.batch.ops").mean() >= 2.0);
+}
+
+/// Sixteen in flight. Whatever reaches the gateway while a link is idle
+/// leaves at once, the rest of the window shares the frame that follows
+/// the answer: same totals, same verdict, and frames still shared.
+#[test]
+fn wide_windows_through_the_proxy_coalesce_and_match_the_direct_path() {
+    let snap = differential(ClassifierKind::Arity(4), wide_script(), 16);
+    assert!(snap.hist("proxy.batch.ops").mean() >= 2.0);
     assert!(snap.hist("op.batch.ops").mean() >= 2.0);
 }
 
