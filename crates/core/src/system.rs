@@ -317,16 +317,23 @@ impl SimSystem {
     /// Steps the simulation until `op` completes. Returns `None` if the
     /// event queue drains or `max_events` are processed first (which, for
     /// a non-blocking op, indicates a protocol bug).
+    ///
+    /// Outputs are drained, and the registry published, only once a step
+    /// has completed some op, and on return: an op takes about seven
+    /// events, and publishing after each of them was a sizeable share of
+    /// the simulator's run time.
     pub fn wait(&mut self, op: u64, max_events: u64) -> Option<ClientResult> {
         let mut processed = 0u64;
         loop {
             if let Some(r) = self.poll(op) {
                 return Some(r);
             }
-            if processed >= max_events || !self.engine.step() {
-                return self.poll(op);
+            while !self.engine.has_outputs() {
+                if processed >= max_events || !self.engine.step() {
+                    return self.poll(op);
+                }
+                processed += 1;
             }
-            processed += 1;
         }
     }
 

@@ -75,13 +75,15 @@ impl Net {
 
     fn drive(&mut self, node: NodeId, ev: NodeEvent<NetMsg>) {
         let n = self.n();
-        let actions = drive_actor(
+        let mut actions = Vec::new();
+        drive_actor(
             &mut self.nodes[node.index()],
             node,
             n,
             self.now,
             &mut self.rng,
             ev,
+            &mut actions,
         );
         for action in actions {
             match action {

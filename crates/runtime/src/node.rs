@@ -49,12 +49,14 @@ pub(crate) fn run_node<A, F>(
     let mut down = false;
     let mut timers: BinaryHeap<Reverse<(SimTime, u64)>> = BinaryHeap::new();
     let mut local: VecDeque<NetMsg> = VecDeque::new();
+    // One action buffer for the thread's life, drained after every event.
+    let mut actions = Vec::new();
 
     // Closure-free dispatch helper (borrows everything it needs).
     macro_rules! dispatch {
         ($event:expr) => {{
-            let actions = drive_actor(&mut actor, node, n, now(), &mut rng, $event);
-            for action in actions {
+            drive_actor(&mut actor, node, n, now(), &mut rng, $event, &mut actions);
+            for action in actions.drain(..) {
                 match action {
                     Action::Send { to, msg } => {
                         msgs_sent.add(1.0);

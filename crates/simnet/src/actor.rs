@@ -82,9 +82,9 @@ pub trait Actor {
 
 /// An action issued by an actor while handling an event.
 ///
-/// Inside the simulator these are applied by the [`Engine`](crate::Engine);
-/// external drivers (the live threaded runtime in `paso-runtime`) obtain
-/// them through [`drive_actor`] and apply them over real transports.
+/// Every driver obtains them through [`drive_actor`]: the
+/// [`Engine`](crate::Engine) applies them in simulated time, the live
+/// threaded runtime in `paso-runtime` over real transports.
 #[derive(Debug)]
 pub enum Action<M, O> {
     /// Send `msg` to `to` over the network.
@@ -130,9 +130,15 @@ pub enum Action<M, O> {
     Trace(TraceKind),
 }
 
-/// Runs one event through an actor outside the simulator, returning the
-/// actions it issued. This is how the live runtime (`paso-runtime`) drives
-/// the *same* protocol state machines over real threads and sockets.
+/// Runs one event through an actor, appending the actions it issues to
+/// `actions` in issue order.
+///
+/// This is the one dispatch routine: the [`Engine`](crate::Engine) applies
+/// the actions in simulated time, the live runtime (`paso-runtime`) over
+/// real threads and sockets, and test harnesses however they choose — so
+/// every driver runs the *same* protocol state machines the same way.
+/// Callers keep one buffer and drain it after each event; passing it back
+/// reuses its capacity instead of growing a fresh `Vec` per event.
 pub fn drive_actor<A: Actor>(
     actor: &mut A,
     node: NodeId,
@@ -140,29 +146,30 @@ pub fn drive_actor<A: Actor>(
     now: SimTime,
     rng: &mut ChaCha8Rng,
     event: NodeEvent<A::Msg>,
-) -> Vec<Action<A::Msg, A::Output>> {
+    actions: &mut Vec<Action<A::Msg, A::Output>>,
+) {
     let mut ctx = Context {
         node,
         n,
         now,
         rng,
-        actions: Vec::new(),
+        actions,
     };
     actor.handle(&mut ctx, event);
-    ctx.actions
 }
 
 /// The actor's handle onto its environment during one event.
 ///
-/// Borrowed mutably for the duration of [`Actor::handle`]; all actions are
-/// applied by the engine after the handler returns, in issue order.
+/// Borrowed mutably for the duration of [`Actor::handle`]; actions land in
+/// the driver's buffer and are applied after the handler returns, in issue
+/// order. Only [`drive_actor`] builds one.
 #[derive(Debug)]
 pub struct Context<'a, M, O> {
     pub(crate) node: NodeId,
     pub(crate) n: usize,
     pub(crate) now: SimTime,
     pub(crate) rng: &'a mut ChaCha8Rng,
-    pub(crate) actions: Vec<Action<M, O>>,
+    pub(crate) actions: &'a mut Vec<Action<M, O>>,
 }
 
 impl<M, O> Context<'_, M, O> {
@@ -256,12 +263,13 @@ mod tests {
     #[test]
     fn context_buffers_actions_in_order() {
         let mut rng = ChaCha8Rng::seed_from_u64(0);
+        let mut actions = Vec::new();
         let mut ctx: Context<'_, Vec<u8>, u32> = Context {
             node: NodeId(1),
             n: 4,
             now: SimTime::from_micros(10),
             rng: &mut rng,
-            actions: Vec::new(),
+            actions: &mut actions,
         };
         assert_eq!(ctx.id(), NodeId(1));
         assert_eq!(ctx.n(), 4);

@@ -21,7 +21,7 @@
 
 use std::sync::Arc;
 
-use crate::actor::{Action, Actor, Context, NodeEvent, NodeId};
+use crate::actor::{drive_actor, Action, Actor, NodeEvent, NodeId};
 use crate::arena::ActorArena;
 use crate::cost::{CostModel, WireSized};
 use crate::fault::{ChurnModel, Fault, FaultPlan, FaultScript, LinkFate, NetModel};
@@ -261,6 +261,9 @@ pub struct Engine<A: Actor> {
     pub(crate) tel: Publisher,
     pub(crate) trace_buf: Arc<TraceBuf>,
     pub(crate) outputs: Vec<(SimTime, NodeId, A::Output)>,
+    /// The action buffer every dispatch fills and drains (empty between
+    /// events).
+    pub(crate) actions: Vec<Action<A::Msg, A::Output>>,
     pub(crate) trace: Trace,
     pub(crate) concurrent_failures: usize,
     /// Cached `config.fault_plan.is_pass_through()` so the per-send hot
@@ -336,6 +339,7 @@ impl<A: Actor> Engine<A> {
             tel,
             trace_buf: Arc::new(TraceBuf::new()),
             outputs: Vec::new(),
+            actions: Vec::new(),
             trace: Vec::new(),
             concurrent_failures: 0,
             fault_pass_through,
@@ -405,8 +409,19 @@ impl<A: Actor> Engine<A> {
         &self.arena.actors[node.index()]
     }
 
+    /// True iff outputs were emitted since the last
+    /// [`take_outputs`](Self::take_outputs).
+    pub fn has_outputs(&self) -> bool {
+        !self.outputs.is_empty()
+    }
+
     /// Drains the outputs emitted since the last call, publishing
     /// telemetry on the way (harnesses read metrics after draining).
+    ///
+    /// A publish stores every engine total in the registry, so a driver
+    /// that steps one event at a time should call this when
+    /// [`has_outputs`](Self::has_outputs) says there is something to
+    /// drain, not after every [`step`](Self::step).
     pub fn take_outputs(&mut self) -> Vec<(SimTime, NodeId, A::Output)> {
         self.flush_telemetry();
         std::mem::take(&mut self.outputs)
@@ -579,17 +594,20 @@ impl<A: Actor> Engine<A> {
         if !self.arena.is_up(node) {
             return;
         }
-        let mut ctx = Context {
+        // The engine's one action buffer, out of `self` while the loop
+        // below applies it and back in, drained, with its capacity.
+        let mut actions = std::mem::take(&mut self.actions);
+        drive_actor(
+            &mut self.arena.actors[node.index()],
             node,
-            n: self.config.n,
-            now: self.now,
-            rng: &mut self.rng,
-            actions: Vec::new(),
-        };
-        self.arena.actors[node.index()].handle(&mut ctx, event);
-        let actions = ctx.actions;
+            self.config.n,
+            self.now,
+            &mut self.rng,
+            event,
+            &mut actions,
+        );
         let epoch = self.arena.epoch[node.index()];
-        for action in actions {
+        for action in actions.drain(..) {
             match action {
                 Action::Send { to, msg } => {
                     let bytes = msg.wire_size();
@@ -644,6 +662,7 @@ impl<A: Actor> Engine<A> {
                 }
             }
         }
+        self.actions = actions;
     }
 
     /// Bumps a labeled counter and marks it for the next publish.
@@ -872,6 +891,7 @@ impl<A: Actor> Engine<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::actor::Context;
     use crate::fault::{DelayDist, LatencyModel};
 
     /// A toy actor: forwards a counter around the ring `k` times.
@@ -1348,10 +1368,10 @@ mod tests {
 
 #[cfg(test)]
 mod drive_actor_tests {
-    //! The external-driver API used by the live runtime.
+    //! `drive_actor`, the one dispatch routine of the engine, the live
+    //! runtime and the test harnesses.
 
     use super::*;
-    use crate::actor::{drive_actor, Action};
     use rand::SeedableRng;
 
     struct Echo;
@@ -1387,29 +1407,24 @@ mod drive_actor_tests {
         }
     }
 
-    #[test]
-    fn drive_actor_returns_all_actions_in_order() {
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0);
-        let mut actor = Echo;
-        let actions = drive_actor(
-            &mut actor,
-            NodeId(1),
-            4,
-            SimTime::from_millis(5),
-            &mut rng,
-            NodeEvent::Message {
-                from: NodeId(2),
-                msg: Ping(7),
-            },
-        );
+    type Actions = Vec<Action<Ping, u8>>;
+
+    /// Drives one `Ping(v)` from `NodeId(2)` into `actions`.
+    fn ping(actions: &mut Actions, rng: &mut ChaCha8Rng, v: u8) {
+        let ev = NodeEvent::Message {
+            from: NodeId(2),
+            msg: Ping(v),
+        };
+        drive_actor(&mut Echo, NodeId(1), 4, SimTime::ZERO, rng, ev, actions);
+    }
+
+    /// The five actions one `Ping(v)` with `v > 0` issues, in issue order.
+    fn assert_echo_of(actions: &Actions, v: u8) {
         assert_eq!(actions.len(), 5);
-        assert!(matches!(actions[0], Action::Emit(7)));
+        assert!(matches!(actions[0], Action::Emit(e) if e == v));
         assert!(matches!(
             actions[1],
-            Action::Send {
-                to: NodeId(2),
-                msg: Ping(6)
-            }
+            Action::Send { to: NodeId(2), msg: Ping(m) } if m == v - 1
         ));
         assert!(matches!(actions[2], Action::SendLocal { msg: Ping(0) }));
         assert!(matches!(actions[3], Action::Work(3)));
@@ -1417,21 +1432,64 @@ mod drive_actor_tests {
     }
 
     #[test]
+    fn drive_actor_returns_all_actions_in_order() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0);
+        let mut actions = Vec::new();
+        ping(&mut actions, &mut rng, 7);
+        assert_echo_of(&actions, 7);
+    }
+
+    #[test]
+    fn drive_actor_reuses_a_drained_buffer() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0);
+        let mut actions = Vec::new();
+        ping(&mut actions, &mut rng, 7);
+        let (cap, ptr) = (actions.capacity(), actions.as_ptr());
+        assert_eq!(actions.drain(..).count(), 5);
+        ping(&mut actions, &mut rng, 4);
+        assert_eq!(actions.capacity(), cap, "same capacity");
+        assert_eq!(actions.as_ptr(), ptr, "same allocation");
+        assert_echo_of(&actions, 4);
+    }
+
+    #[test]
     fn drive_actor_timers_surface_as_actions() {
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0);
-        let mut actor = Echo;
-        let actions = drive_actor(
-            &mut actor,
+        let mut rng = ChaCha8Rng::seed_from_u64(0);
+        let mut actions = Vec::new();
+        drive_actor(
+            &mut Echo,
             NodeId(0),
             1,
             SimTime::ZERO,
             &mut rng,
             NodeEvent::Start,
+            &mut actions,
         );
         assert_eq!(actions.len(), 1);
         assert!(
             matches!(actions[0], Action::SetTimer { delay, tag: 9 } if delay == SimTime::from_millis(1))
         );
+    }
+
+    #[test]
+    fn drive_actor_is_the_engines_only_context() {
+        // The engine dispatches through `drive_actor` like every other
+        // driver; a `Context` built here would be a second dispatch path.
+        let src = include_str!("engine.rs");
+        let body = &src[..src.find("#[cfg(test)]").expect("engine.rs has tests")];
+        assert!(!body.contains("Context {"));
+        assert!(body.contains("drive_actor("));
+    }
+
+    #[test]
+    fn engine_leaves_its_action_buffer_drained() {
+        let mut e = Engine::new(EngineConfig::for_tests(2), |_| Echo);
+        e.inject(SimTime::ZERO, NodeId(0), Ping(3));
+        e.run_to_quiescence(1000);
+        assert!(e.actions.is_empty());
+        assert!(e.actions.capacity() >= 5, "kept for the next dispatch");
+        // Pings 3..=0, three local `Ping(0)`s, and both nodes' start timers.
+        assert_eq!(e.take_outputs().len(), 9);
     }
 
     #[test]

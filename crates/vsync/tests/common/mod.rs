@@ -47,13 +47,15 @@ impl<A: GroupApp> Net<A> {
 
     pub fn drive(&mut self, node: NodeId, ev: NodeEvent<NetMsg>) {
         let n = self.nodes.len();
-        let actions = drive_actor(
+        let mut actions = Vec::new();
+        drive_actor(
             &mut self.nodes[node.index()],
             node,
             n,
             self.now,
             &mut self.rng,
             ev,
+            &mut actions,
         );
         for action in actions {
             match action {
