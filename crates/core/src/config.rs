@@ -335,7 +335,6 @@ impl PasoConfigBuilder {
         self
     }
 
-    /// Sets the reactor poller-thread count — the live transport's whole
     /// Sets the client retry budget for timed-out idempotent operations
     /// (live runtime).
     pub fn client_retry_budget(mut self, budget: u32) -> Self {
@@ -369,7 +368,6 @@ impl PasoConfigBuilder {
         self
     }
 
-    /// Enables or disables the membership oracle's peer broadcasts
     /// Enables the durable per-node write-ahead log (crash recovery via
     /// local replay + delta rejoin).
     pub fn durable(mut self, on: bool) -> Self {
@@ -377,8 +375,6 @@ impl PasoConfigBuilder {
         self
     }
 
-    /// Sets the fsync batching window in microseconds (`0` = sync every
-    /// Sets the WAL compaction cadence in logged deliveries (`0`
     /// Sets the in-memory delivery-log horizon for delta state transfer.
     pub fn log_horizon(mut self, horizon: usize) -> Self {
         self.cfg.log_horizon = horizon;

@@ -140,9 +140,7 @@ impl Deployment {
             ] {
                 telemetry.counter(c);
             }
-            for g in ["proxy.clients.open", "proxy.tenants"] {
-                telemetry.gauge(g);
-            }
+            telemetry.gauge("proxy.clients.open");
             for h in [
                 "proxy.batch.ops",
                 "proxy.batch.bytes",

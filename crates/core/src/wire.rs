@@ -328,7 +328,7 @@ pub enum ProxyClientFrame {
     /// (or a bad token) is answered with `Denied` and the connection is
     /// closed.
     Hello {
-        /// Tenant identity (feeds the per-tenant cardinality gauge).
+        /// Tenant identity, the key the token is checked against.
         tenant: u64,
         /// `auth_token(tenant, secret)` — a keyed FNV-1a MAC.
         token: u64,

@@ -20,8 +20,7 @@
 //! * **Auth** — first client frame must be a
 //!   [`ProxyClientFrame::Hello`] carrying `auth_token(tenant, secret)`;
 //!   anything else is answered [`ProxyServerFrame::Denied`] and the
-//!   connection is closed (the denial is flushed first). Tenant
-//!   cardinality feeds a HyperLogLog → the `proxy.tenants` gauge.
+//!   connection is closed (the denial is flushed first).
 //! * **Pipelining** — each connection may keep the cluster config's
 //!   `proxy_pipeline_depth` ops outstanding; excess ops bounce with
 //!   [`ProxyServerFrame::Busy`] instead of queueing unboundedly.
@@ -88,7 +87,6 @@ use paso_core::{
 };
 use paso_runtime::{ClientEvent, ClientId, FrameServer, GatewayLink, TransportTuning};
 use paso_simnet::NodeId;
-use paso_telemetry::{hash64, HyperLogLog};
 
 use route::Router;
 
@@ -284,7 +282,6 @@ struct Core {
     /// Connection-lifetime-unique op ids: `(gateway NodeId) << 40 | ctr`,
     /// disjoint from the in-process client API's 0-based counter.
     next_op: u64,
-    tenants: HyperLogLog,
 }
 
 impl Core {
@@ -313,7 +310,6 @@ impl Core {
             ops: HashMap::new(),
             deadlines: BTreeSet::new(),
             next_op: 0,
-            tenants: HyperLogLog::new(),
         }
     }
 
@@ -399,8 +395,6 @@ impl Core {
                 if let Some(conn) = self.conns.get_mut(&id) {
                     conn.tenant = Some(tenant);
                 }
-                self.tenants.insert(hash64(tenant));
-                self.set_gauge("proxy.tenants", self.tenants.estimate());
                 self.reply(id, &ProxyServerFrame::Welcome);
             }
             ProxyClientFrame::Op { seq, op } => {

@@ -34,8 +34,7 @@ pub use frame_server::{FrameServer, SendOutcome};
 pub use ledger::{ClusterStats, Ledger, NetStats};
 pub use reactor::{ClientEvent, ClientId};
 pub use transport::{
-    push_frame, ChannelMailbox, ChannelTransport, Envelope, Mailbox, Postman, TcpTransport,
-    TransportTuning,
+    ChannelMailbox, ChannelTransport, Envelope, Mailbox, Postman, TcpTransport, TransportTuning,
 };
 
 #[cfg(test)]

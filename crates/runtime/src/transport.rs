@@ -463,15 +463,6 @@ impl Postman for ChannelTransport {
 /// Frames a connection refuses to accept (corrupt length prefix guard).
 pub(crate) const MAX_FRAME: usize = 64 << 20;
 
-/// Appends one `[varint length][envelope bytes]` frame to `batch` — the
-/// exact wire format of the TCP transport. Public so benches and tests
-/// can produce byte-identical frames (e.g. a thread-per-connection
-/// baseline sender in `exp_saturation`).
-pub fn push_frame(batch: &mut Vec<u8>, envelope: &Envelope) {
-    paso_wire::put_varint(batch, envelope.encoded_len() as u64);
-    envelope.encode(batch);
-}
-
 /// Localhost TCP transport: every node listens on `127.0.0.1:port_i`;
 /// senders keep persistent connections. All sockets are driven by the
 /// fixed poller pool of the [`reactor`](crate::reactor) — accepts, frame
@@ -717,6 +708,13 @@ mod tests {
     use super::*;
     use std::io::{Read, Write};
     use std::net::TcpStream;
+
+    /// Appends one `[varint length][envelope bytes]` frame to `batch` — the
+    /// exact wire format of the TCP transport, for writing raw sockets.
+    fn push_frame(batch: &mut Vec<u8>, envelope: &Envelope) {
+        paso_wire::put_varint(batch, envelope.encoded_len() as u64);
+        envelope.encode(batch);
+    }
 
     fn net(from: u32) -> Envelope {
         Envelope::Net {

@@ -13,14 +13,9 @@
 //!   start under the live runtime.
 //! * [`check_trace`] — an A1–A3 axiom checker (§2 of the paper) that any
 //!   test can run over a recorded trace to decide whether the run was legal.
-//!
-//! Plus one sketch: [`HyperLogLog`], a 256-byte lock-free distinct-count
-//! estimator feeding cardinality gauges (e.g. the proxy tier's
-//! `proxy.tenants`) where an exact set would grow with the key space.
 
 mod axioms;
 mod hist;
-mod hll;
 mod registry;
 mod trace;
 
@@ -28,6 +23,5 @@ pub use axioms::{
     check_trace, AxiomReport, AxiomTracker, AxiomTrackerState, AxiomViolation, ObjLife, PendingOp,
 };
 pub use hist::{HistSnapshot, Histogram, N_BUCKETS};
-pub use hll::{hash64, HyperLogLog};
 pub use registry::{intern, Counter, Gauge, Snapshot, Telemetry};
 pub use trace::{ObjRef, OpKind, Outcome, TraceBuf, TraceEvent, TraceKind};

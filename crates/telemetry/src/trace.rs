@@ -94,7 +94,11 @@ pub struct TraceBuf {
 }
 
 impl TraceBuf {
-    pub const DEFAULT_CAP: usize = 1 << 20;
+    /// Room for a 20 s traced run at about one event per op and up to
+    /// ~400k ops/s (a saturated proxy reaches 72–89k on two vCPUs). A
+    /// run whose trace drops an event cannot be checked against A1–A3 as
+    /// a whole.
+    pub const DEFAULT_CAP: usize = 1 << 23;
 
     pub fn new() -> Self {
         Self::with_capacity(Self::DEFAULT_CAP)

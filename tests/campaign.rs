@@ -10,9 +10,9 @@ use std::sync::Arc;
 use common::{crash_repair_script, HORIZON_MICROS};
 use paso::campaign::{
     tuple_scenario, AxiomInvariant, BisectOutcome, BranchSpec, Campaign, ReproArtifact, TupleActor,
-    TupleScenarioSpec,
+    TupleMsg, TupleScenarioSpec,
 };
-use paso::simnet::{CheckpointError, ChurnModel, SimTime};
+use paso::simnet::{CheckpointError, ChurnModel, CostModel, FaultPlan, NodeId, SimTime};
 
 /// The planted-violation fixture: seed 42's `small` tuple workload with
 /// the leaky take (a take returns its object but forgets to remove it).
@@ -128,18 +128,41 @@ fn clean_fixture_under_crash_faults_bisects_to_none() {
 #[test]
 fn fan_out_control_branch_continues_the_trunk() {
     // Branching with no overrides from time T must land exactly where an
-    // uninterrupted run lands: same events, same outputs.
+    // uninterrupted run lands: same events, same outputs. The other
+    // futures restored from the same checkpoint (a retargeted λ, a lossy
+    // network, churn, a costlier bus) must all stay axiom-clean.
     let spec = TupleScenarioSpec::small(42);
     let branch_at = SimTime::from_micros(HORIZON_MICROS / 2);
+    let mut lambda2 = BranchSpec::new("lambda2");
+    for node in 0..spec.n as u32 {
+        lambda2 = lambda2.inject(branch_at, NodeId(node), TupleMsg::SetLambda { lambda: 2 });
+    }
+    let branches = [
+        BranchSpec::new("control"),
+        lambda2,
+        BranchSpec::new("lossy").fault_plan(FaultPlan::default().drop_all(0.2)),
+        BranchSpec::new("churn").churn(Some(ChurnModel::new(50.0, SimTime::from_micros(5_000), 2))),
+        BranchSpec::new("pricey-bus").cost_model(CostModel {
+            alpha: 40.0,
+            beta: 0.4,
+        }),
+    ];
 
     let mut campaign =
         Campaign::new(tuple_scenario(&spec), 25).with_invariant(|| Box::new(AxiomInvariant::new()));
     campaign.run_to(branch_at);
     let report = campaign
-        .fan_out(horizon(), &[BranchSpec::new("control")])
+        .fan_out(horizon(), &branches)
         .expect("fan-out failed");
+    for branch in &report.branches {
+        assert!(
+            branch.violations.is_empty(),
+            "{}: {:?}",
+            branch.name,
+            branch.violations
+        );
+    }
     let control = &report.branches[0];
-    assert!(control.violations.is_empty(), "{:?}", control.violations);
 
     let mut uninterrupted =
         Campaign::new(tuple_scenario(&spec), 25).with_invariant(|| Box::new(AxiomInvariant::new()));

@@ -10,11 +10,13 @@ mod common;
 use std::time::{Duration, Instant};
 
 use common::{durable_builder, durable_sys, fields, sc_eq};
+use paso::adaptive::{measure, oscillation_adversary, BasicStrategy, ModelParams};
 use paso::core::{AppMsg, ClientOp, ClientRequest, ClientResult, SimSystem};
 use paso::runtime::{Cluster, GatewayLink, TransportKind};
 use paso::simnet::SimTime;
 use paso::telemetry::check_trace;
 use paso::types::{ClassId, ObjectId, PasoObject, ProcessId};
+use paso::workload::requests::uniform_mix;
 
 #[test]
 fn crashed_member_replays_wal_and_rejoins_via_delta() {
@@ -116,6 +118,83 @@ fn gap_beyond_log_horizon_falls_back_to_full_transfer() {
     }
     let report = check_trace(&sys.trace_events());
     assert!(report.ok(), "post-recovery trace: {:?}", report.violations);
+}
+
+/// Fills a `store`-object class, crashes one basic member, misses `gap`
+/// more inserts, repairs it, and returns the largest join transfer in
+/// bytes (the gapped group's; the victim's other groups rejoin with
+/// empty deltas) and whether any group fell back to a full transfer.
+/// `horizon` picks the path: ample takes the delta, 1 forces the full
+/// fallback.
+fn rejoin_transfer(store: i64, gap: i64, horizon: usize) -> (u64, bool) {
+    let mut sys = SimSystem::new(durable_builder(0x50).log_horizon(horizon).build());
+    sys.run_for(SimTime::from_millis(10));
+    let class = ClassId(2);
+    let victim = (0..5u32)
+        .find(|m| sys.server(*m).is_basic(class))
+        .expect("some machine hosts the class");
+    let issuer = (0..5u32).find(|m| *m != victim).unwrap();
+    for v in 0..store {
+        sys.insert(issuer, fields(v));
+    }
+    sys.crash(victim);
+    sys.run_for(SimTime::from_millis(100));
+    for v in store..store + gap {
+        sys.insert(issuer, fields(v));
+    }
+    sys.repair(victim);
+    sys.run_for(SimTime::from_secs(1));
+    sys.settle(20_000_000);
+    for v in [0, store / 2, store + gap - 1] {
+        assert!(
+            sys.read(victim, sc_eq(v)).is_some(),
+            "object {v} missing after rejoin (store {store}, gap {gap})"
+        );
+    }
+    let snap = sys.telemetry().snapshot();
+    (
+        snap.hist("join.transfer_bytes").max,
+        snap.counter("join.full_xfer") > 0.0,
+    )
+}
+
+/// The join cost K of the §5 bounds, measured: a delta rejoin ships the
+/// missed deliveries, not the store, so it is ≥ 5× cheaper at a small
+/// gap over a large store (184 B vs 3778 B) and still cheaper at a gap
+/// half the store (640 B vs 1285 B). Theorem 2 must hold at the K of
+/// either path (164 and 8 deliveries at the first point, 64 and 32 at
+/// the second).
+#[test]
+fn delta_rejoin_ships_the_gap_not_the_store_and_theorem_2_holds_at_the_measured_k() {
+    for (store, gap, min_saving) in [(256, 8, 5.0), (64, 32, 1.0)] {
+        let (delta, delta_fell_back) = rejoin_transfer(store, gap, 4096);
+        let (full, full_fell_back) = rejoin_transfer(store, gap, 1);
+        assert!(
+            !delta_fell_back,
+            "an ample horizon must take the delta path"
+        );
+        assert!(full_fell_back, "horizon 1 must force the full fallback");
+        let saving = full as f64 / delta as f64;
+        assert!(
+            delta < full && saving >= min_saving,
+            "store {store}, gap {gap}: delta {delta} B vs full {full} B ({saving:.1}x)"
+        );
+
+        // K in delivery-equivalents: a delta costs the gap, a full
+        // transfer its bytes over what one missed delivery costs.
+        let k_full = (full as f64 / (delta as f64 / gap as f64)).round() as u64;
+        for k in [k_full, gap as u64] {
+            let params = ModelParams::uniform(1, k);
+            let mut basic = BasicStrategy::new(params);
+            for events in [
+                uniform_mix(2000, 0.6, 1, 0x50 ^ k),
+                oscillation_adversary(&params, 200),
+            ] {
+                let report = measure(&mut basic, &events, &params);
+                assert!(report.within_bound, "K = {k}: {report:?}");
+            }
+        }
+    }
 }
 
 /// `wal_dir` is a deployment path, and the one place the two substrates
