@@ -9,11 +9,11 @@
 
 use std::collections::BTreeMap;
 
-use paso_types::PasoObject;
+use paso_types::{PasoObject, SearchCriterion};
 use paso_wire::{put_varint, Reader, Wire};
 
-use crate::store::{Rank, Snapshot, SnapshotError};
-use crate::summary::ClassSummary;
+use crate::store::{Cost, Rank, Snapshot, SnapshotError};
+use crate::summary::{criterion_signature, ClassSummary};
 
 /// Origin marker for locally auto-assigned ranks.
 const LOCAL_ORIGIN: u16 = u16::MAX;
@@ -27,6 +27,54 @@ const SNAPSHOT_MAGIC: u8 = 0xB5;
 /// fresh state transfer).
 const SNAPSHOT_VERSION: u8 = 1;
 
+/// One stored object and its field signature (see [`ClassSummary`]'s
+/// module docs). The signature is derived from the object, so it is never
+/// snapshotted or compared.
+#[derive(Debug, Clone)]
+struct Slot {
+    sig: u64,
+    obj: PasoObject,
+}
+
+/// A criterion with the signature bits every object it matches carries.
+#[derive(Debug)]
+pub(crate) struct Probe<'a> {
+    sc: &'a SearchCriterion,
+    mask: u64,
+}
+
+impl<'a> Probe<'a> {
+    pub fn new(sc: &'a SearchCriterion) -> Self {
+        Probe {
+            sc,
+            mask: criterion_signature(sc),
+        }
+    }
+
+    /// Does `slot` match? A missing signature bit rejects the object
+    /// without touching its fields.
+    fn accepts(&self, slot: &Slot) -> bool {
+        slot.sig & self.mask == self.mask && full_match(self.sc, &slot.obj)
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Template comparisons run on this thread (the filter's pass count).
+    static FULL_MATCHES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+#[cfg(test)]
+pub(crate) fn full_matches() -> u64 {
+    FULL_MATCHES.with(std::cell::Cell::get)
+}
+
+fn full_match(sc: &SearchCriterion, obj: &PasoObject) -> bool {
+    #[cfg(test)]
+    FULL_MATCHES.with(|n| n.set(n.get() + 1));
+    sc.matches(obj)
+}
+
 /// Age-ordered object storage with snapshot support.
 ///
 /// Snapshots use the compact binary wire format: a two-byte
@@ -36,7 +84,7 @@ const SNAPSHOT_VERSION: u8 = 1;
 /// state-transfer cost model needs, at a fraction of the JSON byte count.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Entries {
-    map: BTreeMap<Rank, PasoObject>,
+    map: BTreeMap<Rank, Slot>,
     next_local: u64,
     /// Incrementally maintained digest of the live objects. Never
     /// false-negative; over-approximates after removals until the
@@ -46,11 +94,11 @@ pub(crate) struct Entries {
     removed_since_rebuild: u64,
 }
 
-/// Summary state is derived from the map, so equality (used by snapshot
-/// round-trip tests) compares only the authoritative fields.
+/// Signatures and the summary are derived from the map, so equality (used
+/// by snapshot round-trip tests) compares only the authoritative fields.
 impl PartialEq for Entries {
     fn eq(&self, other: &Self) -> bool {
-        self.map == other.map && self.next_local == other.next_local
+        self.next_local == other.next_local && self.iter().eq(other.iter())
     }
 }
 
@@ -60,41 +108,65 @@ impl Entries {
     /// Inserts an object with a locally assigned rank, returning it.
     pub fn push(&mut self, obj: PasoObject) -> Rank {
         let rank = Rank::new(self.next_local, LOCAL_ORIGIN);
-        self.next_local += 1;
-        self.summary.note_insert(&obj);
-        self.map.insert(rank, obj);
+        self.push_ranked(obj, rank);
         rank
     }
 
-    /// Inserts an object under an externally assigned rank.
-    pub fn push_ranked(&mut self, obj: PasoObject, rank: Rank) {
+    /// Inserts an object under an externally assigned rank, returning the
+    /// object it displaced if the rank was taken (the caller's indexes
+    /// must drop that object's key).
+    pub fn push_ranked(&mut self, obj: PasoObject, rank: Rank) -> Option<PasoObject> {
         // Keep the local counter ahead so auto-ranked and externally
         // ranked entries never collide in time.
         self.next_local = self.next_local.max(rank.time() + 1);
-        self.summary.note_insert(&obj);
-        if self.map.insert(rank, obj).is_some() {
-            // Rank collision replaced an object; the summary double-counted
-            // it. Rebuild to stay exact on `len`.
-            self.rebuild_summary();
-        }
+        let sig = self.summary.note_insert_signed(&obj);
+        let displaced = self.map.insert(rank, Slot { sig, obj })?;
+        // The summary double-counted the displaced object. Rebuild to
+        // stay exact on `len`.
+        self.rebuild_summary();
+        Some(displaced.obj)
     }
 
     pub fn get(&self, rank: Rank) -> Option<&PasoObject> {
-        self.map.get(&rank)
+        self.map.get(&rank).map(|slot| &slot.obj)
     }
 
     pub fn remove(&mut self, rank: Rank) -> Option<PasoObject> {
-        let removed = self.map.remove(&rank);
-        if removed.is_some() {
-            self.summary.note_remove();
-            self.removed_since_rebuild += 1;
-            // Amortized O(1): after more removals than survivors, pay one
-            // O(ℓ) rebuild to shed the stale Bloom bits.
-            if self.removed_since_rebuild > self.map.len() as u64 {
-                self.rebuild_summary();
+        let removed = self.map.remove(&rank)?;
+        self.summary.note_remove();
+        self.removed_since_rebuild += 1;
+        // Amortized O(1): after more removals than survivors, pay one
+        // O(ℓ) rebuild to shed the stale Bloom bits.
+        if self.removed_since_rebuild > self.map.len() as u64 {
+            self.rebuild_summary();
+        }
+        Some(removed.obj)
+    }
+
+    /// The oldest object matching `sc`, scanning oldest-first; cost =
+    /// entries inspected, so `Q(ℓ) = O(ℓ)`. Entries the signature rejects
+    /// count as inspected too: the filter lowers the constant per entry,
+    /// never the accounted cost. An empty store proves a miss for free
+    /// (see the miss-accounting rule on [`ClassStore`](crate::ClassStore)).
+    pub fn find_oldest(&self, sc: &SearchCriterion) -> (Option<Rank>, Cost) {
+        if self.map.is_empty() {
+            return (None, Cost::ZERO);
+        }
+        let probe = Probe::new(sc);
+        let mut inspected = 0;
+        for (rank, slot) in &self.map {
+            inspected += 1;
+            if probe.accepts(slot) {
+                return (Some(*rank), Cost(inspected));
             }
         }
-        removed
+        (None, Cost(inspected))
+    }
+
+    /// Does the object at `rank` match `probe`? `None` if no object has
+    /// that rank.
+    pub fn accepts(&self, rank: Rank, probe: &Probe<'_>) -> Option<bool> {
+        self.map.get(&rank).map(|slot| probe.accepts(slot))
     }
 
     /// The live-object digest (see [`ClassSummary`]).
@@ -103,7 +175,7 @@ impl Entries {
     }
 
     fn rebuild_summary(&mut self) {
-        self.summary = ClassSummary::rebuild(self.map.values());
+        self.summary = ClassSummary::rebuild(self.map.values().map(|slot| &slot.obj));
         self.removed_since_rebuild = 0;
     }
 
@@ -113,7 +185,7 @@ impl Entries {
 
     /// Oldest-first iteration.
     pub fn iter(&self) -> impl Iterator<Item = (Rank, &PasoObject)> {
-        self.map.iter().map(|(s, o)| (*s, o))
+        self.map.iter().map(|(r, slot)| (*r, &slot.obj))
     }
 
     pub fn clear(&mut self) {
@@ -125,23 +197,31 @@ impl Entries {
     }
 
     pub fn objects(&self) -> Vec<PasoObject> {
-        self.map.values().cloned().collect()
+        self.map.values().map(|slot| slot.obj.clone()).collect()
     }
 
     pub fn snapshot(&self) -> Snapshot {
-        let mut bytes =
-            Vec::with_capacity(16 + self.map.values().map(Wire::encoded_len).sum::<usize>());
+        let mut bytes = Vec::with_capacity(
+            16 + self
+                .map
+                .values()
+                .map(|slot| slot.obj.encoded_len())
+                .sum::<usize>(),
+        );
         bytes.push(SNAPSHOT_MAGIC);
         bytes.push(SNAPSHOT_VERSION);
         put_varint(&mut bytes, self.next_local);
         put_varint(&mut bytes, self.map.len() as u64);
-        for (rank, obj) in &self.map {
+        for (rank, slot) in &self.map {
             put_varint(&mut bytes, rank.0);
-            obj.encode(&mut bytes);
+            slot.obj.encode(&mut bytes);
         }
         Snapshot::from_bytes(bytes)
     }
 
+    /// Replaces the contents with a snapshot's. The map, the signatures
+    /// and the summary are built in one pass that hashes each field once;
+    /// on error `self` is unchanged.
     pub fn restore(&mut self, snapshot: &Snapshot) -> Result<(), SnapshotError> {
         let bytes = snapshot.as_bytes();
         match bytes.first() {
@@ -159,27 +239,31 @@ impl Entries {
             None => return Err(SnapshotError::new("truncated snapshot header")),
         }
         let mut r = Reader::new(&bytes[2..]);
-        let decoded = (|| -> Result<_, paso_wire::WireError> {
+        let restored = (|| -> Result<_, paso_wire::WireError> {
             let next_local = r.varint()?;
             let count = r.length()?;
-            let mut map = BTreeMap::new();
+            let mut restored = Entries::default();
+            let mut collided = false;
             for _ in 0..count {
                 let rank = Rank(r.varint()?);
                 let obj = PasoObject::decode(&mut r)?;
-                map.insert(rank, obj);
+                let sig = restored.summary.note_insert_signed(&obj);
+                collided |= restored.map.insert(rank, Slot { sig, obj }).is_some();
             }
             if r.remaining() != 0 {
                 return Err(paso_wire::WireError::TrailingBytes {
                     count: r.remaining(),
                 });
             }
-            Ok((next_local, map))
+            if collided {
+                restored.rebuild_summary();
+            }
+            let next_rank = restored.map.keys().last().map_or(0, |r| r.time() + 1);
+            restored.next_local = next_local.max(next_rank);
+            Ok(restored)
         })()
         .map_err(|e| SnapshotError::new(e.to_string()))?;
-        let (next_local, map) = decoded;
-        self.map = map;
-        self.next_local = next_local.max(self.map.keys().last().map_or(0, |r| r.time() + 1));
-        self.rebuild_summary();
+        *self = restored;
         Ok(())
     }
 }
@@ -187,7 +271,7 @@ impl Entries {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use paso_types::{ObjectId, ProcessId, Value};
+    use paso_types::{FieldMatcher, ObjectId, ProcessId, Template, Value};
 
     fn obj(n: i64) -> PasoObject {
         PasoObject::new(ObjectId::new(ProcessId(0), n as u64), vec![Value::Int(n)])
@@ -318,7 +402,6 @@ mod tests {
 
     #[test]
     fn summary_tracks_inserts_and_heavy_removal_triggers_rebuild() {
-        use paso_types::{SearchCriterion, Template};
         let mut e = Entries::default();
         let ranks: Vec<Rank> = (0..8).map(|n| e.push(obj(n))).collect();
         assert_eq!(e.summary().len(), 8);
@@ -338,12 +421,58 @@ mod tests {
     #[test]
     fn restore_rebuilds_summary() {
         let mut e = Entries::default();
-        e.push(obj(3));
+        let ranks: Vec<Rank> = (0..6).map(|k| e.push(blob(k))).collect();
+        e.push_ranked(blob(7), ranks[2]);
+        e.remove(ranks[4]);
         let snap = e.snapshot();
         let mut f = Entries::default();
         f.restore(&snap).unwrap();
-        assert_eq!(f.summary(), e.summary());
-        assert_eq!(f.summary().len(), 1);
+        // The one-pass restore builds what inserting the survivors builds.
+        let mut incremental = ClassSummary::new();
+        for (_, o) in e.iter() {
+            incremental.note_insert(o);
+        }
+        assert_eq!(f.summary(), incremental);
+        assert_eq!(f.summary().len(), 5);
+        assert_eq!(f.find_oldest(&blob_key(7)), e.find_oldest(&blob_key(7)));
+    }
+
+    /// `direct_bulk`'s objects: `("blob", Int k, Str 512 B)`.
+    fn blob(k: i64) -> PasoObject {
+        let payload: String = format!("{k:016x}").chars().cycle().take(512).collect();
+        PasoObject::new(
+            ObjectId::new(ProcessId(0), k as u64),
+            vec![Value::symbol("blob"), Value::Int(k), Value::Str(payload)],
+        )
+    }
+
+    fn blob_key(k: i64) -> SearchCriterion {
+        SearchCriterion::from(Template::new(vec![
+            FieldMatcher::Exact(Value::symbol("blob")),
+            FieldMatcher::Exact(Value::Int(k)),
+            FieldMatcher::Any,
+        ]))
+    }
+
+    #[test]
+    fn signature_keeps_almost_every_entry_from_the_template_comparison() {
+        let mut e = Entries::default();
+        for k in 0..4000 {
+            e.push(blob(k));
+        }
+        for (k, expect_hit) in [(2000, true), (-1, false)] {
+            let before = full_matches();
+            let (rank, cost) = e.find_oldest(&blob_key(k));
+            let compared = full_matches() - before;
+            assert_eq!(rank.is_some(), expect_hit, "key {k}");
+            // Every entry up to the answer is still accounted.
+            assert_eq!(cost, Cost(if expect_hit { k as u64 + 1 } else { 4000 }));
+            assert!(
+                compared * 100 < cost.0,
+                "key {k}: {compared} of {} entries reached the template comparison",
+                cost.0
+            );
+        }
     }
 
     #[test]

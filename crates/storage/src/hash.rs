@@ -1,16 +1,15 @@
 //! Hash-table store — the "hash table for dictionary queries" of §5.
 //!
-//! Fully exact criteria ([`QueryKind::Dictionary`]) are served in O(1)
+//! Fully exact criteria (`QueryKind::Dictionary`) are served in O(1)
 //! expected probes (`I = D = Q = O(1)`, the normalization the Basic
 //! algorithm's analysis assumes). Non-dictionary criteria fall back to a
 //! linear scan with honestly accounted cost, preserving correctness for
 //! general PASO search criteria.
 
-use std::collections::{BTreeSet, HashMap};
-
-use paso_types::{PasoObject, QueryKind, SearchCriterion, Value};
+use paso_types::{PasoObject, SearchCriterion};
 
 use crate::entries::Entries;
+use crate::index::{dictionary_key, HashIndex};
 use crate::store::{ClassStore, Cost, Rank, Snapshot, SnapshotError, StoreKind};
 
 /// A hash-indexed FIFO store keyed by the full field tuple.
@@ -32,26 +31,13 @@ use crate::store::{ClassStore, Cost, Rank, Snapshot, SnapshotError, StoreKind};
 #[derive(Debug, Clone, Default)]
 pub struct HashStore {
     entries: Entries,
-    /// Full field tuple → ranks of equal objects, oldest first.
-    index: HashMap<Vec<Value>, BTreeSet<Rank>>,
+    index: HashIndex,
 }
 
 impl HashStore {
     /// Creates an empty store.
     pub fn new() -> Self {
         HashStore::default()
-    }
-
-    fn rebuild_index(&mut self) {
-        self.index.clear();
-        let pairs: Vec<(Rank, Vec<Value>)> = self
-            .entries
-            .iter()
-            .map(|(s, o)| (s, o.fields().to_vec()))
-            .collect();
-        for (rank, key) in pairs {
-            self.index.entry(key).or_default().insert(rank);
-        }
     }
 
     /// Oldest match + cost. Dictionary queries use the index (1 probe);
@@ -61,31 +47,10 @@ impl HashStore {
         if self.entries.len() == 0 {
             return (None, Cost::ZERO);
         }
-        if sc.query_kind() == QueryKind::Dictionary {
-            let key: Vec<Value> = sc
-                .template()
-                .matchers()
-                .iter()
-                .map(|m| {
-                    m.exact_value()
-                        .expect("dictionary query is fully exact")
-                        .clone()
-                })
-                .collect();
-            let rank = self
-                .index
-                .get(&key)
-                .and_then(|set| set.iter().next().copied());
-            return (rank, Cost(1));
+        match dictionary_key(sc) {
+            Some(key) => (self.index.oldest(&key), Cost(1)),
+            None => self.entries.find_oldest(sc),
         }
-        let mut inspected = 0;
-        for (rank, obj) in self.entries.iter() {
-            inspected += 1;
-            if sc.matches(obj) {
-                return (Some(rank), Cost(inspected));
-            }
-        }
-        (None, Cost(inspected))
     }
 }
 
@@ -93,14 +58,16 @@ impl ClassStore for HashStore {
     fn store(&mut self, obj: PasoObject) -> Cost {
         let key = obj.fields().to_vec();
         let rank = self.entries.push(obj);
-        self.index.entry(key).or_default().insert(rank);
+        self.index.insert(key, rank);
         Cost(1)
     }
 
     fn store_ranked(&mut self, obj: PasoObject, rank: Rank) -> Cost {
         let key = obj.fields().to_vec();
-        self.entries.push_ranked(obj, rank);
-        self.index.entry(key).or_default().insert(rank);
+        if let Some(old) = self.entries.push_ranked(obj, rank) {
+            self.index.remove(old.fields(), rank);
+        }
+        self.index.insert(key, rank);
         Cost(1)
     }
 
@@ -115,13 +82,7 @@ impl ClassStore for HashStore {
             Some(s) => {
                 let obj = self.entries.remove(s);
                 if let Some(o) = &obj {
-                    let key = o.fields().to_vec();
-                    if let Some(set) = self.index.get_mut(&key) {
-                        set.remove(&s);
-                        if set.is_empty() {
-                            self.index.remove(&key);
-                        }
-                    }
+                    self.index.remove(o.fields(), s);
                 }
                 (obj, cost + Cost(1))
             }
@@ -139,7 +100,7 @@ impl ClassStore for HashStore {
 
     fn restore(&mut self, snapshot: &Snapshot) -> Result<(), SnapshotError> {
         self.entries.restore(snapshot)?;
-        self.rebuild_index();
+        self.index = HashIndex::build(&self.entries);
         Ok(())
     }
 
@@ -164,7 +125,7 @@ impl ClassStore for HashStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use paso_types::{FieldMatcher, ObjectId, ProcessId, Template};
+    use paso_types::{FieldMatcher, ObjectId, ProcessId, Template, Value};
 
     fn obj(seq: u64, n: i64) -> PasoObject {
         PasoObject::new(ObjectId::new(ProcessId(0), seq), vec![Value::Int(n)])

@@ -12,6 +12,12 @@
 //! | range | [`OrderedStore`] | `O(log ℓ)` |
 //! | pattern | [`ScanStore`] | `O(ℓ)` |
 //!
+//! [`MultiStore`] keeps both indexes. Every store answers the shapes its
+//! index cannot serve with one shared oldest-first scan. `Q(ℓ)` counts
+//! probes, and the scan still counts every entry it passes, so it stays
+//! `O(ℓ)`; a per-entry field signature only lowers the time a probe takes
+//! (see [`ScanStore`]).
+//!
 //! All stores implement the [`ClassStore`] trait: FIFO (`remove` returns
 //! the *oldest* match), cost-accounted, and snapshottable for `g-join`
 //! state transfer (`time(g-join(C)) = O(ℓ)`).
@@ -40,7 +46,10 @@
 
 mod auto;
 mod entries;
+#[cfg(test)]
+mod filter_differential;
 mod hash;
+mod index;
 mod multi;
 mod ordered;
 mod scan;

@@ -7,12 +7,10 @@
 //! price of a higher `I(·)`/`D(·)` (both indexes must be maintained — the
 //! §5 trade-off made concrete and measurable).
 
-use std::collections::{BTreeSet, HashMap};
-use std::ops::Bound;
-
 use paso_types::{PasoObject, QueryKind, SearchCriterion, Value};
 
 use crate::entries::Entries;
+use crate::index::{dictionary_key, HashIndex, OrderedIndex};
 use crate::store::{ClassStore, Cost, Rank, Snapshot, SnapshotError, StoreKind};
 
 /// A store with both hash and ordered indexes over the same entries.
@@ -40,8 +38,8 @@ use crate::store::{ClassStore, Cost, Rank, Snapshot, SnapshotError, StoreKind};
 #[derive(Debug, Clone, Default)]
 pub struct MultiStore {
     entries: Entries,
-    hash: HashMap<Vec<Value>, BTreeSet<Rank>>,
-    ordered: BTreeSet<(Vec<Value>, Rank)>,
+    hash: HashIndex,
+    ordered: OrderedIndex,
 }
 
 impl MultiStore {
@@ -55,82 +53,13 @@ impl MultiStore {
     }
 
     fn index_insert(&mut self, fields: Vec<Value>, rank: Rank) {
-        self.hash.entry(fields.clone()).or_default().insert(rank);
-        self.ordered.insert((fields, rank));
+        self.hash.insert(fields.clone(), rank);
+        self.ordered.insert(fields, rank);
     }
 
     fn index_remove(&mut self, obj: &PasoObject, rank: Rank) {
-        let key = obj.fields().to_vec();
-        if let Some(set) = self.hash.get_mut(&key) {
-            set.remove(&rank);
-            if set.is_empty() {
-                self.hash.remove(&key);
-            }
-        }
-        self.ordered.remove(&(key, rank));
-    }
-
-    fn rebuild(&mut self) {
-        self.hash.clear();
-        self.ordered.clear();
-        let pairs: Vec<(Rank, Vec<Value>)> = self
-            .entries
-            .iter()
-            .map(|(r, o)| (r, o.fields().to_vec()))
-            .collect();
-        for (rank, key) in pairs {
-            self.index_insert(key, rank);
-        }
-    }
-
-    /// Range-shape lookup via the ordered index (exact prefix + one range
-    /// + trailing wildcards, as classified by `QueryKind::Range`).
-    fn find_range(&self, sc: &SearchCriterion) -> (Option<Rank>, Cost) {
-        let ms = sc.template().matchers();
-        let mut prefix = Vec::new();
-        for m in ms {
-            if let Some(v) = m.exact_value() {
-                prefix.push(v.clone());
-            } else {
-                break;
-            }
-        }
-        let (lo, hi) = match &ms[prefix.len()] {
-            paso_types::FieldMatcher::Range { lo, hi } => (lo, hi),
-            _ => unreachable!("Range kind guarantees a range matcher"),
-        };
-        let k = prefix.len();
-        let start: (Vec<Value>, Rank) = match lo {
-            Bound::Included(v) | Bound::Excluded(v) => {
-                let mut key = prefix.clone();
-                key.push(v.clone());
-                (key, Rank(0))
-            }
-            Bound::Unbounded => (prefix.clone(), Rank(0)),
-        };
-        let mut inspected = 0u64;
-        let mut best: Option<Rank> = None;
-        for (fields, rank) in self.ordered.range(start..) {
-            if fields.len() < k || fields[..k] != prefix[..] {
-                break;
-            }
-            if let Some(v) = fields.get(k) {
-                let beyond = match hi {
-                    Bound::Included(h) => v > h,
-                    Bound::Excluded(h) => v >= h,
-                    Bound::Unbounded => false,
-                };
-                if beyond {
-                    break;
-                }
-            }
-            inspected += 1;
-            let obj = self.entries.get(*rank).expect("indexes in sync");
-            if sc.matches(obj) && best.is_none_or(|b| *rank < b) {
-                best = Some(*rank);
-            }
-        }
-        (best, Cost(self.log_len() + inspected))
+        self.hash.remove(obj.fields(), rank);
+        self.ordered.remove(obj.fields().to_vec(), rank);
     }
 
     /// Oldest match + cost via the best index for the shape. An empty
@@ -140,29 +69,15 @@ impl MultiStore {
         if self.entries.len() == 0 {
             return (None, Cost::ZERO);
         }
-        match sc.query_kind() {
-            QueryKind::Dictionary => {
-                let key: Vec<Value> = sc
-                    .template()
-                    .matchers()
-                    .iter()
-                    .map(|m| m.exact_value().expect("dictionary query").clone())
-                    .collect();
-                let rank = self.hash.get(&key).and_then(|s| s.iter().next().copied());
-                (rank, Cost(1))
-            }
-            QueryKind::Range => self.find_range(sc),
-            QueryKind::Scan => {
-                let mut inspected = 0;
-                for (rank, obj) in self.entries.iter() {
-                    inspected += 1;
-                    if sc.matches(obj) {
-                        return (Some(rank), Cost(inspected));
-                    }
-                }
-                (None, Cost(inspected))
+        if let Some(key) = dictionary_key(sc) {
+            return (self.hash.oldest(&key), Cost(1));
+        }
+        if sc.query_kind() == QueryKind::Range {
+            if let Some((rank, inspected)) = self.ordered.oldest_in_range(&self.entries, sc) {
+                return (rank, Cost(self.log_len() + inspected));
             }
         }
+        self.entries.find_oldest(sc)
     }
 }
 
@@ -177,7 +92,9 @@ impl ClassStore for MultiStore {
 
     fn store_ranked(&mut self, obj: PasoObject, rank: Rank) -> Cost {
         let key = obj.fields().to_vec();
-        self.entries.push_ranked(obj, rank);
+        if let Some(old) = self.entries.push_ranked(obj, rank) {
+            self.index_remove(&old, rank);
+        }
         self.index_insert(key, rank);
         Cost(1 + self.log_len())
     }
@@ -211,7 +128,8 @@ impl ClassStore for MultiStore {
 
     fn restore(&mut self, snapshot: &Snapshot) -> Result<(), SnapshotError> {
         self.entries.restore(snapshot)?;
-        self.rebuild();
+        self.hash = HashIndex::build(&self.entries);
+        self.ordered = OrderedIndex::build(&self.entries);
         Ok(())
     }
 

@@ -5,12 +5,10 @@
 //! `O(log ℓ)` and scanning only the in-range segment. Dictionary queries
 //! are `O(log ℓ)` too; arbitrary patterns fall back to a linear scan.
 
-use std::collections::BTreeSet;
-use std::ops::Bound;
-
-use paso_types::{PasoObject, QueryKind, SearchCriterion, Value};
+use paso_types::{PasoObject, QueryKind, SearchCriterion};
 
 use crate::entries::Entries;
+use crate::index::{dictionary_key, OrderedIndex};
 use crate::store::{ClassStore, Cost, Rank, Snapshot, SnapshotError, StoreKind};
 
 /// A B-tree-indexed FIFO store ordered by the full field tuple.
@@ -33,8 +31,7 @@ use crate::store::{ClassStore, Cost, Rank, Snapshot, SnapshotError, StoreKind};
 #[derive(Debug, Clone, Default)]
 pub struct OrderedStore {
     entries: Entries,
-    /// (full field tuple, rank), ordered lexicographically.
-    index: BTreeSet<(Vec<Value>, Rank)>,
+    index: OrderedIndex,
 }
 
 impl OrderedStore {
@@ -47,43 +44,6 @@ impl OrderedStore {
         (self.entries.len().max(1) as f64).log2().ceil() as u64 + 1
     }
 
-    fn rebuild_index(&mut self) {
-        self.index = self
-            .entries
-            .iter()
-            .map(|(s, o)| (o.fields().to_vec(), s))
-            .collect();
-    }
-
-    /// Splits a `Range`-shaped criterion into (exact prefix, range bounds).
-    fn range_shape(sc: &SearchCriterion) -> (Vec<Value>, Bound<&Value>, Bound<&Value>) {
-        let ms = sc.template().matchers();
-        let mut prefix = Vec::new();
-        for m in ms {
-            if let Some(v) = m.exact_value() {
-                prefix.push(v.clone());
-            } else {
-                break;
-            }
-        }
-        match &ms[prefix.len()] {
-            paso_types::FieldMatcher::Range { lo, hi } => {
-                let lo_ref = match lo {
-                    Bound::Included(v) => Bound::Included(v),
-                    Bound::Excluded(v) => Bound::Excluded(v),
-                    Bound::Unbounded => Bound::Unbounded,
-                };
-                let hi_ref = match hi {
-                    Bound::Included(v) => Bound::Included(v),
-                    Bound::Excluded(v) => Bound::Excluded(v),
-                    Bound::Unbounded => Bound::Unbounded,
-                };
-                (prefix, lo_ref, hi_ref)
-            }
-            _ => unreachable!("QueryKind::Range guarantees a range matcher follows the prefix"),
-        }
-    }
-
     /// Oldest match + cost, using the index where the shape permits. An
     /// empty store proves a miss for free (see the miss-accounting rule on
     /// [`ClassStore`]).
@@ -91,73 +51,15 @@ impl OrderedStore {
         if self.entries.len() == 0 {
             return (None, Cost::ZERO);
         }
-        match sc.query_kind() {
-            QueryKind::Dictionary => {
-                let key: Vec<Value> = sc
-                    .template()
-                    .matchers()
-                    .iter()
-                    .map(|m| m.exact_value().expect("dictionary query").clone())
-                    .collect();
-                let rank = self
-                    .index
-                    .range((key.clone(), Rank(0))..=(key, Rank(u64::MAX)))
-                    .map(|(_, s)| *s)
-                    .next();
-                (rank, Cost(self.log_len()))
-            }
-            QueryKind::Range => {
-                let (prefix, lo, hi) = Self::range_shape(sc);
-                let k = prefix.len();
-                // Start of iteration: the first index entry that could be in
-                // range. Excluded lower bounds are handled by the template
-                // check (cost accounted), which keeps bound construction
-                // simple and correct.
-                let start: (Vec<Value>, Rank) = match lo {
-                    Bound::Included(v) | Bound::Excluded(v) => {
-                        let mut key = prefix.clone();
-                        key.push(v.clone());
-                        (key, Rank(0))
-                    }
-                    Bound::Unbounded => (prefix.clone(), Rank(0)),
-                };
-                let mut inspected = 0u64;
-                let mut best: Option<Rank> = None;
-                for (fields, rank) in self.index.range(start..) {
-                    // Past the exact prefix → no further entry can match.
-                    if fields.len() < k || fields[..k] != prefix[..] {
-                        break;
-                    }
-                    // Past the range's upper bound on the key field → done.
-                    if let Some(v) = fields.get(k) {
-                        let beyond = match hi {
-                            Bound::Included(h) => v > h,
-                            Bound::Excluded(h) => v >= h,
-                            Bound::Unbounded => false,
-                        };
-                        if beyond {
-                            break;
-                        }
-                    }
-                    inspected += 1;
-                    let obj = self.entries.get(*rank).expect("index and entries in sync");
-                    if sc.matches(obj) && best.is_none_or(|b| *rank < b) {
-                        best = Some(*rank);
-                    }
-                }
-                (best, Cost(self.log_len() + inspected))
-            }
-            QueryKind::Scan => {
-                let mut inspected = 0;
-                for (rank, obj) in self.entries.iter() {
-                    inspected += 1;
-                    if sc.matches(obj) {
-                        return (Some(rank), Cost(inspected));
-                    }
-                }
-                (None, Cost(inspected))
+        if let Some(key) = dictionary_key(sc) {
+            return (self.index.oldest(key), Cost(self.log_len()));
+        }
+        if sc.query_kind() == QueryKind::Range {
+            if let Some((rank, inspected)) = self.index.oldest_in_range(&self.entries, sc) {
+                return (rank, Cost(self.log_len() + inspected));
             }
         }
+        self.entries.find_oldest(sc)
     }
 }
 
@@ -165,14 +67,16 @@ impl ClassStore for OrderedStore {
     fn store(&mut self, obj: PasoObject) -> Cost {
         let key = obj.fields().to_vec();
         let rank = self.entries.push(obj);
-        self.index.insert((key, rank));
+        self.index.insert(key, rank);
         Cost(self.log_len())
     }
 
     fn store_ranked(&mut self, obj: PasoObject, rank: Rank) -> Cost {
         let key = obj.fields().to_vec();
-        self.entries.push_ranked(obj, rank);
-        self.index.insert((key, rank));
+        if let Some(old) = self.entries.push_ranked(obj, rank) {
+            self.index.remove(old.fields().to_vec(), rank);
+        }
+        self.index.insert(key, rank);
         Cost(self.log_len())
     }
 
@@ -187,7 +91,7 @@ impl ClassStore for OrderedStore {
             Some(s) => {
                 let obj = self.entries.remove(s);
                 if let Some(o) = &obj {
-                    self.index.remove(&(o.fields().to_vec(), s));
+                    self.index.remove(o.fields().to_vec(), s);
                 }
                 (obj, cost + Cost(self.log_len()))
             }
@@ -205,7 +109,7 @@ impl ClassStore for OrderedStore {
 
     fn restore(&mut self, snapshot: &Snapshot) -> Result<(), SnapshotError> {
         self.entries.restore(snapshot)?;
-        self.rebuild_index();
+        self.index = OrderedIndex::build(&self.entries);
         Ok(())
     }
 
@@ -230,7 +134,8 @@ impl ClassStore for OrderedStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use paso_types::{FieldMatcher, ObjectId, ProcessId, Template};
+    use paso_types::{FieldMatcher, ObjectId, ProcessId, Template, Value};
+    use std::ops::Bound;
 
     fn obj(seq: u64, fields: Vec<Value>) -> PasoObject {
         PasoObject::new(ObjectId::new(ProcessId(0), seq), fields)

@@ -3,7 +3,10 @@
 //! Serves *every* criterion correctly with `Q(ℓ) = O(ℓ)`; it is the
 //! fallback structure for classes queried with arbitrary patterns, and the
 //! reference implementation the other stores are differentially tested
-//! against.
+//! against. `Q(ℓ)` stays `O(ℓ)` in accounted probes: every entry up to the
+//! match counts as inspected. A per-entry field signature lets the scan
+//! pass over most entries without reading their fields, which lowers the
+//! time per probe, not the accounted cost.
 
 use paso_types::{PasoObject, SearchCriterion};
 
@@ -34,20 +37,6 @@ impl ScanStore {
     pub fn new() -> Self {
         ScanStore::default()
     }
-
-    /// Scans oldest-first for the first match; cost = entries inspected.
-    /// An empty store proves a miss for free (see the miss-accounting rule
-    /// on [`ClassStore`]).
-    fn find_oldest(&self, sc: &SearchCriterion) -> (Option<Rank>, Cost) {
-        let mut inspected = 0;
-        for (rank, obj) in self.entries.iter() {
-            inspected += 1;
-            if sc.matches(obj) {
-                return (Some(rank), Cost(inspected));
-            }
-        }
-        (None, Cost(inspected))
-    }
 }
 
 impl ClassStore for ScanStore {
@@ -62,12 +51,12 @@ impl ClassStore for ScanStore {
     }
 
     fn mem_read(&self, sc: &SearchCriterion) -> (Option<PasoObject>, Cost) {
-        let (rank, cost) = self.find_oldest(sc);
+        let (rank, cost) = self.entries.find_oldest(sc);
         (rank.and_then(|s| self.entries.get(s).cloned()), cost)
     }
 
     fn remove(&mut self, sc: &SearchCriterion) -> (Option<PasoObject>, Cost) {
-        let (rank, cost) = self.find_oldest(sc);
+        let (rank, cost) = self.entries.find_oldest(sc);
         match rank {
             Some(s) => (self.entries.remove(s), cost + Cost(1)),
             None => (None, cost),

@@ -22,6 +22,13 @@
 //!   constraints that are *exact*: the criterion's arity (template matching
 //!   requires equal arity) and `FieldMatcher::Exact` fields. All other
 //!   matcher shapes conservatively answer "maybe".
+//!
+//! The same per-field hashes also give each stored object a 64-bit *field
+//! signature* (two bits per `(position, value)`), which `Entries` keeps
+//! beside the object: a scan tests `sig & mask == mask` against the
+//! criterion's exact fields before it runs the full template comparison.
+//! `Value`'s `Hash` agrees with its `Eq`, so the test never rejects a
+//! match.
 
 use paso_types::{stable_field_hash, PasoObject, SearchCriterion};
 
@@ -73,6 +80,26 @@ fn bloom_bits(hash: u64) -> [u32; BLOOM_PROBES as usize] {
     [(hash % bits) as u32, ((hash >> 32) % bits) as u32]
 }
 
+/// The two field-signature bits for one fingerprint hash, taken from the
+/// hash's two most-mixed 6-bit groups (FNV-1a carries entropy upwards).
+fn signature_bits(hash: u64) -> u64 {
+    (1u64 << (hash >> 58)) | (1u64 << ((hash >> 52) & 63))
+}
+
+/// The signature bits every object matching `sc` must carry: the union of
+/// the bits of its `FieldMatcher::Exact` fields (0 if it has none).
+pub(crate) fn criterion_signature(sc: &SearchCriterion) -> u64 {
+    sc.template()
+        .matchers()
+        .iter()
+        .enumerate()
+        .filter_map(|(i, m)| {
+            m.exact_value()
+                .map(|v| signature_bits(stable_field_hash(i, v)))
+        })
+        .fold(0, |mask, bits| mask | bits)
+}
+
 impl ClassSummary {
     /// The summary of an empty store.
     pub fn new() -> Self {
@@ -99,13 +126,23 @@ impl ClassSummary {
 
     /// Records an inserted object: arity bit plus two Bloom bits per field.
     pub fn note_insert(&mut self, obj: &PasoObject) {
+        self.note_insert_signed(obj);
+    }
+
+    /// [`ClassSummary::note_insert`], returning the object's field
+    /// signature from the same per-field hashes.
+    pub(crate) fn note_insert_signed(&mut self, obj: &PasoObject) -> u64 {
         self.len += 1;
         self.arities |= 1u64 << obj.arity().min(63);
+        let mut sig = 0;
         for (i, v) in obj.fields().iter().enumerate() {
-            for bit in bloom_bits(stable_field_hash(i, v)) {
+            let hash = stable_field_hash(i, v);
+            for bit in bloom_bits(hash) {
                 self.set_bit(bit);
             }
+            sig |= signature_bits(hash);
         }
+        sig
     }
 
     /// Records a removal. Only the live count drops — arity and Bloom bits
