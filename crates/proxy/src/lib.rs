@@ -33,7 +33,11 @@
 //!   or stalled server holds nothing back); a retry leaves at once. So
 //!   a batch is the ops that arrived during one round trip, whatever
 //!   the round trip costs, and 10k trickling clients become a few dense
-//!   wire frames.
+//!   wire frames. A link that `k` answers have just freed, with fewer
+//!   than `k/2` ops behind it, holds them until half of the `k`
+//!   clients' next ops have joined or `RUNT_HOLD` (200 µs) has passed:
+//!   sent at once, such a runt would make those next ops wait a whole
+//!   round trip behind it.
 //!   The server treats the batch as one unit of work: one gcast per
 //!   write group, and the completions come back as one
 //!   [`AppMsg::DoneBatch`] (a lone one as [`AppMsg::Done`]), fed op by
@@ -142,6 +146,12 @@ const BATCH_BYTES: usize = 16 << 10;
 /// said nothing for this long is no longer waited for.
 const IDLE_PARK: Duration = Duration::from_millis(1);
 
+/// The longest a runt batch is held for the ops that the answers which
+/// freed its link will bring (see [`Link::due`]). A closed-loop client
+/// sends its next op within tens of microseconds of an answer; an
+/// open-loop one may not send at all, and this bounds what it pays.
+const RUNT_HOLD: Duration = Duration::from_micros(200);
+
 /// Per-connection state. Everything here dies with the connection.
 struct ConnState {
     /// `Some(tenant)` once the `Hello` was accepted.
@@ -180,8 +190,74 @@ struct Link {
     /// read may wait at the server for as long as it likes, so it is
     /// never counted.
     unanswered: usize,
+    /// Ops of this link finished since the last [`Link::due`] check.
+    answered: usize,
+    /// Set while a runt batch waits for the ops that answers will bring.
+    hold: Option<Hold>,
     /// When a batch last left.
     last_flush: Instant,
+}
+
+/// A runt batch held on a link that answers have just freed.
+#[derive(Clone, Copy, Debug)]
+struct Hold {
+    /// Pending ops at which the batch leaves: half the answers.
+    want: usize,
+    /// When it leaves however few ops it holds.
+    until: Instant,
+}
+
+impl Link {
+    fn new(now: Instant) -> Link {
+        Link {
+            pending: Vec::new(),
+            pending_bytes: 0,
+            unanswered: 0,
+            answered: 0,
+            hold: None,
+            last_flush: now,
+        }
+    }
+
+    /// Whether the pending batch leaves in this pass of the logic loop.
+    ///
+    /// Group commit: an idle link sends now, a busy one coalesces. A
+    /// server's batch leaves when nothing sent to it is unanswered, so at
+    /// a window of one every op still leaves the moment it arrives;
+    /// otherwise it fills until the answer comes back (or `BATCH_BYTES`
+    /// accumulate, see `enqueue`) and one frame, one gcast and one
+    /// `DoneBatch` then carry all of it. How many ops share a frame is
+    /// thus the number that arrive per round trip — not, as when every
+    /// pass flushed, per pass of this loop. A server silent for
+    /// `IDLE_PARK` is not waited for: ops sent to a crashed one are in
+    /// nobody's way, and each times out at its own deadline.
+    ///
+    /// One exception: when `k` answers have just freed the link and fewer
+    /// than `k/2` ops wait behind it, the clients those answers went to
+    /// are about to send their next ops, and a runt sent now would make
+    /// all of them wait a round trip behind it. Under a closed loop that
+    /// splits the clients into batch trains of their own, and how many
+    /// trains form changes from run to run. So the runt is held until
+    /// half of the `k` have joined it, or for `RUNT_HOLD`. A lone answer
+    /// (`k = 1`) never holds anything.
+    fn due(&mut self, now: Instant) -> bool {
+        let answered = std::mem::take(&mut self.answered);
+        if self.pending.is_empty() {
+            return false;
+        }
+        if self.unanswered != 0 {
+            return now.saturating_duration_since(self.last_flush) >= IDLE_PARK;
+        }
+        if self.pending.len() * 2 < answered {
+            self.hold = Some(Hold {
+                want: answered.div_ceil(2),
+                until: now + RUNT_HOLD,
+            });
+            return false;
+        }
+        self.hold
+            .is_none_or(|h| self.pending.len() >= h.want || now >= h.until)
+    }
 }
 
 /// A running proxy: accept loop, logic thread, gateway slot.
@@ -292,12 +368,7 @@ impl Core {
         stop: Arc<AtomicBool>,
     ) -> Core {
         let now = Instant::now();
-        let links = (0..link.servers()).map(|_| Link {
-            pending: Vec::new(),
-            pending_bytes: 0,
-            unanswered: 0,
-            last_flush: now,
-        });
+        let links = (0..link.servers()).map(|_| Link::new(now));
         Core {
             links: links.collect(),
             ledger: OpLedger::new(link.telemetry(), link.trace_buf()),
@@ -338,8 +409,16 @@ impl Core {
             //    none, the only urgent traffic is new client frames
             //    (auth handshakes are latency-sensitive — a connect
             //    storm must not pay the park per Hello). The idle side
-            //    tolerates one IDLE_PARK of staleness.
-            if self.ops.is_empty() {
+            //    tolerates one IDLE_PARK of staleness. A held runt waits
+            //    for client frames, the ops it is held for, until its
+            //    hold runs out.
+            let held = self.links.iter().filter_map(|l| l.hold.map(|h| h.until));
+            if let Some(until) = held.min() {
+                let wait = until.saturating_duration_since(Instant::now());
+                if let Some(ev) = self.server.recv_timeout(wait) {
+                    self.on_client_event(ev);
+                }
+            } else if self.ops.is_empty() {
                 if let Some(ev) = self.server.recv_timeout(IDLE_PARK) {
                     self.on_client_event(ev);
                 }
@@ -469,6 +548,7 @@ impl Core {
         let reqs = std::mem::take(&mut link.pending);
         let bytes = std::mem::take(&mut link.pending_bytes);
         link.last_flush = Instant::now();
+        link.hold = None;
         for req in &reqs {
             // A retry finds its op counted already; an op that timed out
             // while it waited here is gone.
@@ -485,21 +565,11 @@ impl Core {
         self.link.send(server, &AppMsg::ClientBatch(reqs));
     }
 
-    /// Group commit: an idle link sends now, a busy one coalesces. A
-    /// server's batch leaves when nothing sent to it is unanswered, so at
-    /// a window of one every op still leaves the moment it arrives;
-    /// otherwise it fills until the answer comes back (or `BATCH_BYTES`
-    /// accumulate, see `enqueue`) and one frame, one gcast and one
-    /// `DoneBatch` then carry all of it. How many ops share a frame is
-    /// thus the number that arrive per round trip — not, as when every
-    /// pass flushed, per pass of this loop. A server silent for
-    /// `IDLE_PARK` is not waited for: ops sent to a crashed one are in
-    /// nobody's way, and each times out at its own deadline.
+    /// Ships every batch that is due (see [`Link::due`]).
     fn flush_all(&mut self) {
+        let now = Instant::now();
         for s in 0..self.links.len() {
-            let link = &self.links[s];
-            let free = || link.unanswered == 0 || link.last_flush.elapsed() >= IDLE_PARK;
-            if !link.pending.is_empty() && free() {
+            if self.links[s].due(now) {
                 self.flush(s as u32);
             }
         }
@@ -548,7 +618,9 @@ impl Core {
     /// Completes one op toward the client: latency + trace + reply.
     fn finish(&mut self, st: OpState, result: ClientResult) {
         if st.holds_link {
-            self.links[st.server as usize].unanswered -= 1;
+            let link = &mut self.links[st.server as usize];
+            link.unanswered -= 1;
+            link.answered += 1;
         }
         self.count("proxy.ops.completed", 1.0);
         let lat = st.issued.elapsed().as_micros() as u64;
@@ -634,5 +706,71 @@ impl Core {
 
     fn record(&self, name: &'static str, value: u64) {
         self.link.telemetry().record(name, value);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use paso_types::{ObjectId, PasoObject, ProcessId, Value};
+
+    /// A free link with `pending` ops queued and `answered` answers just
+    /// taken off it.
+    fn link(now: Instant, pending: u64, answered: usize) -> Link {
+        let mut link = Link::new(now);
+        link.pending = (0..pending)
+            .map(|n| ClientRequest {
+                op_id: n,
+                op: ClientOp::Insert {
+                    object: PasoObject::new(ObjectId::new(ProcessId(0), n), vec![Value::Int(0)]),
+                },
+            })
+            .collect();
+        link.answered = answered;
+        link
+    }
+
+    #[test]
+    fn a_lone_answer_never_holds_the_next_op() {
+        let now = Instant::now();
+        assert!(link(now, 1, 1).due(now));
+        assert!(link(now, 1, 0).due(now));
+        assert!(!link(now, 0, 1).due(now), "nothing to send");
+    }
+
+    #[test]
+    fn a_runt_waits_for_half_of_the_answered_clients() {
+        let now = Instant::now();
+        let mut l = link(now, 3, 16);
+        assert!(!l.due(now), "3 ops behind 16 answers are a runt");
+        l.pending.extend(link(now, 4, 0).pending);
+        assert!(!l.due(now), "7 of the 8 it waits for");
+        l.pending.extend(link(now, 1, 0).pending);
+        assert!(l.due(now), "half of the 16 have joined");
+    }
+
+    #[test]
+    fn a_held_runt_leaves_when_its_hold_runs_out() {
+        let now = Instant::now();
+        let mut l = link(now, 3, 16);
+        assert!(!l.due(now));
+        assert!(!l.due(now + RUNT_HOLD / 2));
+        assert!(l.due(now + RUNT_HOLD));
+    }
+
+    #[test]
+    fn a_batch_of_half_the_answers_leaves_at_once() {
+        let now = Instant::now();
+        assert!(link(now, 8, 16).due(now));
+        assert!(link(now, 1, 2).due(now));
+    }
+
+    #[test]
+    fn a_busy_link_waits_for_its_answer_or_idle_park() {
+        let now = Instant::now();
+        let mut l = link(now, 3, 0);
+        l.unanswered = 2;
+        assert!(!l.due(now));
+        assert!(l.due(now + IDLE_PARK), "a silent server is not waited for");
     }
 }
