@@ -7,6 +7,7 @@ use paso_core::{ClientOp, ClientResult, Deployment, PasoConfig, ProxyServerFrame
 use paso_proxy::{Proxy, ProxyClient, ProxyOptions};
 use paso_runtime::{Cluster, TransportKind};
 use paso_simnet::{FaultPlan, NodeId};
+use paso_telemetry::TraceKind;
 use paso_types::{ObjectId, PasoObject, ProcessId, SearchCriterion, Template, Value};
 
 const SECRET: u64 = 0x5eed;
@@ -384,11 +385,14 @@ fn ops_issued_after_the_leader_crashes_all_complete() {
 
 /// A cluster whose `task` leader executes what the gateway sends it and
 /// whose answers are lost on the way back, with one insert already in
-/// that state: sent, applied, and never to be answered.
+/// that state: sent, applied, and its answer dropped. Summary gossip is
+/// off, so the leader's link to the gateway carries answers only and
+/// each frame dropped on it is an answer lost.
 fn cluster_with_an_unanswered_insert(
-    cfg: PasoConfig,
+    mut cfg: PasoConfig,
     op_timeout: Duration,
 ) -> (Cluster, Proxy, ProxyClient, u32, Instant) {
+    cfg.summary_gossip_micros = 0;
     let leader = task_leader(&cfg);
     let gateway = NodeId(cfg.n as u32);
     let opts = ProxyOptions {
@@ -401,6 +405,9 @@ fn cluster_with_an_unanswered_insert(
     let sent = Instant::now();
     assert_eq!(c.send_op(&insert_op(1)).unwrap(), 0);
     wait_until_applied(&cluster, leader, 1, sent, op_timeout / 4);
+    // The leader answers after it applies: lifting the plan before the
+    // answer is dropped would let it through.
+    wait_until_dropped(&cluster, (leader, gateway.0), 1, sent, op_timeout / 4);
     (cluster, proxy, c, leader, sent)
 }
 
@@ -414,6 +421,32 @@ fn wait_until_applied(cluster: &Cluster, leader: u32, n: i64, since: Instant, li
         std::thread::sleep(Duration::from_millis(1));
     }
     assert!(since.elapsed() < limit, "insert({n}) left late");
+}
+
+/// Holds that the fault plan dropped `n` frames on the link from `from`
+/// to `to` within `limit` of `since`.
+fn wait_until_dropped(
+    cluster: &Cluster,
+    (from, to): (u32, u32),
+    n: usize,
+    since: Instant,
+    limit: Duration,
+) {
+    let drop = TraceKind::NetDrop { to };
+    let dropped = || {
+        let events = cluster.trace_events();
+        events
+            .iter()
+            .filter(|e| e.node == from && e.kind == drop)
+            .count()
+    };
+    while dropped() < n {
+        assert!(
+            since.elapsed() < limit,
+            "{n} frames {from} -> {to} never dropped"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
 }
 
 fn recv_done(c: &mut ProxyClient) -> (u64, ClientResult) {
@@ -435,12 +468,14 @@ fn ops_behind_a_silent_server_leave_at_once_and_time_out_on_their_own() {
         .adaptive(false)
         .client_retry_budget(0)
         .build();
+    let gateway = cfg.n as u32;
     let (cluster, _proxy, mut c, leader, first) = cluster_with_an_unanswered_insert(cfg, TIMEOUT);
 
     std::thread::sleep(Duration::from_millis(200));
     let second = Instant::now();
     assert_eq!(c.send_op(&insert_op(2)).unwrap(), 1);
     wait_until_applied(&cluster, leader, 2, second, TIMEOUT / 4);
+    wait_until_dropped(&cluster, (leader, gateway), 2, second, TIMEOUT / 4);
 
     cluster.set_fault_plan(FaultPlan::none());
     let third = Instant::now();

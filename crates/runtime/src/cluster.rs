@@ -23,7 +23,7 @@ use crate::completions::Completions;
 use crate::ledger::{ClusterStats, Ledger};
 use crate::node::run_node;
 use crate::transport::{
-    ChannelMailbox, ChannelTransport, Envelope, Mailbox, Postman, TcpTransport, TransportTuning,
+    ChannelTransport, Envelope, Mailbox, Postman, TcpTransport, TransportTuning,
 };
 
 /// Which transport the cluster runs over.
@@ -99,7 +99,7 @@ pub struct Cluster {
     ops: OpLedger,
     /// Unclaimed gateway attachment points (`cfg.proxy_slots` of them),
     /// indexed by slot. `Cluster::gateway_link` takes one.
-    gateway_mail: Mutex<Vec<Option<ChannelMailbox>>>,
+    gateway_mail: Mutex<Vec<Option<Box<dyn Mailbox>>>>,
 }
 
 /// A front-end gateway's attachment point into the cluster fabric.
@@ -124,7 +124,7 @@ pub struct GatewayLink {
     node: NodeId,
     deployment: Arc<Deployment>,
     postman: Arc<dyn Postman>,
-    mailbox: ChannelMailbox,
+    mailbox: Box<dyn Mailbox>,
     ledger: Arc<Ledger>,
     down: Arc<Mutex<BTreeSet<NodeId>>>,
 }
@@ -285,18 +285,20 @@ impl Cluster {
         // The ledger comes first: whatever counts is built over it.
         let ledger = Ledger::new();
         deployment.register_metrics(ledger.telemetry());
-        let (postman, mut mailboxes): (Arc<dyn Postman>, Vec<_>) = match kind {
+        fn boxed<M: Mailbox + 'static>(m: Vec<M>) -> Vec<Box<dyn Mailbox>> {
+            m.into_iter().map(|m| Box::new(m) as _).collect()
+        }
+        let (postman, mut mailboxes): (Arc<dyn Postman>, _) = match kind {
             TransportKind::Channel => {
                 let (p, m) = ChannelTransport::with_tuning(total, tuning, &ledger);
-                (p, m)
+                (p, boxed(m))
             }
             TransportKind::Tcp => {
                 let (p, m) = TcpTransport::with_tuning(total, tuning, &ledger);
-                (p, m)
+                (p, boxed(m))
             }
         };
-        let gateway_mail: Vec<Option<ChannelMailbox>> =
-            mailboxes.split_off(n).into_iter().map(Some).collect();
+        let gateway_mail = mailboxes.split_off(n).into_iter().map(Some).collect();
         postman.set_fault_plan(plan);
         let completions = Arc::new(Completions::new(Arc::clone(ledger.telemetry())));
         let mut handles = Vec::with_capacity(n);

@@ -118,10 +118,10 @@ pub struct NetStats {
     pub msgs_faulted: u64,
     /// Frames that took the injected-delay line before delivery.
     pub msgs_delayed: u64,
-    /// I/O errors the reactor absorbed instead of panicking: mid-frame
+    /// I/O errors the transport absorbed instead of panicking: mid-frame
     /// peer death, corrupt length prefixes, failed dials it could not
-    /// make non-blocking. Each one killed at most a connection, never a
-    /// poller thread.
+    /// make non-blocking. Each one killed at most a connection, never
+    /// the thread reading or writing it.
     pub poll_errors: u64,
 }
 
@@ -144,7 +144,8 @@ pub(crate) struct NetCounters {
     pub(crate) delayed: Arc<Counter>,
     /// `net.poll.errors` (see [`NetStats::poll_errors`]).
     pub(crate) errors: Arc<Counter>,
-    /// `net.poll.wakeups` — ready-set size per poll return.
+    /// `net.poll.wakeups` — ready-set size per poll return that found
+    /// something ready, a poller's or a mailbox's.
     pub(crate) wakeups: Arc<Histogram>,
     /// `net.writev.batch_frames` — frames per vectored write batch.
     pub(crate) batch_frames: Arc<Histogram>,

@@ -34,7 +34,8 @@ pub use frame_server::{FrameServer, SendOutcome};
 pub use ledger::{ClusterStats, Ledger, NetStats};
 pub use reactor::{ClientEvent, ClientId};
 pub use transport::{
-    ChannelMailbox, ChannelTransport, Envelope, Mailbox, Postman, TcpTransport, TransportTuning,
+    ChannelMailbox, ChannelTransport, Envelope, Mailbox, Postman, TcpMailbox, TcpTransport,
+    TransportTuning,
 };
 
 #[cfg(test)]

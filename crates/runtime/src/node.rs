@@ -28,7 +28,7 @@ pub(crate) fn run_node<A, F>(
     node: NodeId,
     n: usize,
     factory: F,
-    mailbox: impl Mailbox,
+    mailbox: Box<dyn Mailbox>,
     postman: Arc<dyn Postman>,
     emit: impl Fn(A::Output),
     ledger: &Ledger,

@@ -1,21 +1,15 @@
 //! A thin `poll(2)` reactor: the event-driven I/O core of
 //! [`TcpTransport`](crate::TcpTransport).
 //!
-//! A **fixed pool of poller threads** drives every socket the transport
-//! owns — listeners, inbound connections, and outbound connections — via
-//! readiness polling over nonblocking fds. No async runtime, no
-//! thread-per-connection: one node talking to hundreds of peers costs
-//! `poller_threads` I/O threads plus one background dialer, total.
+//! A **fixed pool of poller threads** drives the sockets no node thread
+//! reads — outbound peer connections, and client-facing listeners and
+//! connections — via readiness polling over nonblocking fds. No async
+//! runtime, no thread-per-connection: one node talking to hundreds of
+//! peers costs `poller_threads` I/O threads plus one background dialer,
+//! total.
 //!
 //! Responsibilities per poller wakeup:
 //!
-//! - **Accept**: ready listeners accept until `WouldBlock`; accepted
-//!   streams become inbound entries on the same poller.
-//! - **Read**: ready inbound streams read into a reusable per-connection
-//!   buffer; complete `[varint len][envelope]` frames are decoded and
-//!   handed to the node's mailbox, the partial tail stays buffered for
-//!   the next wakeup (incremental framing — a frame may arrive a byte at
-//!   a time).
 //! - **Write**: outbound entries with queued frames drain their bounded
 //!   send queue with `write_vectored`: varint headers go into one
 //!   per-connection scratch buffer, payload [`Frame`]s are referenced
@@ -23,6 +17,29 @@
 //!   queued at 100 peers is one allocation total. Frames are popped (and
 //!   counted as sent) only when their last byte hits the socket, so the
 //!   bounded queue *is* the backpressure accounting.
+//! - **Clients**: client listeners accept until `WouldBlock`; client
+//!   connections read opaque frames for the
+//!   [`FrameServer`](crate::FrameServer) and drain their reply queues
+//!   like any outbound entry.
+//!
+//! ## Who reads a socket
+//!
+//! **A node reads its own sockets.** Each node's listener and every peer
+//! connection accepted on it belong to its [`Inbound`], which the node's
+//! thread polls itself when it asks its mailbox for the next envelope
+//! and nothing decoded is waiting: one `ppoll` with the caller's timeout,
+//! then accepts, and reads of every ready connection into a reusable
+//! per-connection buffer. Complete `[varint len][envelope]` frames are
+//! decoded; the partial tail stays buffered for the next call
+//! (incremental framing — a frame may arrive a byte at a time). A peer
+//! message costs the receiving node's wake-up and no hand-off from a
+//! poller thread.
+//!
+//! The buffering contract follows from that: nothing reads for a node
+//! that is busy. Its backlog sits in its socket buffers, then in each
+//! sender's bounded [`OutConn`] queue (`queue_depth` frames), and what
+//! overflows that is dropped and counted in `net.msgs_dropped`, as for
+//! any slow reader. A flooding peer cannot grow a node's memory.
 //!
 //! ## Who writes a socket
 //!
@@ -72,13 +89,15 @@
 //! Shutdown is joined, not detached: dropping the transport wakes every
 //! poller and the dialer, [`Reactor::shutdown`] joins them all, and
 //! dropping the entries and, right behind them, the transport's table of
-//! [`OutConn`]s (which share the connected sockets) closes every fd —
-//! asserted by the transport-lifecycle leak test.
+//! [`OutConn`]s (which share the connected sockets) closes every fd the
+//! transport owns; a node's listener and accepted connections close with
+//! its mailbox — asserted by the transport-lifecycle leak test.
 
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
+use std::ptr;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -146,8 +165,8 @@ impl ClientRegistry {
 /// encoding serves every queue that holds the frame.
 pub(crate) type Frame = Arc<[u8]>;
 
-/// Read budget per inbound wakeup: parse after at most this many fresh
-/// bytes so one firehose connection cannot starve its poller siblings
+/// Read budget per ready connection and wakeup: parse after at most this
+/// many fresh bytes so one firehose connection cannot starve its siblings
 /// (level-triggered poll re-fires while data remains).
 const READ_BUDGET: usize = 256 << 10;
 
@@ -282,8 +301,6 @@ impl std::fmt::Debug for OutConn {
 
 /// Commands delivered to a poller through its inbox + wake pipe.
 enum Cmd {
-    /// Adopt a listener (accepted streams stay on this poller).
-    Listener(TcpListener, Sender<Envelope>),
     /// Adopt a client-facing listener: accepted streams become
     /// [`Entry::Client`]s registered with the [`ClientRegistry`].
     ClientListener(TcpListener, Arc<ClientRegistry>),
@@ -441,15 +458,6 @@ impl Reactor {
     /// Number of poller threads.
     pub(crate) fn pollers(&self) -> usize {
         self.shared.inboxes.len()
-    }
-
-    /// Hands a listener to poller `slot % pollers`.
-    pub(crate) fn add_listener(&self, slot: usize, listener: TcpListener, tx: Sender<Envelope>) {
-        listener
-            .set_nonblocking(true)
-            .expect("nonblocking listener");
-        let inbox = &self.shared.inboxes[slot % self.shared.inboxes.len()];
-        inbox.send(Cmd::Listener(listener, tx));
     }
 
     /// Hands a client-facing listener to poller `slot % pollers`.
@@ -633,21 +641,9 @@ enum WriteOutcome {
 }
 
 enum Entry {
-    Listener {
-        listener: TcpListener,
-        tx: Sender<Envelope>,
-    },
     ClientListener {
         listener: TcpListener,
         reg: Arc<ClientRegistry>,
-    },
-    Inbound {
-        stream: TcpStream,
-        tx: Sender<Envelope>,
-        /// Reusable frame-assembly buffer; the first `filled` bytes are
-        /// valid.
-        buf: Vec<u8>,
-        filled: usize,
     },
     /// A dialed peer connection: written through `conn`'s write half, by
     /// this poller or by a sending thread; the entry polls the socket.
@@ -672,19 +668,14 @@ enum Entry {
 impl Entry {
     fn fd(&self) -> libc::c_int {
         match self {
-            Entry::Listener { listener, .. } | Entry::ClientListener { listener, .. } => {
-                listener.as_raw_fd()
-            }
-            Entry::Inbound { stream, .. } => stream.as_raw_fd(),
+            Entry::ClientListener { listener, .. } => listener.as_raw_fd(),
             Entry::Outbound { stream, .. } | Entry::Client { stream, .. } => stream.as_raw_fd(),
         }
     }
 
     fn interest(&self) -> libc::c_short {
         match self {
-            Entry::Listener { .. } | Entry::ClientListener { .. } | Entry::Inbound { .. } => {
-                libc::POLLIN
-            }
+            Entry::ClientListener { .. } => libc::POLLIN,
             // Idle outbound connections stay in the set with no requested
             // events: POLLERR/POLLHUP are reported regardless, so a dead
             // peer is noticed without waiting for the next send.
@@ -718,7 +709,6 @@ fn poller_loop(index: usize, wake_rd: libc::c_int, shared: Arc<ReactorShared>) {
         let cmds = std::mem::take(&mut *inbox.cmds.lock());
         for cmd in cmds {
             match cmd {
-                Cmd::Listener(listener, tx) => entries.push(Entry::Listener { listener, tx }),
                 Cmd::ClientListener(listener, reg) => {
                     entries.push(Entry::ClientListener { listener, reg })
                 }
@@ -767,7 +757,7 @@ fn poller_loop(index: usize, wake_rd: libc::c_int, shared: Arc<ReactorShared>) {
             drain_wake_pipe(wake_rd);
         }
 
-        // Dispatch the ready set. New inbound entries appended by accepts
+        // Dispatch the ready set. New client entries appended by accepts
         // all land *after* the indices covered by `pfds`, so positions
         // stay aligned; removals happen afterwards, back to front.
         let mut dead: Vec<usize> = Vec::new();
@@ -780,35 +770,10 @@ fn poller_loop(index: usize, wake_rd: libc::c_int, shared: Arc<ReactorShared>) {
             let hangup = revents & (libc::POLLERR | libc::POLLHUP | libc::POLLNVAL) != 0;
             let mut accepted: Vec<Entry> = Vec::new();
             match &mut entries[i] {
-                Entry::Listener { listener, tx } => {
-                    if revents & libc::POLLIN != 0 {
-                        accept_ready(listener, tx, &shared.counters, &mut accepted);
-                    } else if hangup {
-                        dead.push(i);
-                    }
-                }
                 Entry::ClientListener { listener, reg } => {
                     if revents & libc::POLLIN != 0 {
                         accept_clients(listener, reg, index, &shared.counters, &mut accepted);
                     } else if hangup {
-                        dead.push(i);
-                    }
-                }
-                Entry::Inbound {
-                    stream,
-                    tx,
-                    buf,
-                    filled,
-                } => {
-                    // Peer frames are envelopes for the node's mailbox.
-                    let sink = |payload: &[u8]| match paso_wire::decode_exact::<Envelope>(payload) {
-                        Ok(env) => match tx.send(env) {
-                            Ok(()) => Sunk::Ok,
-                            Err(_) => Sunk::Closed, // mailbox gone: node shut down
-                        },
-                        Err(_) => Sunk::Corrupt,
-                    };
-                    if !fill_and_split(stream, buf, filled, MAX_FRAME, &shared.counters, sink) {
                         dead.push(i);
                     }
                 }
@@ -873,7 +838,7 @@ fn poller_loop(index: usize, wake_rd: libc::c_int, shared: Arc<ReactorShared>) {
         // Remove back-to-front; `swap_remove` may move an appended (not
         // yet polled) entry into a dispatched slot, which is harmless.
         for &i in dead.iter().rev() {
-            // Listener/inbound entries just drop, which closes the fd.
+            // A listener entry just drops, which closes the fd.
             match entries.swap_remove(i) {
                 Entry::Outbound { conn, .. } => redial(conn, &shared),
                 Entry::Client { id, reg, .. } => {
@@ -907,36 +872,170 @@ fn redial(conn: Arc<OutConn>, shared: &ReactorShared) {
     });
 }
 
-/// Accepts every pending connection on a ready listener.
-fn accept_ready(
-    listener: &TcpListener,
-    tx: &Sender<Envelope>,
-    counters: &NetCounters,
-    out: &mut Vec<Entry>,
-) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if stream.set_nonblocking(true).is_err() {
-                    counters.errors.add(1.0);
-                    continue;
-                }
-                out.push(Entry::Inbound {
-                    stream,
-                    tx: tx.clone(),
-                    buf: Vec::new(),
-                    filled: 0,
-                });
+/// One node's receiving side of the TCP transport: its listener, every
+/// peer connection accepted on it, and the envelopes decoded from them
+/// but not yet handed out. Only the thread that receives for the node
+/// touches it (see "Who reads a socket").
+pub(crate) struct Inbound {
+    listener: TcpListener,
+    conns: Vec<InConn>,
+    /// Decoded envelopes, oldest first; the sockets are polled only once
+    /// this is empty.
+    ready: VecDeque<Envelope>,
+    /// Reused interest set: the listener, then `conns` in order.
+    pfds: Vec<libc::pollfd>,
+    counters: Arc<NetCounters>,
+}
+
+/// One accepted peer connection.
+struct InConn {
+    stream: TcpStream,
+    /// Reusable frame-assembly buffer; the first `filled` bytes are valid.
+    buf: Vec<u8>,
+    filled: usize,
+}
+
+impl Inbound {
+    /// # Panics
+    ///
+    /// Panics if the listener cannot be made nonblocking.
+    pub(crate) fn new(listener: TcpListener, counters: Arc<NetCounters>) -> Self {
+        listener
+            .set_nonblocking(true)
+            .expect("nonblocking listener");
+        Inbound {
+            listener,
+            conns: Vec::new(),
+            ready: VecDeque::new(),
+            pfds: Vec::new(),
+            counters,
+        }
+    }
+
+    /// The next envelope: a decoded one if any is waiting, else whatever
+    /// polling the sockets yields before `timeout` runs out (a zero
+    /// timeout polls once without waiting).
+    pub(crate) fn recv(&mut self, timeout: Duration) -> Option<Envelope> {
+        if let Some(env) = self.ready.pop_front() {
+            return Some(env);
+        }
+        let deadline = Instant::now() + timeout;
+        loop {
+            self.poll(deadline.saturating_duration_since(Instant::now()));
+            if let Some(env) = self.ready.pop_front() {
+                return Some(env);
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                // Transient accept error (e.g. fd exhaustion under a
-                // client swarm): count it, retry next wakeup.
-                counters.errors.add(1.0);
-                return;
+            if Instant::now() >= deadline {
+                return None;
             }
         }
+    }
+
+    /// One `ppoll` round over the listener and every connection, waiting
+    /// at most `timeout` (to the nanosecond: a node's 200 µs timer floor
+    /// must neither spin nor round up to a millisecond). Ready connections
+    /// are read and their complete frames decoded into `ready`; a
+    /// connection that breaks the framing, fails or hangs up is dropped,
+    /// with the accounting of [`fill_and_split`]. Then pending connections
+    /// are accepted.
+    fn poll(&mut self, timeout: Duration) {
+        let Inbound {
+            listener,
+            conns,
+            ready,
+            pfds,
+            counters,
+        } = self;
+        pfds.clear();
+        pfds.push(libc::pollfd {
+            fd: listener.as_raw_fd(),
+            events: libc::POLLIN,
+            revents: 0,
+        });
+        pfds.extend(conns.iter().map(|c| libc::pollfd {
+            fd: c.stream.as_raw_fd(),
+            events: libc::POLLIN,
+            revents: 0,
+        }));
+        let timeout = libc::timespec {
+            tv_sec: timeout.as_secs().try_into().unwrap_or(libc::time_t::MAX),
+            tv_nsec: timeout.subsec_nanos().into(),
+        };
+        // SAFETY: `pfds` is an exclusively borrowed, initialized array of
+        // `pfds.len()` pollfds, and `timeout` outlives the call; a null
+        // signal mask is allowed and leaves the thread's mask unchanged.
+        let n = unsafe {
+            libc::ppoll(
+                pfds.as_mut_ptr(),
+                pfds.len() as libc::nfds_t,
+                &timeout,
+                ptr::null(),
+            )
+        };
+        if n <= 0 {
+            return; // timed out, or EINTR
+        }
+        counters.wakeups.record(n as u64);
+        let mut polled = pfds[1..].iter();
+        conns.retain_mut(|c| {
+            if polled.next().is_none_or(|p| p.revents == 0) {
+                return true;
+            }
+            let sink = |payload: &[u8]| match paso_wire::decode_exact::<Envelope>(payload) {
+                Ok(env) => {
+                    ready.push_back(env);
+                    Sunk::Ok
+                }
+                Err(_) => Sunk::Corrupt,
+            };
+            fill_and_split(
+                &mut c.stream,
+                &mut c.buf,
+                &mut c.filled,
+                MAX_FRAME,
+                counters,
+                sink,
+            )
+        });
+        if pfds[0].revents != 0 {
+            self.accept();
+        }
+    }
+
+    /// Accepts every pending connection on the listener.
+    fn accept(&mut self) {
+        loop {
+            match self.listener.accept() {
+                Ok((stream, _)) => {
+                    if stream.set_nonblocking(true).is_err() {
+                        self.counters.errors.add(1.0);
+                        continue;
+                    }
+                    self.conns.push(InConn {
+                        stream,
+                        buf: Vec::new(),
+                        filled: 0,
+                    });
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => {
+                    // Transient accept error (e.g. fd exhaustion): count
+                    // it, retry at the next poll.
+                    self.counters.errors.add(1.0);
+                    return;
+                }
+            }
+        }
+    }
+}
+
+impl std::fmt::Debug for Inbound {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Inbound")
+            .field("conns", &self.conns.len())
+            .field("ready", &self.ready.len())
+            .finish_non_exhaustive()
     }
 }
 
@@ -991,8 +1090,8 @@ fn accept_clients(
 enum Sunk {
     /// Consumed; keep splitting.
     Ok,
-    /// The receiving end is gone (local shutdown): drop the connection,
-    /// nothing was lost to a fault.
+    /// The receiving end is gone (the client-facing server shut down):
+    /// drop the connection, nothing was lost to a fault.
     Closed,
     /// The payload does not decode: drop the connection and count it.
     Corrupt,
@@ -1006,7 +1105,7 @@ enum Sunk {
 /// connection must be dropped (EOF, I/O error, oversize or corrupt
 /// frame, or a closed sink). Every drop that loses data — anything but a
 /// clean EOF on a frame boundary or local shutdown — bumps
-/// `poll_errors`; the connection dies, the poller does not.
+/// `poll_errors`; the connection dies, its reader does not.
 fn fill_and_split(
     stream: &mut impl Read,
     buf: &mut Vec<u8>,

@@ -12,27 +12,34 @@
 //!
 //! ## Event-driven I/O core
 //!
-//! All TCP sockets — listeners, inbound, outbound — are driven by a
-//! fixed pool of poller threads (the [`reactor`](crate::reactor) module:
-//! a thin hand-rolled `poll(2)` loop, no async runtime), so one node
-//! talking to hundreds of peers costs [`TransportTuning::poller_threads`]
-//! I/O threads plus one background dialer instead of threads per
-//! connection. The paper's `α` (per-message overhead) is what this buys
-//! down: a send is a queue push and, when that finds the link idle, the
-//! `writev` itself, from the sending thread — no hand-off to a poller;
-//! on a busy link the frame joins the queue and leaves in a vectored
-//! batch of refcounted frames with zero per-send payload copies (who may
-//! write a socket, and the lock order, are in the reactor's module
-//! docs); reads are incremental into one reusable buffer per connection.
+//! A node's [`TcpMailbox`] owns its listener and every connection
+//! accepted on it, and the node's own thread reads them: one `ppoll`
+//! over them when it asks for the next envelope and none is decoded
+//! yet, incremental reads into one reusable buffer per connection. The
+//! outbound sockets are driven by a fixed pool of poller threads (the
+//! [`reactor`](crate::reactor) module: a thin hand-rolled `poll(2)`
+//! loop, no async runtime), so one node talking to hundreds of peers
+//! costs [`TransportTuning::poller_threads`] I/O threads plus one
+//! background dialer instead of threads per connection. The paper's `α`
+//! (per-message overhead) is what this buys down: a send is a queue push
+//! and, when that finds the link idle, the `writev` itself, from the
+//! sending thread; the receiving thread reads it — no hand-off to a
+//! poller on either side. On a busy link the frame joins the queue and
+//! leaves in a vectored batch of refcounted frames with zero per-send
+//! payload copies (who may read or write a socket, and the lock order,
+//! are in the reactor's module docs).
 //!
 //! ## Failure path and fault injection
 //!
 //! Every `(sender, receiver)` link owns a *bounded* frame queue
-//! ([`reactor::OutConn`](crate::reactor)). Dialing happens on the
-//! background dialer with capped exponential backoff, so a dead or
-//! blackholed peer can never head-of-line-block sends to healthy peers;
-//! the send path only ever performs a non-blocking push and, on an idle
-//! dialed link, a non-blocking write. Frames that
+//! ([`reactor::OutConn`](crate::reactor)). Nothing reads for a busy
+//! node: its backlog waits in its socket buffers, then in these queues,
+//! and overflow is dropped and counted — a flooding peer cannot grow the
+//! receiver's memory. Dialing happens on the background dialer with
+//! capped exponential backoff, so a dead or blackholed peer can never
+//! head-of-line-block sends to healthy peers; the send path only ever
+//! performs a non-blocking push and, on an idle dialed link, a
+//! non-blocking write. Frames that
 //! don't fit the bounded queue are dropped and **accounted** in
 //! [`NetStats::msgs_dropped`] — nothing is silently swallowed. Whoever
 //! writes coalesces the queued frames into one `writev` syscall,
@@ -66,7 +73,7 @@ use paso_vsync::NetMsg;
 use paso_wire::Wire;
 
 use crate::ledger::{Ledger, NetCounters, NetStats};
-use crate::reactor::{Frame, OutConn, Reactor};
+use crate::reactor::{Frame, Inbound, OutConn, Reactor};
 
 /// An envelope routed between nodes (or from the cluster controller).
 #[derive(Debug, Clone)]
@@ -109,6 +116,12 @@ paso_wire::wire_enum!(Envelope {
 pub trait Mailbox: Send {
     /// Blocks up to `timeout` for the next envelope.
     fn recv_timeout(&self, timeout: Duration) -> Option<Envelope>;
+
+    /// The next envelope if one is already waiting: `recv_timeout` with
+    /// a zero timeout.
+    fn try_recv(&self) -> Option<Envelope> {
+        self.recv_timeout(Duration::ZERO)
+    }
 }
 
 /// Sending side, cloneable, shared by all node threads and the controller.
@@ -154,9 +167,10 @@ pub struct TransportTuning {
     /// Max frames one vectored write may gather from a connection's
     /// queue (bounds the iovec and the header scratch buffer).
     pub max_batch_frames: usize,
-    /// Number of reactor poller threads sharing every socket the
-    /// transport owns. This is the whole I/O thread budget regardless of
-    /// peer count (plus one background dialer).
+    /// Number of reactor poller threads sharing the outbound and client
+    /// sockets; each node reads its own inbound sockets from its own
+    /// thread. This is the whole I/O thread budget regardless of peer
+    /// count (plus one background dialer).
     pub poller_threads: usize,
     /// Artificial latency added to every dial — emulates a SYN blackhole
     /// (firewalled peer) in tests. Zero in production.
@@ -426,11 +440,8 @@ impl Mailbox for ChannelMailbox {
     fn recv_timeout(&self, timeout: Duration) -> Option<Envelope> {
         self.rx.recv_timeout(timeout).ok()
     }
-}
 
-impl ChannelMailbox {
-    /// The next envelope if one is already waiting.
-    pub(crate) fn try_recv(&self) -> Option<Envelope> {
+    fn try_recv(&self) -> Option<Envelope> {
         self.rx.try_recv().ok()
     }
 }
@@ -464,11 +475,11 @@ impl Postman for ChannelTransport {
 pub(crate) const MAX_FRAME: usize = 64 << 20;
 
 /// Localhost TCP transport: every node listens on `127.0.0.1:port_i`;
-/// senders keep persistent connections. All sockets are driven by the
-/// fixed poller pool of the [`reactor`](crate::reactor) — accepts, frame
-/// reads into the node's channel, and vectored zero-copy writes — so the
-/// node loop is identical for both transports and the thread count is
-/// independent of the peer count.
+/// senders keep persistent connections. A node's [`TcpMailbox`] accepts
+/// and reads its own connections on the node's thread; outbound sockets
+/// are driven by the fixed poller pool of the reactor — vectored
+/// zero-copy writes — so the node loop is identical for both transports
+/// and the thread count is independent of the peer count.
 ///
 /// Outbound frames land in a bounded per-link queue; a background dialer
 /// connects (capped exponential backoff) off the send path; see the
@@ -496,13 +507,12 @@ struct TcpShared {
 
 impl TcpTransport {
     /// Binds `n` listeners on free ports and returns the transport plus
-    /// the mailboxes, counting into a private [`Ledger`]. All I/O runs on
-    /// the reactor's poller pool.
+    /// the mailboxes that own them, counting into a private [`Ledger`].
     ///
     /// # Panics
     ///
     /// Panics if binding a listener fails.
-    pub fn new(n: usize) -> (Arc<Self>, Vec<ChannelMailbox>) {
+    pub fn new(n: usize) -> (Arc<Self>, Vec<TcpMailbox>) {
         Self::with_tuning(n, TransportTuning::default(), &Ledger::new())
     }
 
@@ -516,21 +526,23 @@ impl TcpTransport {
         n: usize,
         tuning: TransportTuning,
         ledger: &Arc<Ledger>,
-    ) -> (Arc<Self>, Vec<ChannelMailbox>) {
+    ) -> (Arc<Self>, Vec<TcpMailbox>) {
         let mut ports = Vec::with_capacity(n);
         let mut listeners = Vec::with_capacity(n);
-        let mut mailboxes = Vec::with_capacity(n);
         for _ in 0..n {
             let listener = TcpListener::bind("127.0.0.1:0").expect("bind listener");
-            let port = listener.local_addr().expect("local addr").port();
-            ports.push(port);
-            let (tx, rx) = unbounded::<Envelope>();
-            mailboxes.push(ChannelMailbox { rx });
-            listeners.push((listener, tx));
+            ports.push(listener.local_addr().expect("local addr").port());
+            listeners.push(listener);
         }
         let transport = Self::over_ports(ports, tuning, ledger);
-        for (i, (listener, tx)) in listeners.into_iter().enumerate() {
-            transport.shared.reactor.add_listener(i, listener, tx);
+        let counters = &transport.shared.counters;
+        let mailboxes = listeners
+            .into_iter()
+            .map(|listener| TcpMailbox {
+                inbound: Mutex::new(Inbound::new(listener, Arc::clone(counters))),
+            })
+            .collect();
+        for i in 0..n {
             // The oracle's links are dialed now, not at the first crash:
             // a `Crash` still waiting for its dial while the peers'
             // notices of it are delivered lets the victim answer traffic
@@ -568,6 +580,20 @@ impl TcpTransport {
     }
 }
 
+/// Mailbox for [`TcpTransport`]: the node's listener and every peer
+/// connection accepted on it, read by the thread that receives. Dropping
+/// it closes them.
+#[derive(Debug)]
+pub struct TcpMailbox {
+    inbound: Mutex<Inbound>,
+}
+
+impl Mailbox for TcpMailbox {
+    fn recv_timeout(&self, timeout: Duration) -> Option<Envelope> {
+        self.inbound.lock().recv(timeout)
+    }
+}
+
 impl Drop for TcpTransport {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
@@ -575,8 +601,9 @@ impl Drop for TcpTransport {
             line.shutdown();
         }
         // Joins every poller and the dialer; their entries and then
-        // `conns`, dropped with `shared`, close every socket fd
-        // (asserted by the lifecycle leak test).
+        // `conns`, dropped with `shared`, close every outbound socket fd
+        // (asserted by the lifecycle leak test). The mailboxes close
+        // their own.
         self.shared.reactor.shutdown();
     }
 }
@@ -925,21 +952,16 @@ mod tests {
         assert!(mailboxes[1].recv_timeout(Duration::from_secs(2)).is_some());
     }
 
-    /// Satellite regression for the unwrap sweep: a peer dying *mid
-    /// frame* (header promised more bytes than ever arrive) was one of
-    /// the paths that used to `unwrap()` inside the poller thread —
-    /// aborting the poller took every connection it owned down with it.
-    /// The poller must absorb the death as a counted error
-    /// (`net.poll.errors`) and keep serving its other sockets.
+    /// Regression for the unwrap sweep: a peer dying *mid frame* (header
+    /// promised more bytes than ever arrive) was one of the paths that
+    /// used to `unwrap()` inside the thread reading the socket, taking
+    /// every connection it read down with it. The mailbox, which reads
+    /// the victim and the healthy connection alike, must absorb the
+    /// death as one counted error (`net.poll.errors`) and keep serving
+    /// its other connections.
     #[test]
-    fn mid_frame_peer_death_kills_the_peer_not_the_poller() {
-        // One poller thread: the victim connection and the healthy one
-        // are guaranteed to share it.
-        let tuning = TransportTuning {
-            poller_threads: 1,
-            ..TransportTuning::default()
-        };
-        let (postman, mailboxes) = TcpTransport::with_tuning(2, tuning, &Ledger::new());
+    fn mid_frame_peer_death_kills_the_peer_not_the_mailbox() {
+        let (postman, mailboxes) = TcpTransport::new(2);
         postman.send(NodeId(1), net(0));
         assert!(mailboxes[1].recv_timeout(Duration::from_secs(2)).is_some());
         let errors_before = postman.net_stats().poll_errors;
@@ -955,14 +977,19 @@ mod tests {
         eventually(
             "mid-frame death is a counted error",
             Duration::from_secs(2),
-            || postman.net_stats().poll_errors > errors_before,
+            || {
+                let got = mailboxes[1].try_recv();
+                assert!(got.is_none(), "a partial frame was delivered: {got:?}");
+                postman.net_stats().poll_errors > errors_before
+            },
         );
-        // The poller that absorbed it still drives the healthy pair.
+        assert_eq!(postman.net_stats().poll_errors, errors_before + 1);
+        // The mailbox that absorbed it still reads the healthy link.
         for _ in 0..10 {
             postman.send(NodeId(1), net(0));
             assert!(
                 mailboxes[1].recv_timeout(Duration::from_secs(2)).is_some(),
-                "poller died with the peer"
+                "the mailbox died with the peer"
             );
         }
     }
@@ -1167,9 +1194,10 @@ mod tests {
         conns.values().map(|c| c.queued()).sum()
     }
 
-    /// An idle link is written by the thread that sends on it: a frame
-    /// costs the receiving poller's `POLLIN` return and nothing on the
-    /// sending side (handing it to the owning poller costs two more).
+    /// An idle link is written by the thread that sends on it and read
+    /// by the thread that receives on it: a frame costs the receiving
+    /// node's one `ppoll` return and nothing on the sending side (a
+    /// hand-off to a poller thread on either side costs more).
     #[test]
     fn ping_pong_on_idle_links_costs_under_two_poll_wakeups_a_frame() {
         let ledger = Ledger::new();
@@ -1277,6 +1305,128 @@ mod tests {
         assert_eq!(stats.msgs_dropped, 1, "the half-written frame, once");
         assert!(stats.poll_errors >= 1);
         assert_eq!(queued(&postman), 0);
+    }
+
+    /// A `len`-byte app frame from node 0 that carries `seq` up front.
+    fn numbered(seq: usize, len: usize) -> Envelope {
+        let mut payload = (seq as u64).to_le_bytes().to_vec();
+        payload.resize(len, 0);
+        Envelope::Net {
+            from: NodeId(0),
+            msg: NetMsg::App(payload),
+        }
+    }
+
+    /// Receives until the mailbox stays empty for 300 ms, asserting the
+    /// frames come in sending order; returns their sequence numbers.
+    fn drain_numbered(mailbox: &TcpMailbox) -> Vec<usize> {
+        let mut seqs: Vec<usize> = Vec::new();
+        while let Some(got) = mailbox.recv_timeout(Duration::from_millis(300)) {
+            let Envelope::Net {
+                msg: NetMsg::App(payload),
+                ..
+            } = got
+            else {
+                panic!("unexpected {got:?}");
+            };
+            let seq = u64::from_le_bytes(payload[..8].try_into().unwrap()) as usize;
+            assert!(seqs.last().is_none_or(|&last| last < seq), "reordered");
+            seqs.push(seq);
+        }
+        seqs
+    }
+
+    /// The buffering contract's safe side: a receiver that reads nothing
+    /// for 200 ms while a peer sends `queue_depth` frames loses none.
+    /// What its socket buffers cannot hold waits in the sender's bounded
+    /// queue, which holds that many by construction, whatever the
+    /// kernel's buffer sizes.
+    #[test]
+    fn a_paused_receiver_gets_a_queue_depth_of_frames_in_order() {
+        let (postman, mailboxes) = TcpTransport::new(2);
+        let depth = TransportTuning::default().queue_depth;
+        for seq in 0..depth {
+            postman.send(NodeId(1), numbered(seq, 1024));
+        }
+        std::thread::sleep(Duration::from_millis(200));
+        let got = drain_numbered(&mailboxes[1]);
+        assert_eq!(got, (0..depth).collect::<Vec<_>>());
+        eventually("every frame is accounted", Duration::from_secs(2), || {
+            postman.net_stats().msgs_delivered == depth as u64
+        });
+        assert_eq!(postman.net_stats().msgs_dropped, 0);
+    }
+
+    /// The largest buffer the kernel lets a TCP socket grow to in one
+    /// direction (`tcp_rmem` or `tcp_wmem`'s third field), in bytes.
+    fn kernel_tcp_buffer_max(which: &str) -> usize {
+        let path = format!("/proc/sys/net/ipv4/{which}");
+        let line = std::fs::read_to_string(&path).expect("read tcp buffer limits");
+        let max = line.split_whitespace().nth(2).expect("three fields");
+        max.parse().expect("a byte count")
+    }
+
+    /// The buffering contract's other side: a flood far past what the
+    /// receiver's socket buffers and the sender's queue can hold, to a
+    /// receiver that never reads, ends in drops counted at the sender
+    /// (`net.msgs_dropped`). The receiver holds nothing it was not asked
+    /// for: when it does read, it gets what the kernel and the queue
+    /// held, in order, however large the flood was.
+    #[test]
+    fn a_flood_at_a_receiver_that_never_reads_is_dropped_and_counted() {
+        const FRAME: usize = 1024;
+        let ledger = Ledger::new();
+        let depth = 64;
+        let tuning = TransportTuning {
+            queue_depth: depth,
+            ..TransportTuning::default()
+        };
+        let (postman, mailboxes) = TcpTransport::with_tuning(2, tuning, &ledger);
+        let held = kernel_tcp_buffer_max("tcp_rmem") + kernel_tcp_buffer_max("tcp_wmem");
+        let bound = held / FRAME + depth;
+        let sent = 4 * bound;
+        for seq in 0..sent {
+            postman.send(NodeId(1), numbered(seq, FRAME));
+        }
+        eventually(
+            "delivered + dropped + queued == sent",
+            Duration::from_secs(5),
+            || {
+                let stats = postman.net_stats();
+                let moved = stats.msgs_delivered + stats.msgs_dropped;
+                moved + queued(&postman) as u64 == sent as u64
+            },
+        );
+        let dropped = ledger.telemetry().counter("net.msgs_dropped").get() as usize;
+        assert!(dropped >= sent - bound, "{dropped} of {sent} dropped");
+
+        let got = drain_numbered(&mailboxes[1]);
+        assert_eq!(
+            got.len() + dropped,
+            sent,
+            "a frame neither arrived nor counted"
+        );
+        assert!(got.len() <= bound, "{} frames were held for it", got.len());
+    }
+
+    /// A node's timer floor is 200 µs: an empty mailbox waits out a
+    /// sub-millisecond timeout, neither returning at once nor rounding
+    /// it up to a whole millisecond.
+    #[test]
+    fn an_empty_tcp_mailbox_waits_out_a_sub_millisecond_timeout() {
+        let (_postman, mailboxes) = TcpTransport::new(1);
+        let timeout = Duration::from_micros(300);
+        let mut took: Vec<Duration> = (0..20)
+            .map(|_| {
+                let start = Instant::now();
+                assert!(mailboxes[0].recv_timeout(timeout).is_none());
+                start.elapsed()
+            })
+            .collect();
+        took.sort();
+        assert!(took[0] >= timeout, "returned after {:?}", took[0]);
+        assert!(took[0] < Duration::from_millis(1), "fastest {:?}", took[0]);
+        assert!(took[10] < Duration::from_millis(5), "median {:?}", took[10]);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Lifecycle audit for the event-driven TCP transport: every thread the
-//! transport spawns (pollers, dialer, delay line) and every fd it opens
-//! (listeners, sockets, wake pipes) must be released on drop. A leak of
-//! either would let long-lived processes that churn clusters — tests,
+//! transport spawns (pollers, dialer, delay line) and every fd it or its
+//! mailboxes open (listeners, sockets, wake pipes) must be released once
+//! the transport and its mailboxes are dropped, in either order. A leak
+//! of either would let long-lived processes that churn clusters — tests,
 //! benches, embedding applications — exhaust the process.
 
 use std::time::{Duration, Instant};
@@ -88,8 +89,15 @@ fn repeated_create_drop_leaks_no_threads_or_fds() {
             mailboxes[1].recv_timeout(Duration::from_secs(5)).is_some(),
             "round {round}: message must arrive before teardown"
         );
-        drop(mailboxes);
-        drop(transport);
+        // The mailboxes own the listeners and the accepted sockets, the
+        // transport the rest: alternate which goes first.
+        if round % 2 == 0 {
+            drop(mailboxes);
+            drop(transport);
+        } else {
+            drop(transport);
+            drop(mailboxes);
+        }
     }
 
     // Drop joins every thread and closes every fd before returning, so
