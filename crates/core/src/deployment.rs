@@ -125,6 +125,8 @@ impl Deployment {
             for c in [
                 "proxy.clients.accepted",
                 "proxy.clients.closed",
+                "proxy.clients.errors",
+                "proxy.clients.replies_dropped",
                 "proxy.auth.denied",
                 "proxy.frames.in",
                 "proxy.ops.forwarded",

@@ -554,3 +554,48 @@ fn a_parked_blocking_read_does_not_hold_its_link() {
     assert_eq!(done[1], (last, ClientResult::Inserted));
     cluster.shutdown();
 }
+
+/// The proxy's `IDLE_PARK`: the longest its logic thread parks per pass.
+const IDLE_PARK: Duration = Duration::from_millis(1);
+
+/// Median round trip of 40 inserts sent one at a time, each after the
+/// previous answer.
+fn median_insert_round_trip(c: &mut ProxyClient, first: i64) -> Duration {
+    let mut trips: Vec<Duration> = (first..first + 40)
+        .map(|i| {
+            let sent = Instant::now();
+            c.send_op(&insert_op(i)).unwrap();
+            assert_eq!(recv_done(c).1, ClientResult::Inserted);
+            sent.elapsed()
+        })
+        .collect();
+    trips.sort();
+    trips[trips.len() / 2]
+}
+
+/// A parked blocking read owes no answer the gateway waits for, so the
+/// gateway keeps watching the client sockets: an op that arrives behind
+/// it is read at once, not when the next `IDLE_PARK` runs out. The
+/// bound is on the wait the parked read adds to the same client's round
+/// trip, which an unoptimized build under a loaded machine takes a few
+/// hundred microseconds for on its own.
+#[test]
+fn an_op_behind_a_parked_blocking_read_is_not_held_for_idle_park() {
+    for transport in [TransportKind::Channel, TransportKind::Tcp] {
+        let cfg = PasoConfig::builder(3, 1).proxy_slots(1).build();
+        let (cluster, proxy) = cluster_with_proxy_over(transport, cfg, ProxyOptions::default());
+        let mut c = ProxyClient::connect(proxy.port(), 1, SECRET).expect("connect");
+        let alone = median_insert_round_trip(&mut c, 0);
+        c.send_op(&ClientOp::ReadDel {
+            sc: sc_none(),
+            blocking: true,
+        })
+        .unwrap();
+        let behind = median_insert_round_trip(&mut c, 40);
+        assert!(
+            behind < alone + IDLE_PARK / 2,
+            "{transport:?}: median round trip {behind:?} behind a parked read, {alone:?} alone"
+        );
+        cluster.shutdown();
+    }
+}

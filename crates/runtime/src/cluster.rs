@@ -20,6 +20,7 @@ use paso_types::{ObjectId, PasoObject, ProcessId, SearchCriterion, Value};
 use paso_vsync::NetMsg;
 
 use crate::completions::Completions;
+use crate::frame_server::FrameServer;
 use crate::ledger::{ClusterStats, Ledger};
 use crate::node::run_node;
 use crate::transport::{
@@ -209,6 +210,33 @@ impl GatewayLink {
         }
     }
 
+    /// Parks the gateway's logic thread until what `park` names has
+    /// something for it, or `timeout` runs out, and returns the
+    /// application message that woke it, if one did; what the client
+    /// sockets yielded is in [`FrameServer::next_event`]. With
+    /// [`Park::Both`], mailbox and client sockets share one `ppoll`, so
+    /// the thread handles no fd of its own.
+    pub fn wait(
+        &self,
+        clients: &mut FrameServer,
+        park: Park,
+        timeout: Duration,
+    ) -> Option<(NodeId, AppMsg)> {
+        let envelope = match park {
+            Park::Mailbox => self.mailbox.recv_timeout(timeout),
+            Park::Clients => {
+                clients.poll(timeout);
+                None
+            }
+            Park::Both => {
+                let got = self.mailbox.recv_or_ready(clients.interest(), timeout);
+                clients.absorb();
+                got
+            }
+        };
+        self.app_msg(envelope?)
+    }
+
     /// The application message inside `envelope`. The oracle does not
     /// mail gateways (see `is_up`); any envelope other than an app frame
     /// (a stray control message) is ignored, an undecodable one counted.
@@ -242,6 +270,18 @@ impl GatewayLink {
     pub fn now_micros(&self) -> u64 {
         self.ledger.now_micros()
     }
+}
+
+/// What a gateway's logic thread parks on between passes
+/// ([`GatewayLink::wait`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Park {
+    /// The mailbox alone: the client sockets wait for the next pass.
+    Mailbox,
+    /// The client sockets alone (they are also read and written).
+    Clients,
+    /// Both, in one `ppoll`.
+    Both,
 }
 
 impl fmt::Debug for Cluster {

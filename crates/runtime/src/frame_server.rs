@@ -1,21 +1,21 @@
-//! A client-facing frame server on the reactor: the serving tier's front
-//! half.
+//! The serving tier's client sockets: a listener and every connection
+//! accepted on it, owned by one thread.
 //!
 //! Peer connections (the [`TcpTransport`](crate::TcpTransport)) are
 //! symmetric, dialed, and speak [`Envelope`](crate::Envelope)s; *client*
 //! connections are the opposite — accepted only, untrusted, and cheap:
-//! 10k of them must cost the same fixed poller pool as 10. The
-//! [`FrameServer`] owns a listener plus every connection accepted from
-//! it, all driven by the same `poll(2)` reactor the transport uses, and
-//! exposes exactly three things:
+//! 10k of them cost the same one thread as 10. A [`FrameServer`] has no
+//! threads: the gateway's logic thread reads and writes it, and parks on
+//! its fds and its mailbox's in one `ppoll`
+//! ([`GatewayLink::wait`](crate::GatewayLink::wait)), so a client frame
+//! and its reply cost that thread's wake-up and no hand-off.
 //!
-//! * an **event stream** ([`ClientEvent`]: connect / opaque frame /
-//!   disconnect) drained by the serving tier's logic thread,
-//! * a **send** path ([`FrameServer::send`]) queueing one varint-framed
-//!   reply toward a client (bounded per-connection queue, zero-copy
-//!   refcounted frames, vectored writes — the PR 6 machinery verbatim),
-//! * a **kick** ([`FrameServer::kick`]) that flushes whatever reply is
-//!   already queued and closes the connection.
+//! Each connection has a read buffer, filled by the transport's
+//! incremental framing under the `max_frame` cap, and a bounded reply
+//! buffer (1024 frames). Replies are appended during a pass of
+//! the owner's loop and written by [`FrameServer::flush`], one `write` per
+//! client, so a burst of completions leaves in one syscall. What the
+//! socket does not take waits for `POLLOUT` in the next park.
 //!
 //! Framing on the wire is `[varint length][payload]` in both directions —
 //! the same shape as the inter-server protocol, but the payload is opaque
@@ -23,82 +23,159 @@
 //! `ProxyClientFrame`/`ProxyServerFrame` over it). Client frames are
 //! capped far below the peer `MAX_FRAME`: a client hello that claims a
 //! 64 MiB body is an attack, not a workload.
+//!
+//! Counted in the registry the server is bound over:
+//! `proxy.clients.errors` (framing and I/O errors, each of which cuts
+//! its connection) and `proxy.clients.replies_dropped` (replies refused
+//! by a full reply buffer, each of which kicks its client).
 
-use std::io;
-use std::net::TcpListener;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::collections::{HashMap, VecDeque};
+use std::io::{self, Write};
+use std::net::{TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver};
+use paso_telemetry::{Counter, Telemetry};
 
-use paso_telemetry::Telemetry;
+use crate::reactor::{accept_all, fill_and_split, ppoll, Sunk};
 
-use crate::ledger::{NetCounters, NetStats};
-use crate::reactor::{ClientEvent, ClientId, ClientRegistry, Frame, Reactor};
-use crate::transport::TransportTuning;
+/// Replies a client may have waiting for its socket. A client that lets
+/// more pile up, with its socket buffers full, is not reading: the reply
+/// that overflows is dropped and the client kicked.
+const REPLY_FRAMES: usize = 1024;
+
+/// Opaque handle for one accepted client connection on a
+/// [`FrameServer`]. Ids are unique for the lifetime of the server and
+/// never reused.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct ClientId(pub u64);
+
+/// What a [`FrameServer`] reports about its clients. Events for one
+/// client are in order (accept → frames → disconnect).
+#[derive(Debug)]
+pub enum ClientEvent {
+    /// A new connection was accepted.
+    Connected(ClientId),
+    /// One complete `[varint len][payload]` frame arrived; the payload is
+    /// handed through opaque — the serving tier owns the client protocol.
+    Frame(ClientId, Vec<u8>),
+    /// The connection is gone (EOF, I/O error, oversize frame, or a
+    /// [`kick`](FrameServer::kick)). The id is dead afterwards.
+    Disconnected(ClientId),
+}
 
 /// Outcome of queueing one frame toward a client.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SendOutcome {
     /// Queued (delivery still depends on the client staying alive).
     Queued,
-    /// The connection's bounded send queue is full — the client reads too
-    /// slowly. The frame was dropped and counted; callers decide whether
-    /// to kick.
+    /// The client's reply buffer is full — it does not read. The frame
+    /// was dropped and counted, and the client kicked.
     Backpressure,
     /// No such client (already disconnected or kicked).
     Gone,
 }
 
-/// A reactor-driven TCP server handing opaque varint-delimited frames to
-/// (and from) many cheap client connections.
+/// One accepted client connection.
+struct ClientConn {
+    stream: TcpStream,
+    /// Frame-assembly buffer; the first `filled` bytes are valid.
+    buf: Vec<u8>,
+    filled: usize,
+    /// Framed replies not yet written, oldest first.
+    out: Vec<u8>,
+    /// End offset in `out` of every reply not yet wholly written.
+    ends: VecDeque<usize>,
+    /// Closed at the next flush, after one last write of `out`.
+    kicked: bool,
+}
+
+impl ClientConn {
+    /// One `write` of the pending replies; `false` if the socket failed,
+    /// which drops them.
+    fn write_out(&mut self, errors: &Counter) -> bool {
+        if self.out.is_empty() {
+            return true;
+        }
+        match (&self.stream).write(&self.out) {
+            Ok(n) => {
+                self.out.drain(..n);
+                while self.ends.front().is_some_and(|&end| end <= n) {
+                    self.ends.pop_front();
+                }
+                self.ends.iter_mut().for_each(|end| *end -= n);
+                true
+            }
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted
+                ) =>
+            {
+                true
+            }
+            Err(_) => {
+                errors.add(1.0);
+                self.out.clear();
+                self.ends.clear();
+                false
+            }
+        }
+    }
+}
+
+/// A TCP listener and the client connections accepted on it, handing
+/// opaque varint-delimited frames to (and from) the one thread that owns
+/// it.
 ///
-/// Dropping the server closes the listener and every client socket; the
-/// poller/dialer threads are joined (same lifecycle guarantees as the
-/// transport, covered by the leak test).
+/// Dropping the server closes the listener and every client socket.
 pub struct FrameServer {
-    reactor: Reactor,
-    reg: Arc<ClientRegistry>,
-    events: Receiver<ClientEvent>,
-    counters: Arc<NetCounters>,
-    shutdown: Arc<AtomicBool>,
+    listener: TcpListener,
     port: u16,
+    max_frame: usize,
+    next_id: u64,
+    conns: HashMap<ClientId, ClientConn>,
+    events: VecDeque<ClientEvent>,
+    /// The interest set: the listener, then the clients of `polled`.
+    pfds: Vec<libc::pollfd>,
+    polled: Vec<ClientId>,
+    errors: Arc<Counter>,
+    dropped: Arc<Counter>,
 }
 
 impl std::fmt::Debug for FrameServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FrameServer")
             .field("port", &self.port)
+            .field("clients", &self.conns.len())
             .finish_non_exhaustive()
     }
 }
 
 impl FrameServer {
-    /// Binds `127.0.0.1:0` and starts the poller pool. `max_frame` caps a
-    /// single client frame (connections exceeding it are killed and the
-    /// violation counted in [`NetStats::poll_errors`]).
+    /// Binds `127.0.0.1:0`. `max_frame` caps a single client frame (a
+    /// connection exceeding it is cut); errors and dropped replies are
+    /// counted in `telemetry` (see the module docs).
     ///
     /// # Errors
     ///
     /// Propagates listener bind failures.
-    pub fn bind(tuning: TransportTuning, max_frame: usize) -> io::Result<FrameServer> {
+    pub fn bind(max_frame: usize, telemetry: &Telemetry) -> io::Result<FrameServer> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
+        listener.set_nonblocking(true)?;
         let port = listener.local_addr()?.port();
-        // A registry of its own: the handles keep its counters alive.
-        let counters = Arc::new(NetCounters::new(&Telemetry::new()));
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let reactor = Reactor::start(tuning.clone(), Arc::clone(&counters), Arc::clone(&shutdown));
-        let (tx, events) = unbounded();
-        let reg = Arc::new(ClientRegistry::new(tx, tuning.queue_depth, max_frame));
-        reactor.add_client_listener(0, listener, Arc::clone(&reg));
         Ok(FrameServer {
-            reactor,
-            reg,
-            events,
-            counters,
-            shutdown,
+            listener,
             port,
+            max_frame,
+            next_id: 0,
+            conns: HashMap::new(),
+            events: VecDeque::new(),
+            pfds: Vec::new(),
+            polled: Vec::new(),
+            errors: telemetry.counter("proxy.clients.errors"),
+            dropped: telemetry.counter("proxy.clients.replies_dropped"),
         })
     }
 
@@ -107,83 +184,168 @@ impl FrameServer {
         self.port
     }
 
-    /// Blocks up to `timeout` for the next client event.
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<ClientEvent> {
-        self.events.recv_timeout(timeout).ok()
+    /// Waits up to `timeout` for the client sockets — a zero timeout
+    /// looks without waiting — and reads, accepts and writes whatever is
+    /// ready. What it reads is then in [`FrameServer::next_event`].
+    pub fn poll(&mut self, timeout: Duration) {
+        if ppoll(self.interest(), timeout) > 0 {
+            self.absorb();
+        }
     }
 
-    /// Non-blocking event poll.
-    pub fn try_recv(&self) -> Option<ClientEvent> {
-        self.events.try_recv().ok()
+    /// The next client event read by an earlier poll.
+    pub fn next_event(&mut self) -> Option<ClientEvent> {
+        self.events.pop_front()
     }
 
-    /// Queues one payload toward `client` as a `[varint len][payload]`
-    /// frame (the length prefix is added by the writer from scratch
-    /// space; the payload itself is never copied again).
-    pub fn send(&self, client: ClientId, payload: Vec<u8>) -> SendOutcome {
-        let conn = {
-            let conns = self.reg.conns.lock();
-            match conns.get(&client.0) {
-                Some(c) => Arc::clone(c),
-                None => return SendOutcome::Gone,
+    /// The interest set of one park: the listener, and every client for
+    /// reading and, if replies are pending, for writing. After the
+    /// `ppoll` over it, [`FrameServer::absorb`] acts on what was ready.
+    pub(crate) fn interest(&mut self) -> &mut [libc::pollfd] {
+        self.pfds.clear();
+        self.polled.clear();
+        self.pfds.push(libc::pollfd {
+            fd: self.listener.as_raw_fd(),
+            events: libc::POLLIN,
+            revents: 0,
+        });
+        for (&id, c) in &self.conns {
+            let write = if c.out.is_empty() { 0 } else { libc::POLLOUT };
+            self.pfds.push(libc::pollfd {
+                fd: c.stream.as_raw_fd(),
+                events: libc::POLLIN | write,
+                revents: 0,
+            });
+            self.polled.push(id);
+        }
+        &mut self.pfds
+    }
+
+    /// Reads every client the last `ppoll` over [`FrameServer::interest`]
+    /// found readable (or hung up), and accepts pending connections. The
+    /// writable ones are the next flush's.
+    pub(crate) fn absorb(&mut self) {
+        let FrameServer {
+            listener,
+            max_frame,
+            next_id,
+            conns,
+            events,
+            pfds,
+            polled,
+            errors,
+            ..
+        } = self;
+        for (p, &id) in pfds[1..].iter().zip(polled.iter()) {
+            let Some(c) = conns.get_mut(&id) else {
+                continue;
+            };
+            if p.revents & !libc::POLLOUT == 0 {
+                continue;
             }
+            let sink = |payload: &[u8]| {
+                events.push_back(ClientEvent::Frame(id, payload.to_vec()));
+                Sunk::Ok
+            };
+            if !fill_and_split(
+                &mut c.stream,
+                &mut c.buf,
+                &mut c.filled,
+                *max_frame,
+                errors,
+                sink,
+            ) {
+                conns.remove(&id);
+                events.push_back(ClientEvent::Disconnected(id));
+            }
+        }
+        if pfds[0].revents != 0 {
+            accept_all(listener, errors, |stream| {
+                let _ = stream.set_nodelay(true);
+                let id = ClientId(*next_id);
+                *next_id += 1;
+                conns.insert(
+                    id,
+                    ClientConn {
+                        stream,
+                        buf: Vec::new(),
+                        filled: 0,
+                        out: Vec::new(),
+                        ends: VecDeque::new(),
+                        kicked: false,
+                    },
+                );
+                events.push_back(ClientEvent::Connected(id));
+            });
+        }
+    }
+
+    /// Appends one payload to `client`'s reply buffer as a
+    /// `[varint len][payload]` frame; it is written at the next
+    /// [`FrameServer::flush`]. A full buffer is written at once; if the
+    /// socket still leaves 1024 replies waiting, the client
+    /// does not read and is kicked instead.
+    pub fn send(&mut self, client: ClientId, payload: &[u8]) -> SendOutcome {
+        let Some(c) = self.conns.get_mut(&client) else {
+            return SendOutcome::Gone;
         };
-        if conn.is_closed() {
+        if c.kicked {
             return SendOutcome::Gone;
         }
-        let frame: Frame = payload.into();
-        match conn.try_push(frame) {
-            Ok(true) => {
-                self.reactor.wake_owner(&conn);
-                SendOutcome::Queued
-            }
-            Ok(false) => SendOutcome::Queued,
-            Err(_) => {
-                self.counters.dropped.add(1.0);
-                SendOutcome::Backpressure
-            }
+        if c.ends.len() >= REPLY_FRAMES
+            && !(c.write_out(&self.errors) && c.ends.len() < REPLY_FRAMES)
+        {
+            self.dropped.add(1.0);
+            self.kick(client);
+            return SendOutcome::Backpressure;
+        }
+        paso_wire::put_varint(&mut c.out, payload.len() as u64);
+        c.out.extend_from_slice(payload);
+        c.ends.push_back(c.out.len());
+        SendOutcome::Queued
+    }
+
+    /// Closes `client` at the next [`FrameServer::flush`], after one last
+    /// write of the replies already queued (an auth denial reaches a
+    /// reading client before the EOF); then a
+    /// [`ClientEvent::Disconnected`] follows. Nothing more is read from
+    /// it. Unknown ids are a no-op — disconnects race with kicks.
+    pub fn kick(&mut self, client: ClientId) {
+        if let Some(c) = self.conns.get_mut(&client) {
+            c.kicked = true;
         }
     }
 
-    /// Administratively closes `client`: replies already queued are
-    /// flushed (best effort, one final drain), then the socket drops and
-    /// a [`ClientEvent::Disconnected`] is emitted. Unknown ids are a
-    /// no-op — disconnects race with kicks by design.
-    pub fn kick(&self, client: ClientId) {
-        let conn = {
-            let conns = self.reg.conns.lock();
-            conns.get(&client.0).map(Arc::clone)
-        };
-        if let Some(conn) = conn {
-            conn.close();
-            self.reactor.wake_owner(&conn);
-        }
+    /// Writes every client's pending replies, one `write` each, and
+    /// closes the kicked ones. Replies the socket did not take wait for
+    /// the next flush.
+    pub fn flush(&mut self) {
+        let FrameServer {
+            conns,
+            events,
+            errors,
+            ..
+        } = self;
+        conns.retain(|&id, c| {
+            let open = c.write_out(errors) && !c.kicked;
+            if !open {
+                events.push_back(ClientEvent::Disconnected(id));
+            }
+            open
+        });
     }
 
     /// Number of currently connected clients.
     pub fn clients_open(&self) -> usize {
-        self.reg.conns.lock().len()
-    }
-
-    /// Message-path counters (drops from backpressure, absorbed I/O
-    /// errors in [`NetStats::poll_errors`], bytes/frames written).
-    pub fn net_stats(&self) -> NetStats {
-        self.counters.snapshot()
-    }
-}
-
-impl Drop for FrameServer {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        self.reactor.shutdown();
+        self.conns.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::{Read, Write};
-    use std::net::TcpStream;
+    use std::io::Read;
+    use std::time::Instant;
 
     fn frame(payload: &[u8]) -> Vec<u8> {
         let mut out = Vec::new();
@@ -210,44 +372,62 @@ mod tests {
     }
 
     fn server() -> FrameServer {
-        FrameServer::bind(TransportTuning::default(), 1 << 20).expect("bind")
+        FrameServer::bind(1 << 20, &Telemetry::new()).expect("bind")
+    }
+
+    /// What the owning thread's loop does: poll until an event is read
+    /// (or two seconds pass), flushing replies on every pass.
+    fn next(srv: &mut FrameServer) -> Option<ClientEvent> {
+        let deadline = Instant::now() + Duration::from_secs(2);
+        loop {
+            if let Some(ev) = srv.next_event() {
+                return Some(ev);
+            }
+            if Instant::now() >= deadline {
+                return None;
+            }
+            srv.poll(Duration::from_millis(10));
+            srv.flush();
+        }
+    }
+
+    fn connect(srv: &mut FrameServer) -> (TcpStream, ClientId) {
+        let c = TcpStream::connect(("127.0.0.1", srv.port())).unwrap();
+        match next(srv) {
+            Some(ClientEvent::Connected(id)) => (c, id),
+            other => panic!("expected Connected, got {other:?}"),
+        }
     }
 
     #[test]
     fn accepts_frames_and_replies() {
-        let srv = server();
-        let mut c = TcpStream::connect(("127.0.0.1", srv.port())).unwrap();
-        let id = match srv.recv_timeout(Duration::from_secs(2)) {
-            Some(ClientEvent::Connected(id)) => id,
-            other => panic!("expected Connected, got {other:?}"),
-        };
+        let mut srv = server();
+        let (mut c, id) = connect(&mut srv);
         c.write_all(&frame(b"hello")).unwrap();
-        match srv.recv_timeout(Duration::from_secs(2)) {
+        match next(&mut srv) {
             Some(ClientEvent::Frame(got, payload)) => {
                 assert_eq!(got, id);
                 assert_eq!(payload, b"hello");
             }
             other => panic!("expected Frame, got {other:?}"),
         }
-        assert_eq!(srv.send(id, b"world".to_vec()), SendOutcome::Queued);
+        assert_eq!(srv.send(id, b"world"), SendOutcome::Queued);
+        srv.flush();
         assert_eq!(read_frame(&mut c).unwrap(), b"world");
         assert_eq!(srv.clients_open(), 1);
     }
 
     #[test]
     fn pipelined_frames_arrive_in_order() {
-        let srv = server();
-        let mut c = TcpStream::connect(("127.0.0.1", srv.port())).unwrap();
-        let Some(ClientEvent::Connected(_)) = srv.recv_timeout(Duration::from_secs(2)) else {
-            panic!("no connect event");
-        };
+        let mut srv = server();
+        let (mut c, _) = connect(&mut srv);
         let mut burst = Vec::new();
         for i in 0..100u8 {
             burst.extend_from_slice(&frame(&[i; 3]));
         }
         c.write_all(&burst).unwrap();
         for i in 0..100u8 {
-            match srv.recv_timeout(Duration::from_secs(2)) {
+            match next(&mut srv) {
                 Some(ClientEvent::Frame(_, payload)) => assert_eq!(payload, [i; 3]),
                 other => panic!("expected frame {i}, got {other:?}"),
             }
@@ -256,38 +436,32 @@ mod tests {
 
     #[test]
     fn disconnect_emits_event_and_forgets_client() {
-        let srv = server();
-        let c = TcpStream::connect(("127.0.0.1", srv.port())).unwrap();
-        let id = match srv.recv_timeout(Duration::from_secs(2)) {
-            Some(ClientEvent::Connected(id)) => id,
-            other => panic!("expected Connected, got {other:?}"),
-        };
+        let mut srv = server();
+        let (c, id) = connect(&mut srv);
         drop(c);
-        match srv.recv_timeout(Duration::from_secs(2)) {
+        match next(&mut srv) {
             Some(ClientEvent::Disconnected(got)) => assert_eq!(got, id),
             other => panic!("expected Disconnected, got {other:?}"),
         }
         assert_eq!(srv.clients_open(), 0);
-        assert_eq!(srv.send(id, b"late".to_vec()), SendOutcome::Gone);
+        assert_eq!(srv.send(id, b"late"), SendOutcome::Gone);
     }
 
     #[test]
     fn kick_flushes_queued_reply_then_closes() {
-        let srv = server();
-        let mut c = TcpStream::connect(("127.0.0.1", srv.port())).unwrap();
-        let id = match srv.recv_timeout(Duration::from_secs(2)) {
-            Some(ClientEvent::Connected(id)) => id,
-            other => panic!("expected Connected, got {other:?}"),
-        };
+        let mut srv = server();
+        let (mut c, id) = connect(&mut srv);
         // Queue the goodbye, then kick: the client must still read the
         // goodbye before EOF (auth-denial pattern).
-        assert_eq!(srv.send(id, b"denied".to_vec()), SendOutcome::Queued);
+        assert_eq!(srv.send(id, b"denied"), SendOutcome::Queued);
         srv.kick(id);
+        assert_eq!(srv.send(id, b"more"), SendOutcome::Gone, "kicked");
+        srv.flush();
         assert_eq!(read_frame(&mut c).unwrap(), b"denied");
         let mut rest = Vec::new();
         c.read_to_end(&mut rest).unwrap();
         assert!(rest.is_empty(), "clean EOF after the flushed goodbye");
-        match srv.recv_timeout(Duration::from_secs(2)) {
+        match next(&mut srv) {
             Some(ClientEvent::Disconnected(got)) => assert_eq!(got, id),
             other => panic!("expected Disconnected, got {other:?}"),
         }
@@ -295,38 +469,30 @@ mod tests {
 
     #[test]
     fn oversize_client_frame_kills_the_connection_not_the_server() {
-        let srv = FrameServer::bind(TransportTuning::default(), 64).expect("bind");
-        let mut c = TcpStream::connect(("127.0.0.1", srv.port())).unwrap();
-        let Some(ClientEvent::Connected(_)) = srv.recv_timeout(Duration::from_secs(2)) else {
-            panic!("no connect event");
-        };
+        let tel = Telemetry::new();
+        let mut srv = FrameServer::bind(64, &tel).expect("bind");
+        let (mut c, _) = connect(&mut srv);
         c.write_all(&frame(&[0u8; 65])).unwrap();
-        assert!(matches!(
-            srv.recv_timeout(Duration::from_secs(2)),
-            Some(ClientEvent::Disconnected(_))
-        ));
-        assert!(
-            srv.net_stats().poll_errors >= 1,
-            "violation must be counted"
+        assert!(matches!(next(&mut srv), Some(ClientEvent::Disconnected(_))));
+        assert_eq!(
+            tel.counter("proxy.clients.errors").get(),
+            1.0,
+            "the violation is counted"
         );
         // The server still accepts fresh clients.
-        let _c2 = TcpStream::connect(("127.0.0.1", srv.port())).unwrap();
-        assert!(matches!(
-            srv.recv_timeout(Duration::from_secs(2)),
-            Some(ClientEvent::Connected(_))
-        ));
+        let _c2 = connect(&mut srv);
     }
 
     #[test]
-    fn many_concurrent_clients_on_fixed_pollers() {
-        let srv = server();
+    fn many_concurrent_clients_on_one_thread() {
+        let mut srv = server();
         let mut conns = Vec::new();
         for _ in 0..64 {
             conns.push(TcpStream::connect(("127.0.0.1", srv.port())).unwrap());
         }
         let mut ids = Vec::new();
         for _ in 0..64 {
-            match srv.recv_timeout(Duration::from_secs(2)) {
+            match next(&mut srv) {
                 Some(ClientEvent::Connected(id)) => ids.push(id),
                 other => panic!("expected Connected, got {other:?}"),
             }
@@ -337,15 +503,16 @@ mod tests {
         }
         let mut seen = 0;
         while seen < 64 {
-            match srv.recv_timeout(Duration::from_secs(2)) {
+            match next(&mut srv) {
                 Some(ClientEvent::Frame(id, payload)) => {
-                    assert_eq!(srv.send(id, payload), SendOutcome::Queued);
+                    assert_eq!(srv.send(id, &payload), SendOutcome::Queued);
                     seen += 1;
                 }
                 Some(ClientEvent::Connected(_)) | Some(ClientEvent::Disconnected(_)) => {}
                 None => panic!("timed out at {seen}/64 frames"),
             }
         }
+        srv.flush();
         for (i, c) in conns.iter_mut().enumerate() {
             assert_eq!(read_frame(c).unwrap(), [i as u8]);
         }

@@ -29,10 +29,9 @@ mod reactor;
 pub mod shell;
 mod transport;
 
-pub use cluster::{Cluster, ClusterError, GatewayLink, TransportKind};
-pub use frame_server::{FrameServer, SendOutcome};
+pub use cluster::{Cluster, ClusterError, GatewayLink, Park, TransportKind};
+pub use frame_server::{ClientEvent, ClientId, FrameServer, SendOutcome};
 pub use ledger::{ClusterStats, Ledger, NetStats};
-pub use reactor::{ClientEvent, ClientId};
 pub use transport::{
     ChannelMailbox, ChannelTransport, Envelope, Mailbox, Postman, TcpMailbox, TcpTransport,
     TransportTuning,

@@ -1,26 +1,20 @@
 //! A thin `poll(2)` reactor: the event-driven I/O core of
 //! [`TcpTransport`](crate::TcpTransport).
 //!
-//! A **fixed pool of poller threads** drives the sockets no node thread
-//! reads — outbound peer connections, and client-facing listeners and
-//! connections — via readiness polling over nonblocking fds. No async
+//! A **fixed pool of poller threads** drives the sockets no other thread
+//! is parked on — outbound peer connections a sender could not finish
+//! writing — via readiness polling over nonblocking fds. No async
 //! runtime, no thread-per-connection: one node talking to hundreds of
 //! peers costs `poller_threads` I/O threads plus one background dialer,
 //! total.
 //!
-//! Responsibilities per poller wakeup:
-//!
-//! - **Write**: outbound entries with queued frames drain their bounded
-//!   send queue with `write_vectored`: varint headers go into one
-//!   per-connection scratch buffer, payload [`Frame`]s are referenced
-//!   **in place** — no per-send allocation or copy, ever; a gcast frame
-//!   queued at 100 peers is one allocation total. Frames are popped (and
-//!   counted as sent) only when their last byte hits the socket, so the
-//!   bounded queue *is* the backpressure accounting.
-//! - **Clients**: client listeners accept until `WouldBlock`; client
-//!   connections read opaque frames for the
-//!   [`FrameServer`](crate::FrameServer) and drain their reply queues
-//!   like any outbound entry.
+//! Per poller wakeup, outbound entries with queued frames drain their
+//! bounded send queue with `write_vectored`: varint headers go into one
+//! per-connection scratch buffer, payload [`Frame`]s are referenced
+//! **in place** — no per-send allocation or copy, ever; a gcast frame
+//! queued at 100 peers is one allocation total. Frames are popped (and
+//! counted as sent) only when their last byte hits the socket, so the
+//! bounded queue *is* the backpressure accounting.
 //!
 //! ## Who reads a socket
 //!
@@ -35,6 +29,13 @@
 //! message costs the receiving node's wake-up and no hand-off from a
 //! poller thread.
 //!
+//! **A gateway reads and writes its own client sockets.** Its
+//! [`FrameServer`](crate::FrameServer) — the client listener and every
+//! connection accepted on it — belongs to the gateway's logic thread,
+//! which folds those fds into the same `ppoll` as its mailbox's
+//! ([`Inbound::recv`]), reads frames with the same [`fill_and_split`],
+//! and writes each client's replies once per pass of its loop.
+//!
 //! The buffering contract follows from that: nothing reads for a node
 //! that is busy. Its backlog sits in its socket buffers, then in each
 //! sender's bounded [`OutConn`] queue (`queue_depth` frames), and what
@@ -46,15 +47,15 @@
 //! **An idle link sends now, a busy link coalesces.** A connection's
 //! write side — the socket handle and the progress of the batch being
 //! written — lives in its shared [`OutConn`] behind one mutex, and
-//! `drain_write` is the only routine that writes a socket; it runs with
-//! that mutex held. Two kinds of thread call it:
+//! `drain_write` is the only routine that writes a peer socket; it runs
+//! with that mutex held. Two kinds of thread call it:
 //!
-//! - the **sending thread**, on a peer connection, when its push took
-//!   the queue from empty to non-empty ([`Reactor::write_through`]): the
-//!   link is idle, nobody is writing it, so the frame goes out in the
-//!   caller's own `writev` instead of after a pipe write, a poller
-//!   wake-up, a pipe drain and a second `poll` round — the hand-off that
-//!   was most of a small message's `α`;
+//! - the **sending thread**, when its push took the queue from empty to
+//!   non-empty ([`Reactor::write_through`]): the link is idle, nobody is
+//!   writing it, so the frame goes out in the caller's own `writev`
+//!   instead of after a pipe write, a poller wake-up, a pipe drain and a
+//!   second `poll` round — the hand-off that was most of a small
+//!   message's `α`;
 //! - the **owning poller**, on `POLLOUT`, for everything a sender could
 //!   not finish: the mutex was taken (`try_lock` — a sender never waits),
 //!   the connection is not dialed yet, the kernel buffer filled
@@ -71,15 +72,6 @@
 //! poller sees `POLLHUP`) and the poller hands the connection to the
 //! dialer when it gets there.
 //!
-//! **Client connections are excluded**: [`FrameServer::send`] always
-//! wakes the poller. A gateway answers a burst of completions with a
-//! burst of `Done` frames per client, and the poller's one `writev` for
-//! the lot beats a syscall per frame from the logic thread (measured:
-//! write-through there costs `proxy_sat` 10 %, and gains nothing where
-//! replies are single).
-//!
-//! [`FrameServer::send`]: crate::FrameServer::send
-//!
 //! Dialing happens on a dedicated **dialer thread** holding a deadline
 //! heap: unreachable peers redial with capped exponential backoff without
 //! occupying a poller or the send path. A connection that fails mid-write
@@ -93,12 +85,12 @@
 //! transport owns; a node's listener and accepted connections close with
 //! its mailbox — asserted by the transport-lifecycle leak test.
 
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::ptr;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -106,59 +98,10 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 
+use paso_telemetry::Counter;
+
 use crate::ledger::NetCounters;
 use crate::transport::{Envelope, TransportTuning, MAX_FRAME};
-
-/// Opaque handle for one accepted client connection on a
-/// [`FrameServer`](crate::FrameServer). Ids are unique for the lifetime
-/// of the server and never reused.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ClientId(pub u64);
-
-/// What a [`FrameServer`](crate::FrameServer) reports about its clients.
-/// Events for one client are in order (accept → frames → disconnect);
-/// events for different clients interleave arbitrarily.
-#[derive(Debug)]
-pub enum ClientEvent {
-    /// A new connection was accepted.
-    Connected(ClientId),
-    /// One complete `[varint len][payload]` frame arrived; the payload is
-    /// handed through opaque — the serving tier owns the client protocol.
-    Frame(ClientId, Vec<u8>),
-    /// The connection is gone (EOF, I/O error, oversize frame, or a
-    /// [`kick`](crate::FrameServer::kick)). The id is dead afterwards.
-    Disconnected(ClientId),
-}
-
-/// Shared state between a client listener's poller entries and the
-/// [`FrameServer`](crate::FrameServer) front half: the id → connection
-/// map used by `send`/`kick`, and the event channel into the serving
-/// tier. Client connections differ from peer connections in exactly two
-/// ways: they are *accepted* (never dialed, so death means
-/// [`ClientEvent::Disconnected`], not a redial) and their frames are
-/// opaque payload bytes rather than [`Envelope`]s.
-pub(crate) struct ClientRegistry {
-    next_id: AtomicU64,
-    pub(crate) conns: Mutex<HashMap<u64, Arc<OutConn>>>,
-    sink: Sender<ClientEvent>,
-    /// Send-queue depth for each client connection.
-    depth: usize,
-    /// Frame-size cap for *client* traffic (tighter than the peer
-    /// [`MAX_FRAME`]: clients are untrusted).
-    max_frame: usize,
-}
-
-impl ClientRegistry {
-    pub(crate) fn new(sink: Sender<ClientEvent>, depth: usize, max_frame: usize) -> Self {
-        ClientRegistry {
-            next_id: AtomicU64::new(0),
-            conns: Mutex::new(HashMap::new()),
-            sink,
-            depth,
-            max_frame,
-        }
-    }
-}
 
 /// A refcounted, already-encoded envelope body (no length prefix — the
 /// writer prepends the varint header from its scratch buffer). One
@@ -197,9 +140,6 @@ pub(crate) struct OutConn {
     /// Index of the poller currently owning the connected socket, or
     /// [`NO_OWNER`] while dialing.
     owner: AtomicUsize,
-    /// Administrative close (client kick): the owning poller drops the
-    /// entry at its next wakeup instead of draining further.
-    closed: AtomicBool,
 }
 
 /// One frame of a connection's active write batch.
@@ -216,9 +156,9 @@ struct BatchFrame {
 #[derive(Default)]
 struct WriteHalf {
     /// The connected socket, shared with the owning poller's entry
-    /// (which polls it and, for a client, reads it). `None` while the
-    /// connection is being dialed, and from a write failure until the
-    /// owning poller has handed the connection back to the dialer.
+    /// (which polls it). `None` while the connection is being dialed, and
+    /// from a write failure until the owning poller has handed the
+    /// connection back to the dialer.
     stream: Option<Arc<TcpStream>>,
     /// Varint headers for the active batch — the only per-batch bytes the
     /// writer materializes; payloads are written from the shared frames.
@@ -243,17 +183,7 @@ impl OutConn {
             depth,
             write: Mutex::new(WriteHalf::default()),
             owner: AtomicUsize::new(NO_OWNER),
-            closed: AtomicBool::new(false),
         }
-    }
-
-    /// Marks the connection administratively closed (see `closed`).
-    pub(crate) fn close(&self) {
-        self.closed.store(true, Ordering::Release);
-    }
-
-    pub(crate) fn is_closed(&self) -> bool {
-        self.closed.load(Ordering::Acquire)
     }
 
     /// Appends a frame. `Ok(true)` means the queue was empty (nobody is
@@ -301,9 +231,6 @@ impl std::fmt::Debug for OutConn {
 
 /// Commands delivered to a poller through its inbox + wake pipe.
 enum Cmd {
-    /// Adopt a client-facing listener: accepted streams become
-    /// [`Entry::Client`]s registered with the [`ClientRegistry`].
-    ClientListener(TcpListener, Arc<ClientRegistry>),
     /// Adopt a freshly dialed outbound socket.
     Outbound(Arc<OutConn>, TcpStream),
     /// Drop every entry and exit.
@@ -460,20 +387,6 @@ impl Reactor {
         self.shared.inboxes.len()
     }
 
-    /// Hands a client-facing listener to poller `slot % pollers`.
-    pub(crate) fn add_client_listener(
-        &self,
-        slot: usize,
-        listener: TcpListener,
-        reg: Arc<ClientRegistry>,
-    ) {
-        listener
-            .set_nonblocking(true)
-            .expect("nonblocking listener");
-        let inbox = &self.shared.inboxes[slot % self.shared.inboxes.len()];
-        inbox.send(Cmd::ClientListener(listener, reg));
-    }
-
     /// Schedules the first dial for a fresh connection.
     pub(crate) fn dial(&self, conn: Arc<OutConn>) {
         let _ = self.shared.dial_tx.send(DialCmd::Dial {
@@ -535,7 +448,7 @@ impl Drop for Reactor {
 /// # Panics
 ///
 /// Panics if the pipe cannot be created (fd exhaustion at startup).
-fn wake_pipe() -> (libc::c_int, libc::c_int) {
+pub(crate) fn wake_pipe() -> (libc::c_int, libc::c_int) {
     unsafe {
         let mut fds = [0 as libc::c_int; 2];
         assert_eq!(libc::pipe(fds.as_mut_ptr()), 0, "pipe(2) failed");
@@ -547,7 +460,7 @@ fn wake_pipe() -> (libc::c_int, libc::c_int) {
     }
 }
 
-fn drain_wake_pipe(fd: libc::c_int) {
+pub(crate) fn drain_wake_pipe(fd: libc::c_int) {
     let mut buf = [0u8; 64];
     loop {
         let n = unsafe { libc::read(fd, buf.as_mut_ptr(), buf.len()) };
@@ -640,61 +553,22 @@ enum WriteOutcome {
     Dead,
 }
 
-enum Entry {
-    ClientListener {
-        listener: TcpListener,
-        reg: Arc<ClientRegistry>,
-    },
-    /// A dialed peer connection: written through `conn`'s write half, by
-    /// this poller or by a sending thread; the entry polls the socket.
-    Outbound {
-        conn: Arc<OutConn>,
-        stream: Arc<TcpStream>,
-    },
-    /// One accepted client connection: full duplex on a single fd. Reads
-    /// deliver opaque payload frames as [`ClientEvent::Frame`]s; writes
-    /// drain the registered [`OutConn`] exactly like a peer connection,
-    /// except that only this poller ever writes it.
-    Client {
-        id: u64,
-        reg: Arc<ClientRegistry>,
-        conn: Arc<OutConn>,
-        stream: Arc<TcpStream>,
-        buf: Vec<u8>,
-        filled: usize,
-    },
+/// A dialed peer connection: written through `conn`'s write half, by
+/// its poller or by a sending thread; the poller polls the socket.
+struct Entry {
+    conn: Arc<OutConn>,
+    stream: Arc<TcpStream>,
 }
 
 impl Entry {
-    fn fd(&self) -> libc::c_int {
-        match self {
-            Entry::ClientListener { listener, .. } => listener.as_raw_fd(),
-            Entry::Outbound { stream, .. } | Entry::Client { stream, .. } => stream.as_raw_fd(),
-        }
-    }
-
+    /// Idle connections stay in the set with no requested events:
+    /// POLLERR/POLLHUP are reported regardless, so a dead peer is noticed
+    /// without waiting for the next send.
     fn interest(&self) -> libc::c_short {
-        match self {
-            Entry::ClientListener { .. } => libc::POLLIN,
-            // Idle outbound connections stay in the set with no requested
-            // events: POLLERR/POLLHUP are reported regardless, so a dead
-            // peer is noticed without waiting for the next send.
-            Entry::Outbound { conn, .. } => {
-                if conn.pending() {
-                    libc::POLLOUT
-                } else {
-                    0
-                }
-            }
-            // A kicked client requests POLLOUT so the (always-writable)
-            // socket forces a dispatch that notices `closed`.
-            Entry::Client { conn, .. } => {
-                if conn.pending() || conn.is_closed() {
-                    libc::POLLIN | libc::POLLOUT
-                } else {
-                    libc::POLLIN
-                }
-            }
+        if self.conn.pending() {
+            libc::POLLOUT
+        } else {
+            0
         }
     }
 }
@@ -709,9 +583,6 @@ fn poller_loop(index: usize, wake_rd: libc::c_int, shared: Arc<ReactorShared>) {
         let cmds = std::mem::take(&mut *inbox.cmds.lock());
         for cmd in cmds {
             match cmd {
-                Cmd::ClientListener(listener, reg) => {
-                    entries.push(Entry::ClientListener { listener, reg })
-                }
                 Cmd::Outbound(conn, stream) => {
                     conn.owner.store(index, Ordering::Release);
                     let stream = Arc::new(stream);
@@ -723,7 +594,7 @@ fn poller_loop(index: usize, wake_rd: libc::c_int, shared: Arc<ReactorShared>) {
                         drain_write(&conn, &mut w, &shared)
                     };
                     match outcome {
-                        WriteOutcome::Alive => entries.push(Entry::Outbound { conn, stream }),
+                        WriteOutcome::Alive => entries.push(Entry { conn, stream }),
                         WriteOutcome::Dead => redial(conn, &shared),
                     }
                 }
@@ -743,7 +614,7 @@ fn poller_loop(index: usize, wake_rd: libc::c_int, shared: Arc<ReactorShared>) {
         });
         for e in &entries {
             pfds.push(libc::pollfd {
-                fd: e.fd(),
+                fd: e.stream.as_raw_fd(),
                 events: e.interest(),
                 revents: 0,
             });
@@ -757,97 +628,27 @@ fn poller_loop(index: usize, wake_rd: libc::c_int, shared: Arc<ReactorShared>) {
             drain_wake_pipe(wake_rd);
         }
 
-        // Dispatch the ready set. New client entries appended by accepts
-        // all land *after* the indices covered by `pfds`, so positions
-        // stay aligned; removals happen afterwards, back to front.
+        // Dispatch the ready set; removals happen afterwards, back to
+        // front.
         let mut dead: Vec<usize> = Vec::new();
-        let polled = pfds.len() - 1;
-        for i in 0..polled {
-            let revents = pfds[i + 1].revents;
-            if revents == 0 {
-                continue;
+        for (i, (e, p)) in entries.iter().zip(&pfds[1..]).enumerate() {
+            let hangup = p.revents & (libc::POLLERR | libc::POLLHUP | libc::POLLNVAL) != 0;
+            let conn = &e.conn;
+            if p.revents & libc::POLLOUT != 0 || (hangup && conn.pending()) {
+                // Blocks only for as long as a sending thread's own
+                // drain takes; what that leaves is ours.
+                let outcome = drain_write(conn, &mut conn.write.lock(), &shared);
+                if let WriteOutcome::Dead = outcome {
+                    dead.push(i);
+                }
+            } else if hangup {
+                // Idle peer hung up, or a sending thread's write failed
+                // and shut the socket down: reconnect.
+                dead.push(i);
             }
-            let hangup = revents & (libc::POLLERR | libc::POLLHUP | libc::POLLNVAL) != 0;
-            let mut accepted: Vec<Entry> = Vec::new();
-            match &mut entries[i] {
-                Entry::ClientListener { listener, reg } => {
-                    if revents & libc::POLLIN != 0 {
-                        accept_clients(listener, reg, index, &shared.counters, &mut accepted);
-                    } else if hangup {
-                        dead.push(i);
-                    }
-                }
-                Entry::Outbound { conn, .. } => {
-                    if revents & libc::POLLOUT != 0 || (hangup && conn.pending()) {
-                        // Blocks only for as long as a sending thread's
-                        // own drain takes; what that leaves is ours.
-                        let outcome = drain_write(conn, &mut conn.write.lock(), &shared);
-                        if let WriteOutcome::Dead = outcome {
-                            dead.push(i);
-                        }
-                    } else if hangup {
-                        // Idle peer hung up, or a sending thread's write
-                        // failed and shut the socket down: reconnect.
-                        dead.push(i);
-                    }
-                }
-                Entry::Client {
-                    id,
-                    reg,
-                    conn,
-                    stream,
-                    buf,
-                    filled,
-                } => {
-                    let kicked = conn.is_closed();
-                    let mut gone = false;
-                    if !kicked && revents & libc::POLLIN != 0 {
-                        // Client payloads go through opaque.
-                        let sink = |payload: &[u8]| {
-                            let event = ClientEvent::Frame(ClientId(*id), payload.to_vec());
-                            match reg.sink.send(event) {
-                                Ok(()) => Sunk::Ok,
-                                Err(_) => Sunk::Closed,
-                            }
-                        };
-                        gone = !fill_and_split(
-                            &mut &**stream,
-                            buf,
-                            filled,
-                            reg.max_frame,
-                            &shared.counters,
-                            sink,
-                        );
-                    }
-                    // A kicked connection still drains: replies queued
-                    // before the kick (e.g. an auth denial) must reach
-                    // the wire before the socket drops. `interest()`
-                    // keeps POLLOUT set while `closed`, so a partial
-                    // flush retries next wakeup.
-                    if revents & libc::POLLOUT != 0 || (hangup && conn.pending()) {
-                        let outcome = drain_write(conn, &mut conn.write.lock(), &shared);
-                        gone |= matches!(outcome, WriteOutcome::Dead);
-                    }
-                    if gone || hangup || (kicked && !conn.pending()) {
-                        dead.push(i);
-                    }
-                }
-            }
-            entries.extend(accepted);
         }
-        // Remove back-to-front; `swap_remove` may move an appended (not
-        // yet polled) entry into a dispatched slot, which is harmless.
         for &i in dead.iter().rev() {
-            // A listener entry just drops, which closes the fd.
-            match entries.swap_remove(i) {
-                Entry::Outbound { conn, .. } => redial(conn, &shared),
-                Entry::Client { id, reg, .. } => {
-                    // Clients are accepted, never dialed: death is final.
-                    reg.conns.lock().remove(&id);
-                    let _ = reg.sink.send(ClientEvent::Disconnected(ClientId(id)));
-                }
-                _ => {}
-            }
+            redial(entries.swap_remove(i).conn, &shared);
         }
     }
     unsafe {
@@ -882,7 +683,8 @@ pub(crate) struct Inbound {
     /// Decoded envelopes, oldest first; the sockets are polled only once
     /// this is empty.
     ready: VecDeque<Envelope>,
-    /// Reused interest set: the listener, then `conns` in order.
+    /// Reused interest set: the listener, `conns` in order, then the
+    /// caller's extra fds.
     pfds: Vec<libc::pollfd>,
     counters: Arc<NetCounters>,
 }
@@ -914,31 +716,37 @@ impl Inbound {
 
     /// The next envelope: a decoded one if any is waiting, else whatever
     /// polling the sockets yields before `timeout` runs out (a zero
-    /// timeout polls once without waiting).
-    pub(crate) fn recv(&mut self, timeout: Duration) -> Option<Envelope> {
+    /// timeout polls once without waiting) — or `None` as soon as one of
+    /// `extra`'s fds is ready (its `revents` set). The extra fds share the
+    /// node's `ppoll`, but only a return on which one of the node's own
+    /// was ready counts as a wake-up of the node (`net.poll.wakeups`).
+    pub(crate) fn recv(
+        &mut self,
+        extra: &mut [libc::pollfd],
+        timeout: Duration,
+    ) -> Option<Envelope> {
+        extra.iter_mut().for_each(|p| p.revents = 0);
         if let Some(env) = self.ready.pop_front() {
             return Some(env);
         }
         let deadline = Instant::now() + timeout;
         loop {
-            self.poll(deadline.saturating_duration_since(Instant::now()));
+            self.poll(deadline.saturating_duration_since(Instant::now()), extra);
             if let Some(env) = self.ready.pop_front() {
                 return Some(env);
             }
-            if Instant::now() >= deadline {
+            if extra.iter().any(|p| p.revents != 0) || Instant::now() >= deadline {
                 return None;
             }
         }
     }
 
-    /// One `ppoll` round over the listener and every connection, waiting
-    /// at most `timeout` (to the nanosecond: a node's 200 µs timer floor
-    /// must neither spin nor round up to a millisecond). Ready connections
-    /// are read and their complete frames decoded into `ready`; a
-    /// connection that breaks the framing, fails or hangs up is dropped,
-    /// with the accounting of [`fill_and_split`]. Then pending connections
-    /// are accepted.
-    fn poll(&mut self, timeout: Duration) {
+    /// One `ppoll` round over the listener, every connection and `extra`,
+    /// waiting at most `timeout`. Ready connections are read and their
+    /// complete frames decoded into `ready`; a connection that breaks the
+    /// framing, fails or hangs up is dropped, with the accounting of
+    /// [`fill_and_split`]. Then pending connections are accepted.
+    fn poll(&mut self, timeout: Duration, extra: &mut [libc::pollfd]) {
         let Inbound {
             listener,
             conns,
@@ -957,26 +765,20 @@ impl Inbound {
             events: libc::POLLIN,
             revents: 0,
         }));
-        let timeout = libc::timespec {
-            tv_sec: timeout.as_secs().try_into().unwrap_or(libc::time_t::MAX),
-            tv_nsec: timeout.subsec_nanos().into(),
-        };
-        // SAFETY: `pfds` is an exclusively borrowed, initialized array of
-        // `pfds.len()` pollfds, and `timeout` outlives the call; a null
-        // signal mask is allowed and leaves the thread's mask unchanged.
-        let n = unsafe {
-            libc::ppoll(
-                pfds.as_mut_ptr(),
-                pfds.len() as libc::nfds_t,
-                &timeout,
-                ptr::null(),
-            )
-        };
-        if n <= 0 {
+        let own = pfds.len();
+        pfds.extend_from_slice(extra);
+        if ppoll(pfds, timeout) <= 0 {
             return; // timed out, or EINTR
         }
-        counters.wakeups.record(n as u64);
-        let mut polled = pfds[1..].iter();
+        for (p, got) in extra.iter_mut().zip(&pfds[own..]) {
+            p.revents = got.revents;
+        }
+        let woke = pfds[..own].iter().filter(|p| p.revents != 0).count();
+        if woke == 0 {
+            return;
+        }
+        counters.wakeups.record(woke as u64);
+        let mut polled = pfds[1..own].iter();
         conns.retain_mut(|c| {
             if polled.next().is_none_or(|p| p.revents == 0) {
                 return true;
@@ -993,7 +795,7 @@ impl Inbound {
                 &mut c.buf,
                 &mut c.filled,
                 MAX_FRAME,
-                counters,
+                &counters.errors,
                 sink,
             )
         });
@@ -1004,27 +806,39 @@ impl Inbound {
 
     /// Accepts every pending connection on the listener.
     fn accept(&mut self) {
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    if stream.set_nonblocking(true).is_err() {
-                        self.counters.errors.add(1.0);
-                        continue;
-                    }
-                    self.conns.push(InConn {
-                        stream,
-                        buf: Vec::new(),
-                        filled: 0,
-                    });
+        let conns = &mut self.conns;
+        accept_all(&self.listener, &self.counters.errors, |stream| {
+            conns.push(InConn {
+                stream,
+                buf: Vec::new(),
+                filled: 0,
+            });
+        });
+    }
+}
+
+/// Accepts every pending connection on `listener`, made nonblocking, into
+/// `adopt`. A transient accept error (e.g. fd exhaustion) is counted in
+/// `errors` and retried at the next poll.
+pub(crate) fn accept_all(
+    listener: &TcpListener,
+    errors: &Counter,
+    mut adopt: impl FnMut(TcpStream),
+) {
+    loop {
+        match listener.accept() {
+            Ok((stream, _)) => {
+                if stream.set_nonblocking(true).is_err() {
+                    errors.add(1.0);
+                    continue;
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    // Transient accept error (e.g. fd exhaustion): count
-                    // it, retry at the next poll.
-                    self.counters.errors.add(1.0);
-                    return;
-                }
+                adopt(stream);
+            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(_) => {
+                errors.add(1.0);
+                return;
             }
         }
     }
@@ -1039,60 +853,32 @@ impl std::fmt::Debug for Inbound {
     }
 }
 
-/// Accepts every pending *client* connection: each one gets a fresh id,
-/// a registered send queue, and a [`ClientEvent::Connected`].
-fn accept_clients(
-    listener: &TcpListener,
-    reg: &Arc<ClientRegistry>,
-    poller: usize,
-    counters: &NetCounters,
-    out: &mut Vec<Entry>,
-) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if stream.set_nonblocking(true).is_err() {
-                    counters.errors.add(1.0);
-                    continue;
-                }
-                let _ = stream.set_nodelay(true);
-                let id = reg.next_id.fetch_add(1, Ordering::Relaxed);
-                let stream = Arc::new(stream);
-                let conn = Arc::new(OutConn::new(0, reg.depth));
-                conn.write.lock().stream = Some(Arc::clone(&stream));
-                conn.owner.store(poller, Ordering::Release);
-                reg.conns.lock().insert(id, Arc::clone(&conn));
-                if reg.sink.send(ClientEvent::Connected(ClientId(id))).is_err() {
-                    // Server gone: undo and stop accepting.
-                    reg.conns.lock().remove(&id);
-                    return;
-                }
-                out.push(Entry::Client {
-                    id,
-                    reg: Arc::clone(reg),
-                    conn,
-                    stream,
-                    buf: Vec::new(),
-                    filled: 0,
-                });
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                counters.errors.add(1.0);
-                return;
-            }
-        }
+/// One `ppoll` over `fds`, waiting at most `timeout` — to the
+/// nanosecond: a node's 200 µs timer floor must neither spin nor round up
+/// to a millisecond. Returns the number of ready fds, 0 on timeout, or a
+/// negative value (EINTR).
+pub(crate) fn ppoll(fds: &mut [libc::pollfd], timeout: Duration) -> libc::c_int {
+    let timeout = libc::timespec {
+        tv_sec: timeout.as_secs().try_into().unwrap_or(libc::time_t::MAX),
+        tv_nsec: timeout.subsec_nanos().into(),
+    };
+    // SAFETY: `fds` is an exclusively borrowed, initialized array of
+    // `fds.len()` pollfds, and `timeout` outlives the call; a null signal
+    // mask is allowed and leaves the thread's mask unchanged.
+    unsafe {
+        libc::ppoll(
+            fds.as_mut_ptr(),
+            fds.len() as libc::nfds_t,
+            &timeout,
+            ptr::null(),
+        )
     }
 }
 
 /// What a per-frame sink made of one complete payload.
-enum Sunk {
+pub(crate) enum Sunk {
     /// Consumed; keep splitting.
     Ok,
-    /// The receiving end is gone (the client-facing server shut down):
-    /// drop the connection, nothing was lost to a fault.
-    Closed,
     /// The payload does not decode: drop the connection and count it.
     Corrupt,
 }
@@ -1100,18 +886,18 @@ enum Sunk {
 /// Reads whatever is available on `stream` into `buf` (up to the
 /// budget), then hands every complete `[varint len][payload]` frame to
 /// `sink` and keeps the partial tail for the next wakeup. `max_frame`
-/// caps a single frame: the peer [`MAX_FRAME`], or the registry's
-/// tighter cap for untrusted clients. Returns `false` when the
-/// connection must be dropped (EOF, I/O error, oversize or corrupt
-/// frame, or a closed sink). Every drop that loses data — anything but a
-/// clean EOF on a frame boundary or local shutdown — bumps
-/// `poll_errors`; the connection dies, its reader does not.
-fn fill_and_split(
+/// caps a single frame: the peer [`MAX_FRAME`], or the tighter cap of a
+/// [`FrameServer`](crate::FrameServer) for untrusted clients. Returns
+/// `false` when the connection must be dropped (EOF, I/O error, oversize
+/// or corrupt frame). Every drop that loses data — anything but a clean
+/// EOF on a frame boundary — bumps `errors`; the connection dies, its
+/// reader does not.
+pub(crate) fn fill_and_split(
     stream: &mut impl Read,
     buf: &mut Vec<u8>,
     filled: &mut usize,
     max_frame: usize,
-    counters: &NetCounters,
+    errors: &Counter,
     mut sink: impl FnMut(&[u8]) -> Sunk,
 ) -> bool {
     let mut fresh = 0usize;
@@ -1132,7 +918,7 @@ fn fill_and_split(
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(_) => {
-                counters.errors.add(1.0);
+                errors.add(1.0);
                 return false;
             }
         }
@@ -1146,7 +932,7 @@ fn fill_and_split(
             break; // incomplete header
         };
         if len > max_frame as u64 {
-            counters.errors.add(1.0);
+            errors.add(1.0);
             return false; // insane or oversize frame: drop, don't buffer
         }
         let len = len as usize;
@@ -1155,9 +941,8 @@ fn fill_and_split(
         }
         match sink(&avail[header..header + len]) {
             Sunk::Ok => {}
-            Sunk::Closed => return false,
             Sunk::Corrupt => {
-                counters.errors.add(1.0);
+                errors.add(1.0);
                 return false;
             }
         }
@@ -1169,7 +954,7 @@ fn fill_and_split(
     }
     if eof && *filled > 0 {
         // Peer died mid-frame: the partial tail is lost for good.
-        counters.errors.add(1.0);
+        errors.add(1.0);
     }
     !eof
 }

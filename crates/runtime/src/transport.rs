@@ -58,8 +58,8 @@
 
 use std::collections::{BinaryHeap, HashMap};
 use std::net::TcpListener;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{fence, AtomicBool, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -73,7 +73,7 @@ use paso_vsync::NetMsg;
 use paso_wire::Wire;
 
 use crate::ledger::{Ledger, NetCounters, NetStats};
-use crate::reactor::{Frame, Inbound, OutConn, Reactor};
+use crate::reactor::{drain_wake_pipe, ppoll, wake_pipe, Frame, Inbound, OutConn, Reactor};
 
 /// An envelope routed between nodes (or from the cluster controller).
 #[derive(Debug, Clone)]
@@ -115,13 +115,22 @@ paso_wire::wire_enum!(Envelope {
 /// Receiving side owned by one node thread.
 pub trait Mailbox: Send {
     /// Blocks up to `timeout` for the next envelope.
-    fn recv_timeout(&self, timeout: Duration) -> Option<Envelope>;
+    fn recv_timeout(&self, timeout: Duration) -> Option<Envelope> {
+        self.recv_or_ready(&mut [], timeout)
+    }
 
     /// The next envelope if one is already waiting: `recv_timeout` with
     /// a zero timeout.
     fn try_recv(&self) -> Option<Envelope> {
         self.recv_timeout(Duration::ZERO)
     }
+
+    /// [`Mailbox::recv_timeout`] that also returns — `None` if nothing
+    /// arrived — once one of `extra`'s fds is ready (its `revents` set):
+    /// one park over the mailbox and the caller's own sockets. Only a
+    /// return on which one of the mailbox's own sockets was ready counts
+    /// in `net.poll.wakeups`.
+    fn recv_or_ready(&self, extra: &mut [libc::pollfd], timeout: Duration) -> Option<Envelope>;
 }
 
 /// Sending side, cloneable, shared by all node threads and the controller.
@@ -167,10 +176,10 @@ pub struct TransportTuning {
     /// Max frames one vectored write may gather from a connection's
     /// queue (bounds the iovec and the header scratch buffer).
     pub max_batch_frames: usize,
-    /// Number of reactor poller threads sharing the outbound and client
-    /// sockets; each node reads its own inbound sockets from its own
-    /// thread. This is the whole I/O thread budget regardless of peer
-    /// count (plus one background dialer).
+    /// Number of reactor poller threads sharing the outbound sockets;
+    /// each node reads its own inbound sockets from its own thread, and
+    /// a gateway its client sockets too. This is the whole I/O thread
+    /// budget regardless of peer count (plus one background dialer).
     pub poller_threads: usize,
     /// Artificial latency added to every dial — emulates a SYN blackhole
     /// (firewalled peer) in tests. Zero in production.
@@ -352,6 +361,7 @@ impl FaultGate {
 #[derive(Debug)]
 pub struct ChannelTransport {
     senders: Vec<Sender<Envelope>>,
+    bells: Vec<Arc<Doorbell>>,
     counters: Arc<NetCounters>,
     gate: FaultGate,
     delay: DelaySlot<(NodeId, Envelope)>,
@@ -361,6 +371,49 @@ pub struct ChannelTransport {
 #[derive(Debug)]
 pub struct ChannelMailbox {
     rx: Receiver<Envelope>,
+    bell: Arc<Doorbell>,
+}
+
+/// How a sender wakes a [`ChannelMailbox`] that waits on fds as well as
+/// its channel ([`Mailbox::recv_or_ready`] with fds of the caller's): a pipe,
+/// made at the first such wait, rung only while the mailbox is parked
+/// there. A mailbox that only ever waits on its channel — every node's —
+/// has no pipe and is never rung.
+#[derive(Debug, Default)]
+struct Doorbell {
+    parked: AtomicBool,
+    /// `(read, write)` ends.
+    pipe: OnceLock<(libc::c_int, libc::c_int)>,
+}
+
+impl Doorbell {
+    /// Called after every send to the mailbox. With the fence the parked
+    /// side pairs with, either this sees `parked` or the mailbox sees the
+    /// envelope before it parks.
+    fn ring(&self) {
+        fence(Ordering::SeqCst);
+        if self.parked.load(Ordering::Relaxed) {
+            if let Some(&(_, wr)) = self.pipe.get() {
+                // SAFETY: a one-byte write from a live buffer to a pipe fd
+                // this doorbell owns; a full pipe (EAGAIN) is rung already.
+                unsafe {
+                    let _ = libc::write(wr, [1u8].as_ptr(), 1);
+                }
+            }
+        }
+    }
+}
+
+impl Drop for Doorbell {
+    fn drop(&mut self) {
+        if let Some(&(rd, wr)) = self.pipe.get() {
+            // SAFETY: both fds are owned by this doorbell and closed once.
+            unsafe {
+                libc::close(rd);
+                libc::close(wr);
+            }
+        }
+    }
 }
 
 impl ChannelTransport {
@@ -380,15 +433,19 @@ impl ChannelTransport {
     ) -> (Arc<Self>, Vec<ChannelMailbox>) {
         let counters = Arc::new(NetCounters::new(ledger.telemetry()));
         let mut senders = Vec::with_capacity(n);
+        let mut bells = Vec::with_capacity(n);
         let mut mailboxes = Vec::with_capacity(n);
         for _ in 0..n {
             let (tx, rx) = unbounded();
+            let bell = Arc::new(Doorbell::default());
             senders.push(tx);
-            mailboxes.push(ChannelMailbox { rx });
+            bells.push(Arc::clone(&bell));
+            mailboxes.push(ChannelMailbox { rx, bell });
         }
         (
             Arc::new(ChannelTransport {
                 senders,
+                bells,
                 gate: FaultGate::new(tuning.fault_seed, Arc::clone(&counters), Arc::clone(ledger)),
                 counters,
                 delay: Mutex::new(None),
@@ -399,6 +456,7 @@ impl ChannelTransport {
 
     fn deliver_now(
         senders: &[Sender<Envelope>],
+        bells: &[Arc<Doorbell>],
         counters: &NetCounters,
         to: NodeId,
         envelope: Envelope,
@@ -410,6 +468,7 @@ impl ChannelTransport {
         }
         if let Some(tx) = senders.get(to.index()) {
             let _ = tx.send(envelope);
+            bells[to.index()].ring();
         }
     }
 
@@ -419,9 +478,10 @@ impl ChannelTransport {
             return Arc::clone(line);
         }
         let senders = self.senders.clone();
+        let bells = self.bells.clone();
         let counters = Arc::clone(&self.counters);
         let line = Arc::new(DelayLine::start(move |(to, env)| {
-            ChannelTransport::deliver_now(&senders, &counters, to, env);
+            ChannelTransport::deliver_now(&senders, &bells, &counters, to, env);
         }));
         *slot = Some(Arc::clone(&line));
         line
@@ -437,11 +497,38 @@ impl Drop for ChannelTransport {
 }
 
 impl Mailbox for ChannelMailbox {
-    fn recv_timeout(&self, timeout: Duration) -> Option<Envelope> {
-        self.rx.recv_timeout(timeout).ok()
+    fn try_recv(&self) -> Option<Envelope> {
+        self.rx.try_recv().ok()
     }
 
-    fn try_recv(&self) -> Option<Envelope> {
+    fn recv_or_ready(&self, extra: &mut [libc::pollfd], timeout: Duration) -> Option<Envelope> {
+        extra.iter_mut().for_each(|p| p.revents = 0);
+        if extra.is_empty() {
+            return self.rx.recv_timeout(timeout).ok();
+        }
+        let &(rd, _) = self.bell.pipe.get_or_init(wake_pipe);
+        drain_wake_pipe(rd);
+        // Parked before the last look at the channel: a send after that
+        // look rings (see `Doorbell::ring`).
+        self.bell.parked.store(true, Ordering::Relaxed);
+        fence(Ordering::SeqCst);
+        if let Ok(env) = self.rx.try_recv() {
+            self.bell.parked.store(false, Ordering::Relaxed);
+            return Some(env);
+        }
+        let bell = libc::pollfd {
+            fd: rd,
+            events: libc::POLLIN,
+            revents: 0,
+        };
+        let mut pfds: Vec<libc::pollfd> =
+            std::iter::once(bell).chain(extra.iter().copied()).collect();
+        if ppoll(&mut pfds, timeout) > 0 {
+            for (p, got) in extra.iter_mut().zip(&pfds[1..]) {
+                p.revents = got.revents;
+            }
+        }
+        self.bell.parked.store(false, Ordering::Relaxed);
         self.rx.try_recv().ok()
     }
 }
@@ -459,7 +546,7 @@ impl Postman for ChannelTransport {
                 }
             }
         }
-        ChannelTransport::deliver_now(&self.senders, &self.counters, to, envelope);
+        ChannelTransport::deliver_now(&self.senders, &self.bells, &self.counters, to, envelope);
     }
 
     fn set_fault_plan(&self, plan: FaultPlan) {
@@ -589,8 +676,8 @@ pub struct TcpMailbox {
 }
 
 impl Mailbox for TcpMailbox {
-    fn recv_timeout(&self, timeout: Duration) -> Option<Envelope> {
-        self.inbound.lock().recv(timeout)
+    fn recv_or_ready(&self, extra: &mut [libc::pollfd], timeout: Duration) -> Option<Envelope> {
+        self.inbound.lock().recv(extra, timeout)
     }
 }
 

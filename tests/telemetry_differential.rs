@@ -392,6 +392,8 @@ fn proxy_metric_family_shares_schema_across_drivers() {
             "proxy.batch.flushes",
             "proxy.clients.accepted",
             "proxy.clients.closed",
+            "proxy.clients.errors",
+            "proxy.clients.replies_dropped",
             "proxy.done_batches",
             "proxy.frames.in",
             "proxy.gossip.recv",
