@@ -145,7 +145,7 @@ pub(crate) struct NetCounters {
     /// `net.poll.errors` (see [`NetStats::poll_errors`]).
     pub(crate) errors: Arc<Counter>,
     /// `net.poll.wakeups` — ready-set size per poll return that found
-    /// something ready, a poller's or a mailbox's.
+    /// something ready, the I/O thread's or a mailbox's.
     pub(crate) wakeups: Arc<Histogram>,
     /// `net.writev.batch_frames` — frames per vectored write batch.
     pub(crate) batch_frames: Arc<Histogram>,

@@ -1,20 +1,21 @@
 //! A thin `poll(2)` reactor: the event-driven I/O core of
 //! [`TcpTransport`](crate::TcpTransport).
 //!
-//! A **fixed pool of poller threads** drives the sockets no other thread
-//! is parked on — outbound peer connections a sender could not finish
-//! writing — via readiness polling over nonblocking fds. No async
-//! runtime, no thread-per-connection: one node talking to hundreds of
-//! peers costs `poller_threads` I/O threads plus one background dialer,
-//! total.
+//! Each transport has **one background I/O thread**. It owns the dial
+//! deadline heap and every dialed outbound socket, and does the two jobs
+//! no other thread is parked for: it connects peers, with capped
+//! exponential backoff off the send path, and it finishes on `POLLOUT`
+//! the writes a sender left behind. No async runtime, no
+//! thread-per-connection: one node talking to hundreds of peers costs
+//! that one thread.
 //!
-//! Per poller wakeup, outbound entries with queued frames drain their
-//! bounded send queue with `write_vectored`: varint headers go into one
-//! per-connection scratch buffer, payload [`Frame`]s are referenced
-//! **in place** — no per-send allocation or copy, ever; a gcast frame
-//! queued at 100 peers is one allocation total. Frames are popped (and
-//! counted as sent) only when their last byte hits the socket, so the
-//! bounded queue *is* the backpressure accounting.
+//! Whoever writes a link drains its bounded send queue with
+//! `write_vectored`: varint headers go into one per-connection scratch
+//! buffer, payload [`Frame`]s are referenced **in place** — no per-send
+//! allocation or copy, ever; a gcast frame queued at 100 peers is one
+//! allocation total. Frames are popped (and counted as sent) only when
+//! their last byte hits the socket, so the bounded queue *is* the
+//! backpressure accounting.
 //!
 //! ## Who reads a socket
 //!
@@ -26,8 +27,8 @@
 //! per-connection buffer. Complete `[varint len][envelope]` frames are
 //! decoded; the partial tail stays buffered for the next call
 //! (incremental framing — a frame may arrive a byte at a time). A peer
-//! message costs the receiving node's wake-up and no hand-off from a
-//! poller thread.
+//! message costs the receiving node's wake-up and no hand-off to another
+//! thread.
 //!
 //! **A gateway reads and writes its own client sockets.** Its
 //! [`FrameServer`](crate::FrameServer) — the client listener and every
@@ -52,38 +53,29 @@
 //!
 //! - the **sending thread**, when its push took the queue from empty to
 //!   non-empty ([`Reactor::write_through`]): the link is idle, nobody is
-//!   writing it, so the frame goes out in the caller's own `writev`
-//!   instead of after a pipe write, a poller wake-up, a pipe drain and a
-//!   second `poll` round — the hand-off that was most of a small
-//!   message's `α`;
-//! - the **owning poller**, on `POLLOUT`, for everything a sender could
+//!   writing it, so the frame goes out in the caller's own `writev`;
+//! - the **I/O thread**, on `POLLOUT`, for everything a sender could
 //!   not finish: the mutex was taken (`try_lock` — a sender never waits),
 //!   the connection is not dialed yet, the kernel buffer filled
 //!   (`WouldBlock`, possibly mid-frame), or the write failed. The sender
-//!   wakes it exactly as every send used to. On a busy link the queue is
+//!   wakes it through its self-pipe. On a busy link the queue is
 //!   non-empty when a sender pushes, so the frame just joins it and
 //!   leaves in whoever-is-writing's next `writev` with its neighbours.
 //!
 //! Lock order is write half → queue: `drain_write` takes the queue lock
 //! briefly while it holds the write half; a sender pushes, lets the queue
-//! lock go, and only then tries the write half. Only the owning poller
-//! redials: a sender whose write fails gives the socket up (the
+//! lock go, and only then tries the write half. Only the I/O thread
+//! dials: a sender whose write fails gives the socket up (the
 //! half-written frame dropped and counted, the socket shut down so the
-//! poller sees `POLLHUP`) and the poller hands the connection to the
-//! dialer when it gets there.
+//! I/O thread sees `POLLHUP`), and the I/O thread puts the connection
+//! back on its dial heap with the rest of its queue.
 //!
-//! Dialing happens on a dedicated **dialer thread** holding a deadline
-//! heap: unreachable peers redial with capped exponential backoff without
-//! occupying a poller or the send path. A connection that fails mid-write
-//! drops only the partially-written frame (counted), keeps the rest of
-//! its queue, and goes back to the dialer.
-//!
-//! Shutdown is joined, not detached: dropping the transport wakes every
-//! poller and the dialer, [`Reactor::shutdown`] joins them all, and
-//! dropping the entries and, right behind them, the transport's table of
-//! [`OutConn`]s (which share the connected sockets) closes every fd the
-//! transport owns; a node's listener and accepted connections close with
-//! its mailbox — asserted by the transport-lifecycle leak test.
+//! Shutdown is joined, not detached: dropping the transport wakes the I/O
+//! thread, [`Reactor::shutdown`] joins it, and dropping its entries and,
+//! right behind them, the transport's table of [`OutConn`]s (which share
+//! the connected sockets) closes every fd the transport owns; a node's
+//! listener and accepted connections close with its mailbox — asserted
+//! by the transport-lifecycle leak test.
 
 use std::collections::{BinaryHeap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
@@ -95,13 +87,12 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 
 use paso_telemetry::Counter;
 
 use crate::ledger::NetCounters;
-use crate::transport::{Envelope, TransportTuning, MAX_FRAME};
+use crate::transport::{Envelope, MAX_FRAME};
 
 /// A refcounted, already-encoded envelope body (no length prefix — the
 /// writer prepends the varint header from its scratch buffer). One
@@ -116,12 +107,15 @@ const READ_BUDGET: usize = 256 << 10;
 /// Granularity the read buffer grows by.
 const READ_CHUNK: usize = 16 << 10;
 
-/// Sentinel for "not registered with any poller".
-const NO_OWNER: usize = usize::MAX;
+/// First retry delay after a failed dial, and the pause before redialing
+/// a connection that failed.
+const BACKOFF_BASE: Duration = Duration::from_millis(10);
+
+/// Ceiling for the exponential dial backoff.
+const BACKOFF_CAP: Duration = Duration::from_secs(1);
 
 /// Outbound-connection state shared between the send path (push, and the
-/// write itself on an idle link), the owning poller (drain), and the
-/// dialer (reconnect).
+/// write itself on an idle link) and the I/O thread (drain, dial).
 pub(crate) struct OutConn {
     /// Peer's listener port.
     port: u16,
@@ -137,9 +131,6 @@ pub(crate) struct OutConn {
     /// connection's one writer for as long as it holds it; `queue` is
     /// only ever taken inside it, never the other way round.
     write: Mutex<WriteHalf>,
-    /// Index of the poller currently owning the connected socket, or
-    /// [`NO_OWNER`] while dialing.
-    owner: AtomicUsize,
 }
 
 /// One frame of a connection's active write batch.
@@ -155,10 +146,9 @@ struct BatchFrame {
 /// batch being written to it. Only [`drain_write`] writes the socket.
 #[derive(Default)]
 struct WriteHalf {
-    /// The connected socket, shared with the owning poller's entry
-    /// (which polls it). `None` while the connection is being dialed, and
-    /// from a write failure until the owning poller has handed the
-    /// connection back to the dialer.
+    /// The connected socket, shared with the I/O thread's entry (which
+    /// polls it). `None` while the connection is being dialed, and from a
+    /// write failure until the I/O thread redials it.
     stream: Option<Arc<TcpStream>>,
     /// Varint headers for the active batch — the only per-batch bytes the
     /// writer materializes; payloads are written from the shared frames.
@@ -182,13 +172,12 @@ impl OutConn {
             len: AtomicUsize::new(0),
             depth,
             write: Mutex::new(WriteHalf::default()),
-            owner: AtomicUsize::new(NO_OWNER),
         }
     }
 
     /// Appends a frame. `Ok(true)` means the queue was empty (nobody is
-    /// writing this connection: the caller writes it or wakes the owning
-    /// poller); `Err` returns the frame when the bounded queue is full.
+    /// writing this connection: the caller writes it or wakes the I/O
+    /// thread); `Err` returns the frame when the bounded queue is full.
     pub(crate) fn try_push(&self, frame: Frame) -> Result<bool, Frame> {
         let mut q = self.queue.lock();
         if q.len() >= self.depth {
@@ -229,29 +218,29 @@ impl std::fmt::Debug for OutConn {
     }
 }
 
-/// Commands delivered to a poller through its inbox + wake pipe.
+/// Commands delivered to the I/O thread through its inbox + wake pipe.
 enum Cmd {
-    /// Adopt a freshly dialed outbound socket.
-    Outbound(Arc<OutConn>, TcpStream),
+    /// Dial a fresh connection (once `dial_stall` has passed).
+    Dial(Arc<OutConn>),
     /// Drop every entry and exit.
     Shutdown,
 }
 
-/// The write end of a poller's self-pipe plus its command queue.
+/// The write end of the I/O thread's self-pipe plus its command queue.
 struct Inbox {
     cmds: Mutex<Vec<Cmd>>,
     wake_fd: libc::c_int,
 }
 
 impl Inbox {
-    /// Queues a command and wakes the poller.
+    /// Queues a command and wakes the I/O thread.
     fn send(&self, cmd: Cmd) {
         self.cmds.lock().push(cmd);
         self.wake();
     }
 
     /// Pokes the self-pipe; the byte sits there (level-triggered) until
-    /// the poller drains it, so wakeups cannot be lost.
+    /// the I/O thread drains it, so wakeups cannot be lost.
     fn wake(&self) {
         let b = [1u8];
         unsafe {
@@ -268,28 +257,7 @@ impl Drop for Inbox {
     }
 }
 
-enum DialCmd {
-    Dial {
-        conn: Arc<OutConn>,
-        /// Extra delay before the first attempt (beyond `dial_stall`).
-        after: Duration,
-    },
-    Shutdown,
-}
-
-/// State shared by pollers, the dialer, and the transport's send path.
-struct ReactorShared {
-    inboxes: Vec<Arc<Inbox>>,
-    /// Round-robin cursor for assigning dialed sockets to pollers.
-    next: AtomicUsize,
-    /// Reconnect path from pollers back to the dialer.
-    dial_tx: Sender<DialCmd>,
-    shutdown: Arc<AtomicBool>,
-    counters: Arc<NetCounters>,
-    tuning: TransportTuning,
-}
-
-/// One dial attempt waiting for its deadline in the dialer's heap.
+/// One dial attempt waiting for its deadline in the I/O thread's heap.
 struct DialAt {
     at: Instant,
     seq: u64,
@@ -315,124 +283,89 @@ impl Ord for DialAt {
     }
 }
 
-/// The fixed-thread-budget I/O core: `poller_threads` pollers plus one
-/// dialer. All threads are joined on [`Reactor::shutdown`].
+/// The transport's I/O core: one background thread, joined on
+/// [`Reactor::shutdown`].
 pub(crate) struct Reactor {
-    shared: Arc<ReactorShared>,
-    handles: Mutex<Vec<JoinHandle<()>>>,
+    inbox: Arc<Inbox>,
+    counters: Arc<NetCounters>,
+    shutdown: Arc<AtomicBool>,
+    handle: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl std::fmt::Debug for Reactor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Reactor")
-            .field("pollers", &self.shared.inboxes.len())
-            .finish_non_exhaustive()
+        f.debug_struct("Reactor").finish_non_exhaustive()
     }
 }
 
 impl Reactor {
-    /// Spawns the poller pool and the dialer.
+    /// Spawns the I/O thread. `dial_stall` defers every dial attempt
+    /// (`TransportTuning::dial_stall`).
     pub(crate) fn start(
-        tuning: TransportTuning,
+        dial_stall: Duration,
         counters: Arc<NetCounters>,
         shutdown: Arc<AtomicBool>,
     ) -> Self {
-        let pollers = tuning.poller_threads.max(1);
-        let mut inboxes = Vec::with_capacity(pollers);
-        let mut reads = Vec::with_capacity(pollers);
-        for _ in 0..pollers {
-            let (rd, wr) = wake_pipe();
-            inboxes.push(Arc::new(Inbox {
-                cmds: Mutex::new(Vec::new()),
-                wake_fd: wr,
-            }));
-            reads.push(rd);
-        }
-        let (dial_tx, dial_rx) = unbounded();
-        let shared = Arc::new(ReactorShared {
-            inboxes,
-            next: AtomicUsize::new(0),
-            dial_tx,
-            shutdown,
-            counters,
-            tuning,
+        let (wake_rd, wake_fd) = wake_pipe();
+        let inbox = Arc::new(Inbox {
+            cmds: Mutex::new(Vec::new()),
+            wake_fd,
         });
-        let mut handles = Vec::with_capacity(pollers + 1);
-        for (i, rd) in reads.into_iter().enumerate() {
-            let shared = Arc::clone(&shared);
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("paso-net-poller-{i}"))
-                    .spawn(move || poller_loop(i, rd, shared))
-                    .expect("spawn poller"),
-            );
-        }
-        {
-            let shared = Arc::clone(&shared);
-            handles.push(
-                std::thread::Builder::new()
-                    .name("paso-net-dialer".into())
-                    .spawn(move || dialer_loop(dial_rx, shared))
-                    .expect("spawn dialer"),
-            );
-        }
+        let io = IoThread {
+            wake_rd,
+            inbox: Arc::clone(&inbox),
+            counters: Arc::clone(&counters),
+            shutdown: Arc::clone(&shutdown),
+            dial_stall,
+            dials: BinaryHeap::new(),
+            seq: 0,
+            entries: Vec::new(),
+        };
+        let handle = std::thread::Builder::new()
+            .name("paso-net-io".into())
+            .spawn(move || io.run())
+            .expect("spawn I/O thread");
         Reactor {
-            shared,
-            handles: Mutex::new(handles),
+            inbox,
+            counters,
+            shutdown,
+            handle: Mutex::new(Some(handle)),
         }
-    }
-
-    /// Number of poller threads.
-    pub(crate) fn pollers(&self) -> usize {
-        self.shared.inboxes.len()
     }
 
     /// Schedules the first dial for a fresh connection.
     pub(crate) fn dial(&self, conn: Arc<OutConn>) {
-        let _ = self.shared.dial_tx.send(DialCmd::Dial {
-            conn,
-            after: Duration::ZERO,
-        });
+        self.inbox.send(Cmd::Dial(conn));
     }
 
     /// For a sender whose push took `conn`'s queue from empty to
     /// non-empty, i.e. found the link idle: writes the queue to the
     /// socket from the calling thread, so the frame leaves now instead of
-    /// after a pipe write, a poller wake-up and a second `poll` round.
-    /// Whatever this thread cannot finish — another writer holds the
-    /// socket, it is not dialed yet, the kernel buffer is full
+    /// after a pipe write, a wake-up of the I/O thread and a second `poll`
+    /// round. Whatever this thread cannot finish — another writer holds
+    /// the socket, it is not dialed yet, the kernel buffer is full
     /// (`WouldBlock`, possibly mid-frame), the write failed — is left to
-    /// the owning poller, woken exactly as before.
+    /// the I/O thread, woken for it (a link still dialing is drained when
+    /// its socket is installed, so that wake costs one spurious loop).
     pub(crate) fn write_through(&self, conn: &OutConn) {
         let finished = conn.write.try_lock().is_some_and(|mut w| {
-            matches!(drain_write(conn, &mut w, &self.shared), WriteOutcome::Alive)
-                && !conn.pending()
+            matches!(
+                drain_write(conn, &mut w, &self.counters),
+                WriteOutcome::Alive
+            ) && !conn.pending()
         });
         if !finished {
-            self.wake_owner(conn);
+            self.inbox.wake();
         }
     }
 
-    /// Wakes the poller owning `conn`, if any (a connection still dialing
-    /// drains its queue the moment it is installed, so no wake is needed).
-    pub(crate) fn wake_owner(&self, conn: &OutConn) {
-        let owner = conn.owner.load(Ordering::Acquire);
-        if owner != NO_OWNER {
-            self.shared.inboxes[owner].wake();
-        }
-    }
-
-    /// Stops and joins every poller and the dialer, closing all fds. Safe
-    /// to call more than once.
+    /// Stops and joins the I/O thread, closing all fds. Safe to call more
+    /// than once.
     pub(crate) fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        let _ = self.shared.dial_tx.send(DialCmd::Shutdown);
-        for inbox in &self.shared.inboxes {
-            inbox.send(Cmd::Shutdown);
-        }
-        let mut handles = self.handles.lock();
-        for h in handles.drain(..) {
-            let _ = h.join();
+        self.shutdown.store(true, Ordering::SeqCst);
+        self.inbox.send(Cmd::Shutdown);
+        if let Some(handle) = self.handle.lock().take() {
+            let _ = handle.join();
         }
     }
 }
@@ -470,207 +403,180 @@ pub(crate) fn drain_wake_pipe(fd: libc::c_int) {
     }
 }
 
-/// The dialer: pops due attempts off a deadline heap, connects
-/// (localhost: fast success or fast refusal), and hands live sockets to a
-/// poller round-robin. Failures re-enter the heap with doubled, capped
-/// backoff; `dial_stall` defers every attempt (SYN-blackhole emulation)
-/// without blocking other peers' dials.
-fn dialer_loop(rx: Receiver<DialCmd>, shared: Arc<ReactorShared>) {
-    let tuning = shared.tuning.clone();
-    let mut seq = 0u64;
-    let mut heap: BinaryHeap<DialAt> = BinaryHeap::new();
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let now = Instant::now();
-        while heap.peek().is_some_and(|d| d.at <= now) {
-            let Some(due) = heap.pop() else { break };
-            if shared.shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            let stream = match TcpStream::connect(("127.0.0.1", due.conn.port)) {
-                // A connect that succeeds but cannot be made nonblocking
-                // is unusable for the poller: count it and retry like any
-                // other dial failure rather than panicking the dialer.
-                Ok(stream) if stream.set_nonblocking(true).is_ok() => Some(stream),
-                Ok(_) => {
-                    shared.counters.errors.add(1.0);
-                    None
-                }
-                Err(_) => None,
-            };
-            match stream {
-                Some(stream) => {
-                    let _ = stream.set_nodelay(true);
-                    let idx = shared.next.fetch_add(1, Ordering::Relaxed) % shared.inboxes.len();
-                    // The poller sets `owner` when it installs the entry.
-                    shared.inboxes[idx].send(Cmd::Outbound(due.conn, stream));
-                }
-                None => {
-                    heap.push(DialAt {
-                        at: Instant::now() + due.backoff + tuning.dial_stall,
-                        seq,
-                        conn: due.conn,
-                        backoff: (due.backoff * 2).min(tuning.backoff_cap),
-                    });
-                    seq += 1;
-                }
-            }
-        }
-        let cmd = match heap.peek() {
-            Some(d) => match rx.recv_timeout(d.at.saturating_duration_since(Instant::now())) {
-                Ok(cmd) => cmd,
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => return,
-            },
-            None => match rx.recv() {
-                Ok(cmd) => cmd,
-                Err(_) => return,
-            },
-        };
-        match cmd {
-            DialCmd::Dial { conn, after } => {
-                heap.push(DialAt {
-                    at: Instant::now() + after + tuning.dial_stall,
-                    seq,
-                    conn,
-                    backoff: tuning.backoff_base,
-                });
-                seq += 1;
-            }
-            DialCmd::Shutdown => return,
-        }
-    }
-}
-
 /// What `drain_write` decided about the connection.
 enum WriteOutcome {
     /// Keep the connection (possibly with an unfinished batch).
     Alive,
     /// No usable socket (it failed, now or under an earlier writer, or it
-    /// is not dialed yet): the owning poller reconnects via the dialer.
+    /// is not dialed yet): the I/O thread redials it.
     Dead,
 }
 
 /// A dialed peer connection: written through `conn`'s write half, by
-/// its poller or by a sending thread; the poller polls the socket.
+/// the I/O thread or by a sending thread; the I/O thread polls the socket.
 struct Entry {
     conn: Arc<OutConn>,
     stream: Arc<TcpStream>,
 }
 
-impl Entry {
-    /// Idle connections stay in the set with no requested events:
-    /// POLLERR/POLLHUP are reported regardless, so a dead peer is noticed
-    /// without waiting for the next send.
-    fn interest(&self) -> libc::c_short {
-        if self.conn.pending() {
-            libc::POLLOUT
-        } else {
-            0
-        }
-    }
+/// The I/O thread's state: everything it owns, and the read end of its
+/// self-pipe.
+struct IoThread {
+    wake_rd: libc::c_int,
+    inbox: Arc<Inbox>,
+    counters: Arc<NetCounters>,
+    shutdown: Arc<AtomicBool>,
+    dial_stall: Duration,
+    dials: BinaryHeap<DialAt>,
+    /// Tie-breaker that keeps dials due at the same instant in order.
+    seq: u64,
+    entries: Vec<Entry>,
 }
 
-/// The poller: drain inbox, poll the fds, dispatch the ready set.
-fn poller_loop(index: usize, wake_rd: libc::c_int, shared: Arc<ReactorShared>) {
-    let mut entries: Vec<Entry> = Vec::new();
-    let mut pfds: Vec<libc::pollfd> = Vec::new();
-    let inbox = Arc::clone(&shared.inboxes[index]);
-    'run: loop {
-        // Install pending commands.
-        let cmds = std::mem::take(&mut *inbox.cmds.lock());
-        for cmd in cmds {
-            match cmd {
-                Cmd::Outbound(conn, stream) => {
-                    conn.owner.store(index, Ordering::Release);
-                    let stream = Arc::new(stream);
-                    // Frames queued while dialing: drain immediately
-                    // rather than waiting for a POLLOUT cycle.
-                    let outcome = {
-                        let mut w = conn.write.lock();
-                        w.stream = Some(Arc::clone(&stream));
-                        drain_write(&conn, &mut w, &shared)
-                    };
-                    match outcome {
-                        WriteOutcome::Alive => entries.push(Entry { conn, stream }),
-                        WriteOutcome::Dead => redial(conn, &shared),
-                    }
+impl IoThread {
+    /// The loop: take commands, connect whatever dials are due, `ppoll`
+    /// the pipe and every entry until the next dial deadline (forever if
+    /// none is pending), then drain `POLLOUT` entries and redial hung-up
+    /// ones.
+    fn run(mut self) {
+        let mut pfds: Vec<libc::pollfd> = Vec::new();
+        'run: loop {
+            let cmds = std::mem::take(&mut *self.inbox.cmds.lock());
+            for cmd in cmds {
+                match cmd {
+                    Cmd::Dial(conn) => self.schedule(conn, Duration::ZERO, BACKOFF_BASE),
+                    Cmd::Shutdown => break 'run,
                 }
-                Cmd::Shutdown => break 'run,
             }
-        }
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break 'run;
-        }
+            self.dial_due();
 
-        // Build the interest set: the wake pipe first, then every entry.
-        pfds.clear();
-        pfds.push(libc::pollfd {
-            fd: wake_rd,
-            events: libc::POLLIN,
-            revents: 0,
-        });
-        for e in &entries {
+            // The wake pipe first, then every entry. Idle entries stay in
+            // the set with no requested events: POLLERR/POLLHUP are
+            // reported regardless, so a dead peer is noticed without
+            // waiting for the next send.
+            pfds.clear();
             pfds.push(libc::pollfd {
-                fd: e.stream.as_raw_fd(),
-                events: e.interest(),
+                fd: self.wake_rd,
+                events: libc::POLLIN,
                 revents: 0,
             });
-        }
-        let ready = unsafe { libc::poll(pfds.as_mut_ptr(), pfds.len() as libc::nfds_t, -1) };
-        if ready < 0 {
-            continue; // EINTR
-        }
-        shared.counters.wakeups.record(ready as u64);
-        if pfds[0].revents != 0 {
-            drain_wake_pipe(wake_rd);
-        }
+            pfds.extend(self.entries.iter().map(|e| libc::pollfd {
+                fd: e.stream.as_raw_fd(),
+                events: if e.conn.pending() { libc::POLLOUT } else { 0 },
+                revents: 0,
+            }));
+            let timeout = self.dials.peek().map_or(Duration::MAX, |d| {
+                d.at.saturating_duration_since(Instant::now())
+            });
+            let ready = ppoll(&mut pfds, timeout);
+            if ready <= 0 {
+                continue; // a dial is due, or EINTR
+            }
+            self.counters.wakeups.record(ready as u64);
+            if pfds[0].revents != 0 {
+                drain_wake_pipe(self.wake_rd);
+            }
 
-        // Dispatch the ready set; removals happen afterwards, back to
-        // front.
-        let mut dead: Vec<usize> = Vec::new();
-        for (i, (e, p)) in entries.iter().zip(&pfds[1..]).enumerate() {
-            let hangup = p.revents & (libc::POLLERR | libc::POLLHUP | libc::POLLNVAL) != 0;
-            let conn = &e.conn;
-            if p.revents & libc::POLLOUT != 0 || (hangup && conn.pending()) {
-                // Blocks only for as long as a sending thread's own
-                // drain takes; what that leaves is ours.
-                let outcome = drain_write(conn, &mut conn.write.lock(), &shared);
-                if let WriteOutcome::Dead = outcome {
+            // Dispatch the ready set; removals happen afterwards, back to
+            // front.
+            let mut dead: Vec<usize> = Vec::new();
+            for (i, (e, p)) in self.entries.iter().zip(&pfds[1..]).enumerate() {
+                let hangup = p.revents & (libc::POLLERR | libc::POLLHUP | libc::POLLNVAL) != 0;
+                let conn = &e.conn;
+                if p.revents & libc::POLLOUT != 0 || (hangup && conn.pending()) {
+                    // Blocks only for as long as a sending thread's own
+                    // drain takes; what that leaves is ours.
+                    let outcome = drain_write(conn, &mut conn.write.lock(), &self.counters);
+                    if let WriteOutcome::Dead = outcome {
+                        dead.push(i);
+                    }
+                } else if hangup {
+                    // Idle peer hung up, or a sending thread's write failed
+                    // and shut the socket down: reconnect.
                     dead.push(i);
                 }
-            } else if hangup {
-                // Idle peer hung up, or a sending thread's write failed
-                // and shut the socket down: reconnect.
-                dead.push(i);
+            }
+            for &i in dead.iter().rev() {
+                let conn = self.entries.swap_remove(i).conn;
+                self.redial(conn);
             }
         }
-        for &i in dead.iter().rev() {
-            redial(entries.swap_remove(i).conn, &shared);
+        // SAFETY: the pipe's read end is this thread's alone, and the loop
+        // that polled it is over.
+        unsafe {
+            libc::close(self.wake_rd);
+        }
+        // Dropping `self` closes every remaining entry's fd but the
+        // connected sockets their `OutConn`s share, which go with those.
+    }
+
+    /// Puts a dial for `conn` on the heap, due after `after` plus
+    /// `dial_stall` (SYN-blackhole emulation, which defers the attempt
+    /// without holding up other peers' dials or any drain).
+    fn schedule(&mut self, conn: Arc<OutConn>, after: Duration, backoff: Duration) {
+        self.dials.push(DialAt {
+            at: Instant::now() + after + self.dial_stall,
+            seq: self.seq,
+            conn,
+            backoff,
+        });
+        self.seq += 1;
+    }
+
+    /// Connects every dial whose deadline has passed. A live socket is
+    /// installed here and drains the frames queued while it was dialing;
+    /// a failure goes back on the heap with doubled, capped backoff.
+    fn dial_due(&mut self) {
+        let now = Instant::now();
+        while self.dials.peek().is_some_and(|d| d.at <= now) {
+            let Some(due) = self.dials.pop() else { break };
+            if self.shutdown.load(Ordering::SeqCst) {
+                return;
+            }
+            // A blocking connect, and no drain runs while it does. That
+            // holds only because every peer is a localhost listener, which
+            // accepts or refuses at once; a peer across a real network
+            // would need a nonblocking connect finished on `POLLOUT`.
+            let stream = match TcpStream::connect(("127.0.0.1", due.conn.port)) {
+                // A connect that succeeds but cannot be made nonblocking
+                // is unusable here: count it and retry like any other dial
+                // failure rather than panicking the I/O thread.
+                Ok(stream) if stream.set_nonblocking(true).is_ok() => Some(stream),
+                Ok(_) => {
+                    self.counters.errors.add(1.0);
+                    None
+                }
+                Err(_) => None,
+            };
+            let Some(stream) = stream else {
+                self.schedule(due.conn, due.backoff, (due.backoff * 2).min(BACKOFF_CAP));
+                continue;
+            };
+            let _ = stream.set_nodelay(true);
+            let stream = Arc::new(stream);
+            let conn = due.conn;
+            let outcome = {
+                let mut w = conn.write.lock();
+                w.stream = Some(Arc::clone(&stream));
+                drain_write(&conn, &mut w, &self.counters)
+            };
+            match outcome {
+                WriteOutcome::Alive => self.entries.push(Entry { conn, stream }),
+                WriteOutcome::Dead => self.redial(conn),
+            }
         }
     }
-    unsafe {
-        libc::close(wake_rd);
-    }
-    // Dropping `entries` closes every remaining fd but the connected
-    // sockets their `OutConn`s share, which go with those.
-}
 
-/// Sends a failed outbound connection back to the dialer (frames still in
-/// its queue survive the reconnect). Only the owning poller does this, so
-/// a connection is never dialed twice. The `backoff_base` delay before the
-/// redial keeps a connect-then-immediately-hang-up peer — e.g. one whose
-/// mailbox is gone but whose listener still accepts — from turning into a
-/// busy reconnect loop.
-fn redial(conn: Arc<OutConn>, shared: &ReactorShared) {
-    abandon(&conn, &mut conn.write.lock(), &shared.counters);
-    conn.owner.store(NO_OWNER, Ordering::Release);
-    let _ = shared.dial_tx.send(DialCmd::Dial {
-        conn,
-        after: shared.tuning.backoff_base,
-    });
+    /// Puts a failed connection back on the dial heap (frames still in its
+    /// queue survive the reconnect). Only the I/O thread dials, so a
+    /// connection is never dialed twice. The `BACKOFF_BASE` delay keeps a
+    /// connect-then-immediately-hang-up peer — e.g. one whose mailbox is
+    /// gone but whose listener still accepts — from turning into a busy
+    /// reconnect loop.
+    fn redial(&mut self, conn: Arc<OutConn>) {
+        abandon(&conn, &mut conn.write.lock(), &self.counters);
+        self.schedule(conn, BACKOFF_BASE, BACKOFF_BASE);
+    }
 }
 
 /// One node's receiving side of the TCP transport: its listener, every
@@ -979,9 +885,17 @@ fn peek_varint(bytes: &[u8]) -> Option<(u64, usize)> {
     None
 }
 
+/// Max bytes one writer batch may coalesce before issuing the write (a
+/// stalled reader cannot balloon sender memory).
+const MAX_BATCH_BYTES: usize = 256 << 10;
+
+/// Max frames one vectored write may gather from a connection's queue
+/// (bounds the iovec and the header scratch buffer).
+const MAX_BATCH_FRAMES: usize = 64;
+
 /// Drains the connection's send queue through `write_vectored` until the
 /// queue empties or the socket stops accepting bytes. The one routine
-/// that writes a socket: the owning poller calls it on `POLLOUT` (and when
+/// that writes a socket: the I/O thread calls it on `POLLOUT` (and when
 /// it installs a dialed socket), a sending thread calls it through
 /// [`Reactor::write_through`], each holding `conn.write` as `w`.
 ///
@@ -993,9 +907,7 @@ fn peek_varint(bytes: &[u8]) -> Option<(u64, usize)> {
 /// a write error the partially-written frame (corrupt mid-stream) is
 /// dropped **with accounting**; unwritten frames stay queued for the
 /// reconnect.
-fn drain_write(conn: &OutConn, w: &mut WriteHalf, shared: &ReactorShared) -> WriteOutcome {
-    let tuning = &shared.tuning;
-    let counters = &shared.counters;
+fn drain_write(conn: &OutConn, w: &mut WriteHalf, counters: &NetCounters) -> WriteOutcome {
     let Some(mut stream) = w.stream.as_deref() else {
         return WriteOutcome::Dead;
     };
@@ -1012,8 +924,8 @@ fn drain_write(conn: &OutConn, w: &mut WriteHalf, shared: &ReactorShared) -> Wri
                 if q.is_empty() {
                     return WriteOutcome::Alive;
                 }
-                for frame in q.iter().take(tuning.max_batch_frames.max(1)) {
-                    if !w.batch.is_empty() && w.total + frame.len() + 10 > tuning.max_batch_bytes {
+                for frame in q.iter().take(MAX_BATCH_FRAMES) {
+                    if !w.batch.is_empty() && w.total + frame.len() + 10 > MAX_BATCH_BYTES {
                         break;
                     }
                     let h0 = w.scratch.len();
@@ -1070,8 +982,8 @@ fn drain_write(conn: &OutConn, w: &mut WriteHalf, shared: &ReactorShared) -> Wri
     }
 }
 
-/// Write failure: count it, give the socket up, and have the owning
-/// poller reconnect.
+/// Write failure: count it, give the socket up, and have the I/O thread
+/// reconnect.
 fn fail_batch(conn: &OutConn, w: &mut WriteHalf, counters: &NetCounters) -> WriteOutcome {
     counters.errors.add(1.0);
     abandon(conn, w, counters);
@@ -1081,9 +993,9 @@ fn fail_batch(conn: &OutConn, w: &mut WriteHalf, counters: &NetCounters) -> Writ
 /// Gives the connection's socket up: drops the partially-written frame
 /// (its prefix is on the dead stream; resending it whole on a new
 /// connection could duplicate) with accounting, keeps everything else
-/// queued, and shuts the socket down — so that a poller which did not see
-/// the failure itself (a sending thread did) gets `POLLHUP` for it
-/// whatever state the kernel left it in, and redials. A no-op on a
+/// queued, and shuts the socket down — so that the I/O thread, when it
+/// did not see the failure itself (a sending thread did), gets `POLLHUP`
+/// for it whatever state the kernel left it in, and redials. A no-op on a
 /// connection already given up.
 fn abandon(conn: &OutConn, w: &mut WriteHalf, counters: &NetCounters) {
     if let Some(bf) = w.batch.get(w.batch_done) {
@@ -1106,7 +1018,7 @@ fn abandon(conn: &OutConn, w: &mut WriteHalf, counters: &NetCounters) {
 /// Pops the queue front, which must be the batch frame just completed
 /// (senders only push; the holder of `conn.write` is the only popper). An
 /// empty queue here is a desync bug — counted and asserted in debug
-/// builds, but never worth killing a production poller over.
+/// builds, but never worth killing a production I/O thread over.
 fn pop_front(conn: &OutConn, expect: &Frame, counters: &NetCounters) {
     let mut q = conn.queue.lock();
     match q.pop_front() {
@@ -1137,13 +1049,14 @@ mod tests {
     }
 
     /// Sender-thread twin of the transport's peer-death tests: the write
-    /// that finds the peer gone is the calling thread's own. No poller
-    /// owns this connection, so whatever happens to it the caller did.
+    /// that finds the peer gone is the calling thread's own. The I/O
+    /// thread never installed this connection, so whatever happens to it
+    /// the caller did.
     #[test]
     fn peer_death_during_an_inline_write_drops_the_half_written_frame_once() {
         let counters = Arc::new(NetCounters::new(&Telemetry::new()));
         let reactor = Reactor::start(
-            TransportTuning::default(),
+            Duration::ZERO,
             Arc::clone(&counters),
             Arc::new(AtomicBool::new(false)),
         );
@@ -1176,7 +1089,7 @@ mod tests {
         assert!(left.iter().zip(&behind).all(|(a, b)| Arc::ptr_eq(a, b)));
         assert_eq!(left.len(), 2, "the frames behind it wait for the redial");
 
-        // The socket is given up: a poller holding the other reference
+        // The socket is given up: an I/O thread holding the other reference
         // is told so by `POLLHUP`, and later senders touch nothing.
         assert!(conn.write.lock().stream.is_none());
         wait_for_reset(&stream);

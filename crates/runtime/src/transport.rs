@@ -16,18 +16,16 @@
 //! accepted on it, and the node's own thread reads them: one `ppoll`
 //! over them when it asks for the next envelope and none is decoded
 //! yet, incremental reads into one reusable buffer per connection. The
-//! outbound sockets are driven by a fixed pool of poller threads (the
-//! [`reactor`](crate::reactor) module: a thin hand-rolled `poll(2)`
-//! loop, no async runtime), so one node talking to hundreds of peers
-//! costs [`TransportTuning::poller_threads`] I/O threads plus one
-//! background dialer instead of threads per connection. The paper's `α`
-//! (per-message overhead) is what this buys down: a send is a queue push
-//! and, when that finds the link idle, the `writev` itself, from the
-//! sending thread; the receiving thread reads it — no hand-off to a
-//! poller on either side. On a busy link the frame joins the queue and
-//! leaves in a vectored batch of refcounted frames with zero per-send
-//! payload copies (who may read or write a socket, and the lock order,
-//! are in the reactor's module docs).
+//! paper's `α` (per-message overhead) is what this buys down: a send is
+//! a queue push and, when that finds the link idle, the `writev` itself,
+//! from the sending thread; the receiving thread reads it — no hand-off
+//! on either side. One background I/O thread per transport (the
+//! [`reactor`](crate::reactor) module: a hand-rolled `ppoll` loop, no
+//! async runtime) dials the peers and finishes what a sender could not
+//! write, whatever the peer count. On a busy link the frame joins the
+//! queue and leaves in a vectored batch of refcounted frames with zero
+//! per-send payload copies (who may read or write a socket, and the lock
+//! order, are in the reactor's module docs).
 //!
 //! ## Failure path and fault injection
 //!
@@ -35,18 +33,15 @@
 //! ([`reactor::OutConn`](crate::reactor)). Nothing reads for a busy
 //! node: its backlog waits in its socket buffers, then in these queues,
 //! and overflow is dropped and counted — a flooding peer cannot grow the
-//! receiver's memory. Dialing happens on the background dialer with
-//! capped exponential backoff, so a dead or blackholed peer can never
-//! head-of-line-block sends to healthy peers; the send path only ever
-//! performs a non-blocking push and, on an idle dialed link, a
-//! non-blocking write. Frames that
-//! don't fit the bounded queue are dropped and **accounted** in
-//! [`NetStats::msgs_dropped`] — nothing is silently swallowed. Whoever
-//! writes coalesces the queued frames into one `writev` syscall,
-//! capped at [`TransportTuning::max_batch_bytes`] /
-//! [`TransportTuning::max_batch_frames`] so one slow reader cannot
-//! balloon memory, and `bytes_sent` counts only frames fully written to
-//! a live, connected socket.
+//! receiver's memory. The I/O thread dials with capped exponential
+//! backoff, so a dead or blackholed peer can never head-of-line-block
+//! sends to healthy peers; the send path only ever performs a
+//! non-blocking push and, on an idle dialed link, a non-blocking write.
+//! Frames that don't fit the bounded queue are dropped and **accounted**
+//! in [`NetStats::msgs_dropped`] — nothing is silently swallowed. Whoever
+//! writes coalesces the queued frames into one capped `writev` syscall,
+//! so one slow reader cannot balloon memory, and `bytes_sent` counts
+//! only frames fully written to a live, connected socket.
 //!
 //! Both transports consult a [`FaultPlan`] (shared with `paso-simnet`'s
 //! fault module) on every **network** envelope: per-link drop probability,
@@ -166,21 +161,6 @@ pub struct TransportTuning {
     /// Depth of each per-connection bounded send queue; overflow frames
     /// are dropped and counted, never buffered without bound.
     pub queue_depth: usize,
-    /// First retry delay after a failed dial.
-    pub backoff_base: Duration,
-    /// Ceiling for the exponential dial backoff.
-    pub backoff_cap: Duration,
-    /// Max bytes one writer batch may coalesce before issuing the write
-    /// (a stalled reader can no longer balloon sender memory).
-    pub max_batch_bytes: usize,
-    /// Max frames one vectored write may gather from a connection's
-    /// queue (bounds the iovec and the header scratch buffer).
-    pub max_batch_frames: usize,
-    /// Number of reactor poller threads sharing the outbound sockets;
-    /// each node reads its own inbound sockets from its own thread, and
-    /// a gateway its client sockets too. This is the whole I/O thread
-    /// budget regardless of peer count (plus one background dialer).
-    pub poller_threads: usize,
     /// Artificial latency added to every dial — emulates a SYN blackhole
     /// (firewalled peer) in tests. Zero in production.
     pub dial_stall: Duration,
@@ -193,11 +173,6 @@ impl Default for TransportTuning {
     fn default() -> Self {
         TransportTuning {
             queue_depth: 1024,
-            backoff_base: Duration::from_millis(10),
-            backoff_cap: Duration::from_secs(1),
-            max_batch_bytes: 256 << 10,
-            max_batch_frames: 64,
-            poller_threads: 2,
             dial_stall: Duration::ZERO,
             fault_seed: 0,
         }
@@ -563,14 +538,13 @@ pub(crate) const MAX_FRAME: usize = 64 << 20;
 
 /// Localhost TCP transport: every node listens on `127.0.0.1:port_i`;
 /// senders keep persistent connections. A node's [`TcpMailbox`] accepts
-/// and reads its own connections on the node's thread; outbound sockets
-/// are driven by the fixed poller pool of the reactor — vectored
-/// zero-copy writes — so the node loop is identical for both transports
-/// and the thread count is independent of the peer count.
+/// and reads its own connections on the node's thread; a sender writes
+/// an idle link itself, with vectored zero-copy writes, so the node loop
+/// is identical for both transports.
 ///
-/// Outbound frames land in a bounded per-link queue; a background dialer
-/// connects (capped exponential backoff) off the send path; see the
-/// module docs for the failure path.
+/// Outbound frames land in a bounded per-link queue; the reactor's one
+/// I/O thread dials (capped exponential backoff) off the send path and
+/// finishes what senders leave; see the module docs for the failure path.
 #[derive(Debug)]
 pub struct TcpTransport {
     shared: Arc<TcpShared>,
@@ -580,7 +554,8 @@ pub struct TcpTransport {
 #[derive(Debug)]
 struct TcpShared {
     ports: Vec<u16>,
-    tuning: TransportTuning,
+    /// `TransportTuning::queue_depth` of every outbound connection.
+    queue_depth: usize,
     /// Outbound connections keyed by (sender, receiver) identity. Frames
     /// are refcounted so one encoded gcast payload sits in every member's
     /// queue without being copied per connection.
@@ -645,12 +620,16 @@ impl TcpTransport {
     fn over_ports(ports: Vec<u16>, tuning: TransportTuning, ledger: &Arc<Ledger>) -> Arc<Self> {
         let counters = Arc::new(NetCounters::new(ledger.telemetry()));
         let shutdown = Arc::new(AtomicBool::new(false));
-        let reactor = Reactor::start(tuning.clone(), Arc::clone(&counters), Arc::clone(&shutdown));
+        let reactor = Reactor::start(
+            tuning.dial_stall,
+            Arc::clone(&counters),
+            Arc::clone(&shutdown),
+        );
         Arc::new(TcpTransport {
             shared: Arc::new(TcpShared {
                 gate: FaultGate::new(tuning.fault_seed, Arc::clone(&counters), Arc::clone(ledger)),
                 ports,
-                tuning,
+                queue_depth: tuning.queue_depth,
                 conns: Mutex::new(HashMap::new()),
                 counters,
                 shutdown,
@@ -658,12 +637,6 @@ impl TcpTransport {
                 delay: Mutex::new(None),
             }),
         })
-    }
-
-    /// The transport's fixed I/O thread budget: reactor pollers (the
-    /// background dialer rides on top). Independent of peer count.
-    pub fn io_threads(&self) -> usize {
-        self.shared.reactor.pollers()
     }
 }
 
@@ -687,8 +660,8 @@ impl Drop for TcpTransport {
         if let Some(line) = self.shared.delay.lock().take() {
             line.shutdown();
         }
-        // Joins every poller and the dialer; their entries and then
-        // `conns`, dropped with `shared`, close every outbound socket fd
+        // Joins the I/O thread; its entries and then `conns`, dropped
+        // with `shared`, close every outbound socket fd
         // (asserted by the lifecycle leak test). The mailboxes close
         // their own.
         self.shared.reactor.shutdown();
@@ -703,7 +676,7 @@ impl TcpShared {
         let &port = self.ports.get(to.index())?;
         let mut conns = self.conns.lock();
         let conn = conns.entry((from, to)).or_insert_with(|| {
-            let conn = Arc::new(OutConn::new(port, self.tuning.queue_depth));
+            let conn = Arc::new(OutConn::new(port, self.queue_depth));
             self.reactor.dial(Arc::clone(&conn));
             conn
         });
@@ -711,10 +684,10 @@ impl TcpShared {
     }
 
     /// Queues one already-encoded frame toward `to` and, if the link was
-    /// idle, writes it. Never blocks: the dialer connects in the
+    /// idle, writes it. Never blocks: the I/O thread connects in the
     /// background, a full queue drops the frame with accounting instead
     /// of waiting, and a socket that will not take the frame now is left
-    /// to its poller.
+    /// to the I/O thread.
     fn enqueue(&self, from: NodeId, to: NodeId, frame: Frame) {
         if self.shutdown.load(Ordering::SeqCst) {
             return;
@@ -725,8 +698,8 @@ impl TcpShared {
         };
         match conn.try_push(frame) {
             // Empty→nonempty: the link was idle, so nobody is writing it
-            // and the owning poller may be parked in poll(2) with no
-            // write interest. Write it from this thread; the poller is
+            // and the I/O thread may be parked in ppoll(2) with no write
+            // interest. Write it from this thread; the I/O thread is
             // woken only for what that leaves.
             Ok(true) => self.reactor.write_through(&conn),
             Ok(false) => {}
@@ -1081,11 +1054,10 @@ mod tests {
         }
     }
 
-    /// Satellite regression: a peer whose dial fails (port with no
-    /// listener — the dialer keeps backing off) must not delay sends to a
-    /// healthy peer. Pre-PR-4, `enqueue` held the `conns` lock across
-    /// `TcpStream::connect`, so one dead peer stalled everyone; on the
-    /// reactor, dead dials live in the dialer's deadline heap.
+    /// A peer whose dial fails (a port with no listener, which the I/O
+    /// thread keeps redialing on backoff) must not delay sends to a
+    /// healthy peer: dead dials wait in the I/O thread's deadline heap,
+    /// never on the send path.
     #[test]
     fn dead_peer_does_not_block_live_sends() {
         // A port that refuses connections: bind, grab the port, drop.
@@ -1284,7 +1256,7 @@ mod tests {
     /// An idle link is written by the thread that sends on it and read
     /// by the thread that receives on it: a frame costs the receiving
     /// node's one `ppoll` return and nothing on the sending side (a
-    /// hand-off to a poller thread on either side costs more).
+    /// hand-off to another thread on either side costs more).
     #[test]
     fn ping_pong_on_idle_links_costs_under_two_poll_wakeups_a_frame() {
         let ledger = Ledger::new();
@@ -1310,15 +1282,17 @@ mod tests {
     /// One frame larger than the kernel will buffer toward a reader that
     /// has stopped reading, on a link that is dialed and idle — so the
     /// sending thread is the one that writes it, gets part of it in, and
-    /// is told `WouldBlock` mid-frame. Returns the transport, the peer's
-    /// end of the connection, and the frames queued behind the stuck one.
-    fn stuck_mid_frame(listener: &TcpListener) -> (Arc<TcpTransport>, TcpStream, Vec<u8>) {
-        let port = listener.local_addr().unwrap().port();
-        let tuning = TransportTuning {
-            poller_threads: 1,
-            ..TransportTuning::default()
-        };
-        let postman = TcpTransport::over_ports(vec![port], tuning, &Ledger::new());
+    /// is told `WouldBlock` mid-frame. The transport's node 0 is
+    /// `listener`, and `also` are the ports of its nodes 1, 2, …. Returns
+    /// the transport, the peer's end of the connection, and the frames
+    /// queued behind the stuck one.
+    fn stuck_mid_frame(
+        listener: &TcpListener,
+        also: &[u16],
+    ) -> (Arc<TcpTransport>, TcpStream, Vec<u8>) {
+        let mut ports = vec![listener.local_addr().unwrap().port()];
+        ports.extend_from_slice(also);
+        let postman = TcpTransport::over_ports(ports, TransportTuning::default(), &Ledger::new());
         // Reading a first small frame off the wire proves the socket
         // installed: the next send finds the link dialed and idle.
         postman.send(NodeId(0), app(0, 8));
@@ -1353,11 +1327,11 @@ mod tests {
     }
 
     /// The frame the sending thread left half-written is finished by the
-    /// poller on `POLLOUT`, and the receiver sees every byte in order.
+    /// I/O thread on `POLLOUT`, and the receiver sees every byte in order.
     #[test]
-    fn poller_finishes_the_frame_a_sending_thread_left_half_written() {
+    fn io_thread_finishes_the_frame_a_sending_thread_left_half_written() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let (postman, mut peer, behind) = stuck_mid_frame(&listener);
+        let (postman, mut peer, behind) = stuck_mid_frame(&listener, &[]);
         let mut expect = Vec::new();
         push_frame(&mut expect, &app(1, 8 << 20));
         expect.extend_from_slice(&behind);
@@ -1371,13 +1345,53 @@ mod tests {
         assert_eq!(queued(&postman), 0);
     }
 
+    /// One I/O thread both dials and drains, and a pending dial deadline
+    /// never holds up a drain: while a refused port keeps redialing on
+    /// backoff, a live peer stuck mid-frame gets every byte, in order,
+    /// within a second of reading again.
+    #[test]
+    fn a_peer_redialing_on_backoff_does_not_hold_up_a_drain() {
+        let refused = {
+            let l = TcpListener::bind("127.0.0.1:0").unwrap();
+            l.local_addr().unwrap().port()
+        };
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let (postman, mut peer, behind) = stuck_mid_frame(&listener, &[refused]);
+        for _ in 0..4 {
+            postman.send(NodeId(1), app(9, 8));
+        }
+        // Past the first few backoff steps: the refused dial is on the
+        // heap with a deadline while the stuck link waits for `POLLOUT`.
+        std::thread::sleep(Duration::from_millis(50));
+
+        let mut expect = Vec::new();
+        push_frame(&mut expect, &app(1, 8 << 20));
+        expect.extend_from_slice(&behind);
+        let mut got = vec![0u8; expect.len()];
+        let start = Instant::now();
+        peer.read_exact(&mut got).expect("the reader resumes");
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "the drain took {:?}",
+            start.elapsed()
+        );
+        assert!(got == expect, "byte stream reordered or corrupted");
+        eventually(
+            "every live frame is accounted",
+            Duration::from_secs(2),
+            || postman.net_stats().msgs_delivered == 6,
+        );
+        assert_eq!(queued(&postman), 4, "the refused peer's frames wait");
+        assert_eq!(postman.net_stats().msgs_dropped, 0);
+    }
+
     /// The peer dies with a frame half-written by a sending thread: that
     /// frame is dropped, once; the frames behind it stay queued and
     /// arrive, in order, on the redialed connection.
     #[test]
     fn peer_death_behind_a_half_written_frame_drops_it_once_and_redials() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let (postman, peer, behind) = stuck_mid_frame(&listener);
+        let (postman, peer, behind) = stuck_mid_frame(&listener, &[]);
         drop(peer); // unread bytes: the close resets the connection
         let (mut peer, _) = listener.accept().expect("redial");
         peer.set_read_timeout(Some(Duration::from_secs(10)))

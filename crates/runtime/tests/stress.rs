@@ -1,7 +1,8 @@
 //! Stress: concurrent client threads against a live cluster while
 //! machines crash and recover — exactly-once consumption and progress
 //! must survive, over both transports. And concurrent senders on one
-//! TCP link, which they and its poller take turns writing.
+//! TCP link, which they and the transport's I/O thread take turns
+//! writing.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -122,8 +123,8 @@ fn tcp_cluster_survives_churn_with_concurrent_clients() {
 
 /// Four threads send on one `(from, to)` connection. Whichever thread
 /// finds the link idle writes it, the others queue behind that write or
-/// wake the poller, which takes over whatever a sender left: every frame
-/// arrives once, and each thread's frames in the order it sent them.
+/// wake the I/O thread, which takes over whatever a sender left: every
+/// frame arrives once, and each thread's frames in the order it sent them.
 #[test]
 fn concurrent_senders_on_one_link_keep_per_sender_fifo() {
     const SENDERS: u64 = 4;

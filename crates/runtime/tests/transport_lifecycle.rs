@@ -1,5 +1,6 @@
-//! Lifecycle audit for the event-driven TCP transport: every thread the
-//! transport spawns (pollers, dialer, delay line) and every fd it or its
+//! Lifecycle audit for the event-driven TCP transport: a live transport
+//! with no delay plan runs one background thread, and every thread it
+//! spawns (the I/O thread, a delay line) and every fd it or its
 //! mailboxes open (listeners, sockets, wake pipes) must be released once
 //! the transport and its mailboxes are dropped, in either order. A leak
 //! of either would let long-lived processes that churn clusters — tests,
@@ -7,7 +8,7 @@
 
 use std::time::{Duration, Instant};
 
-use paso_runtime::{Envelope, Ledger, Mailbox, Postman, TcpTransport, TransportTuning};
+use paso_runtime::{Envelope, Mailbox, Postman, TcpTransport};
 use paso_simnet::NodeId;
 use paso_vsync::NetMsg;
 
@@ -28,13 +29,6 @@ fn fd_count() -> usize {
     std::fs::read_dir("/proc/self/fd")
         .expect("read /proc/self/fd")
         .count()
-}
-
-fn tuning() -> TransportTuning {
-    TransportTuning {
-        poller_threads: 2,
-        ..TransportTuning::default()
-    }
 }
 
 /// Waits for a measurement to settle back to (at most) `ceiling`;
@@ -58,7 +52,7 @@ fn repeated_create_drop_leaks_no_threads_or_fds() {
     // One warm-up round absorbs lazy process-wide setup (TLS, stdio,
     // allocator arenas) so the baseline reflects steady state.
     {
-        let (transport, mailboxes) = TcpTransport::with_tuning(2, tuning(), &Ledger::new());
+        let (transport, mailboxes) = TcpTransport::new(2);
         transport.send(
             NodeId(1),
             Envelope::Net {
@@ -75,7 +69,7 @@ fn repeated_create_drop_leaks_no_threads_or_fds() {
     let base_fds = fd_count();
 
     for round in 0..10 {
-        let (transport, mailboxes) = TcpTransport::with_tuning(3, tuning(), &Ledger::new());
+        let (transport, mailboxes) = TcpTransport::new(3);
         // Touch the data path so sockets actually dial and accept: a
         // transport that never connects would trivially "not leak".
         transport.send(
@@ -88,6 +82,14 @@ fn repeated_create_drop_leaks_no_threads_or_fds() {
         assert!(
             mailboxes[1].recv_timeout(Duration::from_secs(5)).is_some(),
             "round {round}: message must arrive before teardown"
+        );
+        // The I/O thread is alive, so only a joined thread procfs has not
+        // caught up with could push the count over.
+        settles_to("a live transport's threads", base_threads + 1, thread_count);
+        assert_eq!(
+            thread_count(),
+            base_threads + 1,
+            "round {round}: a live transport runs one I/O thread"
         );
         // The mailboxes own the listeners and the accepted sockets, the
         // transport the rest: alternate which goes first.

@@ -221,7 +221,9 @@ impl Entries {
 
     /// Replaces the contents with a snapshot's. The map, the signatures
     /// and the summary are built in one pass that hashes each field once;
-    /// on error `self` is unchanged.
+    /// on error `self` is unchanged. A snapshot whose rank counter or
+    /// newest rank leaves no room for the next local [`Entries::push`] is
+    /// an error: it comes from a peer's state transfer or a WAL file.
     pub fn restore(&mut self, snapshot: &Snapshot) -> Result<(), SnapshotError> {
         let bytes = snapshot.as_bytes();
         match bytes.first() {
@@ -263,6 +265,12 @@ impl Entries {
             Ok(restored)
         })()
         .map_err(|e| SnapshotError::new(e.to_string()))?;
+        if restored.next_local >= Rank::TIME_LIMIT {
+            return Err(SnapshotError::new(format!(
+                "snapshot rank counter {} leaves no 48-bit rank time to push",
+                restored.next_local
+            )));
+        }
         *self = restored;
         Ok(())
     }
@@ -388,6 +396,38 @@ mod tests {
         padded.push(0);
         let mut f = Entries::default();
         assert!(f.restore(&Snapshot::from_bytes(padded)).is_err());
+    }
+
+    /// A snapshot's bytes with the given rank counter and ranked objects.
+    fn raw_snapshot(next_local: u64, ranks: &[Rank]) -> Snapshot {
+        let mut bytes = vec![SNAPSHOT_MAGIC, SNAPSHOT_VERSION];
+        put_varint(&mut bytes, next_local);
+        put_varint(&mut bytes, ranks.len() as u64);
+        for (n, rank) in ranks.iter().enumerate() {
+            put_varint(&mut bytes, rank.0);
+            obj(n as i64).encode(&mut bytes);
+        }
+        Snapshot::from_bytes(bytes)
+    }
+
+    #[test]
+    fn restore_rejects_a_rank_counter_with_no_room_for_a_push() {
+        let mut e = Entries::default();
+        e.push(obj(1));
+        let before = e.clone();
+        let last = Rank::TIME_LIMIT - 1;
+        for snap in [
+            raw_snapshot(Rank::TIME_LIMIT, &[]),
+            raw_snapshot(0, &[Rank::new(last, 3)]),
+        ] {
+            let err = e.restore(&snap).unwrap_err();
+            assert!(err.to_string().contains("rank counter"), "{err}");
+            assert_eq!(e, before, "a rejected snapshot changed the store");
+        }
+
+        e.restore(&raw_snapshot(0, &[Rank::new(last - 1, 3)]))
+            .unwrap();
+        assert_eq!(e.push(obj(2)).time(), last);
     }
 
     #[test]

@@ -62,13 +62,16 @@ pub struct Rank(pub u64);
 paso_wire::wire_struct!(Rank { 0 });
 
 impl Rank {
+    /// Bound on a rank's logical timestamp: it has 48 bits.
+    pub const TIME_LIMIT: u64 = 1 << 48;
+
     /// Builds a rank from a logical timestamp and the origin machine index.
     ///
     /// # Panics
     ///
     /// Panics if `origin ≥ 2¹⁶` or `time ≥ 2⁴⁸`.
     pub fn new(time: u64, origin: u16) -> Self {
-        assert!(time < (1 << 48), "rank time overflow");
+        assert!(time < Self::TIME_LIMIT, "rank time overflow");
         Rank((time << 16) | origin as u64)
     }
 
