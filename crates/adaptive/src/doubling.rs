@@ -12,6 +12,33 @@
 use crate::counter::BasicCounter;
 use crate::model::{Event, Membership, ModelParams, Strategy};
 
+/// Theorem 3's reset: the working threshold `k_m` after the true join cost
+/// is measured at `k`. `k_m` is doubled while `k ≥ 2·k_m` and halved while
+/// `2·k ≤ k_m`, so it moves only once `k` has drifted 2× away and then
+/// lands within a factor of 2 of it. The one rule behind
+/// [`DoublingStrategy`] and the memory server's measured `K`.
+///
+/// # Examples
+///
+/// ```
+/// use paso_adaptive::retune_k;
+///
+/// assert_eq!(retune_k(16, 31), 16);
+/// assert_eq!(retune_k(16, 70), 64);
+/// assert_eq!(retune_k(64, 32), 32);
+/// ```
+pub fn retune_k(k_m: u64, k: u64) -> u64 {
+    let mut k_m = k_m.max(1);
+    // `k ≥ 2·k_m` and `2·k ≤ k_m`, in forms that cannot overflow.
+    while k / 2 >= k_m {
+        k_m *= 2;
+    }
+    while k_m >= 2 && k <= k_m / 2 {
+        k_m /= 2;
+    }
+    k_m
+}
+
 /// Doubling/halving wrapper around the Basic counter; `(6 + 2λ/K)`-
 /// competitive per Theorem 3.
 ///
@@ -70,19 +97,8 @@ impl DoublingStrategy {
     }
 
     fn retune(&mut self) {
-        let true_k = Self::g(self.ell);
-        let mut changed = false;
-        while true_k >= self.k_m * 2 {
-            self.k_m *= 2;
-            changed = true;
-        }
-        while self.k_m >= 2 && true_k * 2 <= self.k_m {
-            self.k_m /= 2;
-            changed = true;
-        }
-        if changed {
-            self.counter.set_k(self.k_m);
-        }
+        self.k_m = retune_k(self.k_m, Self::g(self.ell));
+        self.counter.set_k(self.k_m);
     }
 }
 
@@ -177,6 +193,36 @@ mod tests {
     use crate::model::run_strategy;
     use crate::model::Event::{Delete, Insert};
     const READ: Event = Event::READ;
+
+    #[test]
+    fn retune_k_moves_only_at_a_factor_of_two() {
+        // Doubling edge: K stays until the measure reaches 2·k_m.
+        assert_eq!(retune_k(16, 16), 16);
+        assert_eq!(retune_k(16, 31), 16);
+        assert_eq!(retune_k(16, 32), 32);
+        assert_eq!(retune_k(16, 63), 32);
+        assert_eq!(retune_k(16, 64), 64);
+        assert_eq!(retune_k(16, 127), 64);
+        // Halving edge: K stays while the measure is above k_m / 2.
+        assert_eq!(retune_k(64, 33), 64);
+        assert_eq!(retune_k(64, 32), 32);
+        assert_eq!(retune_k(64, 17), 32);
+        assert_eq!(retune_k(64, 16), 16);
+        assert_eq!(retune_k(5, 3), 5);
+        assert_eq!(retune_k(5, 2), 2);
+        // Floors and extremes.
+        assert_eq!(retune_k(64, 1), 1);
+        assert_eq!(retune_k(64, 0), 1);
+        assert_eq!(retune_k(0, 0), 1);
+        assert_eq!(retune_k(1, u64::MAX), 1 << 63);
+        for k_m in [1u64, 2, 3, 16, 64, 1000] {
+            for k in 1..5000 {
+                let next = retune_k(k_m, k);
+                assert!(next < 2 * k && k < 2 * next, "k_m {k_m}, k {k} → {next}");
+                assert_eq!(retune_k(next, k), next, "a second retune is a no-op");
+            }
+        }
+    }
 
     #[test]
     fn k_doubles_as_class_grows() {

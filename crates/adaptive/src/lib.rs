@@ -46,7 +46,7 @@ pub mod support;
 
 pub use competitive::{measure, oscillation_adversary, RatioReport};
 pub use counter::{Advice, BasicCounter, BasicStrategy};
-pub use doubling::{optimum_variable_k, DoublingStrategy};
+pub use doubling::{optimum_variable_k, retune_k, DoublingStrategy};
 pub use model::{run_strategy, AlwaysIn, Event, Membership, ModelParams, NeverIn, Strategy};
 pub use opt::{optimum, schedule_cost, OptSchedule};
 pub use potential::{verify_theorem2, PotentialReport};

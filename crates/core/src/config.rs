@@ -97,7 +97,9 @@ pub struct PasoConfig {
     pub classifier: ClassifierKind,
     /// Default per-class store structure.
     pub default_store: StoreKind,
-    /// The adaptive join threshold `K` (time units to join a class).
+    /// The prior for the adaptive join threshold `K`: the value a
+    /// machine's counter for a class starts at, before it has measured
+    /// what a join of that class ships (`MemoryServer::counter_k`).
     pub k_join: u64,
     /// Query cost `q` relative to update cost (§5.1's extension for
     /// tree/list-backed classes where `Q(·)` exceeds `I(·)/D(·)`). The
@@ -287,7 +289,7 @@ impl PasoConfigBuilder {
         self
     }
 
-    /// Sets the adaptive join threshold `K`.
+    /// Sets the prior for the adaptive join threshold `K`.
     pub fn k_join(mut self, k: u64) -> Self {
         self.cfg.k_join = k;
         self

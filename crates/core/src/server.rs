@@ -10,17 +10,19 @@
 //!   including the blocking variants via busy-wait or read-markers (§4.3);
 //! - runs the **Basic algorithm** ([`BasicCounter`]) per class to decide
 //!   adaptive `g-join`/`g-leave` of write groups (§5.1) — the very same
-//!   kernel analyzed in the competitive experiments;
+//!   kernel analyzed in the competitive experiments — at Theorem 3's
+//!   doubling/halving `K`, measured in bytes;
 //! - serves state snapshots for joining servers and erases state on leave.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
-use paso_adaptive::{Advice, BasicCounter, ModelParams};
+use paso_adaptive::{retune_k, Advice, BasicCounter, ModelParams};
 use paso_simnet::NodeId;
 use paso_storage::{AutoStore, ClassStore, ClassSummary, Cost, Rank, Snapshot};
 use paso_types::{ClassId, Classifier, PasoObject, SearchCriterion};
 use paso_vsync::{Delivery, GcastError, GroupApp, GroupId, View, VsyncOps};
+use paso_wire::{varint_len, Wire};
 
 use crate::config::{BlockingMode, PasoConfig, ReadMode};
 use crate::groups::{group_class, rg_group, wg_group, GroupKind};
@@ -80,6 +82,43 @@ struct ClassState {
 
 paso_wire::wire_struct!(ClassState { store, markers });
 
+/// The Basic counter of one class at a machine outside `B(C)`, with the
+/// join cost of Theorem 3 measured in bytes. The counter's `K` is the
+/// working threshold `k_m`: [`PasoConfig::k_join`] until the first
+/// measurement, then moved by [`retune_k`] whenever `⌈S/ū⌉` drifts 2×
+/// away from it.
+#[derive(Debug)]
+struct ClassCounter {
+    basic: BasicCounter,
+    /// S: encoded bytes of the class state last held here — the
+    /// `ClassState` installed on joining, then the replica's live size
+    /// as of the last update applied.
+    state_bytes: u64,
+    /// Gcast payload bytes of the updates applied here, and how many:
+    /// ū = `update_bytes / updates`.
+    update_bytes: u64,
+    updates: u64,
+}
+
+impl ClassCounter {
+    /// `⌈S/ū⌉`, a join's cost in update units; `None` until an update
+    /// has been applied here.
+    fn join_cost(&self) -> Option<u64> {
+        (self.updates > 0).then(|| {
+            let cost = (u128::from(self.state_bytes) * u128::from(self.updates))
+                .div_ceil(u128::from(self.update_bytes.max(1)));
+            u64::try_from(cost).unwrap_or(u64::MAX)
+        })
+    }
+
+    fn retune(&mut self) {
+        if let Some(cost) = self.join_cost() {
+            let k_m = self.basic.params().k_join;
+            self.basic.set_k(retune_k(k_m, cost));
+        }
+    }
+}
+
 /// What one handler call wants sent, collected while the macro expansions
 /// run and shipped by [`MemoryServer::flush`] when the handler returns: at
 /// most one gcast per group and one completion frame per gateway, however
@@ -124,7 +163,7 @@ pub struct MemoryServer {
     basic: BTreeMap<ClassId, Vec<NodeId>>,
     stores: BTreeMap<ClassId, AutoStore>,
     markers: BTreeMap<ClassId, Vec<MarkerEntry>>,
-    counters: BTreeMap<ClassId, BasicCounter>,
+    counters: BTreeMap<ClassId, ClassCounter>,
     pending: BTreeMap<u64, PendingOp>,
     outbox: Outbox,
     /// Batch gcasts in flight: token → the op ids the batch carries, in
@@ -264,7 +303,32 @@ impl MemoryServer {
     /// The Basic-algorithm counter value for `class` (experiments observe
     /// adaptation through this).
     pub fn counter_value(&self, class: ClassId) -> Option<u64> {
-        self.counters.get(&class).map(|c| c.value())
+        self.counters.get(&class).map(|c| c.basic.value())
+    }
+
+    /// The join threshold `K` the counter for `class` runs at: the
+    /// [`PasoConfig::k_join`] prior until this machine has measured the
+    /// class, then Theorem 3's working value `k_m`.
+    pub fn counter_k(&self, class: ClassId) -> Option<u64> {
+        self.counters.get(&class).map(|c| c.basic.params().k_join)
+    }
+
+    /// `⌈S/ū⌉` for `class`: the bytes of the class state this machine last
+    /// held over the mean payload of the updates it applied, i.e. what a
+    /// join ships in update units. `None` before its first applied update.
+    pub fn join_cost(&self, class: ClassId) -> Option<u64> {
+        self.counters.get(&class).and_then(ClassCounter::join_cost)
+    }
+
+    /// Encoded bytes of the `ClassState` a `g-join` of `class` ships now,
+    /// counted without encoding it.
+    fn state_len(&self, class: ClassId) -> u64 {
+        let store = self.stores.get(&class).map_or(0, |s| s.snapshot_len());
+        let markers = self
+            .markers
+            .get(&class)
+            .map_or(varint_len(0), |m| m.encoded_len());
+        (varint_len(store as u64) + store + markers) as u64
     }
 
     fn failed_of(&self, class: ClassId) -> u64 {
@@ -273,12 +337,15 @@ impl MemoryServer {
         })
     }
 
-    fn counter(&mut self, class: ClassId) -> &mut BasicCounter {
+    fn counter(&mut self, class: ClassId) -> &mut ClassCounter {
         let params =
             ModelParams::with_query_cost(self.cfg.lambda as u64, self.cfg.k_join, self.cfg.q_cost);
-        self.counters
-            .entry(class)
-            .or_insert_with(|| BasicCounter::new(params))
+        self.counters.entry(class).or_insert_with(|| ClassCounter {
+            basic: BasicCounter::new(params),
+            state_bytes: 0,
+            update_bytes: 0,
+            updates: 0,
+        })
     }
 
     /// Reorders a read's `sc-list` so classes whose summaries rule the
@@ -568,7 +635,7 @@ impl MemoryServer {
                         vs.charge_work(cost.0);
                         vs.count("op.read.local", 1.0);
                         if self.cfg.adaptive && !self.is_basic(class) {
-                            self.counter(class).record_local_read();
+                            self.counter(class).basic.record_local_read();
                         }
                         match found {
                             Some(obj) => {
@@ -672,16 +739,29 @@ impl MemoryServer {
         vs.set_app_timer(interval, op_id);
     }
 
-    /// Adaptive bookkeeping when this member applies an update (§5.1,
-    /// third rule). Never lets basic-support machines leave.
-    fn record_member_update(&mut self, vs: &mut dyn VsyncOps<ClientDone>, class: ClassId) {
+    /// Adaptive bookkeeping when this member applies an update of
+    /// `bytes` payload bytes (§5.1, third rule): `S` and `ū` take the
+    /// update in and `K` is retuned before the counter decays. Never lets
+    /// basic-support machines leave.
+    fn record_member_update(
+        &mut self,
+        vs: &mut dyn VsyncOps<ClientDone>,
+        class: ClassId,
+        bytes: u64,
+    ) {
         if !self.cfg.adaptive || self.is_basic(class) {
             return;
         }
         if !vs.is_member(wg_group(class)) {
             return;
         }
+        let state_bytes = self.state_len(class);
         let counter = self.counter(class);
+        counter.state_bytes = state_bytes;
+        counter.update_bytes += bytes;
+        counter.updates += 1;
+        counter.retune();
+        let counter = &mut counter.basic;
         if !counter.is_member() {
             counter.set_member(true);
         }
@@ -702,7 +782,7 @@ impl MemoryServer {
         if !self.cfg.adaptive || self.is_basic(class) || vs.is_member(wg_group(class)) {
             return;
         }
-        let counter = self.counter(class);
+        let counter = &mut self.counter(class).basic;
         if counter.is_member() {
             // A join is already in flight; don't double-count.
             return;
@@ -715,12 +795,14 @@ impl MemoryServer {
 
     /// Applies one replicated op to this member's state: the per-op body
     /// of [`GroupApp::deliver`], shared by plain and batch payloads.
-    /// Returns the op's response and its local work.
+    /// `bytes` is the op's share of the gcast payload. Returns the op's
+    /// response and its local work.
     fn apply(
         &mut self,
         vs: &mut dyn VsyncOps<ClientDone>,
         group: GroupId,
         op: ReplOp,
+        bytes: u64,
     ) -> (OpResponse, u64) {
         match op {
             ReplOp::Store {
@@ -752,7 +834,7 @@ impl MemoryServer {
                         vs.send_app(origin, encode(&AppMsg::MarkerWake { op_id }));
                     }
                 }
-                self.record_member_update(vs, class);
+                self.record_member_update(vs, class, bytes);
                 let failed = self.failed_of(class);
                 (
                     OpResponse {
@@ -782,7 +864,7 @@ impl MemoryServer {
                     .get_mut(&class)
                     .map(|s| s.remove(&sc))
                     .unwrap_or((None, Cost::ZERO));
-                self.record_member_update(vs, class);
+                self.record_member_update(vs, class, bytes);
                 let failed = self.failed_of(class);
                 (
                     OpResponse {
@@ -1074,10 +1156,11 @@ impl GroupApp for MemoryServer {
         let applied = if payload.first() == Some(&ReplBatch::TAG) {
             try_decode::<ReplBatch>(payload).map(|ReplBatch(ops)| {
                 let mut work = 0;
+                let share = (payload.len() / ops.len().max(1)) as u64;
                 let responses: Vec<OpResponse> = ops
                     .into_iter()
                     .map(|op| {
-                        let (response, cost) = self.apply(vs, group, op);
+                        let (response, cost) = self.apply(vs, group, op, share);
                         work += cost;
                         response
                     })
@@ -1089,7 +1172,7 @@ impl GroupApp for MemoryServer {
             })
         } else {
             try_decode::<ReplOp>(payload).map(|op| {
-                let (response, work) = self.apply(vs, group, op);
+                let (response, work) = self.apply(vs, group, op, payload.len() as u64);
                 Delivery {
                     response: encode(&response),
                     work,
@@ -1173,6 +1256,11 @@ impl GroupApp for MemoryServer {
         }
         self.stores.insert(class, store);
         self.markers.insert(class, cs.markers);
+        if self.cfg.adaptive && !self.is_basic(class) {
+            let counter = self.counter(class);
+            counter.state_bytes = state.len() as u64;
+            counter.retune();
+        }
     }
 
     fn erase(&mut self, group: GroupId) {
@@ -1183,7 +1271,7 @@ impl GroupApp for MemoryServer {
         self.stores.remove(&class);
         self.markers.remove(&class);
         if let Some(c) = self.counters.get_mut(&class) {
-            c.set_member(false);
+            c.basic.set_member(false);
         }
     }
 
@@ -1199,7 +1287,7 @@ impl GroupApp for MemoryServer {
         }
         let member = view.contains(self.id);
         if self.cfg.adaptive && !self.is_basic(class) {
-            self.counter(class).set_member(member);
+            self.counter(class).basic.set_member(member);
         }
         // Basic members re-enter the read group only once their write-
         // group state is installed, so rg answers are never served from a
@@ -1235,5 +1323,36 @@ mod tests {
         assert_eq!(state.encoded_len(), bytes.len());
         let back: ClassState = decode_exact(&bytes).unwrap();
         assert_eq!(encode_to_vec(&back), bytes);
+    }
+
+    /// `S` is counted, not encoded: it must equal the `ClassState` bytes a
+    /// join of the class would ship, store and markers included.
+    #[test]
+    fn state_len_is_the_join_transfer_byte_count() {
+        let cfg = Arc::new(PasoConfig::builder(4, 1).build());
+        let mut server = MemoryServer::new(NodeId(0), cfg, BTreeMap::new());
+        let class = ClassId(2);
+        let shipped = |s: &MemoryServer| s.snapshot(wg_group(class)).len() as u64;
+        assert_eq!(server.state_len(class), shipped(&server), "no store yet");
+        let mut store = AutoStore::default();
+        for n in 0..300 {
+            let fields = vec![Value::symbol("task"), Value::Int(n * 977)];
+            store.store(PasoObject::new(
+                paso_types::ObjectId::new(paso_types::ProcessId(1), n as u64),
+                fields,
+            ));
+        }
+        server.stores.insert(class, store);
+        assert_eq!(server.state_len(class), shipped(&server));
+        server.markers.insert(
+            class,
+            vec![MarkerEntry {
+                sc: SearchCriterion::from(Template::exact(vec![Value::Int(5)])),
+                origin: NodeId(3),
+                op_id: 300,
+                expires_micros: 1_000_000,
+            }],
+        );
+        assert_eq!(server.state_len(class), shipped(&server));
     }
 }

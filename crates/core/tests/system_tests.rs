@@ -1,6 +1,7 @@
 //! End-to-end tests of the simulated PASO system: semantics, fault
 //! tolerance, state transfer, blocking operations, and adaptivity.
 
+use paso_adaptive::retune_k;
 use paso_core::{BlockingMode, ClientResult, PasoConfig, SimSystem, Violation};
 use paso_simnet::SimTime;
 use paso_types::{ClassId, FieldMatcher, SearchCriterion, Template, Value};
@@ -285,6 +286,97 @@ fn adaptive_member_leaves_after_update_burst() {
         0,
         "leaver must erase its replica"
     );
+    assert!(sys.check_semantics().ok());
+}
+
+/// Theorem 3 on measured bytes: an outsider's K is the `k_join` prior
+/// until it has applied an update of the class, then `retune_k` of its
+/// measured join cost `⌈S/ū⌉`, moving only when that cost drifts 2× away.
+#[test]
+fn adaptive_k_is_the_prior_until_measured_then_doubles_and_halves_with_the_class() {
+    let k_join = 16;
+    let mut sys = SimSystem::new(PasoConfig::builder(6, 1).seed(14).k_join(k_join).build());
+    for i in 0..96 {
+        sys.insert(0, task(i));
+    }
+    let members = basic_members(&sys, TASK_CLASS);
+    let outsider = (0..6u32).find(|n| !members.contains(n)).unwrap();
+    let writer = members[0];
+    let k = |sys: &SimSystem| sys.server(outsider).counter_k(TASK_CLASS);
+    let cost = |sys: &SimSystem| sys.server(outsider).join_cost(TASK_CLASS);
+
+    // Remote reads (2 units each at λ = 1) run the counter at the prior,
+    // and the join itself measures nothing: no update applied yet.
+    while sys.server(outsider).store_len(TASK_CLASS) == 0 {
+        assert_eq!(sys.stats().counter("adaptive.join"), 0.0);
+        assert!(sys.read(outsider, sc_any_task()).is_some());
+        sys.run_for(SimTime::from_millis(20));
+        assert_eq!(k(&sys), Some(k_join));
+        assert_eq!(cost(&sys), None);
+    }
+
+    // The first applied update measures the class: 97 objects' worth of
+    // state over one update's payload.
+    sys.insert(writer, task(96));
+    sys.run_for(SimTime::from_millis(20));
+    let ell = sys.server(outsider).store_len(TASK_CLASS) as u64;
+    assert_eq!(ell, 97);
+    let measured = cost(&sys).expect("an applied update measures the class");
+    assert!(
+        (ell / 2..=2 * ell).contains(&measured),
+        "⌈S/ū⌉ = {measured} for {ell} objects"
+    );
+    let first = retune_k(k_join, measured);
+    assert_eq!(k(&sys), Some(first));
+    assert_eq!(
+        first, 64,
+        "16 doubles twice to reach within 2× of {measured}"
+    );
+
+    // Steps K through the rule after each batch of at most two updates,
+    // with two local reads that hold the outsider in the group.
+    let mut expect = first;
+    let mut step = |sys: &mut SimSystem, update: &dyn Fn(&mut SimSystem)| {
+        update(sys);
+        sys.run_for(SimTime::from_millis(20));
+        for _ in 0..2 {
+            assert!(sys.read(outsider, sc_any_task()).is_some());
+        }
+        assert!(
+            sys.server(outsider).store_len(TASK_CLASS) > 0,
+            "still a member"
+        );
+        let measured = cost(sys).unwrap();
+        expect = retune_k(expect, measured);
+        assert_eq!(k(sys), Some(expect), "⌈S/ū⌉ = {measured}");
+        (expect, measured)
+    };
+
+    // Churn that keeps the class at 97 objects never moves K.
+    for i in 0..20 {
+        let (k_now, measured) = step(&mut sys, &|sys| {
+            sys.insert(writer, task(100 + i));
+            assert!(sys.read_del(writer, sc_task(i)).is_some());
+        });
+        assert_eq!(k_now, first, "K moved at ⌈S/ū⌉ = {measured}");
+    }
+
+    // Shrinking the class halves K once ⌈S/ū⌉ falls to half of it.
+    let mut shrunk = None;
+    for i in 20..96 {
+        let (k_now, measured) = step(&mut sys, &|sys| {
+            assert!(sys.read_del(writer, sc_task(i)).is_some());
+        });
+        if k_now < first {
+            assert_eq!(k_now, first / 2);
+            assert!(measured <= first / 2);
+            shrunk = Some(sys.server(outsider).store_len(TASK_CLASS));
+            break;
+        }
+        assert!(measured > first / 2);
+    }
+    let ell = shrunk.expect("K halves before the class drains");
+    assert!(ell < 97 / 2, "K halved at {ell} objects");
     assert!(sys.check_semantics().ok());
 }
 

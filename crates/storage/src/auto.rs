@@ -114,6 +114,10 @@ impl ClassStore for AutoStore {
         self.inner().snapshot()
     }
 
+    fn snapshot_len(&self) -> usize {
+        self.inner().snapshot_len()
+    }
+
     fn restore(&mut self, snapshot: &Snapshot) -> Result<(), SnapshotError> {
         self.inner_mut().restore(snapshot)
     }

@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 
 use paso_types::{PasoObject, SearchCriterion};
-use paso_wire::{put_varint, Reader, Wire};
+use paso_wire::{put_varint, varint_len, Reader, Wire};
 
 use crate::store::{Cost, Rank, Snapshot, SnapshotError};
 use crate::summary::{criterion_signature, ClassSummary};
@@ -92,6 +92,9 @@ pub(crate) struct Entries {
     summary: ClassSummary,
     /// Removals since the summary was last rebuilt from the live set.
     removed_since_rebuild: u64,
+    /// Encoded bytes of the `(rank, object)` pairs in a snapshot, kept on
+    /// every push and remove so [`Entries::snapshot_len`] costs nothing.
+    live_bytes: usize,
 }
 
 /// Signatures and the summary are derived from the map, so equality (used
@@ -120,7 +123,9 @@ impl Entries {
         // ranked entries never collide in time.
         self.next_local = self.next_local.max(rank.time() + 1);
         let sig = self.summary.note_insert_signed(&obj);
+        self.live_bytes += slot_len(rank, &obj);
         let displaced = self.map.insert(rank, Slot { sig, obj })?;
+        self.live_bytes -= slot_len(rank, &displaced.obj);
         // The summary double-counted the displaced object. Rebuild to
         // stay exact on `len`.
         self.rebuild_summary();
@@ -133,6 +138,7 @@ impl Entries {
 
     pub fn remove(&mut self, rank: Rank) -> Option<PasoObject> {
         let removed = self.map.remove(&rank)?;
+        self.live_bytes -= slot_len(rank, &removed.obj);
         self.summary.note_remove();
         self.removed_since_rebuild += 1;
         // Amortized O(1): after more removals than survivors, pay one
@@ -192,6 +198,7 @@ impl Entries {
         self.map.clear();
         self.summary = ClassSummary::new();
         self.removed_since_rebuild = 0;
+        self.live_bytes = 0;
         // next_local deliberately NOT reset: local ranks stay unique for
         // the lifetime of the store.
     }
@@ -200,14 +207,13 @@ impl Entries {
         self.map.values().map(|slot| slot.obj.clone()).collect()
     }
 
+    /// The length of [`Entries::snapshot`]'s bytes, without encoding them.
+    pub fn snapshot_len(&self) -> usize {
+        2 + varint_len(self.next_local) + varint_len(self.map.len() as u64) + self.live_bytes
+    }
+
     pub fn snapshot(&self) -> Snapshot {
-        let mut bytes = Vec::with_capacity(
-            16 + self
-                .map
-                .values()
-                .map(|slot| slot.obj.encoded_len())
-                .sum::<usize>(),
-        );
+        let mut bytes = Vec::with_capacity(self.snapshot_len());
         bytes.push(SNAPSHOT_MAGIC);
         bytes.push(SNAPSHOT_VERSION);
         put_varint(&mut bytes, self.next_local);
@@ -250,7 +256,11 @@ impl Entries {
                 let rank = Rank(r.varint()?);
                 let obj = PasoObject::decode(&mut r)?;
                 let sig = restored.summary.note_insert_signed(&obj);
-                collided |= restored.map.insert(rank, Slot { sig, obj }).is_some();
+                restored.live_bytes += slot_len(rank, &obj);
+                if let Some(old) = restored.map.insert(rank, Slot { sig, obj }) {
+                    restored.live_bytes -= slot_len(rank, &old.obj);
+                    collided = true;
+                }
             }
             if r.remaining() != 0 {
                 return Err(paso_wire::WireError::TrailingBytes {
@@ -274,6 +284,11 @@ impl Entries {
         *self = restored;
         Ok(())
     }
+}
+
+/// Snapshot bytes of one entry.
+fn slot_len(rank: Rank, obj: &PasoObject) -> usize {
+    varint_len(rank.0) + obj.encoded_len()
 }
 
 #[cfg(test)]
@@ -438,6 +453,30 @@ mod tests {
             e.push(obj(n));
         }
         assert!(e.snapshot().len() > empty + 10);
+    }
+
+    #[test]
+    fn snapshot_len_is_the_snapshot_byte_count_after_every_change() {
+        let mut e = Entries::default();
+        let exact = |e: &Entries| assert_eq!(e.snapshot_len(), e.snapshot().len());
+        exact(&e);
+        for n in 0..200 {
+            e.push(obj(n * 1000));
+            exact(&e);
+        }
+        // A displaced object leaves the count with its slot.
+        e.push_ranked(obj(-1), Rank::new(3, LOCAL_ORIGIN));
+        exact(&e);
+        let ranks: Vec<Rank> = e.iter().map(|(r, _)| r).step_by(3).collect();
+        for r in ranks {
+            e.remove(r);
+            exact(&e);
+        }
+        let mut restored = Entries::default();
+        restored.restore(&e.snapshot()).unwrap();
+        assert_eq!(restored.snapshot_len(), e.snapshot_len());
+        e.clear();
+        exact(&e);
     }
 
     #[test]

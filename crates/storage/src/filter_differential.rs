@@ -163,6 +163,7 @@ fn store_reference(store: &AutoStore, sc: &SearchCriterion) -> (Option<PasoObjec
 }
 
 fn check_entries(e: &Entries, probes: &[SearchCriterion]) -> Result<(), TestCaseError> {
+    prop_assert_eq!(e.snapshot_len(), e.snapshot().len());
     for sc in probes {
         prop_assert_eq!(e.find_oldest(sc), reference(e.iter(), sc), "{}", sc);
     }
@@ -171,6 +172,7 @@ fn check_entries(e: &Entries, probes: &[SearchCriterion]) -> Result<(), TestCase
 
 fn check_store(store: &AutoStore, probes: &[SearchCriterion]) -> Result<(), TestCaseError> {
     let kind = store.kind();
+    prop_assert_eq!(store.snapshot_len(), store.snapshot().len(), "{}", kind);
     for sc in probes {
         let (found, cost) = store.mem_read(sc);
         let (expected, expected_cost) = store_reference(store, sc);

@@ -98,6 +98,10 @@ impl ClassStore for HashStore {
         self.entries.snapshot()
     }
 
+    fn snapshot_len(&self) -> usize {
+        self.entries.snapshot_len()
+    }
+
     fn restore(&mut self, snapshot: &Snapshot) -> Result<(), SnapshotError> {
         self.entries.restore(snapshot)?;
         self.index = HashIndex::build(&self.entries);

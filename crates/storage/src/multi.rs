@@ -126,6 +126,10 @@ impl ClassStore for MultiStore {
         self.entries.snapshot()
     }
 
+    fn snapshot_len(&self) -> usize {
+        self.entries.snapshot_len()
+    }
+
     fn restore(&mut self, snapshot: &Snapshot) -> Result<(), SnapshotError> {
         self.entries.restore(snapshot)?;
         self.hash = HashIndex::build(&self.entries);

@@ -107,6 +107,10 @@ impl ClassStore for OrderedStore {
         self.entries.snapshot()
     }
 
+    fn snapshot_len(&self) -> usize {
+        self.entries.snapshot_len()
+    }
+
     fn restore(&mut self, snapshot: &Snapshot) -> Result<(), SnapshotError> {
         self.entries.restore(snapshot)?;
         self.index = OrderedIndex::build(&self.entries);

@@ -71,6 +71,10 @@ impl ClassStore for ScanStore {
         self.entries.snapshot()
     }
 
+    fn snapshot_len(&self) -> usize {
+        self.entries.snapshot_len()
+    }
+
     fn restore(&mut self, snapshot: &Snapshot) -> Result<(), SnapshotError> {
         self.entries.restore(snapshot)
     }

@@ -221,6 +221,11 @@ pub trait ClassStore: Send + fmt::Debug {
     /// Serializes the complete store state for `g-join` state transfer.
     fn snapshot(&self) -> Snapshot;
 
+    /// The byte length of [`ClassStore::snapshot`], kept up to date on
+    /// `store`/`remove` rather than encoded: what a `g-join` of the class
+    /// would ship now.
+    fn snapshot_len(&self) -> usize;
+
     /// Replaces this store's contents with a snapshot's.
     ///
     /// # Errors

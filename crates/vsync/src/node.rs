@@ -1039,6 +1039,22 @@ impl<A: GroupApp> VsyncNode<A> {
                 }
             }
         };
+        // Snapshot *now*: as sequencer, the leader's state reflects exactly
+        // the deliveries ordered before this view change. Unless there is
+        // no gap at all, the snapshot is encoded even when a delta is
+        // possible, and the smaller of the two ships: a rejoiner that
+        // missed more than the state holds is sent the state. Only a
+        // crash-rejoin can take a delta, so the extra encode is rare.
+        let delta_len =
+            |entries: &[LogEntry]| entries.iter().map(|e| e.encoded_len() as u64).sum::<u64>();
+        let full = match &delta {
+            Some(entries) if entries.is_empty() => None,
+            _ => Some(paso_wire::encode_to_vec(&self.snapshot_group(group))),
+        };
+        let delta = delta.filter(|entries| {
+            full.as_ref()
+                .is_none_or(|state| delta_len(entries) <= state.len() as u64)
+        });
         match delta {
             Some(entries) => {
                 let (epoch, from_seq) = {
@@ -1046,8 +1062,7 @@ impl<A: GroupApp> VsyncNode<A> {
                     (gs.epoch, wm_seq)
                 };
                 ctx.count("join.delta_hit", 1.0);
-                let bytes: u64 = entries.iter().map(|e| e.encoded_len() as u64).sum();
-                ctx.record("join.transfer_bytes", bytes);
+                ctx.record("join.transfer_bytes", delta_len(&entries));
                 ctx.send(
                     joiner,
                     NetMsg::Vsync(VsyncMsg::StateXferDelta {
@@ -1060,11 +1075,7 @@ impl<A: GroupApp> VsyncNode<A> {
                 );
             }
             None => {
-                // Snapshot *now*: as sequencer, the leader's state
-                // reflects exactly the deliveries ordered before this
-                // view change.
-                let snap = self.snapshot_group(group);
-                let bytes = paso_wire::encode_to_vec(&snap);
+                let bytes = full.expect("no delta means the snapshot was encoded");
                 ctx.count("join.full_xfer", 1.0);
                 ctx.record("join.transfer_bytes", bytes.len() as u64);
                 ctx.send(

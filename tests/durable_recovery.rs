@@ -120,6 +120,56 @@ fn gap_beyond_log_horizon_falls_back_to_full_transfer() {
     assert!(report.ok(), "post-recovery trace: {:?}", report.violations);
 }
 
+/// A delta is shipped only while it is the smaller transfer: a rejoiner
+/// that missed many inserts and removes of a class that stayed small is
+/// sent the state instead, though its watermark is still in the log.
+#[test]
+fn a_gap_that_outweighs_the_store_ships_the_store() {
+    let mut sys = durable_sys(23);
+    let class = ClassId(2);
+    let victim = (0..5u32)
+        .find(|m| sys.server(*m).is_basic(class))
+        .expect("some machine hosts the class");
+    let issuer = (0..5u32).find(|m| *m != victim).unwrap();
+    for v in 1..=4 {
+        sys.insert(issuer, fields(v));
+    }
+    sys.crash(victim);
+    sys.run_for(SimTime::from_millis(100));
+    // 60 missed deliveries, 4 more objects in the store.
+    for v in 5..=34 {
+        sys.insert(issuer, fields(v));
+        if v > 8 {
+            assert!(sys.read_del(issuer, sc_eq(v)).is_some());
+        }
+    }
+    sys.repair(victim);
+    sys.run_for(SimTime::from_millis(500));
+    sys.settle(5_000_000);
+
+    let snap = sys.telemetry().snapshot();
+    assert!(snap.counter("wal.recovered_records") > 0.0);
+    // The victim's other groups never delivered, so they rejoin by full
+    // transfer too; the gapped group's delta would have been 934 B.
+    assert!(
+        snap.counter("join.delta_hit") == 0.0 && snap.counter("join.full_xfer") >= 1.0,
+        "the gapped group must take the full transfer (delta {}, full {}, largest {} B)",
+        snap.counter("join.delta_hit"),
+        snap.counter("join.full_xfer"),
+        snap.hist("join.transfer_bytes").max,
+    );
+    for v in 1..=34 {
+        assert_eq!(
+            sys.read(victim, sc_eq(v)).is_some(),
+            v <= 8,
+            "object {v} at the rejoined victim"
+        );
+    }
+    let report = check_trace(&sys.trace_events());
+    assert!(report.ok(), "post-recovery trace: {:?}", report.violations);
+    assert!(sys.check_semantics().ok());
+}
+
 /// Fills a `store`-object class, crashes one basic member, misses `gap`
 /// more inserts, repairs it, and returns the largest join transfer in
 /// bytes (the gapped group's; the victim's other groups rejoin with
@@ -283,17 +333,23 @@ fn batch_deliveries_replay_from_the_wal_tail_and_from_a_delta() {
     insert_batch(&link, sequencer, 13..=16);
     assert_eq!(count("op.batch.gcasts"), 4.0, "each batch was one gcast");
 
+    // The victim rejoins each of its groups on its own. Those that never
+    // delivered take full transfers, which can land before the gapped
+    // group's delta: wait for the delta itself.
     cluster.recover(victim);
     let deadline = Instant::now() + Duration::from_secs(30);
-    while count("join.delta_hit") + count("join.full_xfer") < 1.0 {
-        assert!(Instant::now() < deadline, "the victim never rejoined");
+    while count("join.delta_hit") < 1.0 {
+        assert!(
+            Instant::now() < deadline,
+            "the gap never came as a delta ({} full transfers)",
+            count("join.full_xfer")
+        );
         std::thread::sleep(Duration::from_millis(10));
     }
     assert!(
         count("wal.recovered_records") > 0.0,
         "the WAL tail replayed"
     );
-    assert!(count("join.delta_hit") >= 1.0, "the gap came as a delta");
 
     // The victim holds every object: it is a member again, so these
     // reads are served from its own replica...

@@ -62,7 +62,10 @@ fn server_counter_mirrors_the_abstract_counter() {
         assert_eq!(sys.server(reader).counter_value(class), Some(model.value()));
     }
 
-    // Phase 3: updates drain it until Leave.
+    // Phase 3: updates drain it until Leave. An applied update is also
+    // the server's first measurement of the class: from then on its K is
+    // Theorem 3's working value, retuned on the measured bytes before the
+    // counter decays, so the model runs at the server's K.
     let mut left = false;
     for i in 0..10 {
         if left {
@@ -70,6 +73,8 @@ fn server_counter_mirrors_the_abstract_counter() {
         }
         sys.insert(writer, vec![Value::symbol("x"), Value::Int(i + 1)]);
         sys.run_for(SimTime::from_millis(30));
+        let server_k = sys.server(reader).counter_k(class).expect("a counter");
+        model.set_k(server_k);
         if model.record_update() == Advice::Leave {
             left = true;
         }
