@@ -11,7 +11,7 @@
 //! Usage: `cargo run --release -p paso-bench --bin exp_fig1`
 
 use paso_bench::{f1, f2, Table};
-use paso_core::{encode, ClientResult, OpResponse, PasoConfig, ReplOp, SimSystem};
+use paso_core::{encode, ClientResult, OpResponse, PasoConfig, ReadMode, ReplOp, SimSystem};
 use paso_simnet::{CostModel, SimTime};
 use paso_storage::Rank;
 use paso_types::{
@@ -54,6 +54,7 @@ fn measure(lambda: usize, payload: usize, op: &str, prefill: usize) -> (Measured
         .seed(42)
         .cost_model(CostModel::new(ALPHA, BETA))
         .adaptive(false) // isolate the primitive; no adaptive traffic
+        .read_mode(ReadMode::GroupCast) // the paper's §4.3 remote read
         .build();
     let mut sys = SimSystem::new(cfg);
     // Prefill so reads have something to find and ℓ > 0.

@@ -38,13 +38,17 @@ impl ClassifierKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReadMode {
     /// gcast to the whole read group (the paper's §4.3 macro expansion):
-    /// `|rg|` fan-out copies + done-empties + one response.
+    /// `|rg|` fan-out copies + done-empties + one response. Figure 1's
+    /// remote-read row prices this mode, and [`ReadMode::Anycast`] falls
+    /// back to it.
     GroupCast,
-    /// Send the query to a *single* read-group member (rotating for load
-    /// spread) and fall back to a gcast if it is down or answers
-    /// non-authoritatively. Safe because `insert` completes only after
-    /// every member acknowledged the store (done-collection), so any one
-    /// replica is current for objects whose insert has returned — the
+    /// The default. Send the query to a *single* basic-support replica
+    /// (rotating for load spread): one query and one answer. Fall back to
+    /// a gcast if the replica is down, crashes, does not answer, or
+    /// declines because it does not yet hold the class's state. Safe
+    /// because `insert` completes only after every member acknowledged
+    /// the store (done-collection), so any one replica is current for
+    /// objects whose insert has returned — read-one/write-all, the
     /// natural endpoint of §4.3's "reads entail no changes" observation,
     /// and a response-time optimization toward the open problem the paper
     /// cites (\[13\], load balancing).
@@ -176,7 +180,7 @@ impl PasoConfig {
                 q_cost: 1,
                 adaptive: true,
                 use_read_groups: true,
-                read_mode: ReadMode::GroupCast,
+                read_mode: ReadMode::Anycast,
                 blocking: BlockingMode::BusyWait {
                     interval_micros: 5_000,
                 },

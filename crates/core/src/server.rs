@@ -145,9 +145,10 @@ struct PendingOp {
     start_micros: u64,
     /// A gcast for this op is in flight; wakeups must not re-enter.
     waiting: bool,
-    /// An anycast point-query is in flight; its timer falls back to a
-    /// group cast if no answer arrives.
-    anycast_waiting: bool,
+    /// The replica an anycast point query is in flight to. The op falls
+    /// back to a group cast when that replica declines, crashes, or has
+    /// not answered by the backstop timer.
+    anycast_to: Option<NodeId>,
     /// The current class attempt must use a group cast (anycast already
     /// failed or was declined).
     force_gcast: bool,
@@ -211,7 +212,9 @@ pub struct MemoryServer {
 const DECODE_ERROR_LOG_CAP: usize = 16;
 
 /// How long a [`ReadMode::Anycast`] read waits for its single-member
-/// answer before falling back to a full group cast.
+/// answer before falling back to a full group cast. A backstop for lost
+/// messages and for runs without the membership oracle: a crash of the
+/// target re-drives the read at once (`on_peer_crashed`).
 const ANYCAST_FALLBACK_MICROS: u64 = 100_000;
 
 impl MemoryServer {
@@ -268,19 +271,19 @@ impl MemoryServer {
     /// Picks a live basic member of `class` for an anycast read, rotating
     /// across calls to spread load.
     fn anycast_target(&mut self, class: ClassId) -> Option<NodeId> {
-        let candidates: Vec<NodeId> = self
-            .basic
-            .get(&class)?
-            .iter()
-            .copied()
-            .filter(|m| self.up.contains(m) && *m != self.id)
-            .collect();
-        if candidates.is_empty() {
+        let live = |m: &&NodeId| self.up.contains(*m) && **m != self.id;
+        let members = self.basic.get(&class)?;
+        let count = members.iter().filter(live).count();
+        if count == 0 {
             return None;
         }
-        let pick = candidates[(self.anycast_cursor as usize) % candidates.len()];
+        let pick = members
+            .iter()
+            .filter(live)
+            .nth((self.anycast_cursor as usize) % count)
+            .copied();
         self.anycast_cursor += 1;
-        Some(pick)
+        pick
     }
 
     /// Number of live objects this server holds for `class`.
@@ -584,7 +587,7 @@ impl MemoryServer {
                 idx: 0,
                 start_micros: vs.now_micros(),
                 waiting: false,
-                anycast_waiting: false,
+                anycast_to: None,
                 force_gcast: false,
             },
         );
@@ -596,7 +599,7 @@ impl MemoryServer {
         let Some(p) = self.pending.get(&op_id) else {
             return;
         };
-        if p.waiting || p.anycast_waiting {
+        if p.waiting || p.anycast_to.is_some() {
             return;
         }
         match &p.op {
@@ -618,7 +621,8 @@ impl MemoryServer {
             }
             ClientOp::Read { sc, .. } => {
                 let sc = sc.clone();
-                // Walk classes; serve locally where we are a member.
+                // Walk classes; serve locally where we hold a replica (a
+                // member still awaiting its state reads remotely).
                 loop {
                     let Some(p) = self.pending.get(&op_id) else {
                         return;
@@ -627,7 +631,7 @@ impl MemoryServer {
                         self.handle_exhausted(vs, op_id);
                         return;
                     };
-                    if vs.is_member(wg_group(class)) {
+                    if vs.holds_state(wg_group(class)) {
                         let (found, cost) = self
                             .stores
                             .get(&class)
@@ -657,7 +661,7 @@ impl MemoryServer {
                                 class,
                                 sc: sc.clone(),
                             };
-                            self.pending.get_mut(&op_id).unwrap().anycast_waiting = true;
+                            self.pending.get_mut(&op_id).unwrap().anycast_to = Some(target);
                             vs.count("op.read.anycast", 1.0);
                             vs.send_app(target, encode(&msg));
                             // Fall back to a gcast if no answer arrives.
@@ -979,7 +983,7 @@ impl MemoryServer {
             }
             Ok(AppMsg::MarkerWake { op_id }) => {
                 if let Some(p) = self.pending.get_mut(&op_id) {
-                    if p.anycast_waiting {
+                    if p.anycast_to.is_some() {
                         // Let the in-flight point query conclude.
                         return;
                     }
@@ -989,10 +993,11 @@ impl MemoryServer {
                 }
             }
             Ok(AppMsg::RemoteRead { op_id, class, sc }) => {
-                // Serve the point query iff we are an installed member
-                // (snapshot applied); otherwise decline so the origin
-                // falls back to the group.
-                let served = vs.is_member(wg_group(class));
+                // Serve the point query iff we are a member holding the
+                // class's state. A member still awaiting its join's
+                // transfer has an empty store, so it declines and the
+                // origin falls back to the group.
+                let served = vs.holds_state(wg_group(class));
                 let (found, cost) = if served {
                     self.stores
                         .get(&class)
@@ -1021,13 +1026,14 @@ impl MemoryServer {
                 let Some(p) = self.pending.get_mut(&op_id) else {
                     return;
                 };
-                if !p.anycast_waiting {
+                if p.anycast_to != Some(from) {
                     return; // stale answer (we already fell back)
                 }
-                p.anycast_waiting = false;
+                p.anycast_to = None;
                 let class = p.classes.get(p.idx).copied();
                 if !served {
                     // Target was not authoritative: group-cast this class.
+                    vs.count("op.read.anycast.declined", 1.0);
                     p.force_gcast = true;
                     self.drive(vs, op_id);
                     return;
@@ -1070,10 +1076,11 @@ impl MemoryServer {
         let Some(p) = self.pending.get_mut(&tag) else {
             return;
         };
-        if p.anycast_waiting {
-            // Anycast answer never came (target crashed?): retry the same
-            // class with a group cast.
-            p.anycast_waiting = false;
+        if p.anycast_to.is_some() {
+            // Anycast answer never came (a lost message, or a crash the
+            // oracle did not report): retry the same class with a group
+            // cast.
+            p.anycast_to = None;
             p.force_gcast = true;
             self.drive(vs, tag);
             return;
@@ -1126,8 +1133,24 @@ impl GroupApp for MemoryServer {
         }
     }
 
-    fn on_peer_crashed(&mut self, _vs: &mut dyn VsyncOps<ClientDone>, peer: NodeId) {
+    fn on_peer_crashed(&mut self, vs: &mut dyn VsyncOps<ClientDone>, peer: NodeId) {
         self.up.remove(&peer);
+        // A point read in flight to the crashed replica will get no
+        // answer: fall back to the group now, not at the backstop timer.
+        let stranded: Vec<u64> = self
+            .pending
+            .iter()
+            .filter(|(_, p)| p.anycast_to == Some(peer))
+            .map(|(op_id, _)| *op_id)
+            .collect();
+        for op_id in stranded {
+            if let Some(p) = self.pending.get_mut(&op_id) {
+                p.anycast_to = None;
+                p.force_gcast = true;
+            }
+            self.drive(vs, op_id);
+        }
+        self.flush(vs);
     }
 
     fn on_peer_recovered(&mut self, _vs: &mut dyn VsyncOps<ClientDone>, peer: NodeId) {
@@ -1291,8 +1314,10 @@ impl GroupApp for MemoryServer {
         }
         // Basic members re-enter the read group only once their write-
         // group state is installed, so rg answers are never served from a
-        // blank store.
-        if member && self.is_basic(class) && !vs.is_member(rg_group(class)) {
+        // blank store. A member awaiting a lost transfer still sees view
+        // changes; it must not join on those.
+        let installed = member && vs.holds_state(group);
+        if installed && self.is_basic(class) && !vs.is_member(rg_group(class)) {
             vs.join(rg_group(class));
         }
     }

@@ -262,7 +262,7 @@ pub enum AppMsg {
         /// The blocked operation to retry.
         op_id: u64,
     },
-    /// Anycast-mode point query to a single read-group member.
+    /// Anycast-mode point query to a single basic-support replica.
     RemoteRead {
         /// The origin's operation awaiting this answer.
         op_id: u64,
@@ -275,8 +275,8 @@ pub enum AppMsg {
     RemoteReadResp {
         /// The operation being answered.
         op_id: u64,
-        /// Whether the answering server was an authoritative (installed)
-        /// member; if false the origin falls back to a group cast.
+        /// Whether the answering server was a member holding the class's
+        /// state; if false the origin falls back to a group cast.
         served: bool,
         /// The object found, if any.
         found: Option<PasoObject>,

@@ -3,9 +3,11 @@
 //! per-primitive costs (computed with the *actual* wire sizes, as in
 //! experiment E1). Local reads cost zero messages exactly; gcast-backed
 //! primitives land within the protocol-framing factor of the prediction
-//! and scale linearly with the write-group size |g| = λ+1.
+//! and scale linearly with the write-group size |g| = λ+1. The paper's
+//! rows run the §4.3 group-cast read; the default anycast read is one
+//! query and one answer.
 
-use paso_core::{encode, OpResponse, PasoConfig, ReplOp, SimSystem};
+use paso_core::{encode, AppMsg, OpResponse, PasoConfig, ReadMode, ReplOp, SimSystem};
 use paso_simnet::{CostModel, SimTime};
 use paso_storage::Rank;
 use paso_types::{
@@ -35,12 +37,18 @@ fn sc_exact() -> SearchCriterion {
     ]))
 }
 
+/// A system running the paper's §4.3 group-cast read.
 fn fresh(lambda: usize) -> SimSystem {
+    fresh_with(lambda, ReadMode::GroupCast)
+}
+
+fn fresh_with(lambda: usize, read_mode: ReadMode) -> SimSystem {
     let n = (lambda + 1) * 2 + 1; // enough non-members to issue from
     let cfg = PasoConfig::builder(n, lambda)
         .seed(42)
         .cost_model(CostModel::new(ALPHA, BETA))
         .adaptive(false) // isolate the primitives; no adaptive traffic
+        .read_mode(read_mode)
         .build();
     let mut sys = SimSystem::new(cfg);
     sys.run_for(SimTime::from_millis(10));
@@ -63,6 +71,7 @@ fn members_and_outsider(sys: &SimSystem, n: usize) -> (Vec<u32>, u32) {
 struct Fig1 {
     insert: f64,
     read_remote: f64,
+    read_anycast: f64,
     read_del: f64,
 }
 
@@ -96,13 +105,27 @@ fn predictions(g: f64) -> Fig1 {
         .len()) as f64;
     let resp_obj = (HDR
         + encode(&OpResponse {
-            object: Some(obj),
+            object: Some(obj.clone()),
             failed: 0,
         })
         .len()) as f64;
+    let query_b = encode(&AppMsg::RemoteRead {
+        op_id: 0,
+        class,
+        sc: sc_exact(),
+    })
+    .len() as f64;
+    let answer_b = encode(&AppMsg::RemoteReadResp {
+        op_id: 0,
+        served: true,
+        found: Some(obj),
+        failed: 0,
+    })
+    .len() as f64;
     Fig1 {
         insert: g * (2.0 * ALPHA + BETA * store_b) + ALPHA + BETA * resp_empty,
         read_remote: g * (2.0 * ALPHA + BETA * memread_b) + ALPHA + BETA * resp_obj,
+        read_anycast: 2.0 * ALPHA + BETA * (query_b + answer_b),
         read_del: g * (2.0 * ALPHA + BETA * remove_b) + ALPHA + BETA * resp_obj,
     }
 }
@@ -187,6 +210,30 @@ fn remote_read_cost_histogram_matches_figure1() {
         );
         // A remote read crosses the bus, so it takes simulated time too.
         assert!(snap.hist("op.read.latency_micros").min > 0);
+    }
+}
+
+#[test]
+fn anycast_read_costs_one_query_and_one_answer() {
+    for lambda in [1usize, 2] {
+        let mut sys = fresh_with(lambda, ReadMode::Anycast);
+        let (_, outsider) = members_and_outsider(&sys, (lambda + 1) * 2 + 1);
+        for _ in 0..OPS {
+            sys.insert(outsider, task_fields());
+        }
+        sys.settle(5_000_000);
+        for _ in 0..OPS {
+            assert!(sys.read(outsider, sc_exact()).is_some());
+        }
+        let snap = sys.telemetry().snapshot();
+        let h = snap.hist("op.read.msg_cost");
+        assert_eq!(h.count, OPS);
+        // 2α + β(|RemoteRead| + |RemoteReadResp|), whatever |g| is.
+        assert_fig1_band(
+            &format!("read-anycast λ={lambda}"),
+            h.mean(),
+            predictions((lambda + 1) as f64).read_anycast,
+        );
     }
 }
 

@@ -142,8 +142,13 @@ pub trait VsyncOps<O> {
     /// fault-tolerance condition.
     fn leave(&mut self, group: GroupId);
 
-    /// Is this node currently an installed member of `group`?
+    /// Is this node a member of `group`? True from the view that admits
+    /// it, before its join's state transfer has installed.
     fn is_member(&self, group: GroupId) -> bool;
+
+    /// Is this node a member of `group` that holds the group's state: not
+    /// still awaiting its join's state transfer?
+    fn holds_state(&self, group: GroupId) -> bool;
 
     /// This node's current (or last known) view of `group`.
     fn view(&self, group: GroupId) -> Option<View>;

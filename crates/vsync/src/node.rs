@@ -202,6 +202,11 @@ impl GroupState {
     fn is_stale(&self, req: ReqId) -> bool {
         self.floors.get(&req.origin).is_some_and(|f| req.seq < *f)
     }
+
+    /// A member whose join's state transfer has installed.
+    fn holds_state(&self) -> bool {
+        self.member && !self.awaiting_state
+    }
 }
 
 /// Removes every key of `map` inside `range`; costs one lookup per key
@@ -412,6 +417,13 @@ impl<O> VsyncOps<O> for Ops<'_, '_, O> {
 
     fn is_member(&self, group: GroupId) -> bool {
         self.core.groups.get(&group).is_some_and(|g| g.member)
+    }
+
+    fn holds_state(&self, group: GroupId) -> bool {
+        self.core
+            .groups
+            .get(&group)
+            .is_some_and(GroupState::holds_state)
     }
 
     fn view(&self, group: GroupId) -> Option<View> {
@@ -625,9 +637,18 @@ impl<A: GroupApp> VsyncNode<A> {
         self.core.groups.get(&group).map(|g| &g.view)
     }
 
-    /// Is this node an installed member of `group`?
+    /// Is this node a member of `group` (its state installed or not)?
     pub fn is_member_of(&self, group: GroupId) -> bool {
         self.core.groups.get(&group).is_some_and(|g| g.member)
+    }
+
+    /// Is this node a member of `group` whose state transfer has
+    /// installed?
+    pub fn holds_state_of(&self, group: GroupId) -> bool {
+        self.core
+            .groups
+            .get(&group)
+            .is_some_and(GroupState::holds_state)
     }
 
     /// Size of this node's largest per-group dedup/response table (for

@@ -75,9 +75,12 @@ const STEPS: usize = 1_000;
 const OPS: usize = 3 * STEPS;
 
 /// Allocations per op, `alloc` and `realloc` calls together, in debug and
-/// release builds alike. This run reads 40.78 with a fresh action `Vec`
-/// per event and a registry publish per event, and 35.49 with neither.
-const BUDGET: f64 = 38.0;
+/// release builds alike. With group-cast reads this run read 40.78 with a
+/// fresh action `Vec` per event and a registry publish per event, and
+/// 35.49 with neither (budget 38). A remote read that asks one replica
+/// reads 31.90, and 32.11 when it collects the live replicas into a `Vec`
+/// to pick one. The budget keeps the same 2.5 of headroom.
+const BUDGET: f64 = 34.4;
 
 fn fields(key: i64) -> Vec<Value> {
     vec![Value::symbol("sim"), Value::Int(key)]
