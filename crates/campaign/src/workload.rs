@@ -158,7 +158,6 @@ impl TupleActor {
                     op: OpKind::Insert,
                     obj: Some(obj),
                 });
-                ctx.count("tuple.inserts", 1.0);
                 self.store.insert(key, (val, op));
                 let peers = self.successors(ctx.n());
                 if peers.is_empty() {
@@ -219,17 +218,11 @@ impl TupleActor {
                 });
                 let hit = self.store.get(&key).copied();
                 let outcome = match hit {
-                    Some((_, version)) => {
-                        ctx.count("tuple.read_hits", 1.0);
-                        Outcome::Found(ObjRef {
-                            origin: key,
-                            seq: version,
-                        })
-                    }
-                    None => {
-                        ctx.count("tuple.read_misses", 1.0);
-                        Outcome::Fail
-                    }
+                    Some((_, version)) => Outcome::Found(ObjRef {
+                        origin: key,
+                        seq: version,
+                    }),
+                    None => Outcome::Fail,
                 };
                 ctx.trace(TraceKind::OpEnd {
                     op_id: op,
@@ -251,7 +244,6 @@ impl TupleActor {
                 let hit = self.store.get(&key).copied();
                 let outcome = match hit {
                     Some((_, version)) => {
-                        ctx.count("tuple.take_hits", 1.0);
                         if !self.leak_takes {
                             self.store.remove(&key);
                             let peers = self.successors(ctx.n());
@@ -264,10 +256,7 @@ impl TupleActor {
                             seq: version,
                         })
                     }
-                    None => {
-                        ctx.count("tuple.take_misses", 1.0);
-                        Outcome::Fail
-                    }
+                    None => Outcome::Fail,
                 };
                 ctx.trace(TraceKind::OpEnd {
                     op_id: op,

@@ -5,17 +5,15 @@
 //! [`Deployment`] is everything that node is built from, derived once
 //! from a validated [`PasoConfig`]: the global classifier, the basic
 //! support table, the vsync group table, the optional durability hub,
-//! the [`Deployment::node`] factory a driver calls at start and after
-//! every crash, and the metric families a registry must show at zero. A
-//! driver adds only what is its own — an engine or threads and a
-//! transport.
+//! and the [`Deployment::node`] factory a driver calls at start and
+//! after every crash. A driver adds only what is its own — an engine or
+//! threads and a transport.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use paso_durable::{DurabilityHub, DurableConfig};
 use paso_simnet::NodeId;
-use paso_telemetry::Telemetry;
 use paso_types::{ClassId, Classifier};
 use paso_vsync::{VsyncConfig, VsyncNode};
 
@@ -90,66 +88,6 @@ impl Deployment {
         match &self.hub {
             Some(hub) => node.with_wal(hub.handle(id.0)),
             None => node,
-        }
-    }
-
-    /// Pre-registers the metric families this deployment can bump, so
-    /// both substrates expose the identical schema — every name, with
-    /// its counter/gauge/histogram kind — before the first join, crash
-    /// or proxy connection exercises it. The simulator has no live
-    /// proxies, but dashboards built against either driver must read the
-    /// other unchanged.
-    pub fn register_metrics(&self, telemetry: &Telemetry) {
-        telemetry.counter("vsync.dedup.stale_dropped");
-        telemetry.counter("op.batch.gcasts");
-        telemetry.histogram("op.batch.ops");
-        if self.hub.is_some() {
-            for c in [
-                "wal.compactions",
-                "wal.recovered_records",
-                "wal.append_bytes",
-                "join.delta_hit",
-                "join.full_xfer",
-            ] {
-                telemetry.counter(c);
-            }
-            for h in [
-                "wal.fsync_micros",
-                "join.transfer_bytes",
-                "join.latency_micros",
-            ] {
-                telemetry.histogram(h);
-            }
-        }
-        if self.cfg.proxy_slots > 0 {
-            for c in [
-                "proxy.clients.accepted",
-                "proxy.clients.closed",
-                "proxy.clients.errors",
-                "proxy.clients.replies_dropped",
-                "proxy.auth.denied",
-                "proxy.frames.in",
-                "proxy.ops.forwarded",
-                "proxy.ops.completed",
-                "proxy.retries",
-                "proxy.backpressure",
-                "proxy.batch.flushes",
-                "proxy.gossip.recv",
-                "proxy.done_batches",
-                "proxy.route.leader",
-                "proxy.route.member",
-                "proxy.route.fallback",
-            ] {
-                telemetry.counter(c);
-            }
-            telemetry.gauge("proxy.clients.open");
-            for h in [
-                "proxy.batch.ops",
-                "proxy.batch.bytes",
-                "proxy.op.latency_micros",
-            ] {
-                telemetry.histogram(h);
-            }
         }
     }
 

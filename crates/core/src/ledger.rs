@@ -11,7 +11,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use paso_telemetry::{OpKind, Outcome, Telemetry, TraceBuf, TraceKind};
+use paso_telemetry::{metrics, OpKind, Outcome, Telemetry, TraceBuf, TraceKind};
 
 use crate::wire::{obj_ref, ClientOp};
 
@@ -32,9 +32,9 @@ impl OpLedger {
     /// simulated and a live run of one workload compare directly.
     pub fn begin(&self, now_micros: u64, node: u32, op_id: u64, op: &ClientOp) {
         let (counter, obj) = match op {
-            ClientOp::Insert { object } => ("client.op.insert", Some(obj_ref(object.id()))),
-            ClientOp::Read { .. } => ("client.op.read", None),
-            ClientOp::ReadDel { .. } => ("client.op.readdel", None),
+            ClientOp::Insert { object } => (metrics::CLIENT_OP_INSERT, Some(obj_ref(object.id()))),
+            ClientOp::Read { .. } => (metrics::CLIENT_OP_READ, None),
+            ClientOp::ReadDel { .. } => (metrics::CLIENT_OP_READDEL, None),
         };
         self.telemetry.count(counter, 1.0);
         let op = op.kind();
@@ -54,9 +54,9 @@ impl OpLedger {
         outcome: Outcome,
     ) {
         let hist = match op {
-            OpKind::Insert => "op.insert.latency_micros",
-            OpKind::Read => "op.read.latency_micros",
-            OpKind::ReadDel => "op.readdel.latency_micros",
+            OpKind::Insert => metrics::OP_INSERT_LATENCY_MICROS,
+            OpKind::Read => metrics::OP_READ_LATENCY_MICROS,
+            OpKind::ReadDel => metrics::OP_READDEL_LATENCY_MICROS,
         };
         self.telemetry.record(hist, latency_micros);
         self.trace
@@ -66,13 +66,13 @@ impl OpLedger {
     /// A request re-sent under its original op id. A retry is the *same*
     /// op: no `client.op.*` count, no second `OpBegin`.
     pub fn retried(&self) {
-        self.telemetry.count("client.retries", 1.0);
+        self.telemetry.count(metrics::CLIENT_RETRIES, 1.0);
     }
 
     /// A retry's second answer, dropped because the op already returned
     /// to its client.
     pub fn duplicate_answer(&self) {
-        self.telemetry.count("client.dup_answers", 1.0);
+        self.telemetry.count(metrics::CLIENT_DUP_ANSWERS, 1.0);
     }
 }
 

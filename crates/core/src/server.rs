@@ -20,6 +20,7 @@ use std::sync::Arc;
 use paso_adaptive::{retune_k, Advice, BasicCounter, ModelParams};
 use paso_simnet::NodeId;
 use paso_storage::{AutoStore, ClassStore, ClassSummary, Cost, Rank, Snapshot};
+use paso_telemetry::metrics;
 use paso_types::{ClassId, Classifier, PasoObject, SearchCriterion};
 use paso_vsync::{Delivery, GcastError, GroupApp, GroupId, View, VsyncOps};
 use paso_wire::{varint_len, Wire};
@@ -261,7 +262,7 @@ impl MemoryServer {
         from: NodeId,
         err: paso_wire::WireError,
     ) {
-        vs.count("wire.decode.error", 1.0);
+        vs.count(metrics::WIRE_DECODE_ERROR, 1.0);
         if self.decode_errors.len() == DECODE_ERROR_LOG_CAP {
             self.decode_errors.remove(0);
         }
@@ -366,7 +367,7 @@ impl MemoryServer {
         if self.cfg.summary_gossip_micros == 0 {
             return classes;
         }
-        vs.count("read.sc_list", classes.len() as f64);
+        vs.count(metrics::READ_SC_LIST, classes.len() as f64);
         let (mut candidates, pruned): (Vec<ClassId>, Vec<ClassId>) =
             classes.into_iter().partition(|class| {
                 if vs.is_member(wg_group(*class)) {
@@ -383,7 +384,7 @@ impl MemoryServer {
                 }
             });
         if !pruned.is_empty() {
-            vs.count("read.pruned", pruned.len() as f64);
+            vs.count(metrics::READ_PRUNED, pruned.len() as f64);
             candidates.extend(pruned);
         }
         candidates
@@ -421,7 +422,7 @@ impl MemoryServer {
             .filter(|p| *p != self.id)
             .collect();
         for peer in peers {
-            vs.count("gossip.summary.sent", 1.0);
+            vs.count(metrics::GOSSIP_SUMMARY_SENT, 1.0);
             vs.send_app(peer, bytes.clone());
         }
     }
@@ -486,8 +487,8 @@ impl MemoryServer {
             let (op_ids, ops): (Vec<u64>, Vec<ReplOp>) = ops.into_iter().unzip();
             let token = BATCH_TOKEN_BIT | self.next_batch;
             self.next_batch += 1;
-            vs.count("op.batch.gcasts", 1.0);
-            vs.record("op.batch.ops", ops.len() as u64);
+            vs.count(metrics::OP_BATCH_GCASTS, 1.0);
+            vs.record(metrics::OP_BATCH_OPS, ops.len() as u64);
             self.batches.insert(token, op_ids);
             vs.gcast(group, encode(&ReplBatch(ops)), token);
         }
@@ -536,14 +537,14 @@ impl MemoryServer {
         if req.op_id & BATCH_TOKEN_BIT != 0 {
             // Outside the op-id space (see `FIRE_AND_FORGET`): no client
             // of ours mints such an id.
-            vs.count("wire.decode.error", 1.0);
+            vs.count(metrics::WIRE_DECODE_ERROR, 1.0);
             return;
         }
         // Retry dedup: a re-issued request must not execute twice
         // (a duplicated Insert would duplicate the object — the
         // store does not key by ObjectId).
         if let Some(result) = self.recent_done.get(&req.op_id) {
-            vs.count("op.retry.replayed", 1.0);
+            vs.count(metrics::OP_RETRY_REPLAYED, 1.0);
             let result = result.clone();
             let origin = if from.0 as usize >= vs.n() {
                 from
@@ -563,7 +564,7 @@ impl MemoryServer {
         if self.pending.contains_key(&req.op_id) {
             // Still executing; the in-flight expansion will
             // answer when it finishes.
-            vs.count("op.retry.inflight", 1.0);
+            vs.count(metrics::OP_RETRY_INFLIGHT, 1.0);
             return;
         }
         let classes = match &req.op {
@@ -616,7 +617,7 @@ impl MemoryServer {
                     object: object.clone(),
                     rank,
                 };
-                vs.count("op.insert.gcast", 1.0);
+                vs.count(metrics::OP_INSERT_GCAST, 1.0);
                 self.cast(wg_group(class), op_id, op);
             }
             ClientOp::Read { sc, .. } => {
@@ -637,7 +638,7 @@ impl MemoryServer {
                             .get(&class)
                             .map_or((None, Cost::ZERO), |s| s.mem_read(&sc));
                         vs.charge_work(cost.0);
-                        vs.count("op.read.local", 1.0);
+                        vs.count(metrics::OP_READ_LOCAL, 1.0);
                         if self.cfg.adaptive && !self.is_basic(class) {
                             self.counter(class).basic.record_local_read();
                         }
@@ -662,14 +663,14 @@ impl MemoryServer {
                                 sc: sc.clone(),
                             };
                             self.pending.get_mut(&op_id).unwrap().anycast_to = Some(target);
-                            vs.count("op.read.anycast", 1.0);
+                            vs.count(metrics::OP_READ_ANYCAST, 1.0);
                             vs.send_app(target, encode(&msg));
                             // Fall back to a gcast if no answer arrives.
                             vs.set_app_timer(ANYCAST_FALLBACK_MICROS, op_id);
                             return;
                         }
                     }
-                    vs.count("op.read.remote", 1.0);
+                    vs.count(metrics::OP_READ_REMOTE, 1.0);
                     self.cast(
                         self.read_target(class),
                         op_id,
@@ -689,7 +690,7 @@ impl MemoryServer {
                 };
                 // "There is no reason to deal with requests locally" —
                 // every remove goes through the write group (§4.3).
-                vs.count("op.readdel.gcast", 1.0);
+                vs.count(metrics::OP_READDEL_GCAST, 1.0);
                 self.cast(wg_group(class), op_id, ReplOp::Remove { class, sc });
             }
         }
@@ -735,7 +736,7 @@ impl MemoryServer {
                     op_id,
                     expires_micros: now + interval,
                 });
-                vs.count("op.marker.place", 1.0);
+                vs.count(metrics::OP_MARKER_PLACE, 1.0);
                 vs.gcast(wg_group(class), payload, FIRE_AND_FORGET);
             }
         }
@@ -770,7 +771,7 @@ impl MemoryServer {
             counter.set_member(true);
         }
         if counter.record_update() == Advice::Leave {
-            vs.count("adaptive.leave", 1.0);
+            vs.count(metrics::ADAPTIVE_LEAVE, 1.0);
             vs.leave(wg_group(class));
         }
     }
@@ -792,7 +793,7 @@ impl MemoryServer {
             return;
         }
         if counter.record_remote_read(failed) == Advice::Join {
-            vs.count("adaptive.join", 1.0);
+            vs.count(metrics::ADAPTIVE_JOIN, 1.0);
             vs.join(wg_group(class));
         }
     }
@@ -917,7 +918,7 @@ impl MemoryServer {
     /// counted like any other corrupt payload, and the op walks on as a
     /// miss.
     fn missing_answer(vs: &mut dyn VsyncOps<ClientDone>) -> OpResponse {
-        vs.count("wire.decode.error", 1.0);
+        vs.count(metrics::WIRE_DECODE_ERROR, 1.0);
         OpResponse {
             object: None,
             failed: 0,
@@ -979,7 +980,7 @@ impl MemoryServer {
                 // Completions address gateways, never servers; a stray
                 // one (e.g. a gateway slot reused as a server id by a
                 // misconfigured peer) is dropped loudly.
-                vs.count("wire.decode.error", 1.0);
+                vs.count(metrics::WIRE_DECODE_ERROR, 1.0);
             }
             Ok(AppMsg::MarkerWake { op_id }) => {
                 if let Some(p) = self.pending.get_mut(&op_id) {
@@ -988,7 +989,7 @@ impl MemoryServer {
                         return;
                     }
                     p.idx = 0;
-                    vs.count("op.marker.wake", 1.0);
+                    vs.count(metrics::OP_MARKER_WAKE, 1.0);
                     self.drive(vs, op_id);
                 }
             }
@@ -1033,7 +1034,7 @@ impl MemoryServer {
                 let class = p.classes.get(p.idx).copied();
                 if !served {
                     // Target was not authoritative: group-cast this class.
-                    vs.count("op.read.anycast.declined", 1.0);
+                    vs.count(metrics::OP_READ_ANYCAST_DECLINED, 1.0);
                     p.force_gcast = true;
                     self.drive(vs, op_id);
                     return;
@@ -1058,7 +1059,7 @@ impl MemoryServer {
                 }
             }
             Ok(AppMsg::SummaryGossip { summaries }) => {
-                vs.count("gossip.summary.recv", 1.0);
+                vs.count(metrics::GOSSIP_SUMMARY_RECV, 1.0);
                 for (class, summary) in summaries {
                     self.remote_summaries.insert(class, summary);
                 }

@@ -13,7 +13,7 @@ use paso_durable::DurabilityHub;
 use paso_simnet::{
     Engine, EngineConfig, FaultScript, MachineStatus, NetModel, NodeId, SimTime, Stats,
 };
-use paso_telemetry::{Telemetry, TraceBuf, TraceEvent};
+use paso_telemetry::{metrics, HistId, Telemetry, TraceBuf, TraceEvent};
 use paso_types::{Classifier, ObjectId, PasoObject, ProcessId, SearchCriterion, Value};
 use paso_vsync::VsyncNode;
 
@@ -139,7 +139,6 @@ impl SimSystem {
         };
         let factory = Arc::clone(&deployment);
         let engine = Engine::new(engine_cfg, move |id| factory.node(id));
-        deployment.register_metrics(engine.telemetry());
         let ledger = OpLedger::new(
             Arc::clone(engine.telemetry()),
             Arc::clone(engine.trace_buf()),
@@ -347,14 +346,14 @@ impl SimSystem {
         let (op, id) = self.issue_insert(node, fields);
         let r = self.wait(op, 1_000_000).expect("insert must complete");
         assert!(matches!(r, ClientResult::Inserted), "insert failed: {r:?}");
-        self.record_op_cost("op.insert.msg_cost", cost0);
+        self.record_op_cost(metrics::OP_INSERT_MSG_COST, cost0);
         id
     }
 
     /// Attributes the marginal bus cost since `cost0` to one synchronous
     /// operation (the Figure 1 per-primitive measurement: ops are
     /// serialized, so the delta is exactly this op's expansion).
-    fn record_op_cost(&mut self, hist: &'static str, cost0: f64) {
+    fn record_op_cost(&mut self, hist: HistId, cost0: f64) {
         let delta = self.engine.stats().total_msg_cost - cost0;
         self.engine.telemetry().record(hist, delta.round() as u64);
     }
@@ -368,7 +367,7 @@ impl SimSystem {
         let cost0 = self.engine.stats().total_msg_cost;
         let op = self.issue_read(node, sc, false);
         let r = self.wait(op, 1_000_000).expect("read must complete");
-        self.record_op_cost("op.read.msg_cost", cost0);
+        self.record_op_cost(metrics::OP_READ_MSG_COST, cost0);
         match r {
             ClientResult::Found(o) => Some(o),
             _ => None,
@@ -384,7 +383,7 @@ impl SimSystem {
         let cost0 = self.engine.stats().total_msg_cost;
         let op = self.issue_read_del(node, sc, false);
         let r = self.wait(op, 1_000_000).expect("read&del must complete");
-        self.record_op_cost("op.readdel.msg_cost", cost0);
+        self.record_op_cost(metrics::OP_READDEL_MSG_COST, cost0);
         match r {
             ClientResult::Found(o) => Some(o),
             _ => None,

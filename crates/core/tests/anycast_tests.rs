@@ -4,6 +4,7 @@
 
 use paso_core::{wg_group, ClientResult, PasoConfig, ReadMode, SimSystem};
 use paso_simnet::{DelayDist, FaultPlan, NodeId, SimTime};
+use paso_telemetry::metrics;
 use paso_types::{ClassId, FieldMatcher, SearchCriterion, Template, Value};
 
 const TASK_CLASS: ClassId = ClassId(2);
@@ -42,7 +43,7 @@ fn anycast_read_finds_objects() {
         assert!(got.is_some(), "anycast read from m{node} failed");
     }
     assert!(
-        sys.stats().counter("op.read.anycast") >= 1.0,
+        sys.stats().counter(metrics::OP_READ_ANYCAST) >= 1.0,
         "non-member reads must use the anycast path"
     );
     assert!(sys.check_semantics().ok());
@@ -173,7 +174,7 @@ fn a_member_that_lost_its_transfer_declines_and_the_read_still_finds() {
         let got = sys.read(lo, sc_eq(7));
         assert!(got.is_some(), "seed {seed}: a read at m{lo} missed");
         assert!(
-            sys.stats().counter("op.read.anycast.declined") >= 1.0,
+            sys.stats().counter(metrics::OP_READ_ANYCAST_DECLINED) >= 1.0,
             "seed {seed}: the member without state must decline"
         );
         let report = sys.check_semantics();
@@ -254,7 +255,7 @@ fn a_read_whose_target_crashes_falls_back_at_once() {
         sys.issue_read(outsider, sc_eq(5), false),
         sys.issue_read(outsider, sc_eq(5), false),
     ];
-    while sys.stats().counter("op.read.anycast") < 2.0 {
+    while sys.stats().counter(metrics::OP_READ_ANYCAST) < 2.0 {
         sys.run_for(SimTime::from_micros(1));
     }
     let crashed_at = sys.now().as_micros();
@@ -268,7 +269,7 @@ fn a_read_whose_target_crashes_falls_back_at_once() {
         waited < 10_000,
         "the read waited {waited} µs; the backstop timer is 100 ms"
     );
-    assert!(sys.stats().counter("op.read.remote") >= 1.0);
+    assert!(sys.stats().counter(metrics::OP_READ_REMOTE) >= 1.0);
 }
 
 #[test]

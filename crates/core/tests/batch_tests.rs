@@ -99,8 +99,8 @@ impl Net {
                 }
                 Action::SendLocal { msg } => self.queue.push_back((node, node, msg)),
                 Action::SetTimer { delay, tag } => self.timers.push((self.now + delay, node, tag)),
-                Action::Count(name, delta) => *self.counts.entry(name).or_default() += delta,
-                Action::Record(name, value) => self.hists.entry(name).or_default().push(value),
+                Action::Count(id, delta) => *self.counts.entry(id.name()).or_default() += delta,
+                Action::Record(id, value) => self.hists.entry(id.name()).or_default().push(value),
                 Action::Emit(_) | Action::Work(_) | Action::Trace(_) => {}
             }
         }

@@ -8,6 +8,7 @@
 
 use paso_core::{ClassifierKind, PasoConfig, SimSystem};
 use paso_simnet::SimTime;
+use paso_telemetry::metrics;
 use paso_types::{
     ClassId, Classifier, FieldMatcher, FirstFieldClassifier, ObjectId, PasoObject, ProcessId,
     SearchCriterion, Template, Value,
@@ -65,7 +66,8 @@ fn pruned_reads_visit_strictly_fewer_classes() {
         sys.run_for(SimTime::from_millis(120));
         // A class a read contacts costs one anycast query or one gcast.
         let contacted = |sys: &SimSystem| {
-            sys.stats().counter("op.read.anycast") + sys.stats().counter("op.read.remote")
+            sys.stats().counter(metrics::OP_READ_ANYCAST)
+                + sys.stats().counter(metrics::OP_READ_REMOTE)
         };
         let contacted_before = contacted(&sys);
         for i in 0..4 {
@@ -74,7 +76,7 @@ fn pruned_reads_visit_strictly_fewer_classes() {
         }
         (
             contacted(&sys) - contacted_before,
-            sys.stats().counter("read.pruned"),
+            sys.stats().counter(metrics::READ_PRUNED),
         )
     };
     let (exhaustive_contacted, pruned_off) = run(0);

@@ -4,6 +4,7 @@
 use paso_adaptive::retune_k;
 use paso_core::{BlockingMode, ClientResult, PasoConfig, SimSystem, Violation};
 use paso_simnet::SimTime;
+use paso_telemetry::metrics;
 use paso_types::{ClassId, FieldMatcher, SearchCriterion, Template, Value};
 
 fn sc_task(n: i64) -> SearchCriterion {
@@ -249,7 +250,7 @@ fn adaptive_reader_joins_write_group() {
         sys.run_for(SimTime::from_millis(20));
     }
     assert!(
-        sys.stats().counter("adaptive.join") >= 1.0,
+        sys.stats().counter(metrics::ADAPTIVE_JOIN) >= 1.0,
         "the Basic algorithm must have advised a join"
     );
     assert_eq!(
@@ -270,7 +271,7 @@ fn adaptive_member_leaves_after_update_burst() {
         sys.read(outsider, sc_any_task());
         sys.run_for(SimTime::from_millis(20));
     }
-    assert!(sys.stats().counter("adaptive.join") >= 1.0);
+    assert!(sys.stats().counter(metrics::ADAPTIVE_JOIN) >= 1.0);
     // Now a burst of updates from other machines drains the counter.
     for i in 10..20 {
         sys.insert(members[0], task(i));
@@ -278,7 +279,7 @@ fn adaptive_member_leaves_after_update_burst() {
     }
     sys.run_for(SimTime::from_millis(100));
     assert!(
-        sys.stats().counter("adaptive.leave") >= 1.0,
+        sys.stats().counter(metrics::ADAPTIVE_LEAVE) >= 1.0,
         "the Basic algorithm must have advised the leave"
     );
     assert_eq!(
@@ -308,7 +309,7 @@ fn adaptive_k_is_the_prior_until_measured_then_doubles_and_halves_with_the_class
     // Remote reads (2 units each at λ = 1) run the counter at the prior,
     // and the join itself measures nothing: no update applied yet.
     while sys.server(outsider).store_len(TASK_CLASS) == 0 {
-        assert_eq!(sys.stats().counter("adaptive.join"), 0.0);
+        assert_eq!(sys.stats().counter(metrics::ADAPTIVE_JOIN), 0.0);
         assert!(sys.read(outsider, sc_any_task()).is_some());
         sys.run_for(SimTime::from_millis(20));
         assert_eq!(k(&sys), Some(k_join));
@@ -393,7 +394,7 @@ fn basic_members_never_leave() {
     for m in members {
         assert_eq!(sys.server(m).store_len(TASK_CLASS), 20);
     }
-    assert_eq!(sys.stats().counter("adaptive.leave"), 0.0);
+    assert_eq!(sys.stats().counter(metrics::ADAPTIVE_LEAVE), 0.0);
 }
 
 #[test]
@@ -505,7 +506,7 @@ fn read_groups_bound_read_cost() {
         let before = sys.stats().total_msg_cost;
         sys.read(7, sc_any_task());
         let read_cost = sys.stats().total_msg_cost - before;
-        (read_cost, sys.stats().counter("adaptive.join"))
+        (read_cost, sys.stats().counter(metrics::ADAPTIVE_JOIN))
     };
     let (with_rg, joins_rg) = run(true);
     let (without_rg, joins_wg) = run(false);
@@ -546,7 +547,7 @@ fn counter_increment_shrinks_with_failures() {
             sys.read(outsider, sc_any_task()).expect("found");
             reads += 1;
             sys.run_for(SimTime::from_millis(10));
-            if sys.stats().counter("adaptive.join") >= 1.0 {
+            if sys.stats().counter(metrics::ADAPTIVE_JOIN) >= 1.0 {
                 break;
             }
         }
@@ -670,7 +671,7 @@ fn q_cost_accelerates_joins() {
             sys.read(outsider, sc_any_task()).expect("found");
             reads += 1;
             sys.run_for(SimTime::from_millis(10));
-            if sys.stats().counter("adaptive.join") >= 1.0 {
+            if sys.stats().counter(metrics::ADAPTIVE_JOIN) >= 1.0 {
                 break;
             }
         }

@@ -98,6 +98,7 @@ use paso_core::{
 };
 use paso_runtime::{ClientEvent, ClientId, FrameServer, GatewayLink, Park};
 use paso_simnet::NodeId;
+use paso_telemetry::{metrics, Telemetry};
 
 use route::Router;
 
@@ -296,7 +297,7 @@ impl Proxy {
     ///
     /// Propagates listener bind failures.
     pub fn start(link: GatewayLink, opts: ProxyOptions) -> io::Result<Proxy> {
-        let server = FrameServer::bind(opts.max_client_frame, &link.telemetry())?;
+        let server = FrameServer::bind(opts.max_client_frame, link.telemetry())?;
         let port = server.port();
         let node = link.node_id();
         let stop = Arc::new(AtomicBool::new(false));
@@ -351,6 +352,7 @@ fn blocks(op: &ClientOp) -> bool {
 /// not a lock hierarchy.
 struct Core {
     link: GatewayLink,
+    telemetry: Arc<Telemetry>,
     ledger: OpLedger,
     server: FrameServer,
     opts: ProxyOptions,
@@ -378,6 +380,7 @@ impl Core {
         let links = (0..link.servers()).map(|_| Link::new(now));
         Core {
             links: links.collect(),
+            telemetry: link.telemetry(),
             ledger: OpLedger::new(link.telemetry(), link.trace_buf()),
             router: Router::new(Arc::clone(link.deployment())),
             link,
@@ -483,22 +486,26 @@ impl Core {
                         inflight: BTreeSet::new(),
                     },
                 );
-                self.count("proxy.clients.accepted", 1.0);
-                self.set_gauge("proxy.clients.open", self.conns.len() as f64);
+                self.telemetry.count(metrics::PROXY_CLIENTS_ACCEPTED, 1.0);
+                self.telemetry
+                    .gauge(metrics::PROXY_CLIENTS_OPEN)
+                    .set(self.conns.len() as f64);
             }
             ClientEvent::Disconnected(id) => {
                 // In-flight ops keep running; their completions find the
                 // client gone and are dropped at the send.
                 self.conns.remove(&id);
-                self.count("proxy.clients.closed", 1.0);
-                self.set_gauge("proxy.clients.open", self.conns.len() as f64);
+                self.telemetry.count(metrics::PROXY_CLIENTS_CLOSED, 1.0);
+                self.telemetry
+                    .gauge(metrics::PROXY_CLIENTS_OPEN)
+                    .set(self.conns.len() as f64);
             }
             ClientEvent::Frame(id, bytes) => {
-                self.count("proxy.frames.in", 1.0);
+                self.telemetry.count(metrics::PROXY_FRAMES_IN, 1.0);
                 match try_decode::<ProxyClientFrame>(&bytes) {
                     Ok(frame) => self.on_client_frame(id, frame),
                     Err(_) => {
-                        self.count("wire.decode.error", 1.0);
+                        self.telemetry.count(metrics::WIRE_DECODE_ERROR, 1.0);
                         self.deny(id);
                     }
                 }
@@ -533,7 +540,7 @@ impl Core {
                     return;
                 }
                 if window_full {
-                    self.count("proxy.backpressure", 1.0);
+                    self.telemetry.count(metrics::PROXY_BACKPRESSURE, 1.0);
                     self.reply(id, &ProxyServerFrame::Busy { seq });
                     return;
                 }
@@ -551,7 +558,7 @@ impl Core {
         let node = self.link.node_id().0;
         self.ledger.begin(self.link.now_micros(), node, op_id, &op);
         let (server, via) = self.router.route(&op, |s| self.link.is_up(s));
-        self.count(via.counter(), 1.0);
+        self.telemetry.count(via.counter(), 1.0);
         let req = ClientRequest { op_id, op };
         let now = Instant::now();
         let st = OpState {
@@ -576,7 +583,7 @@ impl Core {
     // ---- batching --------------------------------------------------
 
     fn enqueue(&mut self, server: u32, req: ClientRequest) {
-        self.count("proxy.ops.forwarded", 1.0);
+        self.telemetry.count(metrics::PROXY_OPS_FORWARDED, 1.0);
         let link = &mut self.links[server as usize];
         link.pending_bytes += paso_wire::Wire::encoded_len(&req);
         link.pending.push(req);
@@ -602,9 +609,11 @@ impl Core {
                 }
             }
         }
-        self.count("proxy.batch.flushes", 1.0);
-        self.record("proxy.batch.ops", reqs.len() as u64);
-        self.record("proxy.batch.bytes", bytes as u64);
+        self.telemetry.count(metrics::PROXY_BATCH_FLUSHES, 1.0);
+        self.telemetry
+            .record(metrics::PROXY_BATCH_OPS, reqs.len() as u64);
+        self.telemetry
+            .record(metrics::PROXY_BATCH_BYTES, bytes as u64);
         self.link.send(server, &AppMsg::ClientBatch(reqs));
     }
 
@@ -624,17 +633,17 @@ impl Core {
         match msg {
             AppMsg::Done(done) => self.on_done(done.op_id, done.result),
             AppMsg::DoneBatch(dones) => {
-                self.count("proxy.done_batches", 1.0);
+                self.telemetry.count(metrics::PROXY_DONE_BATCHES, 1.0);
                 for done in dones {
                     self.on_done(done.op_id, done.result);
                 }
             }
             AppMsg::SummaryGossip { summaries } => {
-                self.count("proxy.gossip.recv", 1.0);
+                self.telemetry.count(metrics::PROXY_GOSSIP_RECV, 1.0);
                 self.router.learn(summaries);
             }
             // Anything else addressed at a gateway is a stray.
-            _ => self.count("wire.decode.error", 1.0),
+            _ => self.telemetry.count(metrics::WIRE_DECODE_ERROR, 1.0),
         }
     }
 
@@ -665,9 +674,9 @@ impl Core {
             link.unanswered -= 1;
             link.answered += 1;
         }
-        self.count("proxy.ops.completed", 1.0);
+        self.telemetry.count(metrics::PROXY_OPS_COMPLETED, 1.0);
         let lat = st.issued.elapsed().as_micros() as u64;
-        self.record("proxy.op.latency_micros", lat);
+        self.telemetry.record(metrics::PROXY_OP_LATENCY_MICROS, lat);
         self.ledger.end(
             self.link.now_micros(),
             self.link.node_id().0,
@@ -710,7 +719,7 @@ impl Core {
                 let slice = retry_slice(self.opts.op_timeout, budget);
                 self.deadlines
                     .insert((st.issued + slice * (st.attempts_used + 1), op_id));
-                self.count("proxy.retries", 1.0);
+                self.telemetry.count(metrics::PROXY_RETRIES, 1.0);
                 self.ledger.retried();
                 // Same op id, same server: the dedup cache turns a
                 // merely-slow first execution into a replay. It leaves
@@ -730,7 +739,7 @@ impl Core {
     /// Sends a denial and kicks the connection; a kicked connection's
     /// queued replies are written before it closes.
     fn deny(&mut self, id: ClientId) {
-        self.count("proxy.auth.denied", 1.0);
+        self.telemetry.count(metrics::PROXY_AUTH_DENIED, 1.0);
         self.reply(id, &ProxyServerFrame::Denied);
         self.server.kick(id);
     }
@@ -740,18 +749,6 @@ impl Core {
     /// finish, and their answers find it gone.
     fn reply(&mut self, id: ClientId, frame: &ProxyServerFrame) {
         let _ = self.server.send(id, &encode(frame));
-    }
-
-    fn count(&self, name: &'static str, delta: f64) {
-        self.link.telemetry().count(name, delta);
-    }
-
-    fn set_gauge(&self, name: &'static str, value: f64) {
-        self.link.telemetry().gauge(name).set(value);
-    }
-
-    fn record(&self, name: &'static str, value: u64) {
-        self.link.telemetry().record(name, value);
     }
 }
 

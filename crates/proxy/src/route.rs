@@ -12,6 +12,7 @@ use std::sync::Arc;
 
 use paso_core::{ClientOp, Deployment};
 use paso_storage::ClassSummary;
+use paso_telemetry::{metrics, CounterId};
 use paso_types::{ClassId, SearchCriterion};
 
 /// How [`Router::route`] chose its server; each names the counter it is
@@ -31,11 +32,11 @@ pub(crate) enum Via {
 }
 
 impl Via {
-    pub(crate) fn counter(self) -> &'static str {
+    pub(crate) fn counter(self) -> CounterId {
         match self {
-            Via::Leader => "proxy.route.leader",
-            Via::Member => "proxy.route.member",
-            Via::Fallback => "proxy.route.fallback",
+            Via::Leader => metrics::PROXY_ROUTE_LEADER,
+            Via::Member => metrics::PROXY_ROUTE_MEMBER,
+            Via::Fallback => metrics::PROXY_ROUTE_FALLBACK,
         }
     }
 }

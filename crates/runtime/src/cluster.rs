@@ -15,7 +15,7 @@ use paso_core::{
 };
 use paso_durable::DurabilityHub;
 use paso_simnet::{FaultPlan, NodeId};
-use paso_telemetry::{Outcome, Telemetry, TraceBuf, TraceEvent, TraceKind};
+use paso_telemetry::{metrics, Outcome, Telemetry, TraceBuf, TraceEvent, TraceKind};
 use paso_types::{ObjectId, PasoObject, ProcessId, SearchCriterion, Value};
 use paso_vsync::NetMsg;
 
@@ -250,7 +250,9 @@ impl GatewayLink {
         };
         let msg = paso_core::decode::<AppMsg>(&bytes);
         if msg.is_none() {
-            self.ledger.telemetry().count("wire.decode.error", 1.0);
+            self.ledger
+                .telemetry()
+                .count(metrics::WIRE_DECODE_ERROR, 1.0);
         }
         Some((from, msg?))
     }
@@ -324,7 +326,6 @@ impl Cluster {
         let total = n + cfg.proxy_slots;
         // The ledger comes first: whatever counts is built over it.
         let ledger = Ledger::new();
-        deployment.register_metrics(ledger.telemetry());
         fn boxed<M: Mailbox + 'static>(m: Vec<M>) -> Vec<Box<dyn Mailbox>> {
             m.into_iter().map(|m| Box::new(m) as _).collect()
         }
@@ -609,7 +610,7 @@ impl Cluster {
     pub fn crash(&self, node: u32) {
         let target = NodeId(node);
         self.down.lock().insert(target);
-        self.ledger.telemetry().count("fault.crashes", 1.0);
+        self.ledger.telemetry().count(metrics::FAULT_CRASHES, 1.0);
         self.ledger.trace(node, TraceKind::Crash);
         self.postman.send(target, Envelope::Crash);
         for i in 0..self.n() as u32 {
@@ -624,7 +625,9 @@ impl Cluster {
     pub fn recover(&self, node: u32) {
         let target = NodeId(node);
         self.down.lock().remove(&target);
-        self.ledger.telemetry().count("fault.recoveries", 1.0);
+        self.ledger
+            .telemetry()
+            .count(metrics::FAULT_RECOVERIES, 1.0);
         self.ledger.trace(node, TraceKind::Recover);
         self.postman.send(target, Envelope::Recover);
         let down = self.down.lock().clone();

@@ -6,7 +6,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use paso_core::ClientResult;
-use paso_telemetry::Telemetry;
+use paso_telemetry::{metrics, Telemetry};
 
 type Done = BTreeMap<u64, (Instant, ClientResult)>;
 
@@ -71,7 +71,7 @@ impl Completions {
         let evicted = before - done.len();
         if evicted > 0 {
             self.telemetry
-                .count("client.results_evicted", evicted as f64);
+                .count(metrics::CLIENT_RESULTS_EVICTED, evicted as f64);
         }
     }
 }

@@ -36,7 +36,7 @@ use std::os::fd::AsRawFd;
 use std::sync::Arc;
 use std::time::Duration;
 
-use paso_telemetry::{Counter, Telemetry};
+use paso_telemetry::{metrics, Counter, Telemetry};
 
 use crate::reactor::{accept_all, fill_and_split, ppoll, Sunk};
 
@@ -140,8 +140,7 @@ pub struct FrameServer {
     /// The interest set: the listener, then the clients of `polled`.
     pfds: Vec<libc::pollfd>,
     polled: Vec<ClientId>,
-    errors: Arc<Counter>,
-    dropped: Arc<Counter>,
+    telemetry: Arc<Telemetry>,
 }
 
 impl std::fmt::Debug for FrameServer {
@@ -161,7 +160,7 @@ impl FrameServer {
     /// # Errors
     ///
     /// Propagates listener bind failures.
-    pub fn bind(max_frame: usize, telemetry: &Telemetry) -> io::Result<FrameServer> {
+    pub fn bind(max_frame: usize, telemetry: Arc<Telemetry>) -> io::Result<FrameServer> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         listener.set_nonblocking(true)?;
         let port = listener.local_addr()?.port();
@@ -174,8 +173,7 @@ impl FrameServer {
             events: VecDeque::new(),
             pfds: Vec::new(),
             polled: Vec::new(),
-            errors: telemetry.counter("proxy.clients.errors"),
-            dropped: telemetry.counter("proxy.clients.replies_dropped"),
+            telemetry,
         })
     }
 
@@ -233,9 +231,10 @@ impl FrameServer {
             events,
             pfds,
             polled,
-            errors,
+            telemetry,
             ..
         } = self;
+        let errors = telemetry.counter(metrics::PROXY_CLIENTS_ERRORS);
         for (p, &id) in pfds[1..].iter().zip(polled.iter()) {
             let Some(c) = conns.get_mut(&id) else {
                 continue;
@@ -293,9 +292,11 @@ impl FrameServer {
             return SendOutcome::Gone;
         }
         if c.ends.len() >= REPLY_FRAMES
-            && !(c.write_out(&self.errors) && c.ends.len() < REPLY_FRAMES)
+            && !(c.write_out(self.telemetry.counter(metrics::PROXY_CLIENTS_ERRORS))
+                && c.ends.len() < REPLY_FRAMES)
         {
-            self.dropped.add(1.0);
+            self.telemetry
+                .count(metrics::PROXY_CLIENTS_REPLIES_DROPPED, 1.0);
             self.kick(client);
             return SendOutcome::Backpressure;
         }
@@ -323,9 +324,10 @@ impl FrameServer {
         let FrameServer {
             conns,
             events,
-            errors,
+            telemetry,
             ..
         } = self;
+        let errors = telemetry.counter(metrics::PROXY_CLIENTS_ERRORS);
         conns.retain(|&id, c| {
             let open = c.write_out(errors) && !c.kicked;
             if !open {
@@ -372,7 +374,7 @@ mod tests {
     }
 
     fn server() -> FrameServer {
-        FrameServer::bind(1 << 20, &Telemetry::new()).expect("bind")
+        FrameServer::bind(1 << 20, Arc::new(Telemetry::new())).expect("bind")
     }
 
     /// What the owning thread's loop does: poll until an event is read
@@ -469,13 +471,13 @@ mod tests {
 
     #[test]
     fn oversize_client_frame_kills_the_connection_not_the_server() {
-        let tel = Telemetry::new();
-        let mut srv = FrameServer::bind(64, &tel).expect("bind");
+        let tel = Arc::new(Telemetry::new());
+        let mut srv = FrameServer::bind(64, Arc::clone(&tel)).expect("bind");
         let (mut c, _) = connect(&mut srv);
         c.write_all(&frame(&[0u8; 65])).unwrap();
         assert!(matches!(next(&mut srv), Some(ClientEvent::Disconnected(_))));
         assert_eq!(
-            tel.counter("proxy.clients.errors").get(),
+            tel.counter(metrics::PROXY_CLIENTS_ERRORS).get(),
             1.0,
             "the violation is counted"
         );

@@ -11,7 +11,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use paso_telemetry::{Counter, Histogram, Telemetry, TraceBuf, TraceKind};
+use paso_telemetry::{metrics, Telemetry, TraceBuf, TraceKind};
 
 /// The registry, the trace stream and the timebase one live deployment
 /// reports through.
@@ -60,17 +60,17 @@ impl Ledger {
     /// The cluster-wide view: every field is the registry counter of the
     /// name beside it.
     pub fn cluster_stats(&self) -> ClusterStats {
-        let c = |name| self.telemetry.counter(name).get() as u64;
+        let c = |id| self.telemetry.counter(id).get() as u64;
         ClusterStats {
-            msgs_sent: c("net.msgs_sent"),
-            bytes_sent: c("net.bytes_sent"),
-            total_work: c("work.total"),
-            msgs_delivered: c("net.msgs_delivered"),
-            msgs_dropped: c("net.msgs_dropped"),
-            msgs_faulted: c("net.msgs_faulted"),
-            msgs_delayed: c("net.msgs_delayed"),
-            client_retries: c("client.retries"),
-            results_evicted: c("client.results_evicted"),
+            msgs_sent: c(metrics::NET_MSGS_SENT),
+            bytes_sent: c(metrics::NET_BYTES_SENT),
+            total_work: c(metrics::WORK_TOTAL),
+            msgs_delivered: c(metrics::NET_MSGS_DELIVERED),
+            msgs_dropped: c(metrics::NET_MSGS_DROPPED),
+            msgs_faulted: c(metrics::NET_MSGS_FAULTED),
+            msgs_delayed: c(metrics::NET_MSGS_DELAYED),
+            client_retries: c(metrics::CLIENT_RETRIES),
+            results_evicted: c(metrics::CLIENT_RESULTS_EVICTED),
         }
     }
 }
@@ -125,70 +125,17 @@ pub struct NetStats {
     pub poll_errors: u64,
 }
 
-/// A transport's handles into the registry, resolved once at
-/// construction so the message path never takes the name-table lock. The
-/// reactor counts `bytes`/`delivered` as frames fully cross a live socket
-/// and `dropped` on mid-write failures; the fault gate counts
-/// `faulted`/`delayed` and the link histograms; the rest is the send
-/// path's.
-pub(crate) struct NetCounters {
-    /// `net.bytes_sent`
-    pub(crate) bytes: Arc<Counter>,
-    /// `net.msgs_delivered`
-    pub(crate) delivered: Arc<Counter>,
-    /// `net.msgs_dropped`
-    pub(crate) dropped: Arc<Counter>,
-    /// `net.msgs_faulted`
-    pub(crate) faulted: Arc<Counter>,
-    /// `net.msgs_delayed`
-    pub(crate) delayed: Arc<Counter>,
-    /// `net.poll.errors` (see [`NetStats::poll_errors`]).
-    pub(crate) errors: Arc<Counter>,
-    /// `net.poll.wakeups` — ready-set size per poll return that found
-    /// something ready, the I/O thread's or a mailbox's.
-    pub(crate) wakeups: Arc<Histogram>,
-    /// `net.writev.batch_frames` — frames per vectored write batch.
-    pub(crate) batch_frames: Arc<Histogram>,
-    /// `net.writev.batch_bytes` — bytes per vectored write batch.
-    pub(crate) batch_bytes: Arc<Histogram>,
-    /// `net.link.latency_micros` — injected delay per delayed frame.
-    pub(crate) link_latency: Arc<Histogram>,
-    /// `net.link.jitter_micros` — the jitter component of that delay, so
-    /// a dashboard can tell a slow link from a noisy one.
-    pub(crate) link_jitter: Arc<Histogram>,
-}
-
-impl NetCounters {
-    pub(crate) fn new(t: &Telemetry) -> Self {
-        NetCounters {
-            bytes: t.counter("net.bytes_sent"),
-            delivered: t.counter("net.msgs_delivered"),
-            dropped: t.counter("net.msgs_dropped"),
-            faulted: t.counter("net.msgs_faulted"),
-            delayed: t.counter("net.msgs_delayed"),
-            errors: t.counter("net.poll.errors"),
-            wakeups: t.histogram("net.poll.wakeups"),
-            batch_frames: t.histogram("net.writev.batch_frames"),
-            batch_bytes: t.histogram("net.writev.batch_bytes"),
-            link_latency: t.histogram("net.link.latency_micros"),
-            link_jitter: t.histogram("net.link.jitter_micros"),
-        }
-    }
-
-    pub(crate) fn snapshot(&self) -> NetStats {
+impl NetStats {
+    /// The transport counters `telemetry` holds.
+    pub(crate) fn read(telemetry: &Telemetry) -> Self {
+        let c = |id| telemetry.counter(id).get() as u64;
         NetStats {
-            bytes_sent: self.bytes.get() as u64,
-            msgs_delivered: self.delivered.get() as u64,
-            msgs_dropped: self.dropped.get() as u64,
-            msgs_faulted: self.faulted.get() as u64,
-            msgs_delayed: self.delayed.get() as u64,
-            poll_errors: self.errors.get() as u64,
+            bytes_sent: c(metrics::NET_BYTES_SENT),
+            msgs_delivered: c(metrics::NET_MSGS_DELIVERED),
+            msgs_dropped: c(metrics::NET_MSGS_DROPPED),
+            msgs_faulted: c(metrics::NET_MSGS_FAULTED),
+            msgs_delayed: c(metrics::NET_MSGS_DELAYED),
+            poll_errors: c(metrics::NET_POLL_ERRORS),
         }
-    }
-}
-
-impl std::fmt::Debug for NetCounters {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.snapshot().fmt(f)
     }
 }

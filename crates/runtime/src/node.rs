@@ -14,6 +14,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use paso_simnet::{drive_actor, Action, Actor, NodeEvent, NodeId, SimTime, WireSized};
+use paso_telemetry::metrics;
 use paso_vsync::NetMsg;
 
 use crate::ledger::Ledger;
@@ -38,12 +39,7 @@ pub(crate) fn run_node<A, F>(
 {
     let start = Instant::now();
     let now = || SimTime::from_micros(start.elapsed().as_micros() as u64);
-    // Hot-path registry handles, resolved once (same names the simnet
-    // engine uses, so both drivers report through one schema).
     let telemetry = ledger.telemetry();
-    let msgs_sent = telemetry.counter("net.msgs_sent");
-    let work = telemetry.counter("work.total");
-    let msg_bytes = telemetry.histogram("net.msg_bytes");
     let mut rng = ChaCha8Rng::seed_from_u64(node.0 as u64 + 1);
     let mut actor = factory(node);
     let mut down = false;
@@ -59,15 +55,15 @@ pub(crate) fn run_node<A, F>(
             for action in actions.drain(..) {
                 match action {
                     Action::Send { to, msg } => {
-                        msgs_sent.add(1.0);
-                        msg_bytes.record(msg.wire_size() as u64);
+                        telemetry.count(metrics::NET_MSGS_SENT, 1.0);
+                        telemetry.record(metrics::NET_MSG_BYTES, msg.wire_size() as u64);
                         postman.send(to, Envelope::Net { from: node, msg });
                     }
                     Action::SendMany { to, msg } => {
-                        msgs_sent.add(to.len() as f64);
+                        telemetry.count(metrics::NET_MSGS_SENT, to.len() as f64);
                         let bytes = msg.wire_size() as u64;
                         for _ in 0..to.len() {
-                            msg_bytes.record(bytes);
+                            telemetry.record(metrics::NET_MSG_BYTES, bytes);
                         }
                         postman.send_shared(&to, Envelope::Net { from: node, msg });
                     }
@@ -76,9 +72,9 @@ pub(crate) fn run_node<A, F>(
                         timers.push(Reverse((now() + delay, tag)));
                     }
                     Action::Emit(out) => emit(out),
-                    Action::Work(units) => work.add(units as f64),
-                    Action::Count(name, delta) => telemetry.count(name, delta),
-                    Action::Record(name, value) => telemetry.record(name, value),
+                    Action::Work(units) => telemetry.count(metrics::WORK_TOTAL, units as f64),
+                    Action::Count(id, delta) => telemetry.count(id, delta),
+                    Action::Record(id, value) => telemetry.record(id, value),
                     Action::Trace(kind) => ledger.trace(node.0, kind),
                 }
             }

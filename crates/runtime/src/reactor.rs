@@ -89,9 +89,8 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use paso_telemetry::Counter;
+use paso_telemetry::{metrics, Counter, Telemetry};
 
-use crate::ledger::NetCounters;
 use crate::transport::{Envelope, MAX_FRAME};
 
 /// A refcounted, already-encoded envelope body (no length prefix — the
@@ -287,7 +286,7 @@ impl Ord for DialAt {
 /// [`Reactor::shutdown`].
 pub(crate) struct Reactor {
     inbox: Arc<Inbox>,
-    counters: Arc<NetCounters>,
+    counters: Arc<Telemetry>,
     shutdown: Arc<AtomicBool>,
     handle: Mutex<Option<JoinHandle<()>>>,
 }
@@ -303,7 +302,7 @@ impl Reactor {
     /// (`TransportTuning::dial_stall`).
     pub(crate) fn start(
         dial_stall: Duration,
-        counters: Arc<NetCounters>,
+        counters: Arc<Telemetry>,
         shutdown: Arc<AtomicBool>,
     ) -> Self {
         let (wake_rd, wake_fd) = wake_pipe();
@@ -424,7 +423,7 @@ struct Entry {
 struct IoThread {
     wake_rd: libc::c_int,
     inbox: Arc<Inbox>,
-    counters: Arc<NetCounters>,
+    counters: Arc<Telemetry>,
     shutdown: Arc<AtomicBool>,
     dial_stall: Duration,
     dials: BinaryHeap<DialAt>,
@@ -472,7 +471,8 @@ impl IoThread {
             if ready <= 0 {
                 continue; // a dial is due, or EINTR
             }
-            self.counters.wakeups.record(ready as u64);
+            self.counters
+                .record(metrics::NET_POLL_WAKEUPS, ready as u64);
             if pfds[0].revents != 0 {
                 drain_wake_pipe(self.wake_rd);
             }
@@ -543,7 +543,7 @@ impl IoThread {
                 // failure rather than panicking the I/O thread.
                 Ok(stream) if stream.set_nonblocking(true).is_ok() => Some(stream),
                 Ok(_) => {
-                    self.counters.errors.add(1.0);
+                    self.counters.count(metrics::NET_POLL_ERRORS, 1.0);
                     None
                 }
                 Err(_) => None,
@@ -592,7 +592,7 @@ pub(crate) struct Inbound {
     /// Reused interest set: the listener, `conns` in order, then the
     /// caller's extra fds.
     pfds: Vec<libc::pollfd>,
-    counters: Arc<NetCounters>,
+    counters: Arc<Telemetry>,
 }
 
 /// One accepted peer connection.
@@ -607,7 +607,7 @@ impl Inbound {
     /// # Panics
     ///
     /// Panics if the listener cannot be made nonblocking.
-    pub(crate) fn new(listener: TcpListener, counters: Arc<NetCounters>) -> Self {
+    pub(crate) fn new(listener: TcpListener, counters: Arc<Telemetry>) -> Self {
         listener
             .set_nonblocking(true)
             .expect("nonblocking listener");
@@ -683,7 +683,7 @@ impl Inbound {
         if woke == 0 {
             return;
         }
-        counters.wakeups.record(woke as u64);
+        counters.record(metrics::NET_POLL_WAKEUPS, woke as u64);
         let mut polled = pfds[1..own].iter();
         conns.retain_mut(|c| {
             if polled.next().is_none_or(|p| p.revents == 0) {
@@ -701,7 +701,7 @@ impl Inbound {
                 &mut c.buf,
                 &mut c.filled,
                 MAX_FRAME,
-                &counters.errors,
+                counters.counter(metrics::NET_POLL_ERRORS),
                 sink,
             )
         });
@@ -713,7 +713,8 @@ impl Inbound {
     /// Accepts every pending connection on the listener.
     fn accept(&mut self) {
         let conns = &mut self.conns;
-        accept_all(&self.listener, &self.counters.errors, |stream| {
+        let errors = self.counters.counter(metrics::NET_POLL_ERRORS);
+        accept_all(&self.listener, errors, |stream| {
             conns.push(InConn {
                 stream,
                 buf: Vec::new(),
@@ -907,7 +908,7 @@ const MAX_BATCH_FRAMES: usize = 64;
 /// a write error the partially-written frame (corrupt mid-stream) is
 /// dropped **with accounting**; unwritten frames stay queued for the
 /// reconnect.
-fn drain_write(conn: &OutConn, w: &mut WriteHalf, counters: &NetCounters) -> WriteOutcome {
+fn drain_write(conn: &OutConn, w: &mut WriteHalf, counters: &Telemetry) -> WriteOutcome {
     let Some(mut stream) = w.stream.as_deref() else {
         return WriteOutcome::Dead;
     };
@@ -939,8 +940,8 @@ fn drain_write(conn: &OutConn, w: &mut WriteHalf, counters: &NetCounters) -> Wri
                     });
                 }
             }
-            counters.batch_frames.record(w.batch.len() as u64);
-            counters.batch_bytes.record(w.total as u64);
+            counters.record(metrics::NET_WRITEV_BATCH_FRAMES, w.batch.len() as u64);
+            counters.record(metrics::NET_WRITEV_BATCH_BYTES, w.total as u64);
         }
 
         // Gather the unwritten remainder into IoSlices.
@@ -968,8 +969,8 @@ fn drain_write(conn: &OutConn, w: &mut WriteHalf, counters: &NetCounters) -> Wri
                 while w.batch_done < w.batch.len() && w.batch[w.batch_done].end <= w.written {
                     let bf = &w.batch[w.batch_done];
                     let framed = (bf.header.1 - bf.header.0) + bf.frame.len();
-                    counters.bytes.add(framed as f64);
-                    counters.delivered.add(1.0);
+                    counters.count(metrics::NET_BYTES_SENT, framed as f64);
+                    counters.count(metrics::NET_MSGS_DELIVERED, 1.0);
                     pop_front(conn, &bf.frame, counters);
                     w.batch_done += 1;
                 }
@@ -984,8 +985,8 @@ fn drain_write(conn: &OutConn, w: &mut WriteHalf, counters: &NetCounters) -> Wri
 
 /// Write failure: count it, give the socket up, and have the I/O thread
 /// reconnect.
-fn fail_batch(conn: &OutConn, w: &mut WriteHalf, counters: &NetCounters) -> WriteOutcome {
-    counters.errors.add(1.0);
+fn fail_batch(conn: &OutConn, w: &mut WriteHalf, counters: &Telemetry) -> WriteOutcome {
+    counters.count(metrics::NET_POLL_ERRORS, 1.0);
     abandon(conn, w, counters);
     WriteOutcome::Dead
 }
@@ -997,11 +998,11 @@ fn fail_batch(conn: &OutConn, w: &mut WriteHalf, counters: &NetCounters) -> Writ
 /// did not see the failure itself (a sending thread did), gets `POLLHUP`
 /// for it whatever state the kernel left it in, and redials. A no-op on a
 /// connection already given up.
-fn abandon(conn: &OutConn, w: &mut WriteHalf, counters: &NetCounters) {
+fn abandon(conn: &OutConn, w: &mut WriteHalf, counters: &Telemetry) {
     if let Some(bf) = w.batch.get(w.batch_done) {
         let start = bf.end - (bf.header.1 - bf.header.0) - bf.frame.len();
         if w.written > start {
-            counters.dropped.add(1.0);
+            counters.count(metrics::NET_MSGS_DROPPED, 1.0);
             pop_front(conn, &bf.frame, counters);
         }
     }
@@ -1019,13 +1020,13 @@ fn abandon(conn: &OutConn, w: &mut WriteHalf, counters: &NetCounters) {
 /// (senders only push; the holder of `conn.write` is the only popper). An
 /// empty queue here is a desync bug — counted and asserted in debug
 /// builds, but never worth killing a production I/O thread over.
-fn pop_front(conn: &OutConn, expect: &Frame, counters: &NetCounters) {
+fn pop_front(conn: &OutConn, expect: &Frame, counters: &Telemetry) {
     let mut q = conn.queue.lock();
     match q.pop_front() {
         Some(popped) => debug_assert!(Arc::ptr_eq(&popped, expect), "queue/batch desync"),
         None => {
             debug_assert!(false, "queue front must exist");
-            counters.errors.add(1.0);
+            counters.count(metrics::NET_POLL_ERRORS, 1.0);
         }
     }
     conn.len.store(q.len(), Ordering::Release);
@@ -1034,7 +1035,6 @@ fn pop_front(conn: &OutConn, expect: &Frame, counters: &NetCounters) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use paso_telemetry::Telemetry;
 
     /// Blocks until `stream`'s peer has reset it.
     fn wait_for_reset(stream: &TcpStream) {
@@ -1054,7 +1054,8 @@ mod tests {
     /// the caller did.
     #[test]
     fn peer_death_during_an_inline_write_drops_the_half_written_frame_once() {
-        let counters = Arc::new(NetCounters::new(&Telemetry::new()));
+        let counters = Arc::new(Telemetry::new());
+        let read = |id| counters.counter(id).get();
         let reactor = Reactor::start(
             Duration::ZERO,
             Arc::clone(&counters),
@@ -1082,9 +1083,13 @@ mod tests {
         drop(peer); // unread bytes: the close resets the connection
         wait_for_reset(&stream);
         reactor.write_through(&conn);
-        assert_eq!(counters.errors.get(), 1.0);
-        assert_eq!(counters.dropped.get(), 1.0, "the half-written frame");
-        assert_eq!(counters.delivered.get(), 0.0);
+        assert_eq!(read(metrics::NET_POLL_ERRORS), 1.0);
+        assert_eq!(
+            read(metrics::NET_MSGS_DROPPED),
+            1.0,
+            "the half-written frame"
+        );
+        assert_eq!(read(metrics::NET_MSGS_DELIVERED), 0.0);
         let left = conn.queued_frames();
         assert!(left.iter().zip(&behind).all(|(a, b)| Arc::ptr_eq(a, b)));
         assert_eq!(left.len(), 2, "the frames behind it wait for the redial");
@@ -1094,8 +1099,8 @@ mod tests {
         assert!(conn.write.lock().stream.is_none());
         wait_for_reset(&stream);
         reactor.write_through(&conn);
-        assert_eq!(counters.errors.get(), 1.0);
-        assert_eq!(counters.dropped.get(), 1.0, "dropped once");
+        assert_eq!(read(metrics::NET_POLL_ERRORS), 1.0);
+        assert_eq!(read(metrics::NET_MSGS_DROPPED), 1.0, "dropped once");
         assert_eq!(conn.queued(), 2);
     }
 }

@@ -63,11 +63,11 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use paso_simnet::{FaultPlan, LinkFate, NodeId};
-use paso_telemetry::TraceKind;
+use paso_telemetry::{metrics, Telemetry, TraceKind};
 use paso_vsync::NetMsg;
 use paso_wire::Wire;
 
-use crate::ledger::{Ledger, NetCounters, NetStats};
+use crate::ledger::{Ledger, NetStats};
 use crate::reactor::{drain_wake_pipe, ppoll, wake_pipe, Frame, Inbound, OutConn, Reactor};
 
 /// An envelope routed between nodes (or from the cluster controller).
@@ -287,16 +287,14 @@ type DelayedFrame = (NodeId, NodeId, Arc<[u8]>);
 struct FaultGate {
     plan: Mutex<FaultPlan>,
     rng: Mutex<ChaCha8Rng>,
-    counters: Arc<NetCounters>,
     ledger: Arc<Ledger>,
 }
 
 impl FaultGate {
-    fn new(seed: u64, counters: Arc<NetCounters>, ledger: Arc<Ledger>) -> Self {
+    fn new(seed: u64, ledger: Arc<Ledger>) -> Self {
         FaultGate {
             plan: Mutex::new(FaultPlan::none()),
             rng: Mutex::new(ChaCha8Rng::seed_from_u64(seed)),
-            counters,
             ledger,
         }
     }
@@ -314,16 +312,17 @@ impl FaultGate {
             }
             plan.decide_detailed(from, to, &mut *self.rng.lock())
         };
+        let tel = self.ledger.telemetry();
         match decision.fate {
             LinkFate::Deliver => {}
             LinkFate::Drop => {
-                self.counters.faulted.add(1.0);
+                tel.count(metrics::NET_MSGS_FAULTED, 1.0);
                 self.ledger.trace(from.0, TraceKind::NetDrop { to: to.0 });
             }
             LinkFate::Delay(micros) => {
-                self.counters.delayed.add(1.0);
-                self.counters.link_latency.record(micros);
-                self.counters.link_jitter.record(decision.jitter_micros);
+                tel.count(metrics::NET_MSGS_DELAYED, 1.0);
+                tel.record(metrics::NET_LINK_LATENCY_MICROS, micros);
+                tel.record(metrics::NET_LINK_JITTER_MICROS, decision.jitter_micros);
                 self.ledger
                     .trace(from.0, TraceKind::NetDelay { to: to.0, micros });
             }
@@ -337,7 +336,7 @@ impl FaultGate {
 pub struct ChannelTransport {
     senders: Vec<Sender<Envelope>>,
     bells: Vec<Arc<Doorbell>>,
-    counters: Arc<NetCounters>,
+    counters: Arc<Telemetry>,
     gate: FaultGate,
     delay: DelaySlot<(NodeId, Envelope)>,
 }
@@ -406,7 +405,7 @@ impl ChannelTransport {
         tuning: TransportTuning,
         ledger: &Arc<Ledger>,
     ) -> (Arc<Self>, Vec<ChannelMailbox>) {
-        let counters = Arc::new(NetCounters::new(ledger.telemetry()));
+        let counters = Arc::clone(ledger.telemetry());
         let mut senders = Vec::with_capacity(n);
         let mut bells = Vec::with_capacity(n);
         let mut mailboxes = Vec::with_capacity(n);
@@ -421,7 +420,7 @@ impl ChannelTransport {
             Arc::new(ChannelTransport {
                 senders,
                 bells,
-                gate: FaultGate::new(tuning.fault_seed, Arc::clone(&counters), Arc::clone(ledger)),
+                gate: FaultGate::new(tuning.fault_seed, Arc::clone(ledger)),
                 counters,
                 delay: Mutex::new(None),
             }),
@@ -432,14 +431,14 @@ impl ChannelTransport {
     fn deliver_now(
         senders: &[Sender<Envelope>],
         bells: &[Arc<Doorbell>],
-        counters: &NetCounters,
+        counters: &Telemetry,
         to: NodeId,
         envelope: Envelope,
     ) {
         if let Envelope::Net { .. } = &envelope {
             // The exact binary size — the same |m| the simulator charges.
-            counters.bytes.add(envelope.encoded_len() as f64);
-            counters.delivered.add(1.0);
+            counters.count(metrics::NET_BYTES_SENT, envelope.encoded_len() as f64);
+            counters.count(metrics::NET_MSGS_DELIVERED, 1.0);
         }
         if let Some(tx) = senders.get(to.index()) {
             let _ = tx.send(envelope);
@@ -529,7 +528,7 @@ impl Postman for ChannelTransport {
     }
 
     fn net_stats(&self) -> NetStats {
-        self.counters.snapshot()
+        NetStats::read(&self.counters)
     }
 }
 
@@ -560,7 +559,7 @@ struct TcpShared {
     /// are refcounted so one encoded gcast payload sits in every member's
     /// queue without being copied per connection.
     conns: Mutex<HashMap<(NodeId, NodeId), Arc<OutConn>>>,
-    counters: Arc<NetCounters>,
+    counters: Arc<Telemetry>,
     shutdown: Arc<AtomicBool>,
     reactor: Reactor,
     gate: FaultGate,
@@ -618,7 +617,7 @@ impl TcpTransport {
     /// binding listeners of its own — the harness for dead-peer tests
     /// (a port with no listener dials and backs off forever).
     fn over_ports(ports: Vec<u16>, tuning: TransportTuning, ledger: &Arc<Ledger>) -> Arc<Self> {
-        let counters = Arc::new(NetCounters::new(ledger.telemetry()));
+        let counters = Arc::clone(ledger.telemetry());
         let shutdown = Arc::new(AtomicBool::new(false));
         let reactor = Reactor::start(
             tuning.dial_stall,
@@ -627,7 +626,7 @@ impl TcpTransport {
         );
         Arc::new(TcpTransport {
             shared: Arc::new(TcpShared {
-                gate: FaultGate::new(tuning.fault_seed, Arc::clone(&counters), Arc::clone(ledger)),
+                gate: FaultGate::new(tuning.fault_seed, Arc::clone(ledger)),
                 ports,
                 queue_depth: tuning.queue_depth,
                 conns: Mutex::new(HashMap::new()),
@@ -693,7 +692,7 @@ impl TcpShared {
             return;
         }
         let Some(conn) = self.conn(from, to) else {
-            self.counters.dropped.add(1.0);
+            self.counters.count(metrics::NET_MSGS_DROPPED, 1.0);
             return;
         };
         match conn.try_push(frame) {
@@ -706,7 +705,7 @@ impl TcpShared {
             Err(_) => {
                 // Bounded-queue overflow: the peer is unreachable or
                 // reading too slowly. Accounted, not buffered.
-                self.counters.dropped.add(1.0);
+                self.counters.count(metrics::NET_MSGS_DROPPED, 1.0);
             }
         }
     }
@@ -786,7 +785,7 @@ impl Postman for TcpTransport {
     }
 
     fn net_stats(&self) -> NetStats {
-        self.shared.counters.snapshot()
+        NetStats::read(&self.shared.counters)
     }
 }
 
@@ -1498,7 +1497,7 @@ mod tests {
                 moved + queued(&postman) as u64 == sent as u64
             },
         );
-        let dropped = ledger.telemetry().counter("net.msgs_dropped").get() as usize;
+        let dropped = ledger.telemetry().counter(metrics::NET_MSGS_DROPPED).get() as usize;
         assert!(dropped >= sent - bound, "{dropped} of {sent} dropped");
 
         let got = drain_numbered(&mailboxes[1]);

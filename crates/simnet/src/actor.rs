@@ -12,7 +12,7 @@ use std::fmt;
 
 use crate::cost::WireSized;
 use crate::time::SimTime;
-use paso_telemetry::TraceKind;
+use paso_telemetry::{CounterId, HistId, TraceKind};
 use rand_chacha::ChaCha8Rng;
 
 /// Identifier of a machine in the ensemble (an element of the paper's
@@ -119,11 +119,11 @@ pub enum Action<M, O> {
     Emit(O),
     /// Charge local processing work units.
     Work(u64),
-    /// Bump a labeled statistics counter.
-    Count(&'static str, f64),
-    /// Record a value into a labeled telemetry histogram (e.g. fsync
-    /// latencies, state-transfer sizes).
-    Record(&'static str, u64),
+    /// Bump a declared counter.
+    Count(CounterId, f64),
+    /// Record a value into a declared histogram (e.g. fsync latencies,
+    /// state-transfer sizes).
+    Record(HistId, u64),
     /// Record a structured trace event. The driver stamps it with the
     /// current time (sim-time under the engine, monotonic time live) and
     /// this node's id before appending it to the run's trace stream.
@@ -227,13 +227,13 @@ impl<M, O> Context<'_, M, O> {
         self.actions.push(Action::Work(units));
     }
 
-    /// Bumps a labeled statistics counter.
-    pub fn count(&mut self, counter: &'static str, delta: f64) {
+    /// Bumps a declared counter.
+    pub fn count(&mut self, counter: CounterId, delta: f64) {
         self.actions.push(Action::Count(counter, delta));
     }
 
-    /// Records a value into a labeled telemetry histogram.
-    pub fn record(&mut self, hist: &'static str, value: u64) {
+    /// Records a value into a declared histogram.
+    pub fn record(&mut self, hist: HistId, value: u64) {
         self.actions.push(Action::Record(hist, value));
     }
 
@@ -279,7 +279,7 @@ mod tests {
         ctx.set_timer(SimTime::from_micros(5), 7);
         ctx.emit(42);
         ctx.charge_work(3);
-        ctx.count("x", 1.0);
+        ctx.count(paso_telemetry::metrics::WORK_TOTAL, 1.0);
         assert_eq!(ctx.actions.len(), 6);
         assert!(matches!(ctx.actions[0], Action::Send { to: NodeId(2), .. }));
         assert!(matches!(ctx.actions[3], Action::Emit(42)));

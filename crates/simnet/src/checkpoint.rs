@@ -24,7 +24,7 @@ use crate::engine::{Engine, EngineConfig, Event, MachineStatus};
 use crate::queue::EventQueue;
 use crate::stats::{Publisher, Stats};
 use crate::time::SimTime;
-use paso_telemetry::{HistSnapshot, Snapshot, Telemetry, TraceBuf, N_BUCKETS};
+use paso_telemetry::{CounterId, HistSnapshot, Snapshot, Telemetry, TraceBuf, N_BUCKETS};
 use paso_wire::{put_bytes, Reader, Wire, WireError};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -89,6 +89,9 @@ pub enum CheckpointError {
     },
     /// The payload failed to decode.
     Decode(WireError),
+    /// The payload names a metric the metric table does not declare
+    /// with that kind.
+    UndeclaredMetric(String),
     /// The restoring engine's configuration violates an [`EngineConfig`]
     /// invariant (branch-time overrides are validated, not trusted).
     InvalidConfig(String),
@@ -109,6 +112,9 @@ impl std::fmt::Display for CheckpointError {
                 "checkpoint is for n={found} machines but the engine has n={expected}"
             ),
             CheckpointError::Decode(e) => write!(f, "malformed checkpoint payload: {e}"),
+            CheckpointError::UndeclaredMetric(name) => {
+                write!(f, "checkpoint names undeclared metric `{name}`")
+            }
             CheckpointError::InvalidConfig(why) => {
                 write!(f, "invalid engine configuration for restore: {why}")
             }
@@ -330,7 +336,11 @@ where
         self.stats.recoveries.encode(&mut out);
         (self.stats.max_concurrent_failures as u64).encode(&mut out);
         self.stats.events_processed.encode(&mut out);
-        encode_named_f64s(&self.stats.counters, &mut out);
+        let bumped: std::collections::BTreeMap<&str, f64> = CounterId::all()
+            .map(|id| (id.name(), self.stats.counter(id)))
+            .filter(|(_, value)| *value != 0.0)
+            .collect();
+        encode_named_f64s(&bumped, &mut out);
 
         // Metric totals.
         let snap = self.telemetry.snapshot();
@@ -419,10 +429,10 @@ where
         stats.recoveries = u64::decode(&mut r)?;
         stats.max_concurrent_failures = u64::decode(&mut r)? as usize;
         stats.events_processed = u64::decode(&mut r)?;
-        stats.counters = decode_named_f64s(&mut r)?
-            .into_iter()
-            .map(|(name, value)| (paso_telemetry::intern(&name), value))
-            .collect();
+        for (name, value) in decode_named_f64s(&mut r)? {
+            let id = CounterId::by_name(&name).ok_or(CheckpointError::UndeclaredMetric(name))?;
+            stats.bump(id, value);
+        }
 
         let mut tel_snap = Snapshot {
             counters: decode_named_f64s(&mut r)?,
@@ -435,6 +445,12 @@ where
             let hist = decode_hist(&mut r)?;
             tel_snap.hists.insert(name, hist);
         }
+        // A fresh registry, because the engine's may be shared with
+        // observers whose counts would otherwise double.
+        let telemetry = Arc::new(Telemetry::new());
+        telemetry
+            .restore(&tel_snap)
+            .map_err(|e| CheckpointError::UndeclaredMetric(e.0))?;
 
         // Decode complete — now mutate, so a malformed blob can't leave
         // the engine half-restored.
@@ -452,9 +468,7 @@ where
         self.stats = stats;
         self.outputs.clear();
         self.trace.clear();
-        let telemetry = Arc::new(Telemetry::new());
-        telemetry.restore(&tel_snap);
-        self.tel = Publisher::new(&telemetry);
+        self.tel = Publisher::new();
         self.telemetry = telemetry;
         self.trace_buf = Arc::new(TraceBuf::new());
         // A checkpoint taken without churn has no pending tick; if this
@@ -502,6 +516,7 @@ mod tests {
     use crate::actor::{Context, NodeEvent};
     use crate::cost::WireSized;
     use crate::engine::TraceEntry;
+    use paso_telemetry::metrics;
 
     /// A checkpointable counter actor: counts pings, replies with pongs,
     /// and keeps a running total that must survive restore.
@@ -535,7 +550,7 @@ mod tests {
                     self.seen += 1;
                     ctx.emit(self.seen);
                     ctx.charge_work(2);
-                    ctx.count("counting.seen", 1.0);
+                    ctx.count(metrics::GOSSIP_SUMMARY_RECV, 1.0);
                     if msg.0 > 0 {
                         let next = NodeId((self.id.0 + 1) % ctx.n() as u32);
                         ctx.send(next, Ping(msg.0 - 1));
@@ -579,20 +594,14 @@ mod tests {
     /// and every labeled counter reads the same from both.
     fn assert_registry_is_stats(e: &Engine<Counting>) {
         let (stats, snap) = (e.stats(), e.telemetry().snapshot());
-        for (name, total) in [
-            ("net.msgs_sent", stats.msgs_sent as f64),
-            ("net.bytes_sent", stats.total_bytes as f64),
-            ("net.msg_cost", stats.total_msg_cost),
-            ("net.msgs_dropped", stats.dropped_msgs as f64),
-            ("work.total", stats.total_work() as f64),
-            ("fault.crashes", stats.crashes as f64),
-            ("fault.recoveries", stats.recoveries as f64),
-        ] {
-            assert_eq!(snap.counter(name), total, "{name}");
+        for (id, total) in crate::stats::totals(stats) {
+            assert_eq!(snap.counter(id.name()), total, "{}", id.name());
         }
-        assert!(stats.counter("counting.seen") > 0.0);
-        for (name, total) in &stats.counters {
-            assert_eq!(snap.counter(name), *total, "{name}");
+        assert!(stats.counter(metrics::GOSSIP_SUMMARY_RECV) > 0.0);
+        for id in CounterId::all() {
+            if stats.counter(id) != 0.0 {
+                assert_eq!(snap.counter(id.name()), stats.counter(id), "{}", id.name());
+            }
         }
     }
 
@@ -680,6 +689,33 @@ mod tests {
                 found: 4
             }
         );
+    }
+
+    #[test]
+    fn restore_refuses_a_metric_the_table_does_not_declare() {
+        let mut e = fresh(1);
+        drive(&mut e, 2);
+        let good = e.snapshot().as_bytes().to_vec();
+        // The name's first occurrence is in the `Stats` counter section,
+        // its second in the registry's; renaming one by a byte keeps the
+        // blob decodable.
+        let name = b"gossip.summary.recv";
+        let at: Vec<usize> = (0..good.len())
+            .filter(|&i| good[i..].starts_with(name))
+            .collect();
+        assert_eq!(at.len(), 2);
+        for i in at {
+            let mut bytes = good.clone();
+            bytes[i + name.len() - 1] = b'x';
+            let mut target = fresh(1);
+            let telemetry = Arc::clone(target.telemetry());
+            let undeclared = CheckpointError::UndeclaredMetric("gossip.summary.recx".into());
+            let ckpt = SimCheckpoint::from_bytes(bytes).unwrap();
+            assert_eq!(target.restore(&ckpt), Err(undeclared));
+            assert_eq!(target.now(), SimTime::ZERO, "nothing restored");
+            assert_eq!(target.stats().msgs_sent, 0);
+            assert!(Arc::ptr_eq(target.telemetry(), &telemetry));
+        }
     }
 
     #[test]

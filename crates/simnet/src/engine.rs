@@ -28,7 +28,7 @@ use crate::fault::{ChurnModel, Fault, FaultPlan, FaultScript, LinkFate, NetModel
 use crate::queue::EventQueue;
 use crate::stats::{Publisher, Stats};
 use crate::time::SimTime;
-use paso_telemetry::{Telemetry, TraceBuf, TraceKind};
+use paso_telemetry::{metrics, Telemetry, TraceBuf, TraceKind};
 use rand::Rng;
 use rand::RngCore;
 use rand::SeedableRng;
@@ -325,7 +325,7 @@ impl<A: Actor> Engine<A> {
         let rng = ChaCha8Rng::seed_from_u64(config.seed);
         let stats = Stats::new(config.n);
         let telemetry = Arc::new(Telemetry::new());
-        let tel = Publisher::new(&telemetry);
+        let tel = Publisher::new();
         let fault_pass_through = config.fault_plan.is_pass_through();
         Engine {
             arena,
@@ -503,7 +503,7 @@ impl<A: Actor> Engine<A> {
         self.stats.msgs_sent += 1;
         self.stats.total_msg_cost += cost;
         self.stats.total_bytes += bytes as u64;
-        self.tel.msg_bytes.record(bytes as u64);
+        self.tel.record(metrics::NET_MSG_BYTES, bytes as u64);
 
         // Injected link faults (messages are paid for whether or not the
         // network then mangles them).
@@ -558,8 +558,8 @@ impl<A: Actor> Engine<A> {
             }
         };
         if injected > 0 || matches!(self.config.net, NetModel::Switched(_)) {
-            self.tel.link_latency.record(injected);
-            self.tel.link_jitter.record(jitter);
+            self.tel.record(metrics::NET_LINK_LATENCY_MICROS, injected);
+            self.tel.record(metrics::NET_LINK_JITTER_MICROS, jitter);
         }
         if injected > 0 {
             // Under the bus model the fault-plan delay happens after the
@@ -611,18 +611,19 @@ impl<A: Actor> Engine<A> {
             match action {
                 Action::Send { to, msg } => {
                     let bytes = msg.wire_size();
-                    self.tel.writev_batch_frames.record(1);
-                    self.tel.writev_batch_bytes.record(bytes as u64);
+                    self.tel.record(metrics::NET_WRITEV_BATCH_FRAMES, 1);
+                    self.tel
+                        .record(metrics::NET_WRITEV_BATCH_BYTES, bytes as u64);
                     self.send_one(node, to, msg, bytes);
                 }
                 Action::SendMany { to, msg } => {
                     // Sized once for the whole fan-out; each copy still
                     // pays α + β·|m| and serializes on the bus in turn.
                     let bytes = msg.wire_size();
-                    self.tel.writev_batch_frames.record(to.len() as u64);
                     self.tel
-                        .writev_batch_bytes
-                        .record((bytes * to.len()) as u64);
+                        .record(metrics::NET_WRITEV_BATCH_FRAMES, to.len() as u64);
+                    let batch = (bytes * to.len()) as u64;
+                    self.tel.record(metrics::NET_WRITEV_BATCH_BYTES, batch);
                     for target in to {
                         self.send_one(node, target, msg.clone(), bytes);
                     }
@@ -655,20 +656,14 @@ impl<A: Actor> Engine<A> {
                 }
                 Action::Emit(out) => self.outputs.push((self.now, node, out)),
                 Action::Work(units) => self.stats.charge(node, units),
-                Action::Count(name, delta) => self.count(name, delta),
-                Action::Record(name, value) => self.tel.record(name, value),
+                Action::Count(id, delta) => self.stats.bump(id, delta),
+                Action::Record(id, value) => self.tel.record(id, value),
                 Action::Trace(kind) => {
                     self.trace_buf.record(self.now.as_micros(), node.0, kind);
                 }
             }
         }
         self.actions = actions;
-    }
-
-    /// Bumps a labeled counter and marks it for the next publish.
-    fn count(&mut self, name: &'static str, delta: f64) {
-        self.stats.bump(name, delta);
-        self.tel.touch(name);
     }
 
     /// Notifies every up node (other than `about`) of a membership change.
@@ -712,7 +707,7 @@ impl<A: Actor> Engine<A> {
             .max(self.concurrent_failures);
         if churn {
             self.arena.churned[i] = true;
-            self.count("fault.churn.crashes", 1.0);
+            self.stats.bump(metrics::FAULT_CHURN_CRASHES, 1.0);
             let churn_model = self.config.churn.expect("churn crash without model");
             let downtime = exp_micros(&mut self.rng, churn_model.mean_downtime.as_micros() as f64);
             self.queue.push(
@@ -753,7 +748,7 @@ impl<A: Actor> Engine<A> {
                 if via_bus {
                     // One delivery = one readiness wakeup of the
                     // receiving node (the simulator's poll(2) analog).
-                    self.tel.poll_wakeups.record(1);
+                    self.tel.record(metrics::NET_POLL_WAKEUPS, 1);
                 }
                 if up {
                     if self.config.record_trace {
@@ -808,7 +803,7 @@ impl<A: Actor> Engine<A> {
                 self.stats.recoveries += 1;
                 if self.arena.churned[i] {
                     self.arena.churned[i] = false;
-                    self.count("fault.churn.recoveries", 1.0);
+                    self.stats.bump(metrics::FAULT_CHURN_RECOVERIES, 1.0);
                 }
                 self.trace_buf
                     .record(self.now.as_micros(), node.0, TraceKind::Recover);
@@ -1398,7 +1393,7 @@ mod drive_actor_tests {
                         ctx.send(from, Ping(msg.0 - 1));
                         ctx.send_local(Ping(0));
                         ctx.charge_work(3);
-                        ctx.count("echo", 1.0);
+                        ctx.count(metrics::GOSSIP_SUMMARY_RECV, 1.0);
                     }
                 }
                 NodeEvent::Timer { tag } => ctx.emit(tag as u8),
@@ -1428,7 +1423,10 @@ mod drive_actor_tests {
         ));
         assert!(matches!(actions[2], Action::SendLocal { msg: Ping(0) }));
         assert!(matches!(actions[3], Action::Work(3)));
-        assert!(matches!(actions[4], Action::Count("echo", _)));
+        assert!(matches!(
+            actions[4],
+            Action::Count(metrics::GOSSIP_SUMMARY_RECV, _)
+        ));
     }
 
     #[test]

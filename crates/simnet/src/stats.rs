@@ -9,14 +9,13 @@
 //! arithmetic, one increment site per quantity on the per-message hot
 //! path. The `paso-telemetry` registry is a *view* of it: at run
 //! boundaries the [`Publisher`] stores the totals under the shared metric
-//! names (DESIGN.md §6e), so nothing is counted twice and the two can
-//! never disagree.
+//! ids (the `paso_telemetry::metrics` table), so nothing is counted twice
+//! and the two can never disagree.
 
-use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
 
-use paso_telemetry::{Counter, HistSnapshot, Histogram, Telemetry};
+use paso_telemetry::metrics;
+use paso_telemetry::{CounterId, HistId, HistSnapshot, Telemetry};
 
 use crate::actor::NodeId;
 
@@ -52,10 +51,9 @@ pub struct Stats {
     /// Total simulation events processed by the engine (throughput
     /// denominator for the scale benchmarks).
     pub events_processed: u64,
-    /// Labeled counters: whatever actors bump through `Action::Count`,
-    /// plus the engine's own `fault.churn.*`. Each is published under its
-    /// own name.
-    pub counters: BTreeMap<&'static str, f64>,
+    /// Labeled counters, indexed by [`CounterId`]: whatever actors bump
+    /// through `Action::Count`, plus the engine's own `fault.churn.*`.
+    counters: Vec<f64>,
 }
 
 impl Stats {
@@ -63,6 +61,7 @@ impl Stats {
     pub fn new(n: usize) -> Self {
         Stats {
             work: vec![0; n],
+            counters: vec![0.0; CounterId::COUNT],
             ..Stats::default()
         }
     }
@@ -78,8 +77,8 @@ impl Stats {
     }
 
     /// Value of a labeled counter (0 if never bumped).
-    pub fn counter(&self, name: &str) -> f64 {
-        self.counters.get(name).copied().unwrap_or(0.0)
+    pub fn counter(&self, id: CounterId) -> f64 {
+        self.counters.get(id.index()).copied().unwrap_or(0.0)
     }
 
     /// Charges `units` of work to `node`.
@@ -94,9 +93,23 @@ impl Stats {
         self.work = work;
     }
 
-    pub(crate) fn bump(&mut self, name: &'static str, delta: f64) {
-        *self.counters.entry(name).or_insert(0.0) += delta;
+    pub(crate) fn bump(&mut self, id: CounterId, delta: f64) {
+        self.counters[id.index()] += delta;
     }
+}
+
+/// The engine totals [`Stats`] keeps in fields, under the counter each
+/// is published as.
+pub(crate) fn totals(s: &Stats) -> [(CounterId, f64); 7] {
+    [
+        (metrics::NET_MSGS_SENT, s.msgs_sent as f64),
+        (metrics::NET_BYTES_SENT, s.total_bytes as f64),
+        (metrics::NET_MSG_COST, s.total_msg_cost),
+        (metrics::NET_MSGS_DROPPED, s.dropped_msgs as f64),
+        (metrics::WORK_TOTAL, s.work_total as f64),
+        (metrics::FAULT_CRASHES, s.crashes as f64),
+        (metrics::FAULT_RECOVERIES, s.recoveries as f64),
+    ]
 }
 
 /// Publishes [`Stats`] into the registry at run boundaries (`run_until`,
@@ -108,117 +121,42 @@ impl Stats {
 /// totals at every point they could legitimately read them.
 ///
 /// Counters are *stored*, not added: the engine is the only writer of
-/// the names it publishes, and the stored value is the accumulator's.
+/// the counters it publishes, and the stored value is the accumulator's.
+/// A counter the engine holds at zero is left alone, so a driver may
+/// count into one the engine never bumps.
 pub(crate) struct Publisher {
-    totals: [Total; 7],
-    /// Labeled counters bumped since the last publish.
-    touched: Vec<&'static str>,
-    /// `net.msg_bytes`, plus shared-name mirrors of the live reactor's
-    /// I/O histograms with driver-specific semantics (DESIGN.md §6e): one
-    /// "wakeup" per bus delivery, one "batch" per send action (a fan-out
-    /// is one batch of `targets` frames).
-    pub(crate) msg_bytes: BufferedHist,
-    pub(crate) poll_wakeups: BufferedHist,
-    pub(crate) writev_batch_frames: BufferedHist,
-    pub(crate) writev_batch_bytes: BufferedHist,
-    pub(crate) link_latency: BufferedHist,
-    pub(crate) link_jitter: BufferedHist,
-    /// Actor-labeled histogram values (`Action::Record`), resolved
-    /// against the registry at publish time.
-    records: BTreeMap<&'static str, HistSnapshot>,
-}
-
-/// One engine total: its registry counter and the field it reads.
-type Total = (Arc<Counter>, fn(&Stats) -> f64);
-
-/// A registry histogram with a plain local buffer in front of it.
-pub(crate) struct BufferedHist {
-    handle: Arc<Histogram>,
-    local: HistSnapshot,
-}
-
-impl BufferedHist {
-    fn new(handle: Arc<Histogram>) -> Self {
-        BufferedHist {
-            handle,
-            local: HistSnapshot::empty(),
-        }
-    }
-
-    pub(crate) fn record(&mut self, value: u64) {
-        self.local.record(value);
-    }
-
-    fn publish(&mut self) {
-        if !self.local.is_empty() {
-            self.handle.absorb(&self.local);
-            self.local = HistSnapshot::empty();
-        }
-    }
+    /// Histogram samples since the last publish, indexed by [`HistId`]:
+    /// `Action::Record` values and the engine's own `net.*` samples.
+    hists: [HistSnapshot; HistId::COUNT],
 }
 
 impl Publisher {
-    pub(crate) fn new(t: &Telemetry) -> Self {
-        // Schema parity: the simulated bus cannot fail a poll(2), and a
-        // run without churn never bumps `fault.churn.*`, but the names
-        // must exist in every snapshot so dashboards and the differential
-        // tests see one schema.
-        t.counter("net.poll.errors");
-        t.counter("fault.churn.crashes");
-        t.counter("fault.churn.recoveries");
+    pub(crate) fn new() -> Self {
         Publisher {
-            totals: [
-                (t.counter("net.msgs_sent"), |s| s.msgs_sent as f64),
-                (t.counter("net.bytes_sent"), |s| s.total_bytes as f64),
-                (t.counter("net.msg_cost"), |s| s.total_msg_cost),
-                (t.counter("net.msgs_dropped"), |s| s.dropped_msgs as f64),
-                (t.counter("work.total"), |s| s.work_total as f64),
-                (t.counter("fault.crashes"), |s| s.crashes as f64),
-                (t.counter("fault.recoveries"), |s| s.recoveries as f64),
-            ],
-            touched: Vec::new(),
-            msg_bytes: BufferedHist::new(t.histogram("net.msg_bytes")),
-            poll_wakeups: BufferedHist::new(t.histogram("net.poll.wakeups")),
-            writev_batch_frames: BufferedHist::new(t.histogram("net.writev.batch_frames")),
-            writev_batch_bytes: BufferedHist::new(t.histogram("net.writev.batch_bytes")),
-            link_latency: BufferedHist::new(t.histogram("net.link.latency_micros")),
-            link_jitter: BufferedHist::new(t.histogram("net.link.jitter_micros")),
-            records: BTreeMap::new(),
+            hists: std::array::from_fn(|_| HistSnapshot::empty()),
         }
     }
 
-    /// Notes that `stats.counters[name]` moved.
-    pub(crate) fn touch(&mut self, name: &'static str) {
-        if self.touched.last() != Some(&name) {
-            self.touched.push(name);
-        }
+    /// Buffers one histogram sample.
+    pub(crate) fn record(&mut self, id: HistId, value: u64) {
+        self.hists[id.index()].record(value);
     }
 
-    /// Buffers one `Action::Record` sample.
-    pub(crate) fn record(&mut self, name: &'static str, value: u64) {
-        self.records
-            .entry(name)
-            .or_insert_with(HistSnapshot::empty)
-            .record(value);
-    }
-
-    /// Stores every total `stats` holds under its metric name and drains
-    /// the histogram buffers.
+    /// Stores every nonzero total `stats` holds under its metric and
+    /// drains the histogram buffers.
     pub(crate) fn publish(&mut self, stats: &Stats, t: &Telemetry) {
-        for (counter, total) in &self.totals {
-            counter.set(total(stats));
+        let labeled = CounterId::all().map(|id| (id, stats.counter(id)));
+        for (id, value) in totals(stats).into_iter().chain(labeled) {
+            if value != 0.0 {
+                t.counter(id).set(value);
+            }
         }
-        for name in self.touched.drain(..) {
-            t.counter(name).set(stats.counter(name));
-        }
-        self.msg_bytes.publish();
-        self.poll_wakeups.publish();
-        self.writev_batch_frames.publish();
-        self.writev_batch_bytes.publish();
-        self.link_latency.publish();
-        self.link_jitter.publish();
-        while let Some((name, local)) = self.records.pop_first() {
-            t.histogram(name).absorb(&local);
+        for id in HistId::all() {
+            let local = &mut self.hists[id.index()];
+            if !local.is_empty() {
+                t.histogram(id).absorb(local);
+                *local = HistSnapshot::empty();
+            }
         }
     }
 }
@@ -256,10 +194,10 @@ mod tests {
     #[test]
     fn counters_default_to_zero() {
         let mut s = Stats::new(1);
-        assert_eq!(s.counter("absent"), 0.0);
-        s.bump("x", 1.5);
-        s.bump("x", 1.0);
-        assert_eq!(s.counter("x"), 2.5);
+        assert_eq!(s.counter(metrics::READ_PRUNED), 0.0);
+        s.bump(metrics::READ_PRUNED, 1.5);
+        s.bump(metrics::READ_PRUNED, 1.0);
+        assert_eq!(s.counter(metrics::READ_PRUNED), 2.5);
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! Three pieces, deliberately at the bottom of the dependency graph so both
 //! the deterministic simulator and the live threaded runtime can share them:
 //!
-//! * [`Telemetry`] — a lock-free metrics registry of named counters, gauges
-//!   and fixed-bucket histograms.  Registration takes a short lock on a name
-//!   table; every subsequent update is a plain atomic.  Snapshots are cheap,
-//!   consistent-enough views that merge associatively across nodes/threads.
+//! * [`Telemetry`] — a lock-free metrics registry with one slot per row of
+//!   the [`metrics`] table: counters, gauges and fixed-bucket histograms,
+//!   updated through typed ids as plain atomics.  Snapshots report every
+//!   row by name and merge associatively across nodes/threads.
 //! * [`TraceBuf`] — a bounded structured trace-event stream (op begin/end,
 //!   gcast fan-out, view changes, fault injection).  Timestamps are supplied
 //!   by the driver: sim-time micros under simnet, monotonic micros since
@@ -16,6 +16,7 @@
 
 mod axioms;
 mod hist;
+pub mod metrics;
 mod registry;
 mod trace;
 
@@ -23,5 +24,6 @@ pub use axioms::{
     check_trace, AxiomReport, AxiomTracker, AxiomTrackerState, AxiomViolation, ObjLife, PendingOp,
 };
 pub use hist::{HistSnapshot, Histogram, N_BUCKETS};
-pub use registry::{intern, Counter, Gauge, Snapshot, Telemetry};
+pub use metrics::{CounterId, GaugeId, HistId, Kind, Metric, METRICS};
+pub use registry::{Counter, Gauge, Snapshot, Telemetry, UndeclaredMetric};
 pub use trace::{ObjRef, OpKind, Outcome, TraceBuf, TraceEvent, TraceKind};

@@ -1,16 +1,12 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::RwLock;
 
 use crate::hist::{HistSnapshot, Histogram};
+use crate::metrics::{CounterId, GaugeId, HistId, Id};
 
 /// Monotonically increasing f64 value, stored as bit-cast `AtomicU64`.
 ///
-/// f64 because the existing `vs.count`/`Action::Count` plumbing throughout
-/// core and vsync counts in f64 deltas; keeping the type means every legacy
-/// counter migrates onto the registry without touching its call sites.
+/// f64 because the engine counts fractional `β·|m|` msg-cost deltas.
 pub struct Counter(AtomicU64);
 
 impl Counter {
@@ -61,42 +57,34 @@ impl Gauge {
     }
 }
 
-/// Process-wide intern table mapping metric names that arrive as owned
-/// strings (deserialized snapshots) onto `&'static str`. Each distinct
-/// name is leaked exactly once, ever, across all registries.
-pub fn intern(name: &str) -> &'static str {
-    use std::collections::BTreeSet;
-    use std::sync::OnceLock;
-    static TABLE: OnceLock<RwLock<BTreeSet<&'static str>>> = OnceLock::new();
-    let table = TABLE.get_or_init(|| RwLock::new(BTreeSet::new()));
-    if let Some(s) = table.read().get(name) {
-        return s;
-    }
-    let mut w = table.write();
-    if let Some(s) = w.get(name) {
-        return s;
-    }
-    let leaked: &'static str = Box::leak(name.to_owned().into_boxed_str());
-    w.insert(leaked);
-    leaked
-}
+/// A name that a [`Snapshot`] files under a kind the metric table does
+/// not declare it with.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct UndeclaredMetric(pub String);
 
-#[derive(Default)]
-struct Tables {
-    counters: BTreeMap<&'static str, Arc<Counter>>,
-    gauges: BTreeMap<&'static str, Arc<Gauge>>,
-    hists: BTreeMap<&'static str, Arc<Histogram>>,
-}
-
-/// The metrics registry shared by simnet engines, live nodes and clients.
-///
-/// Names are `&'static str` so steady-state updates never allocate; the
-/// name table is behind an `RwLock` but callers that cache the returned
-/// `Arc` (or go through [`Telemetry::count`] on a hot path that has already
-/// registered the name) only ever take the read side.
-#[derive(Default)]
+/// The metrics registry shared by simnet engines, live nodes and clients:
+/// one slot per row of the metric table, indexed by its typed id, so an
+/// update is one atomic and never a name lookup.
 pub struct Telemetry {
-    tables: RwLock<Tables>,
+    counters: [Counter; CounterId::COUNT],
+    gauges: [Gauge; GaugeId::COUNT],
+    hists: [Histogram; HistId::COUNT],
+}
+
+impl Default for Telemetry {
+    fn default() -> Self {
+        Telemetry {
+            counters: std::array::from_fn(|_| Counter::new()),
+            gauges: std::array::from_fn(|_| Gauge::new()),
+            hists: std::array::from_fn(|_| Histogram::new()),
+        }
+    }
+}
+
+impl std::fmt::Debug for Telemetry {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Telemetry").finish_non_exhaustive()
+    }
 }
 
 impl Telemetry {
@@ -104,50 +92,26 @@ impl Telemetry {
         Telemetry::default()
     }
 
-    pub fn counter(&self, name: &'static str) -> Arc<Counter> {
-        if let Some(c) = self.tables.read().counters.get(name) {
-            return c.clone();
-        }
-        self.tables
-            .write()
-            .counters
-            .entry(name)
-            .or_insert_with(|| Arc::new(Counter::new()))
-            .clone()
+    pub fn counter(&self, id: CounterId) -> &Counter {
+        &self.counters[id.index()]
     }
 
-    pub fn gauge(&self, name: &'static str) -> Arc<Gauge> {
-        if let Some(g) = self.tables.read().gauges.get(name) {
-            return g.clone();
-        }
-        self.tables
-            .write()
-            .gauges
-            .entry(name)
-            .or_insert_with(|| Arc::new(Gauge::new()))
-            .clone()
+    pub fn gauge(&self, id: GaugeId) -> &Gauge {
+        &self.gauges[id.index()]
     }
 
-    pub fn histogram(&self, name: &'static str) -> Arc<Histogram> {
-        if let Some(h) = self.tables.read().hists.get(name) {
-            return h.clone();
-        }
-        self.tables
-            .write()
-            .hists
-            .entry(name)
-            .or_insert_with(|| Arc::new(Histogram::new()))
-            .clone()
+    pub fn histogram(&self, id: HistId) -> &Histogram {
+        &self.hists[id.index()]
     }
 
-    /// Convenience: bump a counter by name.
-    pub fn count(&self, name: &'static str, delta: f64) {
-        self.counter(name).add(delta);
+    /// Bumps a counter.
+    pub fn count(&self, id: CounterId, delta: f64) {
+        self.counter(id).add(delta);
     }
 
-    /// Convenience: record a histogram sample by name.
-    pub fn record(&self, name: &'static str, value: u64) {
-        self.histogram(name).record(value);
+    /// Records a histogram sample.
+    pub fn record(&self, id: HistId, value: u64) {
+        self.histogram(id).record(value);
     }
 
     /// Loads a previously captured [`Snapshot`] into this registry:
@@ -156,39 +120,41 @@ impl Telemetry {
     /// simulation run into a *fresh* registry, so that metric totals
     /// continue exactly where the checkpoint left them.
     ///
-    /// Names arriving from a serialized snapshot are owned `String`s while
-    /// the registry interns `&'static str`; unseen names are leaked once
-    /// into a process-wide intern table (bounded by the metric-name
-    /// vocabulary, which is small and static in practice).
-    pub fn restore(&self, snap: &Snapshot) {
-        for (name, value) in &snap.counters {
-            self.counter(intern(name)).set(*value);
+    /// Every name must be declared with the kind it is filed under; on
+    /// the first that is not, nothing has been loaded.
+    pub fn restore(&self, snap: &Snapshot) -> Result<(), UndeclaredMetric> {
+        fn ids<const K: u8, V>(
+            map: &BTreeMap<String, V>,
+        ) -> Result<Vec<(Id<K>, &V)>, UndeclaredMetric> {
+            map.iter()
+                .map(|(name, v)| Ok((Id::by_name(name).ok_or(UndeclaredMetric(name.clone()))?, v)))
+                .collect()
         }
-        for (name, value) in &snap.gauges {
-            self.gauge(intern(name)).set(*value);
+        let (counters, gauges, hists) =
+            (ids(&snap.counters)?, ids(&snap.gauges)?, ids(&snap.hists)?);
+        for (id, value) in counters {
+            self.counter(id).set(*value);
         }
-        for (name, hist) in &snap.hists {
-            self.histogram(intern(name)).absorb(hist);
+        for (id, value) in gauges {
+            self.gauge(id).set(*value);
         }
+        for (id, hist) in hists {
+            self.histogram(id).absorb(hist);
+        }
+        Ok(())
     }
 
+    /// Every declared metric's current value, under its name.
     pub fn snapshot(&self) -> Snapshot {
-        let t = self.tables.read();
         Snapshot {
-            counters: t
-                .counters
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.get()))
+            counters: CounterId::all()
+                .map(|id| (id.name().to_string(), self.counter(id).get()))
                 .collect(),
-            gauges: t
-                .gauges
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.get()))
+            gauges: GaugeId::all()
+                .map(|id| (id.name().to_string(), self.gauge(id).get()))
                 .collect(),
-            hists: t
-                .hists
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.snapshot()))
+            hists: HistId::all()
+                .map(|id| (id.name().to_string(), self.histogram(id).snapshot()))
                 .collect(),
         }
     }
@@ -319,58 +285,72 @@ impl Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::{NET_MSGS_SENT, NET_MSG_BYTES, PROXY_CLIENTS_OPEN};
 
     #[test]
     fn counter_f64_semantics() {
         let t = Telemetry::new();
-        t.count("x", 1.5);
-        t.count("x", 2.5);
-        assert_eq!(t.snapshot().counter("x"), 4.0);
+        t.count(NET_MSGS_SENT, 1.5);
+        t.count(NET_MSGS_SENT, 2.5);
+        assert_eq!(t.snapshot().counter("net.msgs_sent"), 4.0);
         assert_eq!(t.snapshot().counter("absent"), 0.0);
     }
 
     #[test]
     fn snapshot_merge_adds() {
         let a = Telemetry::new();
-        a.count("n", 2.0);
-        a.record("h", 10);
+        a.count(NET_MSGS_SENT, 2.0);
+        a.record(NET_MSG_BYTES, 10);
         let b = Telemetry::new();
-        b.count("n", 3.0);
-        b.record("h", 20);
+        b.count(NET_MSGS_SENT, 3.0);
+        b.record(NET_MSG_BYTES, 20);
         let mut s = a.snapshot();
         s.merge(&b.snapshot());
-        assert_eq!(s.counter("n"), 5.0);
-        assert_eq!(s.hist("h").count, 2);
-        assert_eq!(s.hist("h").sum, 30);
+        assert_eq!(s.counter("net.msgs_sent"), 5.0);
+        assert_eq!(s.hist("net.msg_bytes").count, 2);
+        assert_eq!(s.hist("net.msg_bytes").sum, 30);
     }
 
     #[test]
     fn restore_reproduces_snapshot_in_fresh_registry() {
         let a = Telemetry::new();
-        a.count("net.msgs_sent", 41.0);
-        a.gauge("live.nodes").set(3.0);
-        a.record("net.msg_bytes", 64);
-        a.record("net.msg_bytes", 900);
+        a.count(NET_MSGS_SENT, 41.0);
+        a.gauge(PROXY_CLIENTS_OPEN).set(3.0);
+        a.record(NET_MSG_BYTES, 64);
+        a.record(NET_MSG_BYTES, 900);
         let snap = a.snapshot();
 
         let b = Telemetry::new();
-        b.restore(&snap);
+        b.restore(&snap).unwrap();
         assert_eq!(b.snapshot(), snap, "restore must reproduce the totals");
 
         // Continuing after restore keeps counting from the restored value.
-        b.count("net.msgs_sent", 1.0);
+        b.count(NET_MSGS_SENT, 1.0);
         assert_eq!(b.snapshot().counter("net.msgs_sent"), 42.0);
+
+        // An undeclared name, or a declared one filed under another kind,
+        // is refused before anything loads.
+        let (mut bad, c) = (snap.clone(), Telemetry::new());
+        bad.counters.insert("zz.undeclared".into(), 1.0);
+        assert_eq!(
+            c.restore(&bad),
+            Err(UndeclaredMetric("zz.undeclared".into()))
+        );
+        bad = snap.clone();
+        bad.gauges.insert("net.msgs_sent".into(), 1.0);
+        assert!(c.restore(&bad).is_err());
+        assert_eq!(c.snapshot(), Telemetry::new().snapshot(), "nothing loaded");
     }
 
     #[test]
     fn json_dump_is_wellformed_enough() {
         let t = Telemetry::new();
-        t.count("a.b", 1.0);
-        t.gauge("g").set(2.0);
-        t.record("h", 7);
+        t.count(NET_MSGS_SENT, 1.0);
+        t.gauge(PROXY_CLIENTS_OPEN).set(2.0);
+        t.record(NET_MSG_BYTES, 7);
         let j = t.snapshot().dump_json();
         assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.contains("\"a.b\":1"));
+        assert!(j.contains("\"net.msgs_sent\":1"));
         assert!(j.contains("\"buckets\""));
     }
 }

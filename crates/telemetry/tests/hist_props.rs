@@ -4,6 +4,7 @@
 
 use std::sync::Arc;
 
+use paso_telemetry::metrics::{NET_MSGS_SENT, NET_MSG_BYTES};
 use paso_telemetry::{HistSnapshot, Histogram, Telemetry};
 use proptest::prelude::*;
 
@@ -72,15 +73,13 @@ fn concurrent_recording_loses_nothing() {
     const THREADS: u64 = 8;
     const PER_THREAD: u64 = 10_000;
     let tel = Arc::new(Telemetry::new());
-    let hist = tel.histogram("t.lat");
-    let ctr = tel.counter("t.ops");
     let handles: Vec<_> = (0..THREADS)
         .map(|t| {
-            let (hist, ctr) = (hist.clone(), ctr.clone());
+            let tel = Arc::clone(&tel);
             std::thread::spawn(move || {
                 for i in 0..PER_THREAD {
-                    hist.record(t * PER_THREAD + i);
-                    ctr.add(1.0);
+                    tel.record(NET_MSG_BYTES, t * PER_THREAD + i);
+                    tel.count(NET_MSGS_SENT, 1.0);
                 }
             })
         })
@@ -89,12 +88,12 @@ fn concurrent_recording_loses_nothing() {
         h.join().unwrap();
     }
     let snap = tel.snapshot();
-    let h = snap.hist("t.lat");
+    let h = snap.hist("net.msg_bytes");
     let n = THREADS * PER_THREAD;
     assert_eq!(h.count, n);
     // Sum of 0..n since per-thread ranges tile [0, n).
     assert_eq!(h.sum, n * (n - 1) / 2);
     assert_eq!(h.min, 0);
     assert_eq!(h.max, n - 1);
-    assert_eq!(snap.counter("t.ops"), n as f64);
+    assert_eq!(snap.counter("net.msgs_sent"), n as f64);
 }

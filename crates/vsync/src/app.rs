@@ -162,12 +162,12 @@ pub trait VsyncOps<O> {
     /// Charges local processing work.
     fn charge_work(&mut self, units: u64);
 
-    /// Bumps a labeled stats counter.
-    fn count(&mut self, counter: &'static str, delta: f64);
+    /// Bumps a declared counter.
+    fn count(&mut self, counter: paso_telemetry::CounterId, delta: f64);
 
-    /// Records a value into a labeled telemetry histogram. Default no-op
-    /// so bare test harnesses need not care.
-    fn record(&mut self, _hist: &'static str, _value: u64) {}
+    /// Records a value into a declared histogram. Default no-op so bare
+    /// test harnesses need not care.
+    fn record(&mut self, _hist: paso_telemetry::HistId, _value: u64) {}
 
     /// Records a structured trace event into the run's trace stream.
     /// Default no-op so bare test harnesses need not care.

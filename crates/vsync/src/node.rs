@@ -39,6 +39,7 @@ use std::ops::Range;
 
 use paso_durable::WalHandle;
 use paso_simnet::{Actor, Context, NodeEvent, NodeId, SimTime};
+use paso_telemetry::{metrics, CounterId, HistId};
 use paso_wire::{Frame, Wire};
 use rand::RngCore;
 
@@ -48,10 +49,6 @@ use crate::msg::{LogEntry, NetMsg, ReqId, VsyncMsg};
 
 /// Timer tags with this bit set belong to the vsync layer.
 const VSYNC_TAG_BIT: u64 = 1 << 63;
-
-/// Counter of gcasts (and leader responses) dropped because the origin's
-/// acknowledged floor had already passed the request.
-const STALE_DROPPED: &str = "vsync.dedup.stale_dropped";
 
 /// Configuration of the vsync layer.
 #[derive(Debug, Clone)]
@@ -446,11 +443,11 @@ impl<O> VsyncOps<O> for Ops<'_, '_, O> {
         self.ctx.charge_work(units);
     }
 
-    fn count(&mut self, counter: &'static str, delta: f64) {
+    fn count(&mut self, counter: CounterId, delta: f64) {
         self.ctx.count(counter, delta);
     }
 
-    fn record(&mut self, hist: &'static str, value: u64) {
+    fn record(&mut self, hist: HistId, value: u64) {
         self.ctx.record(hist, value);
     }
 
@@ -698,7 +695,7 @@ impl<A: GroupApp> VsyncNode<A> {
             .get(&group)
             .is_some_and(|g| g.is_stale(req));
         if stale {
-            ctx.count(STALE_DROPPED, 1.0);
+            ctx.count(metrics::VSYNC_DEDUP_STALE_DROPPED, 1.0);
         }
         stale
     }
@@ -765,9 +762,9 @@ impl<A: GroupApp> VsyncNode<A> {
                     payload,
                     ctx.now().as_micros(),
                 );
-                ctx.count("wal.append_bytes", r.bytes as f64);
+                ctx.count(metrics::WAL_APPEND_BYTES, r.bytes as f64);
                 if let Some(us) = r.fsync_micros {
-                    ctx.record("wal.fsync_micros", us);
+                    ctx.record(metrics::WAL_FSYNC_MICROS, us);
                 }
                 if wal.wants_snapshot() {
                     self.maybe_compact(ctx);
@@ -805,10 +802,10 @@ impl<A: GroupApp> VsyncNode<A> {
             snaps.push((g.0, snap.epoch, snap.seq, bytes));
         }
         let r = wal.compact(&snaps, ctx.now().as_micros());
-        ctx.count("wal.compactions", 1.0);
-        ctx.count("wal.append_bytes", r.bytes as f64);
+        ctx.count(metrics::WAL_COMPACTIONS, 1.0);
+        ctx.count(metrics::WAL_APPEND_BYTES, r.bytes as f64);
         if let Some(us) = r.fsync_micros {
-            ctx.record("wal.fsync_micros", us);
+            ctx.record(metrics::WAL_FSYNC_MICROS, us);
         }
     }
 
@@ -859,7 +856,7 @@ impl<A: GroupApp> VsyncNode<A> {
         let cached = self.core.groups.get(&group).and_then(|g| g.table.get(&req));
         let Some(resp) = cached.cloned() else {
             self.core.tallies.remove(&(group, req));
-            ctx.count(STALE_DROPPED, 1.0);
+            ctx.count(metrics::VSYNC_DEDUP_STALE_DROPPED, 1.0);
             return;
         };
         if origin == self.core.id {
@@ -1082,8 +1079,8 @@ impl<A: GroupApp> VsyncNode<A> {
                     let gs = self.core.group(group);
                     (gs.epoch, wm_seq)
                 };
-                ctx.count("join.delta_hit", 1.0);
-                ctx.record("join.transfer_bytes", delta_len(&entries));
+                ctx.count(metrics::JOIN_DELTA_HIT, 1.0);
+                ctx.record(metrics::JOIN_TRANSFER_BYTES, delta_len(&entries));
                 ctx.send(
                     joiner,
                     NetMsg::Vsync(VsyncMsg::StateXferDelta {
@@ -1097,8 +1094,8 @@ impl<A: GroupApp> VsyncNode<A> {
             }
             None => {
                 let bytes = full.expect("no delta means the snapshot was encoded");
-                ctx.count("join.full_xfer", 1.0);
-                ctx.record("join.transfer_bytes", bytes.len() as u64);
+                ctx.count(metrics::JOIN_FULL_XFER, 1.0);
+                ctx.record(metrics::JOIN_TRANSFER_BYTES, bytes.len() as u64);
                 ctx.send(
                     joiner,
                     NetMsg::Vsync(VsyncMsg::StateXfer {
@@ -1192,9 +1189,9 @@ impl<A: GroupApp> VsyncNode<A> {
             self.app.erase(group);
             if let Some(wal) = &self.wal {
                 let r = wal.append_erase(group.0, ctx.now().as_micros());
-                ctx.count("wal.append_bytes", r.bytes as f64);
+                ctx.count(metrics::WAL_APPEND_BYTES, r.bytes as f64);
                 if let Some(us) = r.fsync_micros {
-                    ctx.record("wal.fsync_micros", us);
+                    ctx.record(metrics::WAL_FSYNC_MICROS, us);
                 }
             }
         } else {
@@ -1240,9 +1237,9 @@ impl<A: GroupApp> VsyncNode<A> {
         if epoch != 0 && !self.wal_mute {
             if let Some(wal) = &self.wal {
                 let r = wal.append_snapshot(group.0, epoch, snap.seq, state, ctx.now().as_micros());
-                ctx.count("wal.append_bytes", r.bytes as f64);
+                ctx.count(metrics::WAL_APPEND_BYTES, r.bytes as f64);
                 if let Some(us) = r.fsync_micros {
-                    ctx.record("wal.fsync_micros", us);
+                    ctx.record(metrics::WAL_FSYNC_MICROS, us);
                 }
             }
         }
@@ -1332,7 +1329,7 @@ impl<A: GroupApp> VsyncNode<A> {
             }
         }
         self.wal_mute = false;
-        ctx.count("wal.recovered_records", replayed as f64);
+        ctx.count(metrics::WAL_RECOVERED_RECORDS, replayed as f64);
     }
 
     /// Common tail of both install paths: replay fan-outs that arrived
@@ -1354,7 +1351,7 @@ impl<A: GroupApp> VsyncNode<A> {
         };
         if let Some(t0) = started {
             ctx.record(
-                "join.latency_micros",
+                metrics::JOIN_LATENCY_MICROS,
                 ctx.now().as_micros().saturating_sub(t0),
             );
         }

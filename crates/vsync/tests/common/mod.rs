@@ -13,6 +13,7 @@
 use std::collections::BTreeMap;
 
 use paso_simnet::{drive_actor, Action, NodeEvent, NodeId, SimTime};
+use paso_telemetry::CounterId;
 use paso_vsync::{GroupApp, NetMsg, VsyncNode};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -25,7 +26,7 @@ pub struct Net<A: GroupApp> {
     pub msgs: Vec<(NodeId, NodeId, NetMsg)>,
     pub timers: Vec<(SimTime, NodeId, u64)>,
     /// Totals of every counter the actors bumped.
-    pub counts: BTreeMap<&'static str, f64>,
+    pub counts: BTreeMap<CounterId, f64>,
 }
 
 impl<A: GroupApp> Net<A> {
@@ -69,7 +70,7 @@ impl<A: GroupApp> Net<A> {
                 Action::SetTimer { delay, tag } => {
                     self.timers.push((self.now + delay, node, tag));
                 }
-                Action::Count(name, delta) => *self.counts.entry(name).or_default() += delta,
+                Action::Count(id, delta) => *self.counts.entry(id).or_default() += delta,
                 Action::Emit(_) | Action::Work(_) | Action::Record(..) | Action::Trace(_) => {}
             }
         }

@@ -12,13 +12,14 @@ mod common;
 
 use common::Net;
 use paso_simnet::NodeId;
+use paso_telemetry::{metrics, CounterId};
 use paso_vsync::{
     Delivery, GcastError, GroupApp, GroupId, NetMsg, View, VsyncConfig, VsyncMsg, VsyncNode,
     VsyncOps,
 };
 
 const G: GroupId = GroupId(7);
-const STALE: &str = "vsync.dedup.stale_dropped";
+const STALE: CounterId = metrics::VSYNC_DEDUP_STALE_DROPPED;
 
 /// Replicated log. Commands (app messages): `[1, x]` gcast `x` to `G`
 /// with token `x`; `[2]` join `G`. A delivery appends `x` and answers
@@ -128,7 +129,7 @@ fn replays_below_the_floor_are_dropped_silently() {
     for m in [1, 2] {
         assert_eq!(entries(&net, m), 1, "m{m} keeps only the request in flight");
     }
-    assert!(!net.counts.contains_key(STALE));
+    assert!(!net.counts.contains_key(&STALE));
 
     net.deliver(request.clone()); // at the leader
     net.deliver((request.0, NodeId(2), request.2)); // at a relay
@@ -138,7 +139,7 @@ fn replays_below_the_floor_are_dropped_silently() {
         "a stale gcast draws no reply: {:?}",
         net.msgs
     );
-    assert_eq!(net.counts[STALE], 3.0);
+    assert_eq!(net.counts[&STALE], 3.0);
     for m in [1, 2] {
         assert_eq!(
             log(&net, m),
@@ -182,7 +183,7 @@ fn reversed_arrival_of_32_outstanding_gcasts_all_complete() {
     assert_eq!(applied[31], 0, "the lowest request was delivered last");
     applied.sort_unstable();
     assert_eq!(applied, (0..32).collect::<Vec<u8>>(), "each applied once");
-    assert!(!net.counts.contains_key(STALE));
+    assert!(!net.counts.contains_key(&STALE));
 
     // Nothing below request 0 could be forgotten while it was pending;
     // the next gcast vouches for all 32 at once.
@@ -249,7 +250,7 @@ fn pre_crash_duplicates_are_dropped_after_the_origin_recovers() {
     net.deliver(lost);
     net.deliver(delivered);
     assert!(net.msgs.is_empty(), "{:?}", net.msgs);
-    assert_eq!(net.counts[STALE], 2.0);
+    assert_eq!(net.counts[&STALE], 2.0);
     for m in [1, 2] {
         assert_eq!(log(&net, m), [1, 3]);
         assert_eq!(entries(&net, m), 1);

@@ -12,6 +12,7 @@ mod common;
 
 use common::{ShardScenario, HORIZON_MICROS, LAMBDA, N};
 use paso::simnet::{Engine, NodeId, SimTime, TraceEntry};
+use paso::telemetry::CounterId;
 use paso::workload::ShardActor;
 use proptest::prelude::*;
 
@@ -56,7 +57,8 @@ fn registry_is_stats(e: &Engine<ShardActor>) -> bool {
         && snap.counter("work.total") == stats.total_work() as f64
         && snap.counter("fault.crashes") == stats.crashes as f64
         && snap.counter("fault.recoveries") == stats.recoveries as f64
-        && stats.counters.iter().all(|(n, v)| snap.counter(n) == *v)
+        && CounterId::all()
+            .all(|id| stats.counter(id) == 0.0 || snap.counter(id.name()) == stats.counter(id))
 }
 
 proptest! {

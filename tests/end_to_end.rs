@@ -5,6 +5,7 @@
 use paso::core::{ClientResult, PasoConfig, SimSystem};
 use paso::simnet::{FaultScript, SimTime};
 use paso::telemetry::check_trace;
+use paso::telemetry::metrics;
 use paso::types::{ClassId, FieldMatcher, SearchCriterion, Template, Value};
 use paso::workload::{ops, OpSpec};
 
@@ -61,7 +62,7 @@ fn read_heavy_script_with_zipf_popularity() {
     assert_eq!(found, 120, "every lookup hits (keys are never deleted)");
     // The skewed read traffic triggers adaptive replication somewhere.
     assert!(
-        sys.stats().counter("adaptive.join") >= 1.0,
+        sys.stats().counter(metrics::ADAPTIVE_JOIN) >= 1.0,
         "hot keys should pull replicas toward readers"
     );
     assert!(sys.check_semantics().ok());

@@ -6,10 +6,12 @@
 //! retries excluded by design) must be *identical*, and both recorded
 //! trace streams must satisfy the §2 axioms A1–A3.
 
+use std::collections::BTreeSet;
+
 use paso::core::{PasoConfig, SimSystem};
 use paso::runtime::{Cluster, TransportKind};
 use paso::simnet::{ChurnModel, DelayDist, FaultPlan, SimTime};
-use paso::telemetry::{check_trace, Snapshot};
+use paso::telemetry::{check_trace, Kind, Snapshot, METRICS};
 use paso::types::{SearchCriterion, Template, Value};
 
 const SEED: u64 = 7;
@@ -53,6 +55,18 @@ fn sc_eq(v: i64) -> SearchCriterion {
 
 fn fields(v: i64) -> Vec<Value> {
     vec![Value::symbol("d"), Value::Int(v)]
+}
+
+/// Every metric the table declares appears in both snapshots, filed
+/// under the kind the table gives it, and nothing else does.
+fn assert_declared_schema(sim: &Snapshot, live: &Snapshot) {
+    let declared: BTreeSet<_> = METRICS.iter().map(|m| (m.name, m.kind)).collect();
+    for snap in [sim, live] {
+        let filed = (snap.counters.keys().map(|n| (n.as_str(), Kind::Counter)))
+            .chain(snap.gauges.keys().map(|n| (n.as_str(), Kind::Gauge)))
+            .chain(snap.hists.keys().map(|n| (n.as_str(), Kind::Histogram)));
+        assert_eq!(filed.collect::<BTreeSet<_>>(), declared);
+    }
 }
 
 fn op_totals(snap: &Snapshot) -> (f64, f64, f64) {
@@ -135,8 +149,8 @@ fn simnet_and_tcp_report_identical_op_totals_and_legal_traces() {
         assert!(live_snap.counter(name) > 0.0, "live missing {name}");
     }
 
-    // … including a counter a clean run never bumps: both drivers
-    // pre-register it, so it reads zero rather than being absent.
+    // … including a counter a clean run never bumps: every registry
+    // holds it, so it reads zero rather than being absent.
     for snap in [&sim_snap, &live_snap] {
         assert_eq!(snap.counters.get("vsync.dedup.stale_dropped"), Some(&0.0));
     }
@@ -301,61 +315,20 @@ fn durable_wal_and_join_metrics_share_schema_across_drivers() {
     let live_snap = cluster.telemetry().snapshot();
     cluster.shutdown();
 
-    // Identical schema: the durable name family partitions into the same
-    // counters and the same histograms on both drivers (pre-registered,
-    // so even paths a run never exercised are visible at zero).
-    let family = |m: &std::collections::BTreeMap<String, f64>| -> Vec<String> {
-        m.keys()
-            .filter(|k| k.starts_with("wal.") || k.starts_with("join."))
-            .cloned()
-            .collect()
-    };
-    let hist_family = |snap: &Snapshot| -> Vec<String> {
-        snap.hists
-            .keys()
-            .filter(|k| k.starts_with("wal.") || k.starts_with("join."))
-            .cloned()
-            .collect()
-    };
-    let sim_counters = family(&sim_snap.counters);
-    let live_counters = family(&live_snap.counters);
-    assert_eq!(sim_counters, live_counters, "counter schema diverged");
-    assert_eq!(
-        sim_counters,
-        vec![
-            "join.delta_hit",
-            "join.full_xfer",
-            "wal.append_bytes",
-            "wal.compactions",
-            "wal.recovered_records",
-        ]
-    );
-    let sim_hists = hist_family(&sim_snap);
-    assert_eq!(
-        sim_hists,
-        hist_family(&live_snap),
-        "histogram schema diverged"
-    );
-    assert_eq!(
-        sim_hists,
-        vec![
-            "join.latency_micros",
-            "join.transfer_bytes",
-            "wal.fsync_micros",
-        ]
-    );
+    // Identical schema: every declared metric, with its declared kind,
+    // even on paths a run never exercised.
+    assert_declared_schema(&sim_snap, &live_snap);
 
     // Both drivers actually journal the delivered workload.
     assert!(sim_snap.counter("wal.append_bytes") > 0.0, "sim WAL idle");
     assert!(live_snap.counter("wal.append_bytes") > 0.0, "live WAL idle");
 }
 
-/// The proxy tier extends the shared schema the same way durability
-/// does: configuring gateway slots pre-registers the identical `proxy.*`
-/// metric family on both drivers — same names, same
-/// counter-vs-gauge-vs-histogram kinds — even though the simulator runs
-/// no live proxies. Dashboards built on either driver read the other
-/// unchanged.
+/// The proxy tier shares the schema the same way durability does: with
+/// gateway slots configured, both drivers show the `proxy.*` family —
+/// same names, same counter-vs-gauge-vs-histogram kinds — even though
+/// the simulator runs no live proxies. Dashboards built on either driver
+/// read the other unchanged.
 #[test]
 fn proxy_metric_family_shares_schema_across_drivers() {
     let gated = |seed: u64| {
@@ -372,56 +345,7 @@ fn proxy_metric_family_shares_schema_across_drivers() {
     let live_snap = cluster.telemetry().snapshot();
     cluster.shutdown();
 
-    let family = |m: &std::collections::BTreeMap<String, f64>| -> Vec<String> {
-        m.keys()
-            .filter(|k| k.starts_with("proxy."))
-            .cloned()
-            .collect()
-    };
-    let sim_counters = family(&sim_snap.counters);
-    assert_eq!(
-        sim_counters,
-        family(&live_snap.counters),
-        "proxy counter schema diverged"
-    );
-    assert_eq!(
-        sim_counters,
-        vec![
-            "proxy.auth.denied",
-            "proxy.backpressure",
-            "proxy.batch.flushes",
-            "proxy.clients.accepted",
-            "proxy.clients.closed",
-            "proxy.clients.errors",
-            "proxy.clients.replies_dropped",
-            "proxy.done_batches",
-            "proxy.frames.in",
-            "proxy.gossip.recv",
-            "proxy.ops.completed",
-            "proxy.ops.forwarded",
-            "proxy.retries",
-            "proxy.route.fallback",
-            "proxy.route.leader",
-            "proxy.route.member",
-        ]
-    );
-    assert_eq!(
-        family(&sim_snap.gauges),
-        family(&live_snap.gauges),
-        "proxy gauge schema diverged"
-    );
-    let hist_family = |snap: &Snapshot| -> Vec<String> {
-        snap.hists
-            .keys()
-            .filter(|k| k.starts_with("proxy."))
-            .cloned()
-            .collect()
-    };
-    assert_eq!(
-        hist_family(&sim_snap),
-        hist_family(&live_snap),
-        "proxy histogram schema diverged"
-    );
+    assert_declared_schema(&sim_snap, &live_snap);
 
     // The server-side batch metrics are unconditional: every deployment
     // shows them at zero before the first batch forms.
@@ -429,11 +353,6 @@ fn proxy_metric_family_shares_schema_across_drivers() {
         assert_eq!(snap.counters.get("op.batch.gcasts"), Some(&0.0));
         assert!(snap.hists.contains_key("op.batch.ops"));
     }
-
-    // Without gateway slots the family stays out of the schema entirely
-    // on both drivers — it is gated, not unconditional.
-    let ungated = SimSystem::new(PasoConfig::builder(N, LAMBDA).seed(SEED).build());
-    assert!(family(&ungated.telemetry().snapshot().counters).is_empty());
 }
 
 /// Churn counters extend the shared fault schema: the simulator's
