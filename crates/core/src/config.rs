@@ -123,19 +123,15 @@ pub struct PasoConfig {
     /// Per-operation deadline for blocking operations, after which they
     /// report `TimedOut`.
     pub blocking_deadline_micros: u64,
-    /// Interval at which servers gossip their per-class summaries for
-    /// client-side `sc-list` pruning. `0` disables gossip (reads then
-    /// visit the full `sc-list`, the pre-pruning behaviour).
-    pub summary_gossip_micros: u64,
     /// Live runtime: how many times the client re-issues a timed-out
     /// *idempotent* operation (same op id; servers dedup) before giving
     /// up. `0` disables retries.
     pub client_retry_budget: u32,
     /// Live runtime: number of gateway mailbox slots reserved *behind*
     /// the `n` server nodes for front-end proxies. Slot `j` answers to
-    /// `NodeId(n + j)`; servers learn a gateway's address from its first
-    /// message and include it in summary gossip. `0` (default) reserves
-    /// nothing — the transport is sized exactly `n`, as before.
+    /// `NodeId(n + j)`; a server answers a gateway's batch at the address
+    /// it came from. `0` (default) reserves nothing — the transport is
+    /// sized exactly `n`, as before.
     pub proxy_slots: usize,
     /// Proxy tier: per-client-connection pipelining window — how many
     /// ops one client may have in flight before the proxy answers
@@ -185,7 +181,6 @@ impl PasoConfig {
                     interval_micros: 5_000,
                 },
                 blocking_deadline_micros: 10_000_000,
-                summary_gossip_micros: 0,
                 client_retry_budget: 2,
                 proxy_slots: 0,
                 proxy_pipeline_depth: 32,
@@ -332,12 +327,6 @@ impl PasoConfigBuilder {
     /// Sets the blocking-operation deadline in microseconds.
     pub fn blocking_deadline_micros(mut self, d: u64) -> Self {
         self.cfg.blocking_deadline_micros = d;
-        self
-    }
-
-    /// Sets the summary-gossip interval in microseconds (`0` disables).
-    pub fn summary_gossip_micros(mut self, d: u64) -> Self {
-        self.cfg.summary_gossip_micros = d;
         self
     }
 

@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use paso_adaptive::{retune_k, Advice, BasicCounter, ModelParams};
 use paso_simnet::NodeId;
-use paso_storage::{AutoStore, ClassStore, ClassSummary, Cost, Rank, Snapshot};
+use paso_storage::{AutoStore, ClassStore, Cost, Rank, Snapshot};
 use paso_telemetry::metrics;
 use paso_types::{ClassId, Classifier, PasoObject, SearchCriterion};
 use paso_vsync::{Delivery, GcastError, GroupApp, GroupId, View, VsyncOps};
@@ -50,11 +50,6 @@ const FIRE_AND_FORGET: u64 = u64::MAX;
 /// Set in the token of every gcast that carries a [`ReplBatch`]; see
 /// [`FIRE_AND_FORGET`] for the whole token space.
 const BATCH_TOKEN_BIT: u64 = 1 << 63;
-
-/// Reserved timer tag for the periodic summary gossip. Sits far above any
-/// plausible op id and keeps the top bit clear (the vsync layer reserves
-/// bit 63 for its own timers).
-const SUMMARY_GOSSIP_TAG: u64 = 1 << 62;
 
 /// A read-marker left at a write-group member (§4.3's alternative to
 /// busy-waiting).
@@ -177,11 +172,6 @@ pub struct MemoryServer {
     clock: u64,
     /// Round-robin cursor for anycast target selection (load spreading).
     anycast_cursor: u64,
-    /// Latest gossiped per-class summaries from remote hosts, consulted by
-    /// the read path to demote classes that cannot match a criterion.
-    /// Advisory only: entries can be stale, so they reorder — never
-    /// truncate — a read's class walk.
-    remote_summaries: BTreeMap<ClassId, ClassSummary>,
     /// Most recent wire-decode failures (source node + cause), kept for
     /// diagnostics alongside the `wire.decode.error` counter. Bounded so a
     /// babbling peer cannot grow server state.
@@ -202,11 +192,6 @@ pub struct MemoryServer {
     /// its retry window than any constant, and once a result is evicted
     /// a retry *re-executes* (double-insert) instead of replaying.
     recent_cap: usize,
-    /// Gateway slots (`NodeId ≥ n`) this server has heard from. Learned
-    /// from traffic rather than configured, so the simulator (which has
-    /// no gateways) never addresses a non-existent actor; used to extend
-    /// summary gossip to the proxy tier's routing tables.
-    gateways: BTreeSet<NodeId>,
 }
 
 /// How many decode failures [`MemoryServer::decode_errors`] retains.
@@ -239,12 +224,10 @@ impl MemoryServer {
             up: BTreeSet::new(),
             clock: 0,
             anycast_cursor: 0,
-            remote_summaries: BTreeMap::new(),
             decode_errors: Vec::new(),
             recent_done: BTreeMap::new(),
             recent_order: VecDeque::new(),
             recent_cap,
-            gateways: BTreeSet::new(),
         }
     }
 
@@ -352,81 +335,6 @@ impl MemoryServer {
         })
     }
 
-    /// Reorders a read's `sc-list` so classes whose summaries rule the
-    /// criterion out are visited *last*: `O(#classes)` walks shrink to
-    /// `O(#candidates)` on the common path. Local summaries are exact;
-    /// gossiped ones can be stale, so pruned classes are demoted rather
-    /// than dropped — a read that misses every candidate still falls
-    /// through to them, and no object can ever be hidden.
-    fn prune_sc_list(
-        &self,
-        vs: &mut dyn VsyncOps<ClientDone>,
-        sc: &SearchCriterion,
-        classes: Vec<ClassId>,
-    ) -> Vec<ClassId> {
-        if self.cfg.summary_gossip_micros == 0 {
-            return classes;
-        }
-        vs.count(metrics::READ_SC_LIST, classes.len() as f64);
-        let (mut candidates, pruned): (Vec<ClassId>, Vec<ClassId>) =
-            classes.into_iter().partition(|class| {
-                if vs.is_member(wg_group(*class)) {
-                    // We host a replica: our own summary is authoritative
-                    // (no entry means an empty store, which cannot match).
-                    self.stores
-                        .get(class)
-                        .is_some_and(|s| s.summary().may_match(sc))
-                } else if let Some(summary) = self.remote_summaries.get(class) {
-                    summary.may_match(sc)
-                } else {
-                    // No digest heard yet: stay a candidate.
-                    true
-                }
-            });
-        if !pruned.is_empty() {
-            vs.count(metrics::READ_PRUNED, pruned.len() as f64);
-            candidates.extend(pruned);
-        }
-        candidates
-    }
-
-    /// Broadcasts this server's per-class summaries to every live peer.
-    /// Empty-store summaries are sent too — "this class is drained" is
-    /// exactly what lets peers prune it.
-    fn gossip_summaries(&mut self, vs: &mut dyn VsyncOps<ClientDone>) {
-        // Walk every class of the partition, not just ones with a store:
-        // a hosted class that never saw an insert must still be announced
-        // (as the empty summary) or peers could never prune it.
-        let summaries: Vec<(ClassId, ClassSummary)> = self
-            .classifier
-            .classes()
-            .into_iter()
-            .filter(|class| vs.is_member(wg_group(*class)))
-            .map(|class| {
-                let summary = self
-                    .stores
-                    .get(&class)
-                    .map_or_else(ClassSummary::new, |s| s.summary());
-                (class, summary)
-            })
-            .collect();
-        if summaries.is_empty() {
-            return;
-        }
-        let bytes = encode(&AppMsg::SummaryGossip { summaries });
-        let peers: Vec<NodeId> = self
-            .up
-            .iter()
-            .chain(self.gateways.iter())
-            .copied()
-            .filter(|p| *p != self.id)
-            .collect();
-        for peer in peers {
-            vs.count(metrics::GOSSIP_SUMMARY_SENT, 1.0);
-            vs.send_app(peer, bytes.clone());
-        }
-    }
-
     fn read_target(&self, class: ClassId) -> GroupId {
         if self.cfg.use_read_groups {
             rg_group(class)
@@ -502,30 +410,6 @@ impl MemoryServer {
         }
     }
 
-    /// Remembers `from` as a gateway if it sits behind the server range
-    /// (`NodeId ≥ n`). Gateways are discovered from their traffic, never
-    /// configured, so deployments without a proxy tier are unaffected.
-    fn note_gateway(&mut self, vs: &mut dyn VsyncOps<ClientDone>, from: NodeId) {
-        if from != self.id && from.0 as usize >= vs.n() {
-            self.gateways.insert(from);
-        }
-    }
-
-    /// Admits the requests of one frame — [`AppMsg::Client`] is a batch of
-    /// one, an empty [`AppMsg::ClientBatch`] a gateway subscription ping
-    /// (it only teaches us the sender's address, see `note_gateway`).
-    fn admit(
-        &mut self,
-        vs: &mut dyn VsyncOps<ClientDone>,
-        from: NodeId,
-        reqs: impl IntoIterator<Item = ClientRequest>,
-    ) {
-        self.note_gateway(vs, from);
-        for req in reqs {
-            self.handle_client(vs, from, req);
-        }
-    }
-
     /// Admits one client request (local or gateway-forwarded): replays a
     /// cached result for retries, otherwise starts the macro expansion.
     fn handle_client(
@@ -569,10 +453,7 @@ impl MemoryServer {
         }
         let classes = match &req.op {
             ClientOp::Insert { object } => vec![self.classifier.classify(object)],
-            ClientOp::Read { sc, .. } | ClientOp::ReadDel { sc, .. } => {
-                let full = self.classifier.sc_list(sc);
-                self.prune_sc_list(vs, sc, full)
-            }
+            ClientOp::Read { sc, .. } | ClientOp::ReadDel { sc, .. } => self.classifier.sc_list(sc),
         };
         let origin = if from.0 as usize >= vs.n() {
             from
@@ -974,8 +855,12 @@ impl MemoryServer {
         bytes: &[u8],
     ) {
         match try_decode::<AppMsg>(bytes) {
-            Ok(AppMsg::Client(req)) => self.admit(vs, from, std::iter::once(req)),
-            Ok(AppMsg::ClientBatch(reqs)) => self.admit(vs, from, reqs),
+            Ok(AppMsg::Client(req)) => self.handle_client(vs, from, req),
+            Ok(AppMsg::ClientBatch(reqs)) => {
+                for req in reqs {
+                    self.handle_client(vs, from, req);
+                }
+            }
             Ok(AppMsg::Done(_) | AppMsg::DoneBatch(_)) => {
                 // Completions address gateways, never servers; a stray
                 // one (e.g. a gateway slot reused as a server id by a
@@ -1058,22 +943,11 @@ impl MemoryServer {
                     }
                 }
             }
-            Ok(AppMsg::SummaryGossip { summaries }) => {
-                vs.count(metrics::GOSSIP_SUMMARY_RECV, 1.0);
-                for (class, summary) in summaries {
-                    self.remote_summaries.insert(class, summary);
-                }
-            }
             Err(err) => self.note_decode_error(vs, from, err),
         }
     }
 
     fn handle_timer(&mut self, vs: &mut dyn VsyncOps<ClientDone>, tag: u64) {
-        if tag == SUMMARY_GOSSIP_TAG {
-            self.gossip_summaries(vs);
-            vs.set_app_timer(self.cfg.summary_gossip_micros, SUMMARY_GOSSIP_TAG);
-            return;
-        }
         let Some(p) = self.pending.get_mut(&tag) else {
             return;
         };
@@ -1106,16 +980,10 @@ impl GroupApp for MemoryServer {
 
     fn on_start(&mut self, vs: &mut dyn VsyncOps<ClientDone>) {
         self.up = (0..vs.n() as u32).map(NodeId).collect();
-        if self.cfg.summary_gossip_micros > 0 {
-            vs.set_app_timer(self.cfg.summary_gossip_micros, SUMMARY_GOSSIP_TAG);
-        }
     }
 
     fn on_recovered(&mut self, vs: &mut dyn VsyncOps<ClientDone>) {
         self.up = (0..vs.n() as u32).map(NodeId).collect();
-        if self.cfg.summary_gossip_micros > 0 {
-            vs.set_app_timer(self.cfg.summary_gossip_micros, SUMMARY_GOSSIP_TAG);
-        }
         // §4.2: "when a machine is restarted, the memory server residing
         // on it should determine which groups it belongs to, and, one by
         // one, g-join these groups." The write group comes first; the

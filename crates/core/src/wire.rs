@@ -7,7 +7,7 @@
 //! the message path.
 
 use paso_simnet::NodeId;
-use paso_storage::{ClassSummary, Rank};
+use paso_storage::Rank;
 use paso_telemetry::{ObjRef, OpKind, Outcome};
 use paso_types::{ClassId, ObjectId, PasoObject, SearchCriterion};
 use paso_wire::{wire_enum, wire_struct, Wire, WireError};
@@ -283,22 +283,14 @@ pub enum AppMsg {
         /// Piggybacked `|F(C)|` (§5.1).
         failed: u64,
     },
-    /// Periodic digest of the classes a server hosts, for client-side
-    /// `sc-list` pruning (the PR 3 fast read path). Summaries may
-    /// false-positive but never false-negative, so a receiver can safely
-    /// demote — never skip — classes whose digests rule a criterion out.
-    SummaryGossip {
-        /// Per-class constant-size summaries of the sender's stores.
-        summaries: Vec<(ClassId, ClassSummary)>,
-    },
     /// A completed operation, sent back to the *originating* gateway
     /// (the proxy tier's reply path). Requests injected locally keep
     /// using the in-process output channel instead.
     Done(ClientDone),
     /// A pipelined batch of client requests from a gateway, flushed as
-    /// one frame (at `paso-proxy`'s `BATCH_BYTES`). An *empty* batch is
-    /// a gateway subscription ping: it teaches the server the gateway's
-    /// address (for summary gossip) without enqueuing work.
+    /// one frame (at `paso-proxy`'s `BATCH_BYTES`). An empty batch admits
+    /// nothing; a gateway sends one to every server at start to open its
+    /// links.
     ClientBatch(Vec<ClientRequest>),
     /// Two or more completions for one gateway, produced by one handler
     /// call at the server and sent as one frame. A single completion
@@ -311,7 +303,8 @@ wire_enum!(AppMsg {
     1 => MarkerWake { op_id },
     2 => RemoteRead { op_id, class, sc },
     3 => RemoteReadResp { op_id, served, found, failed },
-    4 => SummaryGossip { summaries },
+    // Tag 4 (class-summary gossip) is retired; never reuse it, so an
+    // older peer's frame fails to decode instead of meaning something else.
     5 => Done(done),
     6 => ClientBatch(requests),
     7 => DoneBatch(dones),
@@ -506,26 +499,6 @@ mod tests {
             assert_eq!(bytes.len(), m.encoded_len());
             let back: AppMsg = decode(&bytes).unwrap();
             assert_eq!(m, back);
-        }
-    }
-
-    #[test]
-    fn summary_gossip_round_trips() {
-        let mut summary = ClassSummary::new();
-        summary.note_insert(&obj());
-        for m in [
-            AppMsg::SummaryGossip { summaries: vec![] },
-            AppMsg::SummaryGossip {
-                summaries: vec![(ClassId(3), summary), (ClassId(9), ClassSummary::new())],
-            },
-        ] {
-            let bytes = encode(&m);
-            assert_eq!(bytes.len(), m.encoded_len());
-            let back: AppMsg = decode(&bytes).unwrap();
-            assert_eq!(m, back);
-            for cut in 0..bytes.len() {
-                assert!(try_decode::<AppMsg>(&bytes[..cut]).is_err());
-            }
         }
     }
 

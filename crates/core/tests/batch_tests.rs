@@ -725,3 +725,30 @@ fn a_stray_done_batch_at_a_server_is_counted_and_dropped() {
     assert!(net.wire.is_empty());
     assert!(net.answers().is_empty());
 }
+
+/// A frame under the retired `AppMsg` tag 4 — the class-summary gossip an
+/// older binary still sends, from a server or from a gateway — is a
+/// decode error at a server: counted, logged with its sender, and
+/// nothing else happens.
+#[test]
+fn a_frame_under_the_retired_app_tag_is_a_decode_error_at_a_server() {
+    let mut net = Net::start(PasoConfig::builder(3, 1).build());
+    net.wire.clear();
+    let mut expected = net.counts.clone();
+    let senders = [NodeId(1), net.gateway()];
+    for from in senders {
+        let msg = NetMsg::App(vec![4, 0]);
+        net.drive(NodeId(0), NodeEvent::Message { from, msg });
+    }
+    net.settle();
+    *expected.entry("wire.decode.error").or_default() += 2.0;
+    assert_eq!(net.counts, expected);
+    let retired = paso_wire::WireError::InvalidTag {
+        ty: "AppMsg",
+        tag: 4,
+    };
+    let logged = net.nodes[0].app().decode_errors();
+    assert_eq!(logged, senders.map(|from| (from, retired.clone())));
+    assert!(net.wire.is_empty());
+    assert!(net.answers().is_empty());
+}

@@ -2,10 +2,13 @@
 //! tolerance, state transfer, blocking operations, and adaptivity.
 
 use paso_adaptive::retune_k;
-use paso_core::{BlockingMode, ClientResult, PasoConfig, SimSystem, Violation};
+use paso_core::{BlockingMode, ClassifierKind, ClientResult, PasoConfig, SimSystem, Violation};
 use paso_simnet::SimTime;
 use paso_telemetry::metrics;
-use paso_types::{ClassId, FieldMatcher, SearchCriterion, Template, Value};
+use paso_types::{
+    ClassId, Classifier, FieldMatcher, FirstFieldClassifier, ObjectId, PasoObject, ProcessId,
+    SearchCriterion, Template, Value,
+};
 
 fn sc_task(n: i64) -> SearchCriterion {
     SearchCriterion::from(Template::exact(vec![Value::symbol("task"), Value::Int(n)]))
@@ -411,6 +414,55 @@ fn multiple_classes_are_isolated() {
     assert!(sys.read_del(4, sc1.clone()).is_some());
     assert!(sys.read(5, sc1).is_none());
     assert!(sys.read(0, sc3).is_some());
+    assert!(sys.check_semantics().ok());
+}
+
+/// A read whose first field is open lists every bucket of a
+/// `FirstField` classifier and walks them in `sc-list` order: it finds an
+/// object that sits in a back-half bucket, and a second `read&del` of the
+/// same criterion walks the whole list and misses.
+#[test]
+fn an_open_first_field_walks_every_bucket_of_the_sc_list() {
+    const BUCKETS: u32 = 12;
+    let classifier = FirstFieldClassifier::new(BUCKETS);
+    let back_half = (0..200)
+        .find(|v| {
+            let obj = PasoObject::new(
+                ObjectId::new(ProcessId(0), 0),
+                vec![Value::Int(*v), Value::Int(0)],
+            );
+            classifier.classify(&obj) >= ClassId(BUCKETS / 2)
+        })
+        .expect("some field hashes into the back half of the buckets");
+    let mut sys = SimSystem::new(
+        PasoConfig::builder(4, 1)
+            .seed(52)
+            .classifier(ClassifierKind::FirstField(BUCKETS))
+            .build(),
+    );
+    let sc_second = |n: i64| {
+        SearchCriterion::from(Template::new(vec![
+            FieldMatcher::Any,
+            FieldMatcher::Exact(Value::Int(n)),
+        ]))
+    };
+    assert_eq!(
+        sys.classifier().sc_list(&sc_second(0)).len(),
+        BUCKETS as usize
+    );
+    for i in 0..6 {
+        sys.insert((i % 4) as u32, vec![Value::Int(back_half), Value::Int(i)]);
+    }
+    sys.run_for(SimTime::from_millis(80));
+    for i in 0..6i64 {
+        let m = (i % 4) as u32;
+        assert!(sys.read((m + 1) % 4, sc_second(i)).is_some(), "read {i}");
+        assert!(sys.read_del(m, sc_second(i)).is_some(), "read&del {i}");
+        assert!(
+            sys.read_del(m, sc_second(i)).is_none(),
+            "second read&del {i}"
+        );
+    }
     assert!(sys.check_semantics().ok());
 }
 

@@ -11,7 +11,6 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use paso_core::{ClientOp, Deployment};
-use paso_storage::ClassSummary;
 use paso_telemetry::{metrics, CounterId};
 use paso_types::{ClassId, SearchCriterion};
 
@@ -57,11 +56,6 @@ struct ClassRoute {
 pub(crate) struct Router {
     deployment: Arc<Deployment>,
     table: BTreeMap<ClassId, ClassRoute>,
-    /// Latest gossiped summary per class. Every member of `wg(C)` holds
-    /// the same objects, so whichever member spoke last speaks for the
-    /// class; a summary never picks the server, it only orders a
-    /// multi-class `sc-list`.
-    summaries: BTreeMap<ClassId, ClassSummary>,
     /// Round-robin cursor over the servers for fallbacks.
     next_fallback: usize,
 }
@@ -85,27 +79,14 @@ impl Router {
         Router {
             deployment,
             table,
-            summaries: BTreeMap::new(),
             next_fallback: 0,
         }
     }
 
-    /// Takes in one server's gossip round.
-    pub(crate) fn learn(&mut self, summaries: Vec<(ClassId, ClassSummary)>) {
-        self.summaries.extend(summaries);
-    }
-
-    /// The class whose group serves a search: the first of `sc-list(sc)`
-    /// that no gossiped summary rules out, else the first. Summaries can
-    /// be stale, which is harmless here: the chosen server walks the
-    /// whole list whichever class it was chosen for.
+    /// The class whose group serves a search: the first of `sc-list(sc)`.
+    /// The chosen server walks the whole list from there.
     fn search_class(&self, sc: &SearchCriterion) -> Option<ClassId> {
-        let classes = self.deployment.classifier().sc_list(sc);
-        classes
-            .iter()
-            .find(|c| self.summaries.get(c).is_none_or(|s| s.may_match(sc)))
-            .or(classes.first())
-            .copied()
+        self.deployment.classifier().sc_list(sc).first().copied()
     }
 
     /// Picks the server for a newly admitted op. `is_up` is the
@@ -242,7 +223,6 @@ mod tests {
                 let (server, via) = router.route(&insert, |_| true);
                 assert_eq!((Some(server), via), (leader, Via::Leader), "{o}");
                 for sc in criteria(&o) {
-                    // No summaries: the search class is the list's first.
                     let first = basic(&d, d.classifier().sc_list(&sc)[0]);
                     let (server, via) = router.route(&read_del(&sc), |_| true);
                     assert_eq!(
@@ -315,41 +295,5 @@ mod tests {
         assert_eq!(chosen.len(), 4 - dead.len(), "fallbacks take turns");
         // Nobody up: still an answer (the op then times out).
         assert_eq!(router.route(&read(&sc), |_| false).1, Via::Fallback);
-    }
-
-    #[test]
-    fn summaries_order_the_classes_and_never_pick_the_server() {
-        let cfg = PasoConfig::builder(8, 1)
-            .classifier(ClassifierKind::FirstField(4))
-            .build();
-        let d = Arc::new(Deployment::new(cfg, WalMedium::Memory));
-        let mut router = Router::new(Arc::clone(&d));
-        let o = PasoObject::new(
-            ObjectId::new(ProcessId(1), 0),
-            vec![Value::Int(7), Value::Int(1)],
-        );
-        let class = d.classifier().classify(&o);
-        let [_, open] = criteria(&o);
-        assert_eq!(d.classifier().sc_list(&open).len(), 4);
-        // Every class is announced empty except the one holding `o`.
-        let mut holding = ClassSummary::new();
-        holding.note_insert(&o);
-        let empty = d.classifier().classes().into_iter();
-        router.learn(empty.map(|c| (c, ClassSummary::new())).collect());
-        router.learn(vec![(class, holding)]);
-        let members = basic(&d, class);
-        let (server, via) = router.route(&read_del(&open), |_| true);
-        assert_eq!(
-            (Some(server), via),
-            (members.iter().copied().min(), Via::Leader)
-        );
-        assert!(members.contains(&router.route(&read(&open), |_| true).0));
-        // A criterion every summary rules out still gets a member of a
-        // listed class: pruned classes are demoted, never dropped.
-        let sc: SearchCriterion =
-            Template::new(vec![FieldMatcher::Any, FieldMatcher::Exact(Value::Int(99))]).into();
-        let (server, via) = router.route(&read(&sc), |_| true);
-        assert!(basic(&d, d.classifier().sc_list(&sc)[0]).contains(&server));
-        assert_eq!(via, Via::Member);
     }
 }

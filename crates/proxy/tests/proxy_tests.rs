@@ -195,49 +195,6 @@ fn full_pipeline_window_bounces_busy() {
 }
 
 #[test]
-fn summary_gossip_reaches_the_routing_table() {
-    let cfg = PasoConfig::builder(3, 1)
-        .proxy_slots(1)
-        .summary_gossip_micros(5_000)
-        .build();
-    let (cluster, proxy) = cluster_with_proxy(cfg, ProxyOptions::default());
-    let mut c = ProxyClient::connect(proxy.port(), 1, SECRET).expect("connect");
-    // Traffic makes the servers notice the gateway; their next gossip
-    // round then includes it.
-    assert_eq!(
-        c.op(&ClientOp::Insert { object: obj(0, 9) }).unwrap(),
-        ClientResult::Inserted
-    );
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    loop {
-        let gossip = cluster
-            .telemetry()
-            .snapshot()
-            .counters
-            .get("proxy.gossip.recv")
-            .copied()
-            .unwrap_or(0.0);
-        if gossip >= 1.0 {
-            break;
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "no summary gossip reached the proxy within 5s"
-        );
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    // Routed reads still return the goods.
-    let r = c
-        .op(&ClientOp::Read {
-            sc: sc_task(9),
-            blocking: false,
-        })
-        .unwrap();
-    assert!(matches!(r, ClientResult::Found(_)));
-    cluster.shutdown();
-}
-
-#[test]
 fn pipelined_ops_all_complete() {
     let cfg = PasoConfig::builder(4, 1).proxy_slots(1).build();
     let (cluster, proxy) = cluster_with_proxy(cfg, ProxyOptions::default());
@@ -385,14 +342,13 @@ fn ops_issued_after_the_leader_crashes_all_complete() {
 
 /// A cluster whose `task` leader executes what the gateway sends it and
 /// whose answers are lost on the way back, with one insert already in
-/// that state: sent, applied, and its answer dropped. Summary gossip is
-/// off, so the leader's link to the gateway carries answers only and
-/// each frame dropped on it is an answer lost.
+/// that state: sent, applied, and its answer dropped. A server sends a
+/// gateway nothing but answers, so the leader's link to the gateway
+/// carries answers only and each frame dropped on it is an answer lost.
 fn cluster_with_an_unanswered_insert(
-    mut cfg: PasoConfig,
+    cfg: PasoConfig,
     op_timeout: Duration,
 ) -> (Cluster, Proxy, ProxyClient, u32, Instant) {
-    cfg.summary_gossip_micros = 0;
     let leader = task_leader(&cfg);
     let gateway = NodeId(cfg.n as u32);
     let opts = ProxyOptions {

@@ -173,7 +173,7 @@ impl GatewayLink {
 
     /// Sends one application message to a memory server, stamped with
     /// the gateway's own address so the server can answer with
-    /// [`AppMsg::Done`] (and learn the gateway for summary gossip).
+    /// [`AppMsg::Done`].
     pub fn send(&self, server: u32, msg: &AppMsg) {
         debug_assert!((server as usize) < self.servers(), "not a server id");
         self.postman.send(
@@ -186,7 +186,7 @@ impl GatewayLink {
     }
 
     /// Blocks up to `timeout` for the next application message addressed
-    /// to this gateway (op completions, summary gossip), tagged with the
+    /// to this gateway (op completions), tagged with the
     /// sending server. Non-app envelopes on the mailbox are skipped
     /// within the same deadline.
     pub fn recv_timeout(&self, timeout: Duration) -> Option<(NodeId, AppMsg)> {
@@ -657,5 +657,42 @@ impl Cluster {
 impl Drop for Cluster {
     fn drop(&mut self) {
         self.shutdown();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A frame under the retired `AppMsg` tag 4 (an older binary's
+    /// class-summary gossip) reaching a gateway is counted as a decode
+    /// error and skipped; the frame behind it arrives as sent.
+    #[test]
+    fn a_retired_app_tag_at_a_gateway_is_counted_and_skipped() {
+        let cfg = PasoConfig::builder(3, 1).proxy_slots(1).build();
+        let cluster = Cluster::start(cfg, TransportKind::Channel);
+        let link = cluster.gateway_link(0);
+        let errors = || {
+            link.telemetry()
+                .snapshot()
+                .counter(metrics::WIRE_DECODE_ERROR.name())
+        };
+        let before = errors();
+        let done = AppMsg::Done(ClientDone {
+            op_id: 7,
+            result: ClientResult::Inserted,
+        });
+        for bytes in [vec![4, 0], encode(&done)] {
+            let msg = NetMsg::App(bytes);
+            let envelope = Envelope::Net {
+                from: NodeId(1),
+                msg,
+            };
+            cluster.postman.send(link.node_id(), envelope);
+        }
+        let got = link.recv_timeout(Duration::from_secs(5));
+        assert_eq!(got, Some((NodeId(1), done)));
+        assert_eq!(errors() - before, 1.0);
+        cluster.shutdown();
     }
 }

@@ -550,7 +550,7 @@ mod tests {
                     self.seen += 1;
                     ctx.emit(self.seen);
                     ctx.charge_work(2);
-                    ctx.count(metrics::GOSSIP_SUMMARY_RECV, 1.0);
+                    ctx.count(metrics::OP_RETRY_REPLAYED, 1.0);
                     if msg.0 > 0 {
                         let next = NodeId((self.id.0 + 1) % ctx.n() as u32);
                         ctx.send(next, Ping(msg.0 - 1));
@@ -597,7 +597,7 @@ mod tests {
         for (id, total) in crate::stats::totals(stats) {
             assert_eq!(snap.counter(id.name()), total, "{}", id.name());
         }
-        assert!(stats.counter(metrics::GOSSIP_SUMMARY_RECV) > 0.0);
+        assert!(stats.counter(metrics::OP_RETRY_REPLAYED) > 0.0);
         for id in CounterId::all() {
             if stats.counter(id) != 0.0 {
                 assert_eq!(snap.counter(id.name()), stats.counter(id), "{}", id.name());
@@ -697,24 +697,29 @@ mod tests {
         drive(&mut e, 2);
         let good = e.snapshot().as_bytes().to_vec();
         // The name's first occurrence is in the `Stats` counter section,
-        // its second in the registry's; renaming one by a byte keeps the
-        // blob decodable.
-        let name = b"gossip.summary.recv";
+        // its second in the registry's. Each case swaps one of them for a
+        // name of the same length, which keeps the blob decodable: a
+        // one-byte rename, and `proxy.gossip.recv`, a row the table once
+        // declared, as an older checkpoint would still name it.
+        let name = b"op.retry.replayed";
         let at: Vec<usize> = (0..good.len())
             .filter(|&i| good[i..].starts_with(name))
             .collect();
         assert_eq!(at.len(), 2);
-        for i in at {
-            let mut bytes = good.clone();
-            bytes[i + name.len() - 1] = b'x';
-            let mut target = fresh(1);
-            let telemetry = Arc::clone(target.telemetry());
-            let undeclared = CheckpointError::UndeclaredMetric("gossip.summary.recx".into());
-            let ckpt = SimCheckpoint::from_bytes(bytes).unwrap();
-            assert_eq!(target.restore(&ckpt), Err(undeclared));
-            assert_eq!(target.now(), SimTime::ZERO, "nothing restored");
-            assert_eq!(target.stats().msgs_sent, 0);
-            assert!(Arc::ptr_eq(target.telemetry(), &telemetry));
+        for undeclared in ["op.retry.replayex", "proxy.gossip.recv"] {
+            assert_eq!(undeclared.len(), name.len());
+            for &i in &at {
+                let mut bytes = good.clone();
+                bytes[i..i + name.len()].copy_from_slice(undeclared.as_bytes());
+                let mut target = fresh(1);
+                let telemetry = Arc::clone(target.telemetry());
+                let err = CheckpointError::UndeclaredMetric(undeclared.into());
+                let ckpt = SimCheckpoint::from_bytes(bytes).unwrap();
+                assert_eq!(target.restore(&ckpt), Err(err));
+                assert_eq!(target.now(), SimTime::ZERO, "nothing restored");
+                assert_eq!(target.stats().msgs_sent, 0);
+                assert!(Arc::ptr_eq(target.telemetry(), &telemetry));
+            }
         }
     }
 

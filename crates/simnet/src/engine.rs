@@ -1393,7 +1393,7 @@ mod drive_actor_tests {
                         ctx.send(from, Ping(msg.0 - 1));
                         ctx.send_local(Ping(0));
                         ctx.charge_work(3);
-                        ctx.count(metrics::GOSSIP_SUMMARY_RECV, 1.0);
+                        ctx.count(metrics::OP_RETRY_REPLAYED, 1.0);
                     }
                 }
                 NodeEvent::Timer { tag } => ctx.emit(tag as u8),
@@ -1425,7 +1425,7 @@ mod drive_actor_tests {
         assert!(matches!(actions[3], Action::Work(3)));
         assert!(matches!(
             actions[4],
-            Action::Count(metrics::GOSSIP_SUMMARY_RECV, _)
+            Action::Count(metrics::OP_RETRY_REPLAYED, _)
         ));
     }
 

@@ -194,10 +194,10 @@ mod tests {
     #[test]
     fn counters_default_to_zero() {
         let mut s = Stats::new(1);
-        assert_eq!(s.counter(metrics::READ_PRUNED), 0.0);
-        s.bump(metrics::READ_PRUNED, 1.5);
-        s.bump(metrics::READ_PRUNED, 1.0);
-        assert_eq!(s.counter(metrics::READ_PRUNED), 2.5);
+        assert_eq!(s.counter(metrics::OP_RETRY_REPLAYED), 0.0);
+        s.bump(metrics::OP_RETRY_REPLAYED, 1.5);
+        s.bump(metrics::OP_RETRY_REPLAYED, 1.0);
+        assert_eq!(s.counter(metrics::OP_RETRY_REPLAYED), 2.5);
     }
 
     #[test]

@@ -133,10 +133,6 @@ impl ClassStore for AutoStore {
     fn objects(&self) -> Vec<PasoObject> {
         self.inner().objects()
     }
-
-    fn summary(&self) -> crate::ClassSummary {
-        self.inner().summary()
-    }
 }
 
 #[cfg(test)]

@@ -12,8 +12,8 @@ use std::collections::BTreeMap;
 use paso_types::{PasoObject, SearchCriterion};
 use paso_wire::{put_varint, varint_len, Reader, Wire};
 
+use crate::signature::{criterion_signature, object_signature};
 use crate::store::{Cost, Rank, Snapshot, SnapshotError};
-use crate::summary::{criterion_signature, ClassSummary};
 
 /// Origin marker for locally auto-assigned ranks.
 const LOCAL_ORIGIN: u16 = u16::MAX;
@@ -27,8 +27,8 @@ const SNAPSHOT_MAGIC: u8 = 0xB5;
 /// fresh state transfer).
 const SNAPSHOT_VERSION: u8 = 1;
 
-/// One stored object and its field signature (see [`ClassSummary`]'s
-/// module docs). The signature is derived from the object, so it is never
+/// One stored object and its field signature (see the `signature`
+/// module). The signature is derived from the object, so it is never
 /// snapshotted or compared.
 #[derive(Debug, Clone)]
 struct Slot {
@@ -86,19 +86,14 @@ fn full_match(sc: &SearchCriterion, obj: &PasoObject) -> bool {
 pub(crate) struct Entries {
     map: BTreeMap<Rank, Slot>,
     next_local: u64,
-    /// Incrementally maintained digest of the live objects. Never
-    /// false-negative; over-approximates after removals until the
-    /// amortized rebuild below resets it.
-    summary: ClassSummary,
-    /// Removals since the summary was last rebuilt from the live set.
-    removed_since_rebuild: u64,
     /// Encoded bytes of the `(rank, object)` pairs in a snapshot, kept on
     /// every push and remove so [`Entries::snapshot_len`] costs nothing.
     live_bytes: usize,
 }
 
-/// Signatures and the summary are derived from the map, so equality (used
-/// by snapshot round-trip tests) compares only the authoritative fields.
+/// Signatures and the byte count are derived from the map, so equality
+/// (used by snapshot round-trip tests) compares only the authoritative
+/// fields.
 impl PartialEq for Entries {
     fn eq(&self, other: &Self) -> bool {
         self.next_local == other.next_local && self.iter().eq(other.iter())
@@ -122,13 +117,10 @@ impl Entries {
         // Keep the local counter ahead so auto-ranked and externally
         // ranked entries never collide in time.
         self.next_local = self.next_local.max(rank.time() + 1);
-        let sig = self.summary.note_insert_signed(&obj);
+        let sig = object_signature(&obj);
         self.live_bytes += slot_len(rank, &obj);
         let displaced = self.map.insert(rank, Slot { sig, obj })?;
         self.live_bytes -= slot_len(rank, &displaced.obj);
-        // The summary double-counted the displaced object. Rebuild to
-        // stay exact on `len`.
-        self.rebuild_summary();
         Some(displaced.obj)
     }
 
@@ -139,13 +131,6 @@ impl Entries {
     pub fn remove(&mut self, rank: Rank) -> Option<PasoObject> {
         let removed = self.map.remove(&rank)?;
         self.live_bytes -= slot_len(rank, &removed.obj);
-        self.summary.note_remove();
-        self.removed_since_rebuild += 1;
-        // Amortized O(1): after more removals than survivors, pay one
-        // O(ℓ) rebuild to shed the stale Bloom bits.
-        if self.removed_since_rebuild > self.map.len() as u64 {
-            self.rebuild_summary();
-        }
         Some(removed.obj)
     }
 
@@ -175,16 +160,6 @@ impl Entries {
         self.map.get(&rank).map(|slot| probe.accepts(slot))
     }
 
-    /// The live-object digest (see [`ClassSummary`]).
-    pub fn summary(&self) -> ClassSummary {
-        self.summary
-    }
-
-    fn rebuild_summary(&mut self) {
-        self.summary = ClassSummary::rebuild(self.map.values().map(|slot| &slot.obj));
-        self.removed_since_rebuild = 0;
-    }
-
     pub fn len(&self) -> usize {
         self.map.len()
     }
@@ -196,8 +171,6 @@ impl Entries {
 
     pub fn clear(&mut self) {
         self.map.clear();
-        self.summary = ClassSummary::new();
-        self.removed_since_rebuild = 0;
         self.live_bytes = 0;
         // next_local deliberately NOT reset: local ranks stay unique for
         // the lifetime of the store.
@@ -225,8 +198,8 @@ impl Entries {
         Snapshot::from_bytes(bytes)
     }
 
-    /// Replaces the contents with a snapshot's. The map, the signatures
-    /// and the summary are built in one pass that hashes each field once;
+    /// Replaces the contents with a snapshot's. The map and the signatures
+    /// are built in one pass that hashes each field once;
     /// on error `self` is unchanged. A snapshot whose rank counter or
     /// newest rank leaves no room for the next local [`Entries::push`] is
     /// an error: it comes from a peer's state transfer or a WAL file.
@@ -251,24 +224,19 @@ impl Entries {
             let next_local = r.varint()?;
             let count = r.length()?;
             let mut restored = Entries::default();
-            let mut collided = false;
             for _ in 0..count {
                 let rank = Rank(r.varint()?);
                 let obj = PasoObject::decode(&mut r)?;
-                let sig = restored.summary.note_insert_signed(&obj);
+                let sig = object_signature(&obj);
                 restored.live_bytes += slot_len(rank, &obj);
                 if let Some(old) = restored.map.insert(rank, Slot { sig, obj }) {
                     restored.live_bytes -= slot_len(rank, &old.obj);
-                    collided = true;
                 }
             }
             if r.remaining() != 0 {
                 return Err(paso_wire::WireError::TrailingBytes {
                     count: r.remaining(),
                 });
-            }
-            if collided {
-                restored.rebuild_summary();
             }
             let next_rank = restored.map.keys().last().map_or(0, |r| r.time() + 1);
             restored.next_local = next_local.max(next_rank);
@@ -480,25 +448,7 @@ mod tests {
     }
 
     #[test]
-    fn summary_tracks_inserts_and_heavy_removal_triggers_rebuild() {
-        let mut e = Entries::default();
-        let ranks: Vec<Rank> = (0..8).map(|n| e.push(obj(n))).collect();
-        assert_eq!(e.summary().len(), 8);
-        let sc7 = SearchCriterion::from(Template::exact(vec![Value::Int(7)]));
-        assert!(e.summary().may_match(&sc7));
-        // Remove everything except object 0: more removals than survivors
-        // forces a rebuild, which must shed object 7's fingerprint.
-        for r in &ranks[1..] {
-            e.remove(*r);
-        }
-        assert_eq!(e.summary().len(), 1);
-        assert!(!e.summary().may_match(&sc7), "rebuild sheds stale bits");
-        let sc0 = SearchCriterion::from(Template::exact(vec![Value::Int(0)]));
-        assert!(e.summary().may_match(&sc0), "survivor stays visible");
-    }
-
-    #[test]
-    fn restore_rebuilds_summary() {
+    fn restore_matches_the_pushed_store() {
         let mut e = Entries::default();
         let ranks: Vec<Rank> = (0..6).map(|k| e.push(blob(k))).collect();
         e.push_ranked(blob(7), ranks[2]);
@@ -506,13 +456,7 @@ mod tests {
         let snap = e.snapshot();
         let mut f = Entries::default();
         f.restore(&snap).unwrap();
-        // The one-pass restore builds what inserting the survivors builds.
-        let mut incremental = ClassSummary::new();
-        for (_, o) in e.iter() {
-            incremental.note_insert(o);
-        }
-        assert_eq!(f.summary(), incremental);
-        assert_eq!(f.summary().len(), 5);
+        assert_eq!(f.len(), 5);
         assert_eq!(f.find_oldest(&blob_key(7)), e.find_oldest(&blob_key(7)));
     }
 

@@ -120,10 +120,6 @@ impl ClassStore for HashStore {
     fn objects(&self) -> Vec<PasoObject> {
         self.entries.objects()
     }
-
-    fn summary(&self) -> crate::ClassSummary {
-        self.entries.summary()
-    }
 }
 
 #[cfg(test)]

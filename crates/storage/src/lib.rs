@@ -53,8 +53,8 @@ mod index;
 mod multi;
 mod ordered;
 mod scan;
+mod signature;
 mod store;
-mod summary;
 
 pub use auto::{store_for, AutoStore};
 pub use hash::HashStore;
@@ -62,7 +62,6 @@ pub use multi::MultiStore;
 pub use ordered::OrderedStore;
 pub use scan::ScanStore;
 pub use store::{ClassStore, Cost, Rank, Snapshot, SnapshotError, StoreKind};
-pub use summary::ClassSummary;
 
 #[cfg(test)]
 mod differential_tests {

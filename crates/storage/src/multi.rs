@@ -150,10 +150,6 @@ impl ClassStore for MultiStore {
     fn objects(&self) -> Vec<PasoObject> {
         self.entries.objects()
     }
-
-    fn summary(&self) -> crate::ClassSummary {
-        self.entries.summary()
-    }
 }
 
 #[cfg(test)]

@@ -129,10 +129,6 @@ impl ClassStore for OrderedStore {
     fn objects(&self) -> Vec<PasoObject> {
         self.entries.objects()
     }
-
-    fn summary(&self) -> crate::ClassSummary {
-        self.entries.summary()
-    }
 }
 
 #[cfg(test)]

@@ -90,10 +90,6 @@ impl ClassStore for ScanStore {
     fn objects(&self) -> Vec<PasoObject> {
         self.entries.objects()
     }
-
-    fn summary(&self) -> crate::ClassSummary {
-        self.entries.summary()
-    }
 }
 
 #[cfg(test)]

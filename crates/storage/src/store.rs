@@ -243,12 +243,6 @@ pub trait ClassStore: Send + fmt::Debug {
     /// All live objects in insertion order (oldest first). Used by tests,
     /// the semantics checker, and debugging tools.
     fn objects(&self) -> Vec<PasoObject>;
-
-    /// A compact digest of the live objects, maintained incrementally on
-    /// `store`/`remove`. Used to prune read fan-out: `may_match == false`
-    /// is a proof that no live object matches (see
-    /// [`ClassSummary`](crate::ClassSummary)).
-    fn summary(&self) -> crate::ClassSummary;
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! * [`Telemetry`] — a lock-free metrics registry with one slot per row of
 //!   the [`metrics`] table: counters, gauges and fixed-bucket histograms,
 //!   updated through typed ids as plain atomics.  Snapshots report every
-//!   row by name and merge associatively across nodes/threads.
+//!   row by name; histogram snapshots merge associatively.
 //! * [`TraceBuf`] — a bounded structured trace-event stream (op begin/end,
 //!   gcast fan-out, view changes, fault injection).  Timestamps are supplied
 //!   by the driver: sim-time micros under simnet, monotonic micros since

@@ -107,10 +107,6 @@ metrics! {
     OP_RETRY_INFLIGHT: Counter("op.retry.inflight", "requests", "Retried requests whose first attempt was still executing.");
     OP_BATCH_GCASTS: Counter("op.batch.gcasts", "gcasts", "Batched gcasts, each carrying several ops.");
     OP_BATCH_OPS: Histogram("op.batch.ops", "ops", "Ops per batched gcast.");
-    READ_SC_LIST: Counter("read.sc_list", "classes", "Classes in each read's sc-list.");
-    READ_PRUNED: Counter("read.pruned", "classes", "Classes a read skipped because their summary excludes the criterion.");
-    GOSSIP_SUMMARY_SENT: Counter("gossip.summary.sent", "msgs", "Class summaries gossiped.");
-    GOSSIP_SUMMARY_RECV: Counter("gossip.summary.recv", "msgs", "Class summaries received.");
     ADAPTIVE_JOIN: Counter("adaptive.join", "joins", "Adaptive joins of a class's write group outside its basic support (§5.1).");
     ADAPTIVE_LEAVE: Counter("adaptive.leave", "leaves", "Adaptive leaves of a class's write group (§5.1).");
     // Virtual synchrony, the WAL and state transfer.
@@ -138,7 +134,6 @@ metrics! {
     PROXY_BATCH_FLUSHES: Counter("proxy.batch.flushes", "batches", "Batches flushed to a server.");
     PROXY_BATCH_OPS: Histogram("proxy.batch.ops", "ops", "Ops per flushed batch.");
     PROXY_BATCH_BYTES: Histogram("proxy.batch.bytes", "bytes", "Encoded bytes per flushed batch.");
-    PROXY_GOSSIP_RECV: Counter("proxy.gossip.recv", "msgs", "Class-summary gossip received by the gateway.");
     PROXY_DONE_BATCHES: Counter("proxy.done_batches", "batches", "`Done` batches received from servers.");
     PROXY_ROUTE_LEADER: Counter("proxy.route.leader", "ops", "Writes routed to a class's vsync leader.");
     PROXY_ROUTE_MEMBER: Counter("proxy.route.member", "ops", "Reads routed to a live member of the class's basic support.");

@@ -181,23 +181,6 @@ impl Snapshot {
             .unwrap_or_else(HistSnapshot::empty)
     }
 
-    /// Merge another snapshot: counters/gauge-sums add, histograms merge.
-    /// Associative and commutative, so cluster roll-ups are order-free.
-    pub fn merge(&mut self, other: &Snapshot) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0.0) += v;
-        }
-        for (k, v) in &other.gauges {
-            *self.gauges.entry(k.clone()).or_insert(0.0) += v;
-        }
-        for (k, v) in &other.hists {
-            self.hists
-                .entry(k.clone())
-                .or_insert_with(HistSnapshot::empty)
-                .merge(v);
-        }
-    }
-
     /// Human-readable dump, one metric per line, sorted by name.
     pub fn dump_text(&self) -> String {
         let mut out = String::new();
@@ -294,21 +277,6 @@ mod tests {
         t.count(NET_MSGS_SENT, 2.5);
         assert_eq!(t.snapshot().counter("net.msgs_sent"), 4.0);
         assert_eq!(t.snapshot().counter("absent"), 0.0);
-    }
-
-    #[test]
-    fn snapshot_merge_adds() {
-        let a = Telemetry::new();
-        a.count(NET_MSGS_SENT, 2.0);
-        a.record(NET_MSG_BYTES, 10);
-        let b = Telemetry::new();
-        b.count(NET_MSGS_SENT, 3.0);
-        b.record(NET_MSG_BYTES, 20);
-        let mut s = a.snapshot();
-        s.merge(&b.snapshot());
-        assert_eq!(s.counter("net.msgs_sent"), 5.0);
-        assert_eq!(s.hist("net.msg_bytes").count, 2);
-        assert_eq!(s.hist("net.msg_bytes").sum, 30);
     }
 
     #[test]

@@ -272,10 +272,9 @@ pub fn sc_list_tightness(
 /// Stable 64-bit hash of a field value at a tuple position.
 ///
 /// FNV-1a over the position followed by the value's `Hash` stream, so the
-/// same `(position, value)` pair hashes identically on every machine in an
-/// ensemble — the property class summaries need to compare fingerprints
-/// computed on different nodes (`std`'s `DefaultHasher` is randomized per
-/// process and would break that).
+/// same `(position, value)` pair hashes identically in every process and
+/// run, and so do a store's field signatures (`std`'s `DefaultHasher` is
+/// randomized per process).
 pub fn stable_field_hash(position: usize, v: &Value) -> u64 {
     let mut h = Fnv1a::new();
     h.write_usize(position);

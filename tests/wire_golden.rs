@@ -17,7 +17,7 @@ use paso::core::{
 };
 use paso::runtime::Envelope;
 use paso::simnet::{Engine, EngineConfig, NodeId, SimTime};
-use paso::storage::{ClassSummary, Rank};
+use paso::storage::Rank;
 use paso::types::{
     ClassId, FieldMatcher, ObjectId, PasoObject, ProcessId, SearchCriterion, Template, Value,
     ValueType,
@@ -120,14 +120,6 @@ const DATA_MODEL: &[(&str, &str)] = &[
     ("SearchCriterion", "020205036a6f6200"),
     ("Rank", "828014"),
     ("NodeId", "c801"),
-    (
-        "ClassSummary",
-        "01041200040000000000000000000000000000000000000000000000000040000000",
-    ),
-    (
-        "ClassSummary(empty)",
-        "00000000000000000000000000000000000000000000000000000000000000000000",
-    ),
 ];
 
 #[test]
@@ -199,10 +191,6 @@ fn data_model_bytes_are_pinned() {
     rows.pin("SearchCriterion", &sc());
     rows.pin("Rank", &Rank::new(5, 2));
     rows.pin("NodeId", &NodeId(200));
-    let mut summary = ClassSummary::new();
-    summary.note_insert(&obj());
-    rows.pin("ClassSummary", &summary);
-    rows.pin("ClassSummary(empty)", &ClassSummary::new());
     rows.check(DATA_MODEL);
 }
 
@@ -223,15 +211,20 @@ const CLIENT_AND_REPLICATION: &[(&str, &str)] = &[
     ("ReplOp::PlaceMarker", "0301020205036a6f62000309c0843d"),
     ("OpResponse(some)", "0107ac020205036a6f62000502"),
     ("OpResponse(none)", "0000"),
-    ("ReplBatch", "8002000107ac020205036a6f6200058280140201020205036a6f6200"),
+    (
+        "ReplBatch",
+        "8002000107ac020205036a6f6200058280140201020205036a6f6200",
+    ),
     ("Vec<OpResponse>", "0200000107ac020205036a6f62000502"),
     ("AppMsg::Client", "000401020205036a6f620000"),
     ("AppMsg::MarkerWake", "01ac02"),
     ("AppMsg::RemoteRead", "020301020205036a6f6200"),
     ("AppMsg::RemoteReadResp", "0303010107ac020205036a6f62000501"),
-    ("AppMsg::SummaryGossip", "040203010412000400000000000000000000000000000000000000000000000000400000000900000000000000000000000000000000000000000000000000000000000000000000"),
     ("AppMsg::Done", "050503"),
-    ("AppMsg::ClientBatch", "0602010007ac020205036a6f6200050202020205036a6f620001"),
+    (
+        "AppMsg::ClientBatch",
+        "0602010007ac020205036a6f6200050202020205036a6f620001",
+    ),
     ("AppMsg::ClientBatch(empty)", "0600"),
     ("AppMsg::DoneBatch", "07020503580107ac020205036a6f620005"),
     ("ProxyClientFrame::Hello", "002a8de0b7ddf0ddefd6de01"),
@@ -380,14 +373,6 @@ fn client_and_replication_bytes_are_pinned() {
             failed: 1,
         },
     );
-    let mut summary = ClassSummary::new();
-    summary.note_insert(&obj());
-    rows.pin(
-        "AppMsg::SummaryGossip",
-        &AppMsg::SummaryGossip {
-            summaries: vec![(ClassId(3), summary), (ClassId(9), ClassSummary::new())],
-        },
-    );
     rows.pin(
         "AppMsg::Done",
         &AppMsg::Done(ClientDone {
@@ -453,6 +438,17 @@ fn client_and_replication_bytes_are_pinned() {
         },
     );
     rows.check(CLIENT_AND_REPLICATION);
+    // Tag 4 is retired: an older peer's class-summary gossip frame (here
+    // its empty round, tag 4 and a zero-length list) is a decode error,
+    // never a panic or a message of another kind.
+    let retired = [0x04, 0x00];
+    assert_eq!(
+        decode_exact::<AppMsg>(&retired),
+        Err(paso_wire::WireError::InvalidTag {
+            ty: "AppMsg",
+            tag: 4
+        })
+    );
 }
 
 const VSYNC_AND_TRANSPORT: &[(&str, &str)] = &[
