@@ -199,5 +199,5 @@ fn main() {
 
     println!("expected shape: read-local costs 0 messages; insert / read-remote /");
     println!("read&del scale linearly with |g| = λ+1 and match the §3.3 closed");
-    println!("form within a small factor (protocol framing, JSON encoding).");
+    println!("form within a small factor.");
 }

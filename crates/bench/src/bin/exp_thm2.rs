@@ -23,6 +23,7 @@ fn main() {
     );
     println!("ratio = Basic(σ)/OPT(σ) with exact DP optimum; 2000-event sequences\n");
 
+    let mut failed = false;
     for &q in qs {
         if qcost {
             println!("— query cost q = {q} —");
@@ -107,5 +108,9 @@ fn main() {
         );
         println!("expected shape: every measured ratio ≤ bound; the adversary column");
         println!("approaches the bound as λ/K grows; the potential check reports OK.\n");
+        failed |= !all_within;
+    }
+    if failed {
+        std::process::exit(1);
     }
 }

@@ -27,6 +27,11 @@ impl OpLedger {
         OpLedger { telemetry, trace }
     }
 
+    /// The registry this ledger writes into.
+    pub fn telemetry(&self) -> &Arc<Telemetry> {
+        &self.telemetry
+    }
+
     /// Issue-time accounting: one count and one `OpBegin` per op,
     /// however many times it is later re-sent, so op-level totals of a
     /// simulated and a live run of one workload compare directly.

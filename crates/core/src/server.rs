@@ -148,6 +148,9 @@ struct PendingOp {
     /// The current class attempt must use a group cast (anycast already
     /// failed or was declined).
     force_gcast: bool,
+    /// A timer tagged with the op id (anycast fallback or blocking
+    /// re-poll) was set; finishing the op cancels it.
+    timer_set: bool,
 }
 
 /// The per-machine PASO memory server.
@@ -344,7 +347,15 @@ impl MemoryServer {
     }
 
     fn finish(&mut self, vs: &mut dyn VsyncOps<ClientDone>, op_id: u64, result: ClientResult) {
-        let origin = self.pending.remove(&op_id).map_or(self.id, |p| p.origin);
+        let origin = match self.pending.remove(&op_id) {
+            Some(p) => {
+                if p.timer_set {
+                    vs.cancel_app_timer(op_id);
+                }
+                p.origin
+            }
+            None => self.id,
+        };
         if self.recent_done.insert(op_id, result.clone()).is_none() {
             self.recent_order.push_back(op_id);
             while self.recent_order.len() > self.recent_cap {
@@ -471,6 +482,7 @@ impl MemoryServer {
                 waiting: false,
                 anycast_to: None,
                 force_gcast: false,
+                timer_set: false,
             },
         );
         self.drive(vs, req.op_id);
@@ -543,7 +555,9 @@ impl MemoryServer {
                                 class,
                                 sc: sc.clone(),
                             };
-                            self.pending.get_mut(&op_id).unwrap().anycast_to = Some(target);
+                            let p = self.pending.get_mut(&op_id).unwrap();
+                            p.anycast_to = Some(target);
+                            p.timer_set = true;
                             vs.count(metrics::OP_READ_ANYCAST, 1.0);
                             vs.send_app(target, encode(&msg));
                             // Fall back to a gcast if no answer arrives.
@@ -621,7 +635,9 @@ impl MemoryServer {
                 vs.gcast(wg_group(class), payload, FIRE_AND_FORGET);
             }
         }
-        self.pending.get_mut(&op_id).unwrap().idx = 0;
+        let p = self.pending.get_mut(&op_id).unwrap();
+        p.idx = 0;
+        p.timer_set = true;
         vs.set_app_timer(interval, op_id);
     }
 

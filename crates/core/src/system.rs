@@ -180,7 +180,8 @@ impl SimSystem {
     }
 
     /// The unified metrics registry (same metric names as the live
-    /// runtime's `Cluster::telemetry()`).
+    /// runtime's `Cluster::telemetry()`), with the engine's totals
+    /// published into it on the way out.
     pub fn telemetry(&self) -> &Arc<Telemetry> {
         self.engine.telemetry()
     }
@@ -317,10 +318,9 @@ impl SimSystem {
     /// event queue drains or `max_events` are processed first (which, for
     /// a non-blocking op, indicates a protocol bug).
     ///
-    /// Outputs are drained, and the registry published, only once a step
-    /// has completed some op, and on return: an op takes about seven
-    /// events, and publishing after each of them was a sizeable share of
-    /// the simulator's run time.
+    /// Outputs are drained only once a step has completed some op, and on
+    /// return. Nothing is published here: the registry is brought up to
+    /// date when it is read ([`telemetry`](Self::telemetry)).
     pub fn wait(&mut self, op: u64, max_events: u64) -> Option<ClientResult> {
         let mut processed = 0u64;
         loop {
@@ -355,7 +355,8 @@ impl SimSystem {
     /// serialized, so the delta is exactly this op's expansion).
     fn record_op_cost(&mut self, hist: HistId, cost0: f64) {
         let delta = self.engine.stats().total_msg_cost - cost0;
-        self.engine.telemetry().record(hist, delta.round() as u64);
+        // Through the ledger's handle: the engine's would publish.
+        self.ledger.telemetry().record(hist, delta.round() as u64);
     }
 
     /// Synchronous non-blocking `read`.

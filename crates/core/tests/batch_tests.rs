@@ -99,6 +99,7 @@ impl Net {
                 }
                 Action::SendLocal { msg } => self.queue.push_back((node, node, msg)),
                 Action::SetTimer { delay, tag } => self.timers.push((self.now + delay, node, tag)),
+                Action::CancelTimer { tag } => self.timers.retain(|t| (t.1, t.2) != (node, tag)),
                 Action::Count(id, delta) => *self.counts.entry(id.name()).or_default() += delta,
                 Action::Record(id, value) => self.hists.entry(id.name()).or_default().push(value),
                 Action::Emit(_) | Action::Work(_) | Action::Trace(_) => {}

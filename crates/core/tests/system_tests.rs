@@ -467,6 +467,39 @@ fn an_open_first_field_walks_every_bucket_of_the_sc_list() {
 }
 
 #[test]
+fn a_completed_op_leaves_no_timer_behind() {
+    // Each op's retry and anycast-fallback timers are cancelled when it
+    // completes, so draining the queue after it takes the stragglers'
+    // microseconds, not a 50 ms gcast retry or a 100 ms fallback. (With
+    // adaptive on, a join's retry timer may still be pending.)
+    let mut sys = SimSystem::new(PasoConfig::builder(8, 2).adaptive(false).build());
+    let settle_after = |sys: &mut SimSystem, what: String| {
+        let before = sys.now();
+        sys.settle(1_000);
+        let took = sys.now().saturating_since(before);
+        assert!(
+            took < SimTime::from_millis(1),
+            "{what}: settle took {took:?}"
+        );
+    };
+    for node in 0..8u32 {
+        sys.insert(node, task(node as i64));
+        settle_after(&mut sys, format!("insert from m{node}"));
+    }
+    for node in 0..8u32 {
+        let got = sys.read(node, sc_task(((node + 3) % 8) as i64));
+        assert!(got.is_some());
+        settle_after(&mut sys, format!("read from m{node}"));
+    }
+    for node in 0..8u32 {
+        let got = sys.read_del(node, sc_task(((node + 5) % 8) as i64));
+        assert!(got.is_some());
+        settle_after(&mut sys, format!("read&del from m{node}"));
+    }
+    assert!(sys.stats().counter(metrics::OP_READ_ANYCAST) > 0.0);
+}
+
+#[test]
 fn range_criteria_work_end_to_end() {
     let mut sys = SimSystem::new(PasoConfig::builder(4, 1).seed(15).build());
     for i in 0..10 {

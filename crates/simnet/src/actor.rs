@@ -115,6 +115,13 @@ pub enum Action<M, O> {
         /// Tag passed back on firing.
         tag: u64,
     },
+    /// Drop this node's pending timers carrying `tag`. A hint: the actor
+    /// still treats a timer it no longer wants as a no-op, so a driver
+    /// may ignore the action and only pay for the dead event.
+    CancelTimer {
+        /// The tag the timers were set with.
+        tag: u64,
+    },
     /// Surface an output to the harness.
     Emit(O),
     /// Charge local processing work units.
@@ -216,6 +223,14 @@ impl<M, O> Context<'_, M, O> {
         self.actions.push(Action::SetTimer { delay, tag });
     }
 
+    /// Asks the driver to drop every pending timer of this node set
+    /// with `tag` (see [`Action::CancelTimer`]). Cancelling a tag with
+    /// nothing pending does nothing. The driver may still fire such a
+    /// timer, so the handler must stay a no-op for it.
+    pub fn cancel_timer(&mut self, tag: u64) {
+        self.actions.push(Action::CancelTimer { tag });
+    }
+
     /// Surfaces an output to the harness driving the simulation.
     pub fn emit(&mut self, out: O) {
         self.actions.push(Action::Emit(out));
@@ -280,8 +295,10 @@ mod tests {
         ctx.emit(42);
         ctx.charge_work(3);
         ctx.count(paso_telemetry::metrics::WORK_TOTAL, 1.0);
-        assert_eq!(ctx.actions.len(), 6);
+        ctx.cancel_timer(7);
+        assert_eq!(ctx.actions.len(), 7);
         assert!(matches!(ctx.actions[0], Action::Send { to: NodeId(2), .. }));
         assert!(matches!(ctx.actions[3], Action::Emit(42)));
+        assert!(matches!(ctx.actions[6], Action::CancelTimer { tag: 7 }));
     }
 }

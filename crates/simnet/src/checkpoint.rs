@@ -468,7 +468,7 @@ where
         self.stats = stats;
         self.outputs.clear();
         self.trace.clear();
-        self.tel = Publisher::new();
+        *self.tel.get_mut() = Publisher::new();
         self.telemetry = telemetry;
         self.trace_buf = Arc::new(TraceBuf::new());
         // A checkpoint taken without churn has no pending tick; if this
@@ -815,6 +815,49 @@ mod tests {
             churny.stats().crashes > 0,
             "enabled churn must actually crash machines"
         );
+    }
+
+    /// Arms timers tag 1 (5 ms) and tag 2 (9 ms) on start, cancels the
+    /// tag a message names, and emits each tag that fires.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Alarm {
+        id: NodeId,
+    }
+
+    paso_wire::wire_struct!(Alarm { id });
+
+    impl Actor for Alarm {
+        type Msg = Ping;
+        type Output = u64;
+
+        fn handle(&mut self, ctx: &mut Context<'_, Ping, u64>, ev: NodeEvent<Ping>) {
+            match ev {
+                NodeEvent::Start => {
+                    ctx.set_timer(SimTime::from_millis(5), 1);
+                    ctx.set_timer(SimTime::from_millis(9), 2);
+                }
+                NodeEvent::Message { msg, .. } => ctx.cancel_timer(msg.0),
+                NodeEvent::Timer { tag } => ctx.emit(tag),
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn a_timer_set_before_a_save_can_be_cancelled_after_restore() {
+        let mut e = Engine::new(EngineConfig::for_tests(2), |id| Alarm { id });
+        e.run_until(SimTime::from_millis(1));
+        let ckpt = e.snapshot();
+        let mut restored =
+            Engine::from_checkpoint(EngineConfig::for_tests(2), |id| Alarm { id }, &ckpt).unwrap();
+        restored.inject(restored.now(), NodeId(1), Ping(1));
+        restored.run_to_quiescence(100);
+        let fired: Vec<(u32, u64)> = restored
+            .take_outputs()
+            .into_iter()
+            .map(|(_, node, tag)| (node.0, tag))
+            .collect();
+        assert_eq!(fired, [(0, 1), (0, 2), (1, 2)]);
     }
 
     #[test]

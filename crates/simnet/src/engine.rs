@@ -11,14 +11,16 @@
 //! an indexed binary heap with O(log n) cancellation, so crashed nodes'
 //! timers are removed instead of tombstoned; per-message metrics
 //! accumulate in plain (non-atomic) [`Stats`] fields published to the
-//! shared registry at run boundaries; and the whole engine state is
-//! checkpointable (`snapshot`/`restore`, see `checkpoint.rs`) whenever
-//! the actor and message types implement `paso_wire::Wire`.
+//! shared registry when it is read and at run boundaries; and the whole
+//! engine state is checkpointable (`snapshot`/`restore`, see
+//! `checkpoint.rs`) whenever the actor and message types implement
+//! `paso_wire::Wire`.
 //!
 //! Determinism: all randomness flows from one seeded ChaCha stream, and the
 //! event queue breaks time ties by insertion sequence, so the same
 //! configuration and inputs always produce the same trace.
 
+use std::cell::RefCell;
 use std::sync::Arc;
 
 use crate::actor::{drive_actor, Action, Actor, NodeEvent, NodeId};
@@ -258,7 +260,10 @@ pub struct Engine<A: Actor> {
     pub(crate) rng: ChaCha8Rng,
     pub(crate) stats: Stats,
     pub(crate) telemetry: Arc<Telemetry>,
-    pub(crate) tel: Publisher,
+    /// In a cell so that [`telemetry`](Self::telemetry) can publish
+    /// through `&self`; every `&mut self` path reaches it with `get_mut`,
+    /// which checks nothing at run time.
+    pub(crate) tel: RefCell<Publisher>,
     pub(crate) trace_buf: Arc<TraceBuf>,
     pub(crate) outputs: Vec<(SimTime, NodeId, A::Output)>,
     /// The action buffer every dispatch fills and drains (empty between
@@ -325,7 +330,7 @@ impl<A: Actor> Engine<A> {
         let rng = ChaCha8Rng::seed_from_u64(config.seed);
         let stats = Stats::new(config.n);
         let telemetry = Arc::new(Telemetry::new());
-        let tel = Publisher::new();
+        let tel = RefCell::new(Publisher::new());
         let fault_pass_through = config.fault_plan.is_pass_through();
         Engine {
             arena,
@@ -378,17 +383,20 @@ impl<A: Actor> Engine<A> {
     /// actor counter under the shared metric names (see DESIGN.md §6e).
     ///
     /// Engine-internal metrics are counted in [`Stats`] on the hot path
-    /// and published at run boundaries; call
-    /// [`flush_telemetry`](Self::flush_telemetry) first when reading
-    /// between single [`step`](Self::step) calls.
+    /// and published here, on the way out, so the registry this returns
+    /// is current whenever it is read through the engine. A clone of the
+    /// `Arc` kept elsewhere sees the totals as of the last such read or
+    /// run boundary ([`run_until`](Self::run_until),
+    /// [`run_to_quiescence`](Self::run_to_quiescence), a checkpoint).
     pub fn telemetry(&self) -> &Arc<Telemetry> {
+        self.tel.borrow_mut().publish(&self.stats, &self.telemetry);
         &self.telemetry
     }
 
     /// Publishes the [`Stats`] totals and buffered histogram samples
     /// into the registry.
-    pub fn flush_telemetry(&mut self) {
-        self.tel.publish(&self.stats, &self.telemetry);
+    pub(crate) fn flush_telemetry(&mut self) {
+        self.tel.get_mut().publish(&self.stats, &self.telemetry);
     }
 
     /// The structured trace-event stream (op events recorded by the
@@ -415,15 +423,12 @@ impl<A: Actor> Engine<A> {
         !self.outputs.is_empty()
     }
 
-    /// Drains the outputs emitted since the last call, publishing
-    /// telemetry on the way (harnesses read metrics after draining).
-    ///
-    /// A publish stores every engine total in the registry, so a driver
-    /// that steps one event at a time should call this when
-    /// [`has_outputs`](Self::has_outputs) says there is something to
-    /// drain, not after every [`step`](Self::step).
+    /// Drains the outputs emitted since the last call. It publishes
+    /// nothing: a driver that drains after every completed op would
+    /// otherwise store every engine total once per op, and the registry
+    /// is published when it is read instead
+    /// ([`telemetry`](Self::telemetry)).
     pub fn take_outputs(&mut self) -> Vec<(SimTime, NodeId, A::Output)> {
-        self.flush_telemetry();
         std::mem::take(&mut self.outputs)
     }
 
@@ -503,7 +508,9 @@ impl<A: Actor> Engine<A> {
         self.stats.msgs_sent += 1;
         self.stats.total_msg_cost += cost;
         self.stats.total_bytes += bytes as u64;
-        self.tel.record(metrics::NET_MSG_BYTES, bytes as u64);
+        self.tel
+            .get_mut()
+            .record(metrics::NET_MSG_BYTES, bytes as u64);
 
         // Injected link faults (messages are paid for whether or not the
         // network then mangles them).
@@ -558,8 +565,9 @@ impl<A: Actor> Engine<A> {
             }
         };
         if injected > 0 || matches!(self.config.net, NetModel::Switched(_)) {
-            self.tel.record(metrics::NET_LINK_LATENCY_MICROS, injected);
-            self.tel.record(metrics::NET_LINK_JITTER_MICROS, jitter);
+            let tel = self.tel.get_mut();
+            tel.record(metrics::NET_LINK_LATENCY_MICROS, injected);
+            tel.record(metrics::NET_LINK_JITTER_MICROS, jitter);
         }
         if injected > 0 {
             // Under the bus model the fault-plan delay happens after the
@@ -611,19 +619,18 @@ impl<A: Actor> Engine<A> {
             match action {
                 Action::Send { to, msg } => {
                     let bytes = msg.wire_size();
-                    self.tel.record(metrics::NET_WRITEV_BATCH_FRAMES, 1);
-                    self.tel
-                        .record(metrics::NET_WRITEV_BATCH_BYTES, bytes as u64);
+                    let tel = self.tel.get_mut();
+                    tel.record(metrics::NET_WRITEV_BATCH_FRAMES, 1);
+                    tel.record(metrics::NET_WRITEV_BATCH_BYTES, bytes as u64);
                     self.send_one(node, to, msg, bytes);
                 }
                 Action::SendMany { to, msg } => {
                     // Sized once for the whole fan-out; each copy still
                     // pays α + β·|m| and serializes on the bus in turn.
                     let bytes = msg.wire_size();
-                    self.tel
-                        .record(metrics::NET_WRITEV_BATCH_FRAMES, to.len() as u64);
-                    let batch = (bytes * to.len()) as u64;
-                    self.tel.record(metrics::NET_WRITEV_BATCH_BYTES, batch);
+                    let tel = self.tel.get_mut();
+                    tel.record(metrics::NET_WRITEV_BATCH_FRAMES, to.len() as u64);
+                    tel.record(metrics::NET_WRITEV_BATCH_BYTES, (bytes * to.len()) as u64);
                     for target in to {
                         self.send_one(node, target, msg.clone(), bytes);
                     }
@@ -654,16 +661,30 @@ impl<A: Actor> Engine<A> {
                     }
                     timers.push(key);
                 }
+                Action::CancelTimer { tag } => self.cancel_timers(node, tag),
                 Action::Emit(out) => self.outputs.push((self.now, node, out)),
                 Action::Work(units) => self.stats.charge(node, units),
                 Action::Count(id, delta) => self.stats.bump(id, delta),
-                Action::Record(id, value) => self.tel.record(id, value),
+                Action::Record(id, value) => self.tel.get_mut().record(id, value),
                 Action::Trace(kind) => {
                     self.trace_buf.record(self.now.as_micros(), node.0, kind);
                 }
             }
         }
         self.actions = actions;
+    }
+
+    /// Removes `node`'s pending timers set with `tag` from the queue, and
+    /// drops the keys of fired timers from its list on the way.
+    fn cancel_timers(&mut self, node: NodeId, tag: u64) {
+        let queue = &mut self.queue;
+        self.arena.timers[node.index()].retain(|&key| {
+            let hit = matches!(queue.get(key), Some(Event::Timer { tag: t, .. }) if *t == tag);
+            if hit {
+                queue.cancel(key);
+            }
+            !hit && queue.is_live(key)
+        });
     }
 
     /// Notifies every up node (other than `about`) of a membership change.
@@ -748,7 +769,7 @@ impl<A: Actor> Engine<A> {
                 if via_bus {
                     // One delivery = one readiness wakeup of the
                     // receiving node (the simulator's poll(2) analog).
-                    self.tel.record(metrics::NET_POLL_WAKEUPS, 1);
+                    self.tel.get_mut().record(metrics::NET_POLL_WAKEUPS, 1);
                 }
                 if up {
                     if self.config.record_trace {
@@ -1244,6 +1265,74 @@ mod tests {
         );
         // And the far-future timers never execute (fast quiescence).
         assert_eq!(e.stats().events_processed, 1);
+    }
+
+    /// Sets timers tag 1 at 5 and 10 ms and tag 2 at 7 ms on start,
+    /// cancels the tag a `Cancel` message names, and emits each tag that
+    /// fires.
+    struct Alarm;
+    #[derive(Debug, Clone)]
+    struct Cancel(u64);
+    impl WireSized for Cancel {
+        fn wire_size(&self) -> usize {
+            8
+        }
+    }
+    impl Actor for Alarm {
+        type Msg = Cancel;
+        type Output = u64;
+        fn handle(&mut self, ctx: &mut Context<'_, Cancel, u64>, event: NodeEvent<Cancel>) {
+            match event {
+                NodeEvent::Start => {
+                    ctx.set_timer(SimTime::from_millis(5), 1);
+                    ctx.set_timer(SimTime::from_millis(7), 2);
+                    ctx.set_timer(SimTime::from_millis(10), 1);
+                }
+                NodeEvent::Message { msg, .. } => ctx.cancel_timer(msg.0),
+                NodeEvent::Timer { tag } => ctx.emit(tag),
+                _ => {}
+            }
+        }
+    }
+
+    /// `(ms, node, tag)` of every timer that fired.
+    fn fired(e: &mut Engine<Alarm>) -> Vec<(u64, u32, u64)> {
+        e.run_to_quiescence(100);
+        e.take_outputs()
+            .into_iter()
+            .map(|(t, node, tag)| (t.as_micros() / 1000, node.0, tag))
+            .collect()
+    }
+
+    #[test]
+    fn a_cancelled_timer_never_fires() {
+        let mut e = Engine::new(EngineConfig::for_tests(1), |_| Alarm);
+        e.inject(SimTime::from_millis(1), NodeId(0), Cancel(1));
+        assert_eq!(fired(&mut e), [(7, 0, 2)]);
+        // The injection and tag 2: both tag-1 timers left the queue
+        // unprocessed, and the node's key list holds nothing stale.
+        assert_eq!(e.stats().events_processed, 2);
+        assert!(e.queue.is_empty());
+        e.inject(e.now(), NodeId(0), Cancel(2));
+        e.run_to_quiescence(10);
+        assert!(e.arena.timers[0].is_empty());
+    }
+
+    #[test]
+    fn cancelling_an_unknown_or_fired_tag_does_nothing() {
+        let mut e = Engine::new(EngineConfig::for_tests(1), |_| Alarm);
+        e.inject(SimTime::from_millis(1), NodeId(0), Cancel(9));
+        // Tag 2 has fired by 8 ms; cancelling it again touches nothing.
+        e.inject(SimTime::from_millis(8), NodeId(0), Cancel(2));
+        assert_eq!(fired(&mut e), [(5, 0, 1), (7, 0, 2), (10, 0, 1)]);
+        assert_eq!(e.stats().events_processed, 5);
+    }
+
+    #[test]
+    fn cancel_drops_only_that_nodes_timers_with_that_tag() {
+        let mut e = Engine::new(EngineConfig::for_tests(2), |_| Alarm);
+        e.inject(SimTime::from_millis(1), NodeId(0), Cancel(1));
+        assert_eq!(fired(&mut e), [(5, 1, 1), (7, 0, 2), (7, 1, 2), (10, 1, 1)]);
     }
 
     #[test]

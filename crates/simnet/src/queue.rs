@@ -147,12 +147,19 @@ impl<T> EventQueue<T> {
         Some(out)
     }
 
+    /// The pending event `key` refers to, or `None` if the key is stale.
+    pub fn get(&self, key: EventKey) -> Option<&T> {
+        let e = self.entries.get(key.slot as usize)?;
+        if e.gen != key.gen || e.pos == NO_POS {
+            return None;
+        }
+        e.payload.as_ref()
+    }
+
     /// True iff `key` still refers to a pending (not yet popped or
     /// cancelled) event.
     pub fn is_live(&self, key: EventKey) -> bool {
-        self.entries
-            .get(key.slot as usize)
-            .is_some_and(|e| e.gen == key.gen && e.pos != NO_POS)
+        self.get(key).is_some()
     }
 
     /// Cancels a pending event in O(log n). Returns its payload, or
@@ -285,7 +292,9 @@ mod tests {
         let _a = q.push(t(1), 'a');
         let b = q.push(t(2), 'b');
         let _c = q.push(t(3), 'c');
+        assert_eq!(q.get(b), Some(&'b'));
         assert_eq!(q.cancel(b), Some('b'));
+        assert_eq!(q.get(b), None);
         assert_eq!(q.len(), 2);
         // Double cancel and cancel-after-pop are inert.
         assert_eq!(q.cancel(b), None);

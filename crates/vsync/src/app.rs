@@ -181,6 +181,11 @@ pub trait VsyncOps<O> {
     /// Panics if `tag` has the top bit set.
     fn set_app_timer(&mut self, delay_micros: u64, tag: u64);
 
+    /// Drops this node's pending application timers set with `tag`. A
+    /// hint the driver may ignore: a timer the app no longer wants may
+    /// still fire, and the app must treat it as a no-op.
+    fn cancel_app_timer(&mut self, tag: u64);
+
     /// A deterministic pseudo-random 64-bit value.
     fn random_u64(&mut self) -> u64;
 }

@@ -222,6 +222,9 @@ struct Pending {
     payload: Frame,
     token: u64,
     retries: u32,
+    /// Id of the armed `RetryGcast` timer, cancelled when the request
+    /// completes.
+    timer: u64,
     /// Contacts already tried (and nacked) for this request; rotated
     /// through so the origin eventually reaches a real member even when
     /// its cached view is stale.
@@ -335,16 +338,28 @@ impl Core {
         remove_range(&mut self.tallies, (group, lo)..(group, hi));
     }
 
+    /// Sets a vsync timer and returns its id.
     fn arm_timer<O>(
         &mut self,
         ctx: &mut Context<'_, NetMsg, O>,
         delay: SimTime,
         purpose: TimerPurpose,
-    ) {
+    ) -> u64 {
         let id = self.next_timer;
         self.next_timer += 1;
         self.timers.insert(id, purpose);
         ctx.set_timer(delay, VSYNC_TAG_BIT | id);
+        id
+    }
+
+    /// Arms `req`'s `RetryGcast` timer and notes its id on the pending
+    /// request, so completing the request can cancel it.
+    fn arm_gcast_retry<O>(&mut self, ctx: &mut Context<'_, NetMsg, O>, req: ReqId) {
+        let timeout = self.cfg.retry_timeout;
+        let timer = self.arm_timer(ctx, timeout, TimerPurpose::RetryGcast(req));
+        if let Some(p) = self.pending.get_mut(&req) {
+            p.timer = timer;
+        }
     }
 }
 
@@ -395,13 +410,12 @@ impl<O> VsyncOps<O> for Ops<'_, '_, O> {
                 payload: payload.clone(),
                 token,
                 retries: 0,
+                timer: 0, // set once armed, below
                 tried: BTreeSet::new(),
             },
         );
         send_gcast_attempt(self.core, self.ctx, group, req, payload);
-        let timeout = self.core.cfg.retry_timeout;
-        self.core
-            .arm_timer(self.ctx, timeout, TimerPurpose::RetryGcast(req));
+        self.core.arm_gcast_retry(self.ctx, req);
     }
 
     fn join(&mut self, group: GroupId) {
@@ -461,6 +475,10 @@ impl<O> VsyncOps<O> for Ops<'_, '_, O> {
             "application timer tags must not use the top bit"
         );
         self.ctx.set_timer(SimTime::from_micros(delay_micros), tag);
+    }
+
+    fn cancel_app_timer(&mut self, tag: u64) {
+        self.ctx.cancel_timer(tag);
     }
 
     fn random_u64(&mut self) -> u64 {
@@ -880,6 +898,11 @@ impl<A: GroupApp> VsyncNode<A> {
         result: Result<Vec<u8>, GcastError>,
     ) {
         if let Some(p) = self.core.pending.remove(&req) {
+            // An answered request's retry timer carries no information;
+            // it is already gone when its own firing gave up.
+            if self.core.timers.remove(&p.timer).is_some() {
+                ctx.cancel_timer(VSYNC_TAG_BIT | p.timer);
+            }
             let mut ops = Ops {
                 core: &mut self.core,
                 ctx,
@@ -1795,9 +1818,7 @@ impl<A: GroupApp> VsyncNode<A> {
                     self.complete_pending(ctx, req, Err(GcastError::Unavailable));
                 } else {
                     send_gcast_attempt(&mut self.core, ctx, group, req, payload);
-                    let timeout = self.core.cfg.retry_timeout;
-                    self.core
-                        .arm_timer(ctx, timeout, TimerPurpose::RetryGcast(req));
+                    self.core.arm_gcast_retry(ctx, req);
                 }
             }
             TimerPurpose::RetryJoin(group) => {

@@ -70,6 +70,9 @@ impl<A: GroupApp> Net<A> {
                 Action::SetTimer { delay, tag } => {
                     self.timers.push((self.now + delay, node, tag));
                 }
+                Action::CancelTimer { tag } => {
+                    self.timers.retain(|t| (t.1, t.2) != (node, tag));
+                }
                 Action::Count(id, delta) => *self.counts.entry(id).or_default() += delta,
                 Action::Emit(_) | Action::Work(_) | Action::Record(..) | Action::Trace(_) => {}
             }
